@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/cd_lasso.hpp"
-#include "core/sa_lasso.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "la/vector_ops.hpp"
 #include "perf/scaling.hpp"
@@ -31,21 +30,20 @@ void drift_vs_s() {
   cfg.seed = 13;
   const sa::data::Dataset d = sa::data::make_regression(cfg).dataset;
 
-  sa::core::LassoOptions base;
+  sa::core::SolverSpec base = sa::core::SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = 4;
   base.accelerated = true;
   base.max_iterations = 256;
   base.seed = 5;
-  const sa::core::LassoResult ref = sa::core::solve_lasso_serial(d, base);
+  const sa::core::SolveResult ref = sa::core::solve(d, base);
 
   std::printf("%8s %24s\n", "s", "max rel iterate diff");
   for (std::size_t s : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
-    sa::core::SaLassoOptions sa_opt;
-    sa_opt.base = base;
+    sa::core::SolverSpec sa_opt = base;
+    sa_opt.algorithm = "sa-lasso";
     sa_opt.s = s;
-    const sa::core::LassoResult got =
-        sa::core::solve_sa_lasso_serial(d, sa_opt);
+    const sa::core::SolveResult got = sa::core::solve(d, sa_opt);
     std::printf("%8zu %24.3e\n", s, sa::la::max_rel_diff(ref.x, got.x));
   }
   std::printf("(expected: all entries near machine precision — the paper's "

@@ -15,7 +15,6 @@
 #include <omp.h>
 #endif
 
-#include "core/detail.hpp"
 #include "core/local_data.hpp"
 #include "core/prox.hpp"
 #include "data/partition.hpp"
@@ -27,7 +26,6 @@
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/simd/simd.hpp"
-#include "la/vector_batch.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
 
@@ -57,6 +55,14 @@ void BM_SeparateDots(benchmark::State& state) {
 }
 BENCHMARK(BM_SeparateDots)->Arg(8)->Arg(32)->Arg(128);
 
+/// Dense view over the rows of `a` (descriptors in `ptrs`).
+sa::la::BatchView dense_view(const sa::la::DenseMatrix& a,
+                             std::vector<const double*>& ptrs) {
+  ptrs.clear();
+  for (std::size_t i = 0; i < a.rows(); ++i) ptrs.push_back(a.row(i).data());
+  return sa::la::BatchView::dense(ptrs, a.cols());
+}
+
 /// Naive pairwise-dot Gram — the pre-kernel-engine implementation, kept
 /// as the baseline the blocked SYRK kernel is measured against.
 void BM_NaiveGram(benchmark::State& state) {
@@ -79,27 +85,38 @@ BENCHMARK(BM_NaiveGram)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 void BM_BatchedGram(benchmark::State& state) {
   const std::size_t s = state.range(0);
   const std::size_t m = 4096;
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::dense(random_dense(s, m, 1));
+  const sa::la::DenseMatrix a = random_dense(s, m, 1);
+  std::vector<const double*> ptrs;
+  const sa::la::BatchView batch = dense_view(a, ptrs);
+  sa::la::Workspace scratch;
+  std::vector<double> packed(sa::la::fused_buffer_size(s, 0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.gram());
+    sa::la::sampled_gram_range(batch, 0, m, scratch, packed);
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * s * (s + 1) / 2 * m);
 }
 BENCHMARK(BM_BatchedGram)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
-/// dot_all OpenMP scaling: one large batch, swept over thread counts.
+/// Dot-section OpenMP scaling: one large batch, swept over thread counts.
 void BM_DotAllThreads(benchmark::State& state) {
 #ifdef _OPENMP
   omp_set_num_threads(static_cast<int>(state.range(0)));
 #endif
   const std::size_t k = 256;
   const std::size_t m = 8192;  // 2·k·m crosses the parallel threshold
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::dense(random_dense(k, m, 2));
+  const sa::la::DenseMatrix a = random_dense(k, m, 2);
+  std::vector<const double*> ptrs;
+  const sa::la::BatchView batch = dense_view(a, ptrs);
   std::vector<double> x(m, 1.0);
+  const std::array<std::span<const double>, 1> xs{std::span<const double>(x)};
+  sa::la::Workspace scratch;
+  std::vector<double> out(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.dot_all(x));
+    sa::la::sampled_dots_range(batch, xs, 0, m, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * k * m);
 #ifdef _OPENMP
@@ -136,24 +153,26 @@ void BM_SparseColumnGram(benchmark::State& state) {
   cfg.support_size = 16;
   const sa::data::Dataset d = sa::data::make_regression(cfg).dataset;
   const sa::la::CscMatrix csc(d.a);
-  std::vector<sa::la::SparseVector> cols;
-  for (std::size_t j = 0; j < k; ++j)
-    cols.push_back(csc.gather_column((j * 37) % d.num_features()));
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::sparse(std::move(cols), d.num_points());
-  for (auto _ : state) benchmark::DoNotOptimize(batch.gram());
+  std::vector<std::span<const std::size_t>> idx;
+  std::vector<std::span<const double>> val;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t col = (j * 37) % d.num_features();
+    idx.push_back(csc.col_indices(col));
+    val.push_back(csc.col_values(col));
+  }
+  const sa::la::BatchView batch =
+      sa::la::BatchView::sparse(idx, val, d.num_points());
+  sa::la::Workspace scratch;
+  std::vector<double> packed(sa::la::fused_buffer_size(k, 0));
+  for (auto _ : state) {
+    sa::la::sampled_gram_range(batch, 0, d.num_points(), scratch, packed);
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_SparseColumnGram)->Arg(8)->Arg(64)->Arg(256);
 
-// ---------------------------------------------------------------------------
-// The per-outer-iteration Gram+dots stage of the s-step solvers, copy path
-// vs zero-copy fused path, at solver-realistic shapes (s blocks of µ
-// sampled columns, one residual dot section — the plain-mode wire format
-// [upper(G) | Yᵀr̃]).  Both variants sample identically; the difference is
-// purely gather_columns+concat+gram+pack_upper+dot_all versus
-// view_columns+sampled_gram_and_dots.
-// ---------------------------------------------------------------------------
-
+// Datasets for the per-ISA matrix below: 4096 × 4096 at the given density.
 sa::data::Dataset pipeline_dataset(double density) {
   sa::data::RegressionConfig cfg;
   cfg.num_points = 4096;
@@ -163,94 +182,16 @@ sa::data::Dataset pipeline_dataset(double density) {
   return sa::data::make_regression(cfg).dataset;
 }
 
-void bench_gram_dots_copy(benchmark::State& state, double density) {
-  const std::size_t s = state.range(0);
-  const std::size_t mu = state.range(1);
-  const sa::data::Dataset d = pipeline_dataset(density);
-  const sa::core::RowBlock block(
-      d, sa::data::Partition::block(d.num_points(), 1), 0);
-  sa::data::CoordinateSampler sampler(d.num_features(), mu, 3);
-  std::vector<double> res(block.local_rows(), 1.0);
-  std::vector<std::size_t> cols(mu);
-  std::vector<double> buffer;
-  for (auto _ : state) {
-    std::vector<sa::la::VectorBatch> batches;
-    batches.reserve(s);
-    for (std::size_t t = 0; t < s; ++t) {
-      sampler.next_into(cols);
-      batches.push_back(block.gather_columns(cols));
-    }
-    const sa::la::VectorBatch big = sa::la::concat(batches);
-    const std::size_t k = big.size();
-    const std::size_t tri = sa::core::detail::triangle_size(k);
-    buffer.resize(tri + k);
-    sa::core::detail::pack_upper(big.gram(),
-                                 std::span<double>(buffer.data(), tri));
-    const std::vector<double> dots = big.dot_all(res);
-    std::copy(dots.begin(), dots.end(), buffer.begin() + tri);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-  state.SetItemsProcessed(state.iterations() * s * mu);
-}
-
-void bench_gram_dots_view(benchmark::State& state, double density) {
-  const std::size_t s = state.range(0);
-  const std::size_t mu = state.range(1);
-  const sa::data::Dataset d = pipeline_dataset(density);
-  const sa::core::RowBlock block(
-      d, sa::data::Partition::block(d.num_points(), 1), 0);
-  sa::data::CoordinateSampler sampler(d.num_features(), mu, 3);
-  std::vector<double> res(block.local_rows(), 1.0);
-  const std::array<std::span<const double>, 1> rhs{
-      std::span<const double>(res)};
-  sa::la::Workspace ws;
-  for (auto _ : state) {
-    const std::span<std::size_t> idx = ws.indices(0, s * mu);
-    for (std::size_t t = 0; t < s; ++t)
-      sampler.next_into(idx.subspan(t * mu, mu));
-    const sa::la::BatchView big = block.view_columns(idx, ws);
-    const std::span<double> buffer =
-        ws.doubles(0, sa::la::fused_buffer_size(s * mu, 1));
-    sa::la::sampled_gram_and_dots(big, rhs, buffer);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-  state.SetItemsProcessed(state.iterations() * s * mu);
-}
-
-// news20-like density: the regime where the paper's SA solvers live and
-// where per-iteration copies are the dominant non-Gram cost.
-void BM_SparseGramDotsCopy(benchmark::State& state) {
-  bench_gram_dots_copy(state, 0.002);
-}
-void BM_SparseGramDotsView(benchmark::State& state) {
-  bench_gram_dots_view(state, 0.002);
-}
-void BM_DenseGramDotsCopy(benchmark::State& state) {
-  bench_gram_dots_copy(state, 0.5);
-}
-void BM_DenseGramDotsView(benchmark::State& state) {
-  bench_gram_dots_view(state, 0.5);
-}
-BENCHMARK(BM_SparseGramDotsCopy)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
-BENCHMARK(BM_SparseGramDotsView)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
-BENCHMARK(BM_DenseGramDotsCopy)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
-BENCHMARK(BM_DenseGramDotsView)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
-
 // ---------------------------------------------------------------------------
-// Per-ISA kernel matrix: the fused sampled_gram_and_dots hot path at every
-// dispatchable ISA level (scalar / sse2 / avx2) × {sparse, dense} ×
-// s ∈ {1, 4, 16}, single-thread, with a GFLOP/s counter.  This is the
+// Per-ISA kernel matrix: the engines' per-round Gram + dots stage —
+// view_columns, then sampled_gram_range + sampled_dots_range over the full
+// range, exactly the calls a one-chunk round makes — at every dispatchable
+// ISA level (scalar / sse2 / avx2) × {sparse, dense} × s ∈ {1, 4, 16}
+// blocks of µ = 64 columns, one residual dot section (the plain-mode wire
+// format [upper(G) | Yᵀr̃]), with a GFLOP/s counter.  This is the
 // committed-speedup evidence for the SIMD plane (BENCH_kernels.json at the
 // repo root and the README table): avx2 vs scalar on the same config is
-// the dispatch win, scalar matches the pre-dispatch numbers.
+// the dispatch win.
 // ---------------------------------------------------------------------------
 
 void bench_kernel_isa_gram_dots(benchmark::State& state,
@@ -271,17 +212,23 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   std::vector<double> res(block.local_rows(), 1.0);
   const std::array<std::span<const double>, 1> rhs{
       std::span<const double>(res)};
-  sa::la::Workspace ws;
+  sa::la::Workspace ws, scratch;
+  const std::size_t k = s * mu;
+  const std::size_t tri = sa::la::fused_buffer_size(k, 0);
   double flops = 0.0;
   for (auto _ : state) {
-    const std::span<std::size_t> idx = ws.indices(0, s * mu);
+    const std::span<std::size_t> idx = ws.indices(0, k);
     for (std::size_t t = 0; t < s; ++t)
       sampler.next_into(idx.subspan(t * mu, mu));
     const sa::la::BatchView big = block.view_columns(idx, ws);
     const std::span<double> buffer =
-        ws.doubles(0, sa::la::fused_buffer_size(s * mu, 1));
-    sa::la::sampled_gram_and_dots(big, rhs, buffer);
+        ws.doubles(0, sa::la::fused_buffer_size(k, 1));
+    sa::la::sampled_gram_range(big, 0, big.dim(), scratch,
+                               buffer.first(tri));
+    sa::la::sampled_dots_range(big, rhs, 0, big.dim(), scratch,
+                               buffer.subspan(tri));
     benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
     flops += static_cast<double>(big.gram_flops() + big.dot_all_flops());
   }
   state.counters["GFLOP/s"] =

@@ -9,32 +9,26 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/cd_lasso.hpp"
 #include "core/objective.hpp"
-#include "core/sa_lasso.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 
 namespace {
 
-using sa::core::LassoOptions;
-using sa::core::SaLassoOptions;
-
 double final_objective(const sa::data::Dataset& d, std::size_t mu,
                        bool accelerated, std::size_t s, std::size_t h) {
-  LassoOptions base;
+  sa::core::SolverSpec base = sa::core::SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = mu;
   base.accelerated = accelerated;
   base.max_iterations = h;
   base.trace_every = h;
   base.seed = 7;
-  if (s == 0) {
-    return sa::core::solve_lasso_serial(d, base).trace.final_objective();
+  if (s > 0) {
+    base.algorithm = "sa-lasso";
+    base.s = s;
   }
-  SaLassoOptions sa_opt;
-  sa_opt.base = base;
-  sa_opt.s = s;
-  return sa::core::solve_sa_lasso_serial(d, sa_opt).trace.final_objective();
+  return sa::core::solve(d, base).trace.final_objective();
 }
 
 }  // namespace

@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/sa_svm.hpp"
-#include "core/svm.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 
@@ -24,17 +23,17 @@ namespace {
 
 constexpr int kMeasuredRanks = 2;
 
-using sa::core::SaSvmOptions;
-using sa::core::SvmOptions;
-using sa::core::SvmResult;
-
 sa::dist::CommStats run_metered(const sa::data::Dataset& d, std::size_t s,
                                 std::size_t h) {
-  SvmOptions base;
+  sa::core::SolverSpec base = sa::core::SolverSpec::make("svm");
   base.lambda = 1.0;
   base.loss = sa::core::SvmLoss::kL1;  // the paper solves the harder L1
   base.max_iterations = h;
   base.seed = 3;
+  if (s > 0) {
+    base.algorithm = "sa-svm";
+    base.s = s;
+  }
 
   const sa::data::Partition cols =
       sa::data::Partition::block(d.num_features(), kMeasuredRanks);
@@ -42,16 +41,9 @@ sa::dist::CommStats run_metered(const sa::data::Dataset& d, std::size_t s,
   std::mutex lock;
   sa::dist::run_distributed(kMeasuredRanks,
                             [&](sa::dist::Communicator& comm) {
-                              const SvmResult r = [&] {
-                                if (s == 0)
-                                  return sa::core::solve_svm(comm, d, cols,
-                                                             base);
-                                SaSvmOptions sa_opt;
-                                sa_opt.base = base;
-                                sa_opt.s = s;
-                                return sa::core::solve_sa_svm(comm, d, cols,
-                                                              sa_opt);
-                              }();
+                              const sa::core::SolveResult r =
+                                  sa::core::make_solver(comm, d, cols, base)
+                                      ->run();
                               if (comm.rank() == 0) {
                                 std::scoped_lock guard(lock);
                                 out = r.trace.final_stats;

@@ -11,8 +11,13 @@
 // adoption path for real datasets (url, news20, covtype, epsilon, leu,
 // w1a, duke, rcv1.binary, gisette from the LIBSVM repository drop in
 // directly).  Prints a trace and optionally writes it as CSV.
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -37,7 +42,8 @@ struct Args {
   std::string mode;
   std::string file;
   sa::core::SolverSpec spec;
-  std::size_t s = 0;            // --s N: switch a classical id to sa-*
+  std::size_t s = 0;            // --s N (>= 1; 0 = flag absent): switch
+                                // a classical id to its sa-* variant
   int ranks = 1;                // --ranks P (thread-backed communicator)
   std::size_t group_size = 8;   // --group-size (group-lasso ids)
   std::size_t num_lambdas = 20; // path mode
@@ -114,6 +120,39 @@ void print_registry() {
   std::exit(2);
 }
 
+// Flag values are parsed as whole tokens: a value that is not entirely a
+// number, or lies outside the flag's range, is a usage error (exit 2)
+// rather than a silently substituted 0 or wrapped-around count.
+std::uint64_t parse_count(const std::string& flag, const char* text,
+                          std::uint64_t min = 0,
+                          std::uint64_t max = UINT64_MAX) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < min || v > max) {
+    std::fprintf(stderr,
+                 "invalid %s value '%s': expected an integer in "
+                 "[%llu, %llu]\n",
+                 flag.c_str(), text, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
+    usage();
+  }
+  return v;
+}
+
+double parse_nonnegative(const std::string& flag, const char* text) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr,
+                 "invalid %s value '%s': expected a finite number >= 0\n",
+                 flag.c_str(), text);
+    usage();
+  }
+  return v;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   args.spec.trace_every = 1000;  // CLI presentation default: show progress
@@ -144,15 +183,15 @@ Args parse(int argc, char** argv) {
       args.spec.algorithm = value();
       solver_flag = true;
     } else if (flag == "--lambda") {
-      args.spec.lambda = std::atof(value());
+      args.spec.lambda = parse_nonnegative(flag, value());
     } else if (flag == "--mu") {
-      args.spec.block_size = std::strtoull(value(), nullptr, 10);
+      args.spec.block_size = parse_count(flag, value(), 1);
     } else if (flag == "--s") {
-      args.s = std::strtoull(value(), nullptr, 10);
+      args.s = parse_count(flag, value(), 1);
     } else if (flag == "-H") {
-      args.spec.max_iterations = std::strtoull(value(), nullptr, 10);
+      args.spec.max_iterations = parse_count(flag, value());
     } else if (flag == "--trace-every") {
-      args.spec.trace_every = std::strtoull(value(), nullptr, 10);
+      args.spec.trace_every = parse_count(flag, value());
     } else if (flag == "--accelerated") {
       args.spec.accelerated = true;
     } else if (flag == "--plain") {
@@ -163,20 +202,19 @@ Args parse(int argc, char** argv) {
       else if (loss == "l2") args.spec.loss = sa::core::SvmLoss::kL2;
       else usage();
     } else if (flag == "--gap-tol") {
-      args.spec.gap_tolerance = std::atof(value());
+      args.spec.gap_tolerance = parse_nonnegative(flag, value());
     } else if (flag == "--obj-tol") {
-      args.spec.objective_tolerance = std::atof(value());
+      args.spec.objective_tolerance = parse_nonnegative(flag, value());
     } else if (flag == "--time-budget") {
-      args.spec.wall_clock_budget = std::atof(value());
+      args.spec.wall_clock_budget = parse_nonnegative(flag, value());
     } else if (flag == "--no-pipeline") {
       args.spec.pipeline = false;
     } else if (flag == "--seed") {
-      args.spec.seed = std::strtoull(value(), nullptr, 10);
+      args.spec.seed = parse_count(flag, value());
     } else if (flag == "--group-size") {
-      args.group_size = std::strtoull(value(), nullptr, 10);
+      args.group_size = parse_count(flag, value(), 1);
     } else if (flag == "--ranks") {
-      args.ranks = std::atoi(value());
-      if (args.ranks < 1) usage();
+      args.ranks = static_cast<int>(parse_count(flag, value(), 1, INT_MAX));
     } else if (flag == "--kernel-isa") {
       const char* name = value();
       sa::la::simd::Isa isa;
@@ -192,7 +230,7 @@ Args parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (flag == "--lambdas") {
-      args.num_lambdas = std::strtoull(value(), nullptr, 10);
+      args.num_lambdas = parse_count(flag, value(), 1);
     } else if (flag == "--normalize") {
       args.normalize = true;
     } else if (flag == "--trace-csv") {
@@ -200,18 +238,17 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--checkpoint") {
       args.checkpoint = value();
     } else if (flag == "--checkpoint-every") {
-      args.checkpoint_every = std::strtoull(value(), nullptr, 10);
-      if (args.checkpoint_every == 0) usage();
+      args.checkpoint_every = parse_count(flag, value(), 1);
     } else if (flag == "--resume") {
       args.resume = value();
     } else if (flag == "--inject-faults") {
       args.inject_faults = value();
     } else if (flag == "--max-retries") {
-      args.spec.max_retries = std::strtoull(value(), nullptr, 10);
+      args.spec.max_retries = parse_count(flag, value());
     } else if (flag == "--retry-backoff") {
-      args.spec.retry_backoff = std::atof(value());
+      args.spec.retry_backoff = parse_nonnegative(flag, value());
     } else if (flag == "--round-deadline") {
-      args.spec.round_deadline = std::atof(value());
+      args.spec.round_deadline = parse_nonnegative(flag, value());
     } else if (!flag.empty() && flag[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage();

@@ -7,9 +7,8 @@
 #include <span>
 #include <utility>
 
-#include "core/solver_options.hpp"
+#include "core/solver.hpp"
 #include "la/batch_view.hpp"
-#include "la/dense.hpp"
 
 namespace sa::core::detail {
 
@@ -21,19 +20,12 @@ inline std::size_t eig_flops(std::size_t k) { return 32 * k * k; }
 /// Serialized size of the upper triangle of a k×k symmetric matrix.
 inline std::size_t triangle_size(std::size_t k) { return k * (k + 1) / 2; }
 
-/// Packs the upper triangle of symmetric `g` into `out` (row-major upper).
-inline void pack_upper(const la::DenseMatrix& g, std::span<double> out) {
-  std::size_t p = 0;
-  for (std::size_t i = 0; i < g.rows(); ++i)
-    for (std::size_t j = i; j < g.cols(); ++j) out[p++] = g(i, j);
-}
-
 /// Random-access view of a packed row-major upper triangle, presented as
 /// the full symmetric k×k matrix.  The s-step solvers read the Gram
 /// directly out of the allreduce buffer through this view instead of
 /// unpacking into a freshly allocated DenseMatrix every outer iteration.
 /// Layout is single-sourced from la::packed_upper_index — the index the
-/// fused kernel writes.
+/// Gram kernel writes.
 class PackedUpper {
  public:
   PackedUpper(const double* packed, std::size_t k) : p_(packed), k_(k) {}
@@ -48,21 +40,6 @@ class PackedUpper {
   const double* p_;
   std::size_t k_;
 };
-
-/// Unpacks a packed upper triangle into a full symmetric k×k matrix.
-inline la::DenseMatrix unpack_upper(std::span<const double> buf,
-                                    std::size_t k) {
-  la::DenseMatrix g(k, k);
-  std::size_t p = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i; j < k; ++j) {
-      g(i, j) = buf[p];
-      g(j, i) = buf[p];
-      ++p;
-    }
-  }
-  return g;
-}
 
 /// θ_h from θ_{h-1} (paper Algorithm 1 line 18 / Algorithm 2 line 9):
 /// θ_h = (√(θ⁴ + 4θ²) − θ²) / 2.
@@ -83,11 +60,6 @@ struct ProxSpec {
   double lambda = 0.0;
   double l1_weight = 1.0;
   double l2_weight = 0.0;
-
-  static ProxSpec from_options(const LassoOptions& options) {
-    return ProxSpec{options.penalty, options.lambda, options.elastic_net_l1,
-                    options.elastic_net_l2};
-  }
 
   double apply(double v, double eta) const;
 };

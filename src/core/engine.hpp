@@ -49,7 +49,6 @@
 #include <memory>
 
 #include "common/grouping.hpp"
-#include "core/group_lasso.hpp"  // GroupLassoOptions (for to_spec)
 #include "core/solver.hpp"
 #include "data/partition.hpp"
 #include "dist/round_message.hpp"
@@ -308,8 +307,7 @@ class EngineBase : public Solver {
 };
 
 // Engine factories (validate the spec, then construct).  The registry
-// binds each algorithm id to one of these; the legacy free functions call
-// them directly.
+// binds each algorithm id to one of these.
 std::unique_ptr<Solver> make_lasso_engine(dist::Communicator& comm,
                                           const data::Dataset& dataset,
                                           const data::Partition& rows,
@@ -322,10 +320,5 @@ std::unique_ptr<Solver> make_svm_engine(dist::Communicator& comm,
                                         const data::Dataset& dataset,
                                         const data::Partition& cols,
                                         const SolverSpec& spec);
-
-// Legacy option structs → unified spec (s == 0 selects the classical id).
-SolverSpec to_spec(const LassoOptions& options, std::size_t s);
-SolverSpec to_spec(const GroupLassoOptions& options, std::size_t s);
-SolverSpec to_spec(const SvmOptions& options, std::size_t s);
 
 }  // namespace sa::core::detail

@@ -19,29 +19,6 @@ RowBlock::RowBlock(const data::Dataset& dataset, const data::Partition& rows,
   dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
 }
 
-la::VectorBatch RowBlock::gather_columns(
-    const std::vector<std::size_t>& cols) const {
-  const std::size_t m_loc = local_rows();
-  if (dense_batches_) {
-    la::DenseMatrix batch(cols.size(), m_loc);
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      SA_CHECK(cols[c] < num_features(), "gather_columns: column out of range");
-      const auto idx = csc_.col_indices(cols[c]);
-      const auto val = csc_.col_values(cols[c]);
-      auto row = batch.row(c);
-      for (std::size_t k = 0; k < idx.size(); ++k) row[idx[k]] = val[k];
-    }
-    return la::VectorBatch::dense(std::move(batch));
-  }
-  std::vector<la::SparseVector> vectors;
-  vectors.reserve(cols.size());
-  for (std::size_t col : cols) {
-    SA_CHECK(col < num_features(), "gather_columns: column out of range");
-    vectors.push_back(csc_.gather_column(col));
-  }
-  return la::VectorBatch::sparse(std::move(vectors), m_loc);
-}
-
 const std::vector<double>& RowBlock::staged_columns() const {
   // One densification pass for the whole solve: every column scattered
   // into its own contiguous run (column-major over the local block).  The
@@ -93,29 +70,6 @@ ColBlock::ColBlock(const data::Dataset& dataset, const data::Partition& cols,
   a_ = dataset.a.col_slice(cols.begin(rank), cols.end(rank));
   b_ = dataset.b;  // labels replicated
   dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
-}
-
-la::VectorBatch ColBlock::gather_rows(
-    const std::vector<std::size_t>& rows) const {
-  const std::size_t n_loc = local_cols();
-  if (dense_batches_) {
-    la::DenseMatrix batch(rows.size(), n_loc);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      SA_CHECK(rows[r] < num_points(), "gather_rows: row out of range");
-      const auto idx = a_.row_indices(rows[r]);
-      const auto val = a_.row_values(rows[r]);
-      auto row = batch.row(r);
-      for (std::size_t k = 0; k < idx.size(); ++k) row[idx[k]] = val[k];
-    }
-    return la::VectorBatch::dense(std::move(batch));
-  }
-  std::vector<la::SparseVector> vectors;
-  vectors.reserve(rows.size());
-  for (std::size_t r : rows) {
-    SA_CHECK(r < num_points(), "gather_rows: row out of range");
-    vectors.push_back(a_.gather_row(r));
-  }
-  return la::VectorBatch::sparse(std::move(vectors), n_loc);
 }
 
 const std::vector<double>& ColBlock::staged_rows() const {

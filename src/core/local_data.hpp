@@ -10,11 +10,10 @@
 // labels are replicated.  Solvers sample *rows*, which CSR gathers
 // directly.
 //
-// Each block offers the sampled coordinates in two forms:
-//   * gather_* — owning VectorBatch copies (the classical solvers);
-//   * view_*   — zero-copy la::BatchView descriptors over the resident
-//     CSC/CSR arrays (sparse mode) or over a Workspace staging area
-//     (dense mode), the allocation-free path of the s-step solvers.
+// Each block offers the sampled coordinates as zero-copy la::BatchView
+// descriptors (view_*) over the resident CSC/CSR arrays (sparse mode) or
+// over a staged dense copy (dense mode) — the allocation-free path every
+// engine runs.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +25,6 @@
 #include "la/batch_view.hpp"
 #include "la/csc.hpp"
 #include "la/csr.hpp"
-#include "la/vector_batch.hpp"
 #include "la/workspace.hpp"
 
 namespace sa::core {
@@ -55,17 +53,13 @@ class RowBlock {
   /// over ranks), not the local values.
   const std::vector<double>& col_norms_squared() const { return col_norms_; }
 
-  /// Gathers the given global columns (restricted to local rows) into a
-  /// VectorBatch of dim local_rows().  Storage (dense vs sparse) follows
-  /// the matrix density.
-  la::VectorBatch gather_columns(const std::vector<std::size_t>& cols) const;
-
-  /// Zero-copy counterpart of gather_columns: returns a BatchView whose
-  /// sparse members alias the resident CSC arrays directly; in dense-batch
-  /// mode the members point into a column-major staged copy of the whole
-  /// local block, densified ONCE on first use and kept alive across
-  /// iterations — sampled views then cost only k pointer writes, no
-  /// per-iteration memset + scatter.  The view is valid until the next
+  /// Views the given global columns (restricted to local rows) as a batch
+  /// of dim local_rows(); storage (dense vs sparse) follows the matrix
+  /// density.  Sparse members alias the resident CSC arrays directly; in
+  /// dense-batch mode the members point into a column-major staged copy
+  /// of the whole local block, densified ONCE on first use and kept alive
+  /// across iterations — sampled views then cost only k pointer writes,
+  /// no per-iteration memset + scatter.  The view is valid until the next
   /// view_columns call on the same workspace.
   la::BatchView view_columns(std::span<const std::size_t> cols,
                              la::Workspace& ws) const;
@@ -80,7 +74,7 @@ class RowBlock {
   bool dense_batches_ = false;
   // Lazily-built column-major dense copy (n × m_loc, one column per run)
   // backing dense-mode views; empty until the first view_columns call, so
-  // solves on the sparse or copy-based paths never pay for it.
+  // solves on the sparse path never pay for it.
   mutable std::vector<double> stage_;
 };
 
@@ -96,15 +90,11 @@ class ColBlock {
   /// Labels are replicated on every rank.
   const std::vector<double>& labels() const { return b_; }
 
-  /// Gathers the given global rows (restricted to local columns) into a
-  /// VectorBatch of dim local_cols().
-  la::VectorBatch gather_rows(const std::vector<std::size_t>& rows) const;
-
-  /// Zero-copy counterpart of gather_rows: sparse members alias the CSR
-  /// row arrays directly; dense-batch mode points into a row-major staged
-  /// copy of the local block, densified once and reused across
-  /// iterations.  Valid until the next view_rows call on the same
-  /// workspace.
+  /// Views the given global rows (restricted to local columns) as a batch
+  /// of dim local_cols().  Sparse members alias the CSR row arrays
+  /// directly; dense-batch mode points into a row-major staged copy of the
+  /// local block, densified once and reused across iterations.  Valid
+  /// until the next view_rows call on the same workspace.
   la::BatchView view_rows(std::span<const std::size_t> rows,
                           la::Workspace& ws) const;
 

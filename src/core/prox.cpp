@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "core/detail.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::core {
@@ -55,6 +56,16 @@ void group_lasso_prox(std::span<double> x, double alpha,
     const std::size_t end = groups.offsets[g + 1];
     group_soft_threshold(x.subspan(begin, end - begin), alpha);
   }
+}
+
+double detail::ProxSpec::apply(double v, double eta) const {
+  switch (penalty) {
+    case Penalty::kLasso:
+      return soft_threshold(v, lambda * eta);
+    case Penalty::kElasticNet:
+      return elastic_net_prox(v, eta, lambda * l1_weight, lambda * l2_weight);
+  }
+  throw PreconditionError("ProxSpec: unknown penalty");
 }
 
 }  // namespace sa::core

@@ -3,8 +3,6 @@
 // synchronization-avoiding (s > 1) in one class.  A communication round
 // samples s_eff groups, packs the ONE fused RoundMessage
 // [upper(G) | Yᵀr̃ | trailer], and replays the group updates redundantly.
-#include "core/sa_group_lasso.hpp"
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -12,6 +10,7 @@
 #include "common/check.hpp"
 #include "core/detail.hpp"
 #include "core/engine.hpp"
+#include "core/local_data.hpp"
 #include "core/prox.hpp"
 #include "data/rng.hpp"
 #include "la/batch_view.hpp"
@@ -346,25 +345,5 @@ std::unique_ptr<Solver> make_group_lasso_engine(dist::Communicator& comm,
 }
 
 }  // namespace detail
-
-LassoResult solve_sa_group_lasso(dist::Communicator& comm,
-                                 const data::Dataset& dataset,
-                                 const data::Partition& rows,
-                                 const SaGroupLassoOptions& options) {
-  SA_CHECK(options.s >= 1, "solve_sa_group_lasso: s must be >= 1");
-  SolveResult r = detail::make_group_lasso_engine(
-                      comm, dataset, rows,
-                      detail::to_spec(options.base, options.s))
-                      ->run();
-  return LassoResult{std::move(r.x), std::move(r.trace)};
-}
-
-LassoResult solve_sa_group_lasso_serial(const data::Dataset& dataset,
-                                        const SaGroupLassoOptions& options) {
-  dist::SerialComm comm;
-  return solve_sa_group_lasso(
-      comm, dataset, data::Partition::block(dataset.num_points(), 1),
-      options);
-}
 
 }  // namespace sa::core

@@ -9,15 +9,13 @@
 // zero-copy la::BatchView + la::Workspace pipeline for free).  The θ
 // recurrence table is computed in overlap_round, while the reduction is
 // in flight.
-#include "core/sa_lasso.hpp"
-
 #include <array>
 #include <cmath>
 
 #include "common/check.hpp"
-#include "core/cd_lasso.hpp"
 #include "core/detail.hpp"
 #include "core/engine.hpp"
+#include "core/local_data.hpp"
 #include "core/prox.hpp"
 #include "data/rng.hpp"
 #include "la/batch_view.hpp"
@@ -453,25 +451,5 @@ std::unique_ptr<Solver> make_lasso_engine(dist::Communicator& comm,
 }
 
 }  // namespace detail
-
-LassoResult solve_sa_lasso(dist::Communicator& comm,
-                           const data::Dataset& dataset,
-                           const data::Partition& rows,
-                           const SaLassoOptions& options) {
-  SA_CHECK(options.s >= 1, "solve_sa_lasso: s must be >= 1");
-  SolveResult r =
-      detail::make_lasso_engine(comm, dataset, rows,
-                                detail::to_spec(options.base, options.s))
-          ->run();
-  return LassoResult{std::move(r.x), std::move(r.trace)};
-}
-
-LassoResult solve_sa_lasso_serial(const data::Dataset& dataset,
-                                  const SaLassoOptions& options) {
-  dist::SerialComm comm;
-  return solve_sa_lasso(comm, dataset,
-                        data::Partition::block(dataset.num_points(), 1),
-                        options);
-}
 
 }  // namespace sa::core

@@ -5,8 +5,6 @@
 // projected-Newton dual updates redundantly on every rank.  (The duality
 // gap needs a full margins reduction, so gap-based stopping stays at
 // trace points — the kObjective piggyback is left off for this family.)
-#include "core/sa_svm.hpp"
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -14,6 +12,7 @@
 #include "common/check.hpp"
 #include "core/detail.hpp"
 #include "core/engine.hpp"
+#include "core/local_data.hpp"
 #include "core/objective.hpp"
 #include "data/rng.hpp"
 #include "la/batch_view.hpp"
@@ -283,25 +282,5 @@ std::unique_ptr<Solver> make_svm_engine(dist::Communicator& comm,
 }
 
 }  // namespace detail
-
-SvmResult solve_sa_svm(dist::Communicator& comm,
-                       const data::Dataset& dataset,
-                       const data::Partition& cols,
-                       const SaSvmOptions& options) {
-  SA_CHECK(options.s >= 1, "solve_sa_svm: s must be >= 1");
-  SolveResult r =
-      detail::make_svm_engine(comm, dataset, cols,
-                              detail::to_spec(options.base, options.s))
-          ->run();
-  return SvmResult{std::move(r.x), std::move(r.alpha), std::move(r.trace)};
-}
-
-SvmResult solve_sa_svm_serial(const data::Dataset& dataset,
-                              const SaSvmOptions& options) {
-  dist::SerialComm comm;
-  return solve_sa_svm(comm, dataset,
-                      data::Partition::block(dataset.num_features(), 1),
-                      options);
-}
 
 }  // namespace sa::core

@@ -259,8 +259,7 @@ std::size_t EngineBase::step(std::size_t iterations) {
     if (spec_.trace_every > 0) {
       record_trace_point(0);
       // Seed the objective-tolerance reference; criteria never fire on the
-      // initial point (matching the legacy solvers, which only test at
-      // in-loop trace points).
+      // initial point, only at in-loop trace points.
       have_prev_objective_ = true;
       prev_objective_ = trace_.points.back().objective;
     }
@@ -944,46 +943,6 @@ void EngineBase::recover_from(const dist::CommFailure& failure) {
   stats.checkpoint_skips = measured.checkpoint_skips;
   stats.recovery_seconds = measured.recovery_seconds + seconds_since(t0);
   comm_.set_stats(stats);
-}
-
-SolverSpec to_spec(const LassoOptions& options, std::size_t s) {
-  SolverSpec spec = SolverSpec::make(s == 0 ? "lasso" : "sa-lasso");
-  spec.lambda = options.lambda;
-  spec.penalty = options.penalty;
-  spec.elastic_net_l1 = options.elastic_net_l1;
-  spec.elastic_net_l2 = options.elastic_net_l2;
-  spec.block_size = options.block_size;
-  spec.max_iterations = options.max_iterations;
-  spec.accelerated = options.accelerated;
-  spec.seed = options.seed;
-  spec.trace_every = options.trace_every;
-  spec.x0 = options.x0;
-  if (s > 0) spec.s = s;
-  return spec;
-}
-
-SolverSpec to_spec(const GroupLassoOptions& options, std::size_t s) {
-  SolverSpec spec = SolverSpec::make(s == 0 ? "group-lasso"
-                                            : "sa-group-lasso");
-  spec.lambda = options.lambda;
-  spec.groups = options.groups;
-  spec.max_iterations = options.max_iterations;
-  spec.seed = options.seed;
-  spec.trace_every = options.trace_every;
-  if (s > 0) spec.s = s;
-  return spec;
-}
-
-SolverSpec to_spec(const SvmOptions& options, std::size_t s) {
-  SolverSpec spec = SolverSpec::make(s == 0 ? "svm" : "sa-svm");
-  spec.lambda = options.lambda;
-  spec.loss = options.loss;
-  spec.max_iterations = options.max_iterations;
-  spec.seed = options.seed;
-  spec.trace_every = options.trace_every;
-  spec.gap_tolerance = options.gap_tolerance;
-  if (s > 0) spec.s = s;
-  return spec;
 }
 
 }  // namespace detail

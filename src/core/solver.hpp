@@ -12,19 +12,18 @@
 //   SolveResult r = make_solver(comm, dataset, rows, spec)->run();
 //
 // A SolverSpec is a plain value: every knob of every family in one struct
-// with ONE set of defaults (the single source the CLI, the legacy option
-// structs, and the tests all pin against).  Fields that do not apply to
-// the selected algorithm are ignored; validate() rejects contradictory
-// combinations.  make_solver (core/registry.hpp) maps the algorithm id to
-// a factory and returns a Solver.
+// with ONE set of defaults (the single source the CLI and the tests pin
+// against).  Fields that do not apply to the selected algorithm are
+// ignored; validate() rejects contradictory combinations.  make_solver
+// (core/registry.hpp) maps the algorithm id to a factory and returns a
+// Solver.
 //
 // Solver is re-entrant: step(k) advances at least one communication round
 // and keeps going until ≥ k inner iterations have been taken in that call
 // (rounds are never split — an s-step round is the atomic unit, so a
 // stepped solve is bit-identical to run()).  run() drives step() to a
 // stopping criterion and finalizes.  All ranks of a communicator must
-// construct and drive their Solver in lockstep, exactly as with the
-// legacy free functions.
+// construct and drive their Solver in lockstep.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "core/objective.hpp"
-#include "core/solver_options.hpp"
 #include "core/trace.hpp"
 #include "data/dataset.hpp"
 #include "dist/comm.hpp"
@@ -57,16 +55,19 @@ enum class StopReason {
 
 const char* to_string(StopReason reason);
 
+/// Which regularizer the Lasso family applies (Group Lasso has its own
+/// family because its prox must be aligned with the group structure).
+enum class Penalty { kLasso, kElasticNet };
+
 /// The algorithm families behind the registered ids ("lasso" and
 /// "sa-lasso" are the same family at different unrolling depths).
 enum class SolverFamily { kLasso, kGroupLasso, kSvm, kUnknown };
 
 /// One spec for every solver.  Field groups that only apply to one family
 /// are marked; everything else is shared.  Defaults here are THE defaults:
-/// the legacy option structs and the CLI derive theirs from this struct,
-/// pinned by tests/core/test_solver_facade.cpp (sole documented
-/// exception: legacy SvmOptions keeps the paper's λ = 1, H = 10000
-/// conventions — see solver_options.hpp).
+/// the CLI derives its own from this struct.  The SVM family shares them
+/// too (λ = 0.1, H = 1000); the paper's Algorithm 3 runs use λ = 1 and
+/// H = 10000, which callers set explicitly.
 struct SolverSpec {
   std::string algorithm = "lasso";  ///< registry id, e.g. "sa-group-lasso"
 
@@ -101,8 +102,7 @@ struct SolverSpec {
   // samples are spaced at least trace_every iterations apart when a trace
   // cadence is set).  The SVM duality gap needs a full margins reduction,
   // so the SVM gap/objective criteria are evaluated at trace points only
-  // and require trace_every > 0 to ever fire — matching the legacy
-  // SvmOptions::gap_tolerance contract.
+  // and require trace_every > 0 to ever fire.
   double objective_tolerance = 0.0;  ///< stop when successive objective
                                      ///< samples differ by ≤ tol·max(1,|f|)
   double gap_tolerance = 0.0;        ///< SVM: stop when gap ≤ tol

@@ -1,31 +1,8 @@
 #include "core/svm.hpp"
 
 #include "common/check.hpp"
-#include "core/engine.hpp"
 
 namespace sa::core {
-
-// Classical dual CD (Algorithm 3) is the SVM family engine at unrolling
-// depth 1: one sampled point, one fused two-scalar allreduce
-// [A_i·A_iᵀ | A_i·x], one projected-Newton update per round — identical
-// arithmetic to the historical solver, now on the zero-copy view
-// pipeline.
-SvmResult solve_svm(dist::Communicator& comm, const data::Dataset& dataset,
-                    const data::Partition& cols, const SvmOptions& options) {
-  SolveResult r =
-      detail::make_svm_engine(comm, dataset, cols,
-                              detail::to_spec(options, 0))
-          ->run();
-  return SvmResult{std::move(r.x), std::move(r.alpha), std::move(r.trace)};
-}
-
-SvmResult solve_svm_serial(const data::Dataset& dataset,
-                           const SvmOptions& options) {
-  dist::SerialComm comm;
-  return solve_svm(comm, dataset,
-                   data::Partition::block(dataset.num_features(), 1),
-                   options);
-}
 
 std::vector<double> svm_predict(const la::CsrMatrix& a,
                                 std::span<const double> x) {

@@ -1,46 +1,13 @@
-// Distributed dual coordinate descent for linear SVM — the paper's
-// Algorithm 3 (after Hsieh et al. 2008), supporting the L1 and L2 hinge
-// losses.
-//
-// Layout (paper §V): A is 1D-column partitioned; each rank owns a column
-// slice and the matching slice of the primal iterate x ∈ ℝⁿ; the dual
-// iterate α ∈ ℝᵐ and the labels are replicated.  Every iteration samples
-// one data point i (seed-replicated), computes the two scalars that need
-// communication —  η_h = A_iA_iᵀ + γ  and  A_i·x  — with ONE allreduce,
-// then performs the replicated projected-Newton update and the local
-// primal update  x += θ·b_i·A_iᵀ.
-//
-// These entry points are thin wrappers over the unified Solver facade
-// (algorithm id "svm" in core/registry.hpp); prefer SolverSpec +
-// make_solver in new code.
+// Prediction helpers for a trained linear SVM.  The solvers themselves
+// are the "svm" / "sa-svm" ids of the solver registry (core/registry.hpp).
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "core/local_data.hpp"
-#include "core/solver_options.hpp"
-#include "core/trace.hpp"
-#include "data/dataset.hpp"
-#include "data/partition.hpp"
-#include "dist/comm.hpp"
+#include "la/csr.hpp"
 
 namespace sa::core {
-
-/// Result of an SVM solve (identical on every rank).
-struct SvmResult {
-  std::vector<double> x;      ///< primal weight vector (assembled, length n)
-  std::vector<double> alpha;  ///< dual variables (replicated, length m)
-  Trace trace;                ///< duality-gap history at trace points
-};
-
-/// Runs Algorithm 3 on this rank.  `cols` is the 1D-column partition;
-/// the seed must be identical on all ranks.  α is initialised to 0.
-SvmResult solve_svm(dist::Communicator& comm, const data::Dataset& dataset,
-                    const data::Partition& cols, const SvmOptions& options);
-
-/// Convenience serial entry point (P = 1).
-SvmResult solve_svm_serial(const data::Dataset& dataset,
-                           const SvmOptions& options);
 
 /// Classifies points of `a` with weight vector x: sign(A_i·x) as ±1.
 std::vector<double> svm_predict(const la::CsrMatrix& a,

@@ -122,9 +122,9 @@ class RoundMessage {
   }
 
   /// Chunk `c`'s contiguous [dots1 | dots2] half — the state-DEPENDENT
-  /// sections the split pack path (la::sampled_dots) writes after the
-  /// previous round's apply, while the Gram triangle may have been packed
-  /// speculatively a round earlier.
+  /// sections la::sampled_dots_range writes after the previous round's
+  /// apply, while the Gram triangle may have been packed speculatively a
+  /// round earlier.
   std::span<double> chunk_dots(std::size_t c) {
     return buffer_.subspan(c * chunk_stride_ + chunk_offset_[1],
                            words_[1] + words_[2]);

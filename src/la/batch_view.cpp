@@ -1,12 +1,6 @@
 // The single home of the batched Gram / multi-dot kernels.
 //
-// Both the zero-copy BatchView path (the s-step solvers) and the owning
-// VectorBatch path (the classical solvers, tests) call the functions in
-// this translation unit, so the two pipelines execute literally the same
-// machine code in the same accumulation order — the bit-identity the
-// parity tests assert is structural, not coincidental.
-//
-// Kernel design (unchanged from the original vector_batch.cpp engine):
+// Kernel design:
 //
 //   * Dense Gram — tiled upper-triangular SYRK.  The (i, j) space is cut
 //     into 32×32 tiles, upper triangle only; inside a tile a 4×4 register
@@ -19,12 +13,11 @@
 //     written by exactly one thread in a fixed order (deterministic).
 //   * Sparse Gram — accumulator kernel (SpGEMM row style).  Member i is
 //     scattered once into a dense per-thread accumulator; every partner
-//     dot v_i·v_j gathers through v_j's nonzeros only, and the fused dot
-//     sections v_i·x ride on the same sweep of member i.
+//     dot v_i·v_j gathers through v_j's nonzeros only.
+//   * Dots — one sequential dot (dense) or gather dot (sparse) per member.
 //
-// Output is the *packed* row-major upper triangle (plus optional dot
-// sections), written straight into the caller's allreduce buffer — the
-// full-matrix form used by VectorBatch::gram() is unpacked afterwards.
+// Output is the *packed* row-major upper triangle and the dot sections,
+// written straight into the caller's allreduce buffer.
 #include "la/batch_view.hpp"
 
 #include <algorithm>
@@ -33,7 +26,6 @@
 #include "common/annotate.hpp"
 #include "common/check.hpp"
 #include "la/simd/simd.hpp"
-#include "la/vector_batch.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::la {
@@ -52,7 +44,7 @@ constexpr std::size_t kGramTile = 32;  // tile edge, multiple of the 4×4 micro
 // ---------------------------------------------------------------------------
 // Sparse kernels: grow-only, all-zero scratch for the accumulator.  Each
 // row pass restores the zeros it scatters, so the workspace stays all-zero
-// between calls and only needs zero-filling when it grows — gram() on
+// between calls and only needs zero-filling when it grows — the Gram of
 // ultra-sparse high-dimensional batches (the url/news20 twins) costs
 // O(nnz) per call instead of O(dim).  thread_local gives each OpenMP
 // worker its own copy, reused across parallel regions.
@@ -67,13 +59,12 @@ std::vector<double>& sparse_gram_workspace(std::size_t dim) {
   return acc;
 }
 
-/// One fused row pass: scatters member i, writes its packed Gram row
-/// (entries (i, j ≥ i), contiguous in the packed layout) via the gather
-/// kernel, computes its dot-section entries, and restores the zeros.
-void sparse_fused_row(const BatchView& v, std::size_t i,
-                      std::span<const std::span<const double>> xs,
-                      std::vector<double>& acc, double* g, double* dots,
-                      std::size_t k, const simd::KernelTable& kt) {
+/// One row pass: scatters member i, writes its packed Gram row (entries
+/// (i, j ≥ i), contiguous in the packed layout) via the gather kernel,
+/// and restores the zeros.
+void sparse_gram_row(const BatchView& v, std::size_t i,
+                     std::vector<double>& acc, double* g, std::size_t k,
+                     const simd::KernelTable& kt) {
   const std::span<const std::size_t> vi_idx = v.member_indices(i);
   const std::span<const double> vi_val = v.member_values(i);
   for (std::size_t p = 0; p < vi_idx.size(); ++p) acc[vi_idx[p]] = vi_val[p];
@@ -86,15 +77,6 @@ void sparse_fused_row(const BatchView& v, std::size_t i,
     row[j - i] =
         kt.gather_dot2(vj_val.data(), vj_idx.data(), vj_idx.size(),
                        acc.data());
-  }
-  // Fused dot sections: v_i · x, in the same gather order as the
-  // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to the
-  // separate dot_all pass it replaces.
-  for (std::size_t sct = 0; sct < xs.size(); ++sct) {
-    const std::span<const double> x = xs[sct];
-    dots[sct * k + i] =
-        kt.gather_dot(vi_val.data(), vi_idx.data(), vi_idx.size(),
-                      x.data());
   }
   for (std::size_t p = 0; p < vi_idx.size(); ++p) acc[vi_idx[p]] = 0.0;
 }
@@ -121,39 +103,6 @@ BatchView BatchView::sparse(
   v.val_ = values;
   v.dim_ = dim;
   return v;
-}
-
-BatchView BatchView::of(const DenseMatrix& rows_as_vectors, Workspace& ws) {
-  const std::size_t k = rows_as_vectors.rows();
-  std::span<const double*> rows = ws.member_rows(k);
-  for (std::size_t i = 0; i < k; ++i)
-    rows[i] = rows_as_vectors.row(i).data();
-  return dense(rows, rows_as_vectors.cols());
-}
-
-BatchView BatchView::of_rows(const DenseMatrix& m,
-                             std::span<const std::size_t> rows,
-                             Workspace& ws) {
-  std::span<const double*> ptrs = ws.member_rows(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    SA_CHECK(rows[i] < m.rows(), "BatchView::of_rows: row out of range");
-    ptrs[i] = m.row(rows[i]).data();
-  }
-  return dense(ptrs, m.cols());
-}
-
-BatchView BatchView::of(const VectorBatch& batch, Workspace& ws) {
-  if (batch.is_dense()) return of(batch.dense_matrix(), ws);
-  const std::span<const SparseVector> members = batch.sparse_members();
-  std::span<std::span<const std::size_t>> idx =
-      ws.member_index_spans(members.size());
-  std::span<std::span<const double>> val =
-      ws.member_value_spans(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    idx[i] = members[i].indices;
-    val[i] = members[i].values;
-  }
-  return sparse(idx, val, batch.dim());
 }
 
 std::size_t BatchView::nnz() const {
@@ -194,20 +143,17 @@ std::size_t fused_buffer_size(std::size_t k, std::size_t sections) {
   return k * (k + 1) / 2 + sections * k;
 }
 
-void sampled_gram_and_dots(const BatchView& y,
-                           std::span<const std::span<const double>> xs,
-                           std::span<double> out) {
-  SA_STEADY_STATE;
+namespace {
+
+/// Packed upper-triangular Gram of the whole view into `out`.
+void packed_gram(const BatchView& y, std::span<double> out) {
   const std::size_t k = y.size();
   const std::size_t d = y.dim();
-  SA_CHECK(out.size() == fused_buffer_size(k, xs.size()),
-           "sampled_gram_and_dots: buffer size mismatch");
-  for (const std::span<const double>& x : xs)
-    SA_CHECK(x.size() == d, "sampled_gram_and_dots: rhs length mismatch");
+  SA_CHECK(out.size() == fused_buffer_size(k, 0),
+           "sampled_gram_range: buffer size mismatch");
   if (k == 0) return;
   const std::size_t tri = k * (k + 1) / 2;
   double* g = out.data();
-  double* dots = out.data() + tri;
 
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
@@ -240,13 +186,10 @@ void sampled_gram_and_dots(const BatchView& y,
                    std::min(jb + kGramTile, k));
     }
     (void)parallel;
-    // Dot sections: same per-member kernel and schedule as dot_all.
-    for (std::size_t sct = 0; sct < xs.size(); ++sct)
-      batch_dots(y, xs[sct], std::span<double>(dots + sct * k, k));
     return;
   }
 
-  // Sparse: one fused sweep per member — Gram row + dot entries together.
+  // Sparse: one accumulator sweep per member.
   const std::size_t total_nnz = y.nnz();
   const bool parallel = k * total_nnz >= kParallelFlopThreshold && k > 1;
 #ifdef _OPENMP
@@ -255,33 +198,47 @@ void sampled_gram_and_dots(const BatchView& y,
     std::vector<double>& acc = sparse_gram_workspace(d);
 #pragma omp for schedule(dynamic)
     for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i)
-      sparse_fused_row(y, static_cast<std::size_t>(i), xs, acc, g, dots, k,
-                       kt);
+      sparse_gram_row(y, static_cast<std::size_t>(i), acc, g, k, kt);
   }
 #else
   (void)parallel;
   std::vector<double>& acc = sparse_gram_workspace(d);
   for (std::size_t i = 0; i < k; ++i)
-    sparse_fused_row(y, i, xs, acc, g, dots, k, kt);
+    sparse_gram_row(y, i, acc, g, k, kt);
 #endif
 }
 
-void sampled_gram(const BatchView& y, std::span<double> out) {
-  sampled_gram_and_dots(y, {}, out);
-}
-
-void sampled_dots(const BatchView& y,
-                  std::span<const std::span<const double>> xs,
-                  std::span<double> out) {
-  SA_STEADY_STATE;
+/// One dot section: out[i] = v_i · x.
+void batch_dots(const BatchView& y, std::span<const double> x,
+                std::span<double> out) {
+  SA_CHECK(x.size() == y.dim(), "sampled_dots_range: rhs length mismatch");
   const std::size_t k = y.size();
-  SA_CHECK(out.size() == xs.size() * k,
-           "sampled_dots: buffer size mismatch");
-  for (std::size_t sct = 0; sct < xs.size(); ++sct)
-    batch_dots(y, xs[sct], out.subspan(sct * k, k));
+  const bool parallel = 2 * y.nnz() >= kParallelFlopThreshold && k > 1;
+  const simd::KernelTable& kt = simd::active();
+  if (y.is_dense()) {
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (parallel)
+#endif
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
+      const std::span<const double> row =
+          y.dense_row(static_cast<std::size_t>(i));
+      out[i] = kt.dot(row.data(), x.data(), row.size());
+    }
+  } else {
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic) if (parallel)
+#endif
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
+      // Same gather order as dot(SparseVector, span).
+      const std::span<const std::size_t> idx =
+          y.member_indices(static_cast<std::size_t>(i));
+      const std::span<const double> val =
+          y.member_values(static_cast<std::size_t>(i));
+      out[i] = kt.gather_dot(val.data(), idx.data(), idx.size(), x.data());
+    }
+  }
+  (void)parallel;
 }
-
-namespace {
 
 /// Builds the [begin, end)-restricted view in `scratch`.  Dense members
 /// shift their row pointers (the staged rows are contiguous) and the view
@@ -322,7 +279,7 @@ void sampled_gram_range(const BatchView& y, std::size_t begin,
   SA_STEADY_STATE;
   SA_CHECK(begin <= end && end <= y.dim(),
            "sampled_gram_range: invalid range");
-  sampled_gram(narrowed_view(y, begin, end, scratch), out);
+  packed_gram(narrowed_view(y, begin, end, scratch), out);
 }
 
 void sampled_dots_range(const BatchView& y,
@@ -332,54 +289,17 @@ void sampled_dots_range(const BatchView& y,
   SA_STEADY_STATE;
   SA_CHECK(begin <= end && end <= y.dim(),
            "sampled_dots_range: invalid range");
-  SA_CHECK(xs.size() <= kMaxDotSections,
-           "sampled_dots_range: too many right-hand sides");
-  const BatchView view = narrowed_view(y, begin, end, scratch);
-  if (!y.is_dense()) {
-    // Sparse members kept absolute indices, which gather through the FULL
-    // right-hand sides.
-    sampled_dots(view, xs, out);
-    return;
-  }
-  std::array<std::span<const double>, kMaxDotSections> sub;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    sub[i] = xs[i].subspan(begin, end - begin);
-  sampled_dots(view, std::span<const std::span<const double>>(sub.data(),
-                                                              xs.size()),
-               out);
-}
-
-void batch_dots(const BatchView& y, std::span<const double> x,
-                std::span<double> out) {
-  SA_STEADY_STATE;
-  SA_CHECK(x.size() == y.dim(), "batch_dots: length mismatch");
-  SA_CHECK(out.size() == y.size(), "batch_dots: output length mismatch");
   const std::size_t k = y.size();
-  const bool parallel = 2 * y.nnz() >= kParallelFlopThreshold && k > 1;
-  const simd::KernelTable& kt = simd::active();
-  if (y.is_dense()) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (parallel)
-#endif
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-      const std::span<const double> row =
-          y.dense_row(static_cast<std::size_t>(i));
-      out[i] = kt.dot(row.data(), x.data(), row.size());
-    }
-  } else {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (parallel)
-#endif
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-      // Same gather order as dot(SparseVector, span).
-      const std::span<const std::size_t> idx =
-          y.member_indices(static_cast<std::size_t>(i));
-      const std::span<const double> val =
-          y.member_values(static_cast<std::size_t>(i));
-      out[i] = kt.gather_dot(val.data(), idx.data(), idx.size(), x.data());
-    }
+  SA_CHECK(out.size() == xs.size() * k,
+           "sampled_dots_range: buffer size mismatch");
+  const BatchView view = narrowed_view(y, begin, end, scratch);
+  for (std::size_t sct = 0; sct < xs.size(); ++sct) {
+    // Sparse members kept absolute indices, which gather through the FULL
+    // right-hand sides; dense members were shifted to `begin`.
+    const std::span<const double> x =
+        y.is_dense() ? xs[sct].subspan(begin, end - begin) : xs[sct];
+    batch_dots(view, x, out.subspan(sct * k, k));
   }
-  (void)parallel;
 }
 
 }  // namespace sa::la

@@ -1,44 +1,32 @@
-// Non-owning view over a batch of sampled vectors + the fused Gram kernel.
+// Non-owning view over a batch of sampled vectors + the Gram / dot kernels.
 //
-// BatchView is the zero-copy counterpart of VectorBatch: instead of
-// gathering the s·µ sampled columns into freshly allocated storage every
-// outer iteration, a view describes the members in place — sparse members
-// as (indices, values) span pairs aliasing the already-materialised
-// CSC/CSR arrays, dense members as row pointers (into a DenseMatrix or a
-// block's persistent staged copy).  The descriptor arrays themselves live
-// in a la::Workspace, so building a view performs no heap allocation in
-// steady state.
+// Instead of gathering the s·µ sampled columns into freshly allocated
+// storage every outer iteration, a view describes the members in place —
+// sparse members as (indices, values) span pairs aliasing the
+// already-materialised CSC/CSR arrays, dense members as row pointers
+// (into a block's persistent staged copy).  The descriptor arrays
+// themselves live in a la::Workspace, so building a view performs no heap
+// allocation in steady state.
 //
-// sampled_gram_and_dots() is the one kernel the s-step solvers need per
-// outer iteration: it computes the packed upper-triangular Gram of the
-// view AND the dot sections Yᵀx for each right-hand side directly into
-// the allreduce buffer, wire format
+// A round's allreduce buffer is laid out as
 //
 //   [ upper(G) | Yᵀx₀ | Yᵀx₁ | … ]
 //
 // (row-major upper triangle, then one length-k section per right-hand
-// side).  For sparse views the dots are fused into the same sweep that
-// forms the Gram rows; for dense views the kernel skips the gather/concat
-// copies and the pack_upper round-trip of the copy-based path.
-//
-// Bit-compatibility contract: the kernels here are the *only*
-// implementation of the batched Gram/dot arithmetic — VectorBatch::gram()
-// and VectorBatch::dot_all() route through them — so the view-based and
-// copy-based paths produce bit-identical results by construction (same
-// code, same accumulation order, one translation unit).
+// side).  sampled_gram_range() writes the Gram section and
+// sampled_dots_range() the dot sections, each restricted to one
+// coordinate range of the shared dimension; [0, dim()) is the full-range
+// case.  These two functions are the only Gram and dot entry points, so
+// every caller runs the same code in the same accumulation order.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "la/dense.hpp"
-#include "la/sparse_vector.hpp"
 #include "la/workspace.hpp"
 
 namespace sa::la {
-
-class VectorBatch;
 
 /// Non-owning batch of k vectors, each of logical length dim().
 class BatchView {
@@ -54,16 +42,6 @@ class BatchView {
   static BatchView sparse(std::span<const std::span<const std::size_t>> indices,
                           std::span<const std::span<const double>> values,
                           std::size_t dim);
-
-  /// View over all rows of a dense matrix (descriptors from `ws`).
-  static BatchView of(const DenseMatrix& rows_as_vectors, Workspace& ws);
-
-  /// View over selected rows of a dense matrix (descriptors from `ws`).
-  static BatchView of_rows(const DenseMatrix& m,
-                           std::span<const std::size_t> rows, Workspace& ws);
-
-  /// View over a VectorBatch (either storage kind; descriptors from `ws`).
-  static BatchView of(const VectorBatch& batch, Workspace& ws);
 
   std::size_t size() const {
     return is_dense() ? rows_.size() : idx_.size();
@@ -93,15 +71,15 @@ class BatchView {
   }
 
   /// target := target + alpha · v_i  (same accumulation order as the
-  /// VectorBatch/SparseVector axpy kernels — bit-identical updates).
+  /// dense axpy and sparse scatter kernels — bit-identical updates).
   void add_scaled_to(std::size_t i, double alpha,
                      std::span<double> target) const;
 
-  /// Flops of the packed Gram kernel on this view; identical formulas to
-  /// VectorBatch::gram_flops() (dense k(k+1)·dim, sparse Σ_j 2(j+1)·nnz_j).
+  /// Flops of the packed Gram kernel on this view (dense k(k+1)·dim,
+  /// sparse Σ_j 2(j+1)·nnz_j).
   std::size_t gram_flops() const;
 
-  /// Flops of one dot section (2·nnz), matching VectorBatch::dot_all_flops.
+  /// Flops of one dot section (2·nnz).
   std::size_t dot_all_flops() const;
 
  private:
@@ -115,7 +93,7 @@ class BatchView {
 };
 
 /// Index of entry (i, j), j ≥ i, in the row-major packed upper triangle
-/// of a k×k symmetric matrix — the wire format the fused kernel writes
+/// of a k×k symmetric matrix — the wire format the Gram kernel writes
 /// and the solvers read back (row i starts at i·k − i(i−1)/2).  The one
 /// definition of the packed layout; keep every reader on it.
 inline std::size_t packed_upper_index(std::size_t i, std::size_t j,
@@ -123,67 +101,33 @@ inline std::size_t packed_upper_index(std::size_t i, std::size_t j,
   return i * k - i * (i + 1) / 2 + j;
 }
 
-/// Size of the fused buffer for k members and `sections` right-hand sides:
-/// k(k+1)/2 packed Gram entries plus sections·k dot entries.
+/// Size of the round buffer for k members and `sections` right-hand
+/// sides: k(k+1)/2 packed Gram entries plus sections·k dot entries.
 std::size_t fused_buffer_size(std::size_t k, std::size_t sections);
 
-/// The fused kernel: writes [upper(G) | Yᵀxs[0] | Yᵀxs[1] | …] into `out`.
-/// Each xs[i] must have length dim(); out must have exactly
-/// fused_buffer_size(size(), xs.size()) entries.  Deterministic: every
-/// output entry is produced by exactly one thread in a fixed accumulation
-/// order.  With xs empty this is a packed-Gram kernel.
-void sampled_gram_and_dots(const BatchView& y,
-                           std::span<const std::span<const double>> xs,
-                           std::span<double> out);
+// Range-restricted entry points, one per buffer section.  The fixed
+// reduction grouping (common/grouping.hpp) calls them once per global
+// chunk [begin, end) of the shared dimension.  The restricted view's
+// descriptor arrays are built in `scratch` — a Workspace DISTINCT from the
+// one that built `y`, because the named descriptor pools hand out one
+// buffer per Workspace — so steady-state calls allocate nothing.  Bit
+// contract: a chunk partial depends only on the member values inside
+// [begin, end), their order, and the kernels in this translation unit, so
+// any two ranks (or rank counts) that own the same global chunk produce
+// identical bits.  Every output entry is produced by exactly one thread
+// in a fixed accumulation order.
 
-/// Dot section only:  out[i] = v_i · x  (the dot_all kernel).
-void batch_dots(const BatchView& y, std::span<const double> x,
-                std::span<double> out);
-
-// Split entry points for the double-buffered round pipeline
-// (core/engine.hpp): a round's Gram triangle depends only on the data and
-// the coordinate draw, so it can be packed for round k+1 while round k's
-// reduction is in flight; the dot sections read residuals that round k's
-// apply updates, so they are packed afterwards.  Both wrap the kernels
-// above — sampled_gram(v, g) followed by sampled_dots(v, xs, d) writes
-// bit-identical values to one sampled_gram_and_dots(v, xs, [g | d]) call
-// (the dense fused path already routes its dot sections through
-// batch_dots, and the sparse fused row uses the same sequential
-// accumulation order; asserted by tests/la/test_batch_view.cpp).
-
-/// Packed upper-triangular Gram of the view alone: out must have
-/// k(k+1)/2 entries (== fused_buffer_size(size(), 0)).
-void sampled_gram(const BatchView& y, std::span<double> out);
-
-/// The dot sections alone: out = [Yᵀxs[0] | Yᵀxs[1] | …], one length-k
-/// section per right-hand side (out.size() == xs.size() · size()).
-void sampled_dots(const BatchView& y,
-                  std::span<const std::span<const double>> xs,
-                  std::span<double> out);
-
-// Per-global-chunk entry points for the fixed reduction grouping
-// (common/grouping.hpp): the same kernels, restricted to coordinate range
-// [begin, end) of the shared dimension.  The restricted view's descriptor
-// arrays are built in `scratch` — a Workspace DISTINCT from the one that
-// built `y`, because the named descriptor pools hand out one buffer per
-// Workspace — so steady-state calls allocate nothing.  Bit contract: a
-// chunk partial depends only on the member values inside [begin, end),
-// their order, and the kernels in this translation unit, so any two ranks
-// (or rank counts) that own the same global chunk produce identical bits.
-
-/// Maximum number of right-hand sides sampled_dots_range accepts (the
-/// solvers use at most two).
-inline constexpr std::size_t kMaxDotSections = 4;
-
-/// Packed Gram of the view restricted to [begin, end): out must have
-/// k(k+1)/2 entries.
+/// Packed upper-triangular Gram of the view restricted to [begin, end):
+/// out must have k(k+1)/2 entries (== fused_buffer_size(size(), 0)).
 void sampled_gram_range(const BatchView& y, std::size_t begin,
                         std::size_t end, Workspace& scratch,
                         std::span<double> out);
 
-/// Dot sections of the view restricted to [begin, end): for dense views
-/// the right-hand sides are narrowed to the same range; for sparse views
-/// the members keep their absolute indices (which gather through the FULL
+/// Dot sections of the view restricted to [begin, end):
+/// out = [Yᵀxs[0] | Yᵀxs[1] | …], one length-k section per right-hand
+/// side (out.size() == xs.size() · size()).  For dense views the
+/// right-hand sides are narrowed to the same range; for sparse views the
+/// members keep their absolute indices (which gather through the FULL
 /// right-hand sides), so pass xs whole either way.
 void sampled_dots_range(const BatchView& y,
                         std::span<const std::span<const double>> xs,

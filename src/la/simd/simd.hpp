@@ -2,9 +2,10 @@
 // and the KernelTable every hot-path call site routes through.
 //
 // Why explicit SIMD at all: per-round wall time of the s-step solvers is
-// dominated by one fused kernel (sampled_gram_and_dots) plus the BLAS-1
-// layer under it, and `#pragma omp simd` autovectorizes the dense 4x4
-// micro-kernel poorly and the sparse gather accumulator not at all.  The
+// dominated by the Gram and dot kernels (sampled_gram_range,
+// sampled_dots_range) plus the BLAS-1 layer under them, and
+// `#pragma omp simd` autovectorizes the dense 4x4 micro-kernel poorly and
+// the sparse gather accumulator not at all.  The
 // plane compiles each ISA level into its own translation unit with
 // *pinned* ISA flags (see CMakeLists) and selects one table at runtime:
 //
@@ -159,7 +160,7 @@ struct KernelTable {
   double (*sum)(const double* x, std::size_t n);
 
   /// Σ vals[q]·x[idx[q]] — the sparse gather dot in the *sequential*
-  /// legacy order (sparse-dense dots, batch_dots, fused dot sections).
+  /// legacy order (sparse-dense dots, sampled_dots_range sparse rows).
   double (*gather_dot)(const double* vals, const std::size_t* idx,
                        std::size_t n, const double* x);
   /// Same contraction in the *two-accumulator* legacy order (sparse

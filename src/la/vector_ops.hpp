@@ -13,7 +13,7 @@
 namespace sa::la {
 
 /// Minimum flop count before a kernel forks an OpenMP team.  Shared by
-/// every parallel kernel in the layer (Gram, dot_all, spmv) so they all
+/// every parallel kernel in the layer (Gram, dots, spmv) so they all
 /// cross from serial to threaded at the same work size.
 inline constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 19;
 

@@ -8,10 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cd_lasso.hpp"
-#include "core/group_lasso.hpp"
-#include "core/sa_lasso.hpp"
-#include "core/sa_svm.hpp"
+#include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -44,19 +41,19 @@ class RankSweep : public ::testing::TestWithParam<int> {};
 TEST_P(RankSweep, LassoMatchesSerialExactly) {
   const int p = GetParam();
   const data::Dataset d = regression_problem();
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 0.05;
   opt.block_size = 3;
   opt.accelerated = true;
   opt.max_iterations = 60;
 
-  const LassoResult serial = solve_lasso_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
 
   const data::Partition rows = data::Partition::block(d.num_points(), p);
   std::vector<std::vector<double>> per_rank(p);
   std::mutex mu;
   dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_lasso(comm, d, rows, opt);
+    const SolveResult r = make_solver(comm, d, rows, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = r.x;
   });
@@ -73,19 +70,19 @@ TEST_P(RankSweep, LassoMatchesSerialExactly) {
 TEST_P(RankSweep, SaLassoMatchesSerialExactly) {
   const int p = GetParam();
   const data::Dataset d = regression_problem();
-  SaLassoOptions opt;
-  opt.base.lambda = 0.05;
-  opt.base.block_size = 2;
-  opt.base.accelerated = true;
-  opt.base.max_iterations = 48;
+  SolverSpec opt = SolverSpec::make("sa-lasso");
+  opt.lambda = 0.05;
+  opt.block_size = 2;
+  opt.accelerated = true;
+  opt.max_iterations = 48;
   opt.s = 6;
 
-  const LassoResult serial = solve_sa_lasso_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
   const data::Partition rows = data::Partition::block(d.num_points(), p);
   std::vector<std::vector<double>> per_rank(p);
   std::mutex mu;
   dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_sa_lasso(comm, d, rows, opt);
+    const SolveResult r = make_solver(comm, d, rows, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = r.x;
   });
@@ -95,21 +92,21 @@ TEST_P(RankSweep, SaLassoMatchesSerialExactly) {
 
 TEST(SaLassoTrace, FourRankObjectiveTraceMatchesSerial) {
   const data::Dataset d = regression_problem();
-  SaLassoOptions opt;
-  opt.base.lambda = 0.05;
-  opt.base.block_size = 2;
-  opt.base.max_iterations = 48;
-  opt.base.trace_every = 4;
+  SolverSpec opt = SolverSpec::make("sa-lasso");
+  opt.lambda = 0.05;
+  opt.block_size = 2;
+  opt.max_iterations = 48;
+  opt.trace_every = 4;
   opt.s = 6;
 
-  const Trace serial = solve_sa_lasso_serial(d, opt).trace;
+  const Trace serial = solve(d, opt).trace;
   ASSERT_FALSE(serial.empty());
 
   const data::Partition rows = data::Partition::block(d.num_points(), 4);
   std::vector<Trace> per_rank(4);
   std::mutex mu;
   dist::run_distributed(4, [&](dist::Communicator& comm) {
-    Trace t = solve_sa_lasso(comm, d, rows, opt).trace;
+    Trace t = make_solver(comm, d, rows, opt)->run().trace;
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = std::move(t);
   });
@@ -129,16 +126,16 @@ TEST(SaLassoTrace, FourRankObjectiveTraceMatchesSerial) {
 TEST_P(RankSweep, SvmMatchesSerialExactly) {
   const int p = GetParam();
   const data::Dataset d = classification_problem();
-  SvmOptions opt;
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = 1.0;
   opt.max_iterations = 150;
 
-  const SvmResult serial = solve_svm_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
   const data::Partition cols = data::Partition::block(d.num_features(), p);
-  std::vector<SvmResult> per_rank(p);
+  std::vector<SolveResult> per_rank(p);
   std::mutex mu;
   dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SvmResult r = solve_svm(comm, d, cols, opt);
+    SolveResult r = make_solver(comm, d, cols, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = std::move(r);
   });
@@ -151,18 +148,18 @@ TEST_P(RankSweep, SvmMatchesSerialExactly) {
 TEST_P(RankSweep, SaSvmMatchesSerialExactly) {
   const int p = GetParam();
   const data::Dataset d = classification_problem();
-  SaSvmOptions opt;
-  opt.base.lambda = 1.0;
-  opt.base.loss = SvmLoss::kL2;
-  opt.base.max_iterations = 120;
+  SolverSpec opt = SolverSpec::make("sa-svm");
+  opt.lambda = 1.0;
+  opt.loss = SvmLoss::kL2;
+  opt.max_iterations = 120;
   opt.s = 10;
 
-  const SvmResult serial = solve_sa_svm_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
   const data::Partition cols = data::Partition::block(d.num_features(), p);
-  std::vector<SvmResult> per_rank(p);
+  std::vector<SolveResult> per_rank(p);
   std::mutex mu;
   dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SvmResult r = solve_sa_svm(comm, d, cols, opt);
+    SolveResult r = make_solver(comm, d, cols, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = std::move(r);
   });
@@ -175,17 +172,17 @@ TEST_P(RankSweep, SaSvmMatchesSerialExactly) {
 TEST_P(RankSweep, GroupLassoMatchesSerialExactly) {
   const int p = GetParam();
   const data::Dataset d = regression_problem();
-  GroupLassoOptions opt;
+  SolverSpec opt = SolverSpec::make("group-lasso");
   opt.lambda = 0.1;
   opt.groups = GroupStructure::uniform(d.num_features(), 5);
   opt.max_iterations = 80;
 
-  const LassoResult serial = solve_group_lasso_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
   const data::Partition rows = data::Partition::block(d.num_points(), p);
   std::vector<std::vector<double>> per_rank(p);
   std::mutex mu;
   dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_group_lasso(comm, d, rows, opt);
+    const SolveResult r = make_solver(comm, d, rows, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = r.x;
   });
@@ -197,11 +194,11 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, RankSweep, ::testing::Values(2, 3, 4, 8));
 
 TEST(DistributedTrace, ObjectiveEvaluationDoesNotPolluteMetering) {
   const data::Dataset d = regression_problem();
-  LassoOptions with_trace;
+  SolverSpec with_trace = SolverSpec::make("lasso");
   with_trace.lambda = 0.05;
   with_trace.max_iterations = 32;
   with_trace.trace_every = 4;
-  LassoOptions no_trace = with_trace;
+  SolverSpec no_trace = with_trace;
   no_trace.trace_every = 0;
 
   const data::Partition rows = data::Partition::block(d.num_points(), 4);
@@ -209,14 +206,14 @@ TEST(DistributedTrace, ObjectiveEvaluationDoesNotPolluteMetering) {
   {
     const auto stats =
         dist::run_distributed(4, [&](dist::Communicator& comm) {
-          solve_lasso(comm, d, rows, with_trace);
+          make_solver(comm, d, rows, with_trace)->run();
         });
     traced = stats[0];
   }
   {
     const auto stats =
         dist::run_distributed(4, [&](dist::Communicator& comm) {
-          solve_lasso(comm, d, rows, no_trace);
+          make_solver(comm, d, rows, no_trace)->run();
         });
     untraced = stats[0];
   }
@@ -228,16 +225,16 @@ TEST(DistributedTrace, ObjectiveEvaluationDoesNotPolluteMetering) {
 TEST(DistributedLoadImbalance, UnevenPartitionStillCorrect) {
   // Deliberately skewed partition: rank 0 owns almost everything.
   const data::Dataset d = regression_problem();
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 0.05;
   opt.max_iterations = 40;
-  const LassoResult serial = solve_lasso_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
 
   const data::Partition rows({0, 60, 65, 70});
   std::vector<std::vector<double>> per_rank(3);
   std::mutex mu;
   dist::run_distributed(3, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_lasso(comm, d, rows, opt);
+    const SolveResult r = make_solver(comm, d, rows, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = r.x;
   });
@@ -248,16 +245,16 @@ TEST(DistributedLoadImbalance, UnevenPartitionStillCorrect) {
 TEST(DistributedLoadImbalance, EmptyRankBlocksSupported) {
   // More ranks than useful work on some blocks: a rank may own zero rows.
   const data::Dataset d = regression_problem();
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 0.05;
   opt.max_iterations = 30;
-  const LassoResult serial = solve_lasso_serial(d, opt);
+  const SolveResult serial = solve(d, opt);
 
   const data::Partition rows({0, 70, 70, 70});  // ranks 1,2 empty
   std::vector<std::vector<double>> per_rank(3);
   std::mutex mu;
   dist::run_distributed(3, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_lasso(comm, d, rows, opt);
+    const SolveResult r = make_solver(comm, d, rows, opt)->run();
     std::scoped_lock lock(mu);
     per_rank[comm.rank()] = r.x;
   });

@@ -1,12 +1,11 @@
 // Tests for the Group Lasso BCD solver.
-#include "core/group_lasso.hpp"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "core/objective.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "la/vector_ops.hpp"
 
@@ -24,8 +23,8 @@ data::Dataset small_problem(std::uint64_t seed = 42) {
   return data::make_regression(cfg).dataset;
 }
 
-GroupLassoOptions base_options(const data::Dataset& d) {
-  GroupLassoOptions opt;
+SolverSpec base_spec(const data::Dataset& d) {
+  SolverSpec opt = SolverSpec::make("group-lasso");
   opt.lambda = 0.1;
   opt.groups = GroupStructure::uniform(d.num_features(), 4);
   opt.max_iterations = 300;
@@ -36,7 +35,7 @@ GroupLassoOptions base_options(const data::Dataset& d) {
 
 TEST(GroupLasso, ObjectiveDecreasesMonotonically) {
   const data::Dataset d = small_problem();
-  const LassoResult r = solve_group_lasso_serial(d, base_options(d));
+  const SolveResult r = solve(d, base_spec(d));
   for (std::size_t i = 1; i < r.trace.points.size(); ++i)
     EXPECT_LE(r.trace.points[i].objective,
               r.trace.points[i - 1].objective + 1e-10);
@@ -44,8 +43,8 @@ TEST(GroupLasso, ObjectiveDecreasesMonotonically) {
 
 TEST(GroupLasso, FinalObjectiveMatchesFromScratch) {
   const data::Dataset d = small_problem();
-  const GroupLassoOptions opt = base_options(d);
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolverSpec opt = base_spec(d);
+  const SolveResult r = solve(d, opt);
   EXPECT_NEAR(r.trace.final_objective(),
               group_lasso_objective(d.a, d.b, r.x, opt.lambda, opt.groups),
               1e-9);
@@ -53,10 +52,10 @@ TEST(GroupLasso, FinalObjectiveMatchesFromScratch) {
 
 TEST(GroupLasso, InducesGroupLevelSparsity) {
   const data::Dataset d = small_problem();
-  GroupLassoOptions opt = base_options(d);
+  SolverSpec opt = base_spec(d);
   opt.lambda = 2.0;
   opt.max_iterations = 2000;
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   // Whole groups must be zero or (mostly) dense — count dead groups.
   std::size_t dead_groups = 0;
   for (std::size_t g = 0; g < opt.groups.num_groups(); ++g) {
@@ -71,10 +70,10 @@ TEST(GroupLasso, InducesGroupLevelSparsity) {
 
 TEST(GroupLasso, HugeLambdaKillsEverything) {
   const data::Dataset d = small_problem();
-  GroupLassoOptions opt = base_options(d);
+  SolverSpec opt = base_spec(d);
   opt.lambda = 1e6;
   opt.max_iterations = 200;
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_DOUBLE_EQ(la::asum(r.x), 0.0);
 }
 
@@ -82,26 +81,26 @@ TEST(GroupLasso, SingletonGroupsBehaveLikeLasso) {
   // With group size 1 the penalty Σ|x_j| equals the Lasso penalty; the
   // solver should descend to a comparable objective value.
   const data::Dataset d = small_problem();
-  GroupLassoOptions opt = base_options(d);
+  SolverSpec opt = base_spec(d);
   opt.groups = GroupStructure::uniform(d.num_features(), 1);
   opt.max_iterations = 3000;
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   const double f = lasso_objective(d.a, d.b, r.x, opt.lambda);
   EXPECT_NEAR(r.trace.final_objective(), f, 1e-9 * std::max(1.0, f));
 }
 
 TEST(GroupLasso, DeterministicAcrossRuns) {
   const data::Dataset d = small_problem();
-  const GroupLassoOptions opt = base_options(d);
-  EXPECT_EQ(solve_group_lasso_serial(d, opt).x,
-            solve_group_lasso_serial(d, opt).x);
+  const SolverSpec opt = base_spec(d);
+  EXPECT_EQ(solve(d, opt).x,
+            solve(d, opt).x);
 }
 
 TEST(GroupLasso, RejectsNonCoveringGroups) {
   const data::Dataset d = small_problem();
-  GroupLassoOptions opt = base_options(d);
+  SolverSpec opt = base_spec(d);
   opt.groups = GroupStructure::uniform(d.num_features() - 1, 4);
-  EXPECT_THROW(solve_group_lasso_serial(d, opt), sa::PreconditionError);
+  EXPECT_THROW(solve(d, opt), sa::PreconditionError);
 }
 
 /// Group-size sweep: descent and objective consistency for every layout.
@@ -109,9 +108,9 @@ class GroupSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GroupSizeSweep, DescendsForAnyGroupSize) {
   const data::Dataset d = small_problem(9);
-  GroupLassoOptions opt = base_options(d);
+  SolverSpec opt = base_spec(d);
   opt.groups = GroupStructure::uniform(d.num_features(), GetParam());
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_LT(r.trace.points.back().objective,
             r.trace.points.front().objective);
 }

@@ -1,13 +1,11 @@
 // Behavioural tests for the Algorithm 1 family (CD/BCD/accCD/accBCD).
-#include "core/cd_lasso.hpp"
-#include "core/sa_lasso.hpp"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "core/objective.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "la/vector_ops.hpp"
 
@@ -25,19 +23,18 @@ data::Dataset small_problem(std::uint64_t seed = 42) {
   return data::make_regression(cfg).dataset;
 }
 
-LassoOptions base_options() {
-  LassoOptions opt;
-  opt.lambda = 0.1;
-  opt.max_iterations = 400;
-  opt.trace_every = 50;
-  opt.seed = 7;
-  return opt;
+SolverSpec base_spec() {
+  return SolverSpec::make("lasso")
+      .with_lambda(0.1)
+      .with_max_iterations(400)
+      .with_trace_every(50)
+      .with_seed(7);
 }
 
 TEST(Lasso, ObjectiveDecreasesMonotonicallyForPlainCd) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
-  const LassoResult r = solve_lasso_serial(d, opt);
+  SolverSpec opt = base_spec();
+  const SolveResult r = solve(d, opt);
   ASSERT_GE(r.trace.points.size(), 2u);
   for (std::size_t i = 1; i < r.trace.points.size(); ++i)
     EXPECT_LE(r.trace.points[i].objective,
@@ -46,8 +43,8 @@ TEST(Lasso, ObjectiveDecreasesMonotonicallyForPlainCd) {
 
 TEST(Lasso, FinalObjectiveMatchesFromScratchEvaluation) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
-  const LassoResult r = solve_lasso_serial(d, opt);
+  SolverSpec opt = base_spec();
+  const SolveResult r = solve(d, opt);
   const double from_scratch = lasso_objective(d.a, d.b, r.x, opt.lambda);
   EXPECT_NEAR(r.trace.final_objective(), from_scratch,
               1e-9 * std::max(1.0, from_scratch));
@@ -55,19 +52,19 @@ TEST(Lasso, FinalObjectiveMatchesFromScratchEvaluation) {
 
 TEST(Lasso, BlockVariantAlsoDescends) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.block_size = 5;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_LT(r.trace.points.back().objective,
             r.trace.points.front().objective);
 }
 
 TEST(Lasso, AcceleratedVariantDescendsOverall) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.accelerated = true;
   opt.block_size = 4;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   // Accelerated methods are not monotone per-iteration, but must descend
   // over the whole run.
   EXPECT_LT(r.trace.points.back().objective,
@@ -76,13 +73,13 @@ TEST(Lasso, AcceleratedVariantDescendsOverall) {
 
 TEST(Lasso, AccelerationConvergesAtLeastAsFastAsPlain) {
   const data::Dataset d = small_problem();
-  LassoOptions plain = base_options();
+  SolverSpec plain = base_spec();
   plain.block_size = 4;
   plain.max_iterations = 600;
-  LassoOptions acc = plain;
+  SolverSpec acc = plain;
   acc.accelerated = true;
-  const double f_plain = solve_lasso_serial(d, plain).trace.final_objective();
-  const double f_acc = solve_lasso_serial(d, acc).trace.final_objective();
+  const double f_plain = solve(d, plain).trace.final_objective();
+  const double f_acc = solve(d, acc).trace.final_objective();
   // The paper's Figure 2: accelerated variants dominate at equal H.
   EXPECT_LE(f_acc, f_plain * 1.05);
 }
@@ -90,30 +87,30 @@ TEST(Lasso, AccelerationConvergesAtLeastAsFastAsPlain) {
 TEST(Lasso, LargerBlocksConvergeFasterPerIteration) {
   // Paper Figure 2 finding: µ = 8 beats µ = 1 at equal iteration counts.
   const data::Dataset d = small_problem();
-  LassoOptions mu1 = base_options();
+  SolverSpec mu1 = base_spec();
   mu1.max_iterations = 150;
-  LassoOptions mu8 = mu1;
+  SolverSpec mu8 = mu1;
   mu8.block_size = 8;
-  const double f1 = solve_lasso_serial(d, mu1).trace.final_objective();
-  const double f8 = solve_lasso_serial(d, mu8).trace.final_objective();
+  const double f1 = solve(d, mu1).trace.final_objective();
+  const double f8 = solve(d, mu8).trace.final_objective();
   EXPECT_LT(f8, f1);
 }
 
 TEST(Lasso, StrongRegularizationDrivesSolutionToZero) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.lambda = 10.0 * lasso_lambda_max(d.a, d.b);
   opt.max_iterations = 200;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_NEAR(la::asum(r.x), 0.0, 1e-12);
 }
 
 TEST(Lasso, LassoSolutionIsSparse) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.lambda = 0.25 * lasso_lambda_max(d.a, d.b);
   opt.max_iterations = 2000;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   std::size_t nonzeros = 0;
   for (double v : r.x)
     if (std::abs(v) > 1e-10) ++nonzeros;
@@ -123,11 +120,11 @@ TEST(Lasso, LassoSolutionIsSparse) {
 
 TEST(Lasso, ElasticNetPenaltySupported) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.penalty = Penalty::kElasticNet;
   opt.elastic_net_l1 = 0.7;
   opt.elastic_net_l2 = 0.3;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   for (std::size_t i = 1; i < r.trace.points.size(); ++i)
     EXPECT_LE(r.trace.points[i].objective,
               r.trace.points[i - 1].objective + 1e-10);
@@ -135,21 +132,21 @@ TEST(Lasso, ElasticNetPenaltySupported) {
 
 TEST(Lasso, DeterministicAcrossRuns) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.block_size = 3;
-  const LassoResult r1 = solve_lasso_serial(d, opt);
-  const LassoResult r2 = solve_lasso_serial(d, opt);
+  const SolveResult r1 = solve(d, opt);
+  const SolveResult r2 = solve(d, opt);
   EXPECT_EQ(r1.x, r2.x);  // bitwise: same seed, same arithmetic
 }
 
 TEST(Lasso, SeedChangesTrajectoryNotQuality) {
   const data::Dataset d = small_problem();
-  LassoOptions a = base_options();
-  LassoOptions b = base_options();
+  SolverSpec a = base_spec();
+  SolverSpec b = base_spec();
   b.seed = 1234;
   a.max_iterations = b.max_iterations = 1500;
-  const LassoResult ra = solve_lasso_serial(d, a);
-  const LassoResult rb = solve_lasso_serial(d, b);
+  const SolveResult ra = solve(d, a);
+  const SolveResult rb = solve(d, b);
   EXPECT_NE(ra.x, rb.x);
   EXPECT_NEAR(ra.trace.final_objective(), rb.trace.final_objective(),
               0.15 * std::max(ra.trace.final_objective(), 1e-12));
@@ -157,12 +154,13 @@ TEST(Lasso, SeedChangesTrajectoryNotQuality) {
 
 TEST(Lasso, MetersCommunicationPerIterationWhenDistributedStyle) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.trace_every = 0;
   opt.max_iterations = 10;
   dist::SerialComm comm;
-  const LassoResult r = solve_lasso(
-      comm, d, data::Partition::block(d.num_points(), 1), opt);
+  const SolveResult r =
+      make_solver(comm, d, data::Partition::block(d.num_points(), 1), opt)
+          ->run();
   // Serial comm charges nothing, but flops must be metered.
   EXPECT_GT(r.trace.final_stats.flops, 0u);
   EXPECT_EQ(r.trace.final_stats.messages, 0u);
@@ -170,10 +168,10 @@ TEST(Lasso, MetersCommunicationPerIterationWhenDistributedStyle) {
 
 TEST(Lasso, TraceRecordsRequestedCadence) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.max_iterations = 100;
   opt.trace_every = 25;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   ASSERT_EQ(r.trace.points.size(), 5u);  // h = 0, 25, 50, 75, 100
   EXPECT_EQ(r.trace.points[0].iteration, 0u);
   EXPECT_EQ(r.trace.points.back().iteration, 100u);
@@ -182,15 +180,15 @@ TEST(Lasso, TraceRecordsRequestedCadence) {
 
 TEST(Lasso, RejectsInvalidOptions) {
   const data::Dataset d = small_problem();
-  LassoOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.block_size = 0;
-  EXPECT_THROW(solve_lasso_serial(d, opt), sa::PreconditionError);
-  opt = base_options();
+  EXPECT_THROW(solve(d, opt), sa::PreconditionError);
+  opt = base_spec();
   opt.block_size = d.num_features() + 1;
-  EXPECT_THROW(solve_lasso_serial(d, opt), sa::PreconditionError);
-  opt = base_options();
+  EXPECT_THROW(solve(d, opt), sa::PreconditionError);
+  opt = base_spec();
   opt.lambda = -1.0;
-  EXPECT_THROW(solve_lasso_serial(d, opt), sa::PreconditionError);
+  EXPECT_THROW(solve(d, opt), sa::PreconditionError);
 }
 
 /// Convergence quality sweep across problem shapes (over/under-determined,
@@ -214,13 +212,13 @@ TEST_P(LassoShapeSweep, ReachesNearOptimalObjective) {
   cfg.seed = 11;
   const data::Dataset d = data::make_regression(cfg).dataset;
 
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 1e-3;
   opt.block_size = 2;
   opt.accelerated = true;
   opt.max_iterations = 4000;
   opt.trace_every = 4000;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   // With noiseless data and tiny λ the objective must approach ~0
   // relative to the zero-solution objective ½||b||².
   const double f0 =
@@ -256,28 +254,25 @@ TEST(Lasso, EmptyColumnsAreSkippedNotFatal) {
   d.b.assign(30, 1.0);
 
   for (bool accelerated : {false, true}) {
-    LassoOptions opt;
+    SolverSpec opt = SolverSpec::make("lasso");
     opt.lambda = 0.01;
     opt.block_size = 4;
     opt.accelerated = accelerated;
     opt.max_iterations = 400;
     opt.trace_every = 400;
-    const LassoResult r = solve_lasso_serial(d, opt);
+    const SolveResult r = solve(d, opt);
     EXPECT_LT(r.trace.points.back().objective,
               r.trace.points.front().objective)
         << (accelerated ? "accelerated" : "plain");
 
     // And the SA variant handles the same blocks identically.
-    SaLassoOptions sa;
-    sa.base = opt;
-    sa.base.trace_every = 0;
+    SolverSpec classical = opt;
+    classical.trace_every = 0;
+    SolverSpec sa = classical;
+    sa.algorithm = "sa-lasso";
     sa.s = 16;
-    const LassoResult got = solve_sa_lasso_serial(d, sa);
-    const LassoResult ref = [&] {
-      LassoOptions o = opt;
-      o.trace_every = 0;
-      return solve_lasso_serial(d, o);
-    }();
+    const SolveResult got = solve(d, sa);
+    const SolveResult ref = solve(d, classical);
     EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
   }
 }

@@ -7,12 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cd_lasso.hpp"
-#include "core/group_lasso.hpp"
 #include "core/objective.hpp"
 #include "core/prox.hpp"
-#include "core/sa_lasso.hpp"
-#include "core/sa_svm.hpp"
+#include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
 #include "la/csc.hpp"
@@ -85,21 +82,21 @@ double prox_gradient_residual(const data::Dataset& d,
 
 TEST(Optimality, LassoCdSatisfiesKkt) {
   const data::Dataset d = regression_problem(1);
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 0.5;
   opt.max_iterations = 30000;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   check_lasso_kkt(d, r.x, opt.lambda, 1e-6);
 }
 
 TEST(Optimality, LassoAccBcdSatisfiesKkt) {
   const data::Dataset d = regression_problem(2);
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.lambda = 0.5;
   opt.block_size = 4;
   opt.accelerated = true;
   opt.max_iterations = 30000;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   // Accelerated methods reach the optimum at the O(1/H²) objective rate
   // (sublinear tail), so the certificate tolerance is looser than plain
   // CD's linear-rate 1e-6.
@@ -108,26 +105,26 @@ TEST(Optimality, LassoAccBcdSatisfiesKkt) {
 
 TEST(Optimality, SaLassoSatisfiesKkt) {
   const data::Dataset d = regression_problem(3);
-  SaLassoOptions sa;
-  sa.base.lambda = 0.5;
-  sa.base.block_size = 2;
-  sa.base.accelerated = true;
-  sa.base.max_iterations = 30000;
+  SolverSpec sa = SolverSpec::make("sa-lasso");
+  sa.lambda = 0.5;
+  sa.block_size = 2;
+  sa.accelerated = true;
+  sa.max_iterations = 30000;
   sa.s = 32;
-  const LassoResult r = solve_sa_lasso_serial(d, sa);
-  EXPECT_LT(prox_gradient_residual(d, r.x, sa.base.lambda), 2e-3);
+  const SolveResult r = solve(d, sa);
+  EXPECT_LT(prox_gradient_residual(d, r.x, sa.lambda), 2e-3);
 }
 
 TEST(Optimality, ElasticNetStationarity) {
   // EN optimality: x_j ≠ 0 ⇒ ∇_j f + 2λ·w2·x_j + λ·w1·sign(x_j) = 0.
   const data::Dataset d = regression_problem(4);
-  LassoOptions opt;
+  SolverSpec opt = SolverSpec::make("lasso");
   opt.penalty = Penalty::kElasticNet;
   opt.lambda = 0.4;
   opt.elastic_net_l1 = 0.6;
   opt.elastic_net_l2 = 0.4;
   opt.max_iterations = 30000;
-  const LassoResult r = solve_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   const std::vector<double> g = ls_gradient(d, r.x);
   const double l1 = opt.lambda * opt.elastic_net_l1;
   const double l2 = opt.lambda * opt.elastic_net_l2;
@@ -145,11 +142,11 @@ TEST(Optimality, ElasticNetStationarity) {
 TEST(Optimality, GroupLassoBlockStationarity) {
   // Active group: A_g'r + λ·x_g/||x_g|| = 0;  inactive: ||A_g'r|| ≤ λ.
   const data::Dataset d = regression_problem(5);
-  GroupLassoOptions opt;
+  SolverSpec opt = SolverSpec::make("group-lasso");
   opt.lambda = 1.0;
   opt.groups = GroupStructure::uniform(d.num_features(), 5);
   opt.max_iterations = 30000;
-  const LassoResult r = solve_group_lasso_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   const std::vector<double> g = ls_gradient(d, r.x);
   for (std::size_t gi = 0; gi < opt.groups.num_groups(); ++gi) {
     const std::size_t begin = opt.groups.offsets[gi];
@@ -181,7 +178,7 @@ data::Dataset classification_problem(std::uint64_t seed) {
 
 /// Dual-SVM box KKT:  α_i = 0 ⇒ g_i ≥ 0;  α_i = ν ⇒ g_i ≤ 0;
 /// interior ⇒ g_i = 0, where g_i = b_i·A_i·x − 1 + γ·α_i.
-void check_svm_kkt(const data::Dataset& d, const SvmResult& r, double lambda,
+void check_svm_kkt(const data::Dataset& d, const SolveResult& r, double lambda,
                    SvmLoss loss, double tol) {
   const SvmConstants c = SvmConstants::make(loss, lambda);
   std::vector<double> margins(d.num_points());
@@ -200,44 +197,44 @@ void check_svm_kkt(const data::Dataset& d, const SvmResult& r, double lambda,
 
 TEST(Optimality, SvmL1SatisfiesDualKkt) {
   const data::Dataset d = classification_problem(11);
-  SvmOptions opt;
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = 1.0;
   opt.loss = SvmLoss::kL1;
   opt.max_iterations = 60000;
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   check_svm_kkt(d, r, opt.lambda, opt.loss, 1e-6);
 }
 
 TEST(Optimality, SvmL2SatisfiesDualKkt) {
   const data::Dataset d = classification_problem(12);
-  SvmOptions opt;
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = 1.0;
   opt.loss = SvmLoss::kL2;
   opt.max_iterations = 60000;
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   check_svm_kkt(d, r, opt.lambda, opt.loss, 1e-6);
 }
 
 TEST(Optimality, SaSvmSatisfiesDualKkt) {
   const data::Dataset d = classification_problem(13);
-  SaSvmOptions sa;
-  sa.base.lambda = 1.0;
-  sa.base.loss = SvmLoss::kL2;
-  sa.base.max_iterations = 60000;
+  SolverSpec sa = SolverSpec::make("sa-svm");
+  sa.lambda = 1.0;
+  sa.loss = SvmLoss::kL2;
+  sa.max_iterations = 60000;
   sa.s = 50;
-  const SvmResult r = solve_sa_svm_serial(d, sa);
-  check_svm_kkt(d, r, sa.base.lambda, sa.base.loss, 1e-6);
+  const SolveResult r = solve(d, sa);
+  check_svm_kkt(d, r, sa.lambda, sa.loss, 1e-6);
 }
 
 TEST(Optimality, SvmDualityGapVanishesAtOptimum) {
   // Strong duality: at the dual optimum the primal-dual gap is ~0
   // (the property behind the paper's Figure 5 convergence criterion).
   const data::Dataset d = classification_problem(14);
-  SvmOptions opt;
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = 1.0;
   opt.loss = SvmLoss::kL2;
   opt.max_iterations = 60000;
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   const double gap =
       svm_duality_gap(d.a, d.b, r.alpha, r.x, opt.lambda, opt.loss);
   EXPECT_GE(gap, -1e-9);

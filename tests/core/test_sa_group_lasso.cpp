@@ -1,13 +1,12 @@
-// SA-Group-Lasso equivalence tests — the extension module must reproduce
-// solve_group_lasso's iterate sequence to floating-point tolerance, the
-// same invariant the paper establishes for Algorithms 2 and 4.
-#include "core/sa_group_lasso.hpp"
-
+// SA-Group-Lasso equivalence tests — "sa-group-lasso" must reproduce
+// "group-lasso"'s iterate sequence to floating-point tolerance, the same
+// invariant the paper establishes for Algorithms 2 and 4.
 #include <mutex>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/vector_ops.hpp"
@@ -26,14 +25,20 @@ data::Dataset make_problem(std::uint64_t seed = 42) {
   return data::make_regression(cfg).dataset;
 }
 
-GroupLassoOptions base_options(const data::Dataset& d,
-                               std::size_t group_size) {
-  GroupLassoOptions opt;
+SolverSpec base_spec(const data::Dataset& d, std::size_t group_size) {
+  SolverSpec opt = SolverSpec::make("group-lasso");
   opt.lambda = 0.2;
   opt.groups = GroupStructure::uniform(d.num_features(), group_size);
   opt.max_iterations = 200;
   opt.seed = 9;
   return opt;
+}
+
+/// The synchronization-avoiding variant of a classical group-lasso spec.
+SolverSpec sa_variant(SolverSpec spec, std::size_t s) {
+  spec.algorithm = "sa-group-lasso";
+  spec.s = s;
+  return spec;
 }
 
 struct GroupCase {
@@ -46,13 +51,10 @@ class SaGroupLassoSweep : public ::testing::TestWithParam<GroupCase> {};
 TEST_P(SaGroupLassoSweep, MatchesNonSaIterates) {
   const GroupCase c = GetParam();
   const data::Dataset d = make_problem();
-  const GroupLassoOptions base = base_options(d, c.group_size);
+  const SolverSpec base = base_spec(d, c.group_size);
 
-  const LassoResult ref = solve_group_lasso_serial(d, base);
-  SaGroupLassoOptions sa;
-  sa.base = base;
-  sa.s = c.s;
-  const LassoResult got = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, c.s));
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
 }
 
@@ -66,22 +68,16 @@ TEST(SaGroupLasso, RepeatedGroupWithinWindowHandled) {
   // Few groups + deep unrolling: the same group is updated several times
   // per window, exercising the deferred-state overlap path.
   const data::Dataset d = make_problem(7);
-  GroupLassoOptions base = base_options(d, 12);  // only 2 groups
-  const LassoResult ref = solve_group_lasso_serial(d, base);
-  SaGroupLassoOptions sa;
-  sa.base = base;
-  sa.s = 64;
-  const LassoResult got = solve_sa_group_lasso_serial(d, sa);
+  const SolverSpec base = base_spec(d, 12);  // only 2 groups
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 64));
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
 }
 
 TEST(SaGroupLasso, ObjectiveDescends) {
   const data::Dataset d = make_problem();
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
-  sa.base.trace_every = 50;
-  sa.s = 10;
-  const LassoResult r = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult r =
+      solve(d, sa_variant(base_spec(d, 4).with_trace_every(50), 10));
   ASSERT_GE(r.trace.points.size(), 2u);
   EXPECT_LT(r.trace.points.back().objective,
             r.trace.points.front().objective);
@@ -89,17 +85,15 @@ TEST(SaGroupLasso, ObjectiveDescends) {
 
 TEST(SaGroupLasso, DistributedMatchesSerial) {
   const data::Dataset d = make_problem(3);
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
-  sa.s = 8;
-  const LassoResult serial = solve_sa_group_lasso_serial(d, sa);
+  const SolverSpec sa = sa_variant(base_spec(d, 4), 8);
+  const SolveResult serial = solve(d, sa);
 
   const int ranks = 4;
   const data::Partition rows = data::Partition::block(d.num_points(), ranks);
   std::vector<std::vector<double>> per_rank(ranks);
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_sa_group_lasso(comm, d, rows, sa);
+    const SolveResult r = make_solver(comm, d, rows, sa)->run();
     std::scoped_lock guard(lock);
     per_rank[comm.rank()] = r.x;
   });
@@ -109,25 +103,21 @@ TEST(SaGroupLasso, DistributedMatchesSerial) {
 
 TEST(SaGroupLasso, CommunicationReducedByS) {
   const data::Dataset d = make_problem(5);
-  GroupLassoOptions base = base_options(d, 4);
-  base.max_iterations = 64;
+  const SolverSpec base = base_spec(d, 4).with_max_iterations(64);
 
   const int ranks = 2;
   const data::Partition rows = data::Partition::block(d.num_points(), ranks);
   dist::CommStats ref_stats, sa_stats;
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    solve_group_lasso(comm, d, rows, base);
+    make_solver(comm, d, rows, base)->run();
     if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
       ref_stats = comm.stats();
     }
   });
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    SaGroupLassoOptions sa;
-    sa.base = base;
-    sa.s = 8;
-    solve_sa_group_lasso(comm, d, rows, sa);
+    make_solver(comm, d, rows, sa_variant(base, 8))->run();
     if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
       sa_stats = comm.stats();
@@ -140,13 +130,11 @@ TEST(SaGroupLasso, CommunicationReducedByS) {
 
 TEST(SaGroupLasso, RejectsInvalidOptions) {
   const data::Dataset d = make_problem();
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
-  sa.s = 0;
-  EXPECT_THROW(solve_sa_group_lasso_serial(d, sa), sa::PreconditionError);
+  SolverSpec sa = sa_variant(base_spec(d, 4), 0);
+  EXPECT_THROW(solve(d, sa), sa::PreconditionError);
   sa.s = 4;
-  sa.base.groups = GroupStructure::uniform(d.num_features() - 1, 4);
-  EXPECT_THROW(solve_sa_group_lasso_serial(d, sa), sa::PreconditionError);
+  sa.groups = GroupStructure::uniform(d.num_features() - 1, 4);
+  EXPECT_THROW(solve(d, sa), sa::PreconditionError);
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 // The central invariant of the paper: SA variants (Algorithm 2) produce
 // the SAME iterate sequence as the standard methods (Algorithm 1) up to
 // floating-point rearrangement error (paper §III and Table III).
-#include "core/sa_lasso.hpp"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "core/cd_lasso.hpp"
 #include "core/objective.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/vector_ops.hpp"
@@ -34,6 +32,13 @@ data::Dataset make_problem(std::size_t m, std::size_t n, double density,
 /// accumulates rounding over H iterations, so we allow a small multiple.
 constexpr double kIterateTol = 1e-9;
 
+/// The synchronization-avoiding variant of a classical lasso spec.
+SolverSpec sa_variant(SolverSpec spec, std::size_t s) {
+  spec.algorithm = "sa-lasso";
+  spec.s = s;
+  return spec;
+}
+
 struct EquivalenceCase {
   std::size_t mu;     // block size µ
   std::size_t s;      // unrolling depth
@@ -53,19 +58,16 @@ TEST_P(SaEquivalenceSweep, FinalIterateMatchesNonSa) {
   const EquivalenceCase c = GetParam();
   const data::Dataset d = make_problem(48, 30, c.density, 21);
 
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = c.mu;
   base.accelerated = c.accelerated;
   base.max_iterations = 120;
   base.seed = 99;
 
-  const LassoResult ref = solve_lasso_serial(d, base);
+  const SolveResult ref = solve(d, base);
 
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = c.s;
-  const LassoResult got = solve_sa_lasso_serial(d, sa);
+  const SolveResult got = solve(d, sa_variant(base, c.s));
 
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), kIterateTol);
 }
@@ -75,7 +77,7 @@ TEST_P(SaEquivalenceSweep, FinalObjectiveAtMachinePrecision) {
   const EquivalenceCase c = GetParam();
   const data::Dataset d = make_problem(40, 24, c.density, 5);
 
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.1;
   base.block_size = c.mu;
   base.accelerated = c.accelerated;
@@ -83,11 +85,9 @@ TEST_P(SaEquivalenceSweep, FinalObjectiveAtMachinePrecision) {
   base.seed = 3;
   base.trace_every = 150;
 
-  const double f_ref = solve_lasso_serial(d, base).trace.final_objective();
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = c.s;
-  const double f_sa = solve_sa_lasso_serial(d, sa).trace.final_objective();
+  const double f_ref = solve(d, base).trace.final_objective();
+  const double f_sa =
+      solve(d, sa_variant(base, c.s)).trace.final_objective();
   EXPECT_LT(relative_objective_error(f_ref, f_sa), 1e-10);
 }
 
@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{1, 8, false, 0.3},
         EquivalenceCase{4, 3, false, 0.3},
         EquivalenceCase{8, 5, false, 0.3},
-        // Plain, dense data (dense VectorBatch path)
+        // Plain, dense data (dense staged-view path)
         EquivalenceCase{1, 4, false, 1.0},
         EquivalenceCase{4, 8, false, 1.0},
         // Accelerated, sparse
@@ -115,16 +115,13 @@ TEST(SaLasso, SEqualsOneMatchesNonSaTightly) {
   // s = 1 performs the identical computation schedule; agreement should be
   // essentially exact.
   const data::Dataset d = make_problem(30, 20, 0.5, 17);
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = 2;
   base.accelerated = true;
   base.max_iterations = 80;
-  const LassoResult ref = solve_lasso_serial(d, base);
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = 1;
-  const LassoResult got = solve_sa_lasso_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 1));
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-13);
 }
 
@@ -132,38 +129,33 @@ TEST(SaLasso, HugeSMatchesToo) {
   // The paper demonstrates s = 1000 numerical stability (Figure 2); here a
   // single outer iteration covers the whole run.
   const data::Dataset d = make_problem(36, 18, 0.4, 29);
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.08;
   base.block_size = 1;
   base.accelerated = true;
   base.max_iterations = 100;
-  const LassoResult ref = solve_lasso_serial(d, base);
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = 1000;  // > H: single outer iteration, tail-truncated
-  const LassoResult got = solve_sa_lasso_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  // s > H: a single outer iteration, tail-truncated.
+  const SolveResult got = solve(d, sa_variant(base, 1000));
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
 }
 
 TEST(SaLasso, TailIterationsHandledWhenHNotDivisibleByS) {
   const data::Dataset d = make_problem(30, 15, 0.6, 31);
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = 2;
   base.accelerated = false;
   base.max_iterations = 103;  // 103 = 12·8 + 7
-  const LassoResult ref = solve_lasso_serial(d, base);
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = 8;
-  const LassoResult got = solve_sa_lasso_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 8));
   EXPECT_EQ(got.trace.iterations_run, 103u);
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), kIterateTol);
 }
 
 TEST(SaLasso, ElasticNetPenaltyEquivalence) {
   const data::Dataset d = make_problem(40, 22, 0.5, 41);
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.penalty = Penalty::kElasticNet;
   base.lambda = 0.1;
   base.elastic_net_l1 = 0.6;
@@ -171,11 +163,8 @@ TEST(SaLasso, ElasticNetPenaltyEquivalence) {
   base.block_size = 3;
   base.accelerated = true;
   base.max_iterations = 90;
-  const LassoResult ref = solve_lasso_serial(d, base);
-  SaLassoOptions sa;
-  sa.base = base;
-  sa.s = 6;
-  const LassoResult got = solve_sa_lasso_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 6));
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), kIterateTol);
 }
 
@@ -183,7 +172,7 @@ TEST(SaLasso, CommunicationRoundsReducedByFactorS) {
   // The headline claim: L drops by s while W grows.  Verify on the metered
   // counters of a 4-rank run.
   const data::Dataset d = make_problem(64, 24, 0.4, 55);
-  LassoOptions base;
+  SolverSpec base = SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = 2;
   base.accelerated = true;
@@ -195,16 +184,14 @@ TEST(SaLasso, CommunicationRoundsReducedByFactorS) {
   dist::CommStats ref_stats, sa_stats;
   {
     const auto stats = dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-      solve_lasso(comm, d, rows, base);
+      make_solver(comm, d, rows, base)->run();
     });
     ref_stats = stats[0];
   }
   {
-    SaLassoOptions sa;
-    sa.base = base;
-    sa.s = 8;
+    const SolverSpec sa = sa_variant(base, 8);
     const auto stats = dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-      solve_sa_lasso(comm, d, rows, sa);
+      make_solver(comm, d, rows, sa)->run();
     });
     sa_stats = stats[0];
   }
@@ -218,19 +205,17 @@ TEST(SaLasso, CommunicationRoundsReducedByFactorS) {
 
 TEST(SaLasso, RejectsZeroS) {
   const data::Dataset d = make_problem(20, 10, 0.5, 1);
-  SaLassoOptions sa;
-  sa.s = 0;
-  EXPECT_THROW(solve_sa_lasso_serial(d, sa), sa::PreconditionError);
+  EXPECT_THROW(solve(d, SolverSpec::make("sa-lasso").with_s(0)),
+               sa::PreconditionError);
 }
 
 TEST(SaLasso, TraceAlignsToOuterBoundaries) {
   const data::Dataset d = make_problem(30, 15, 0.5, 2);
-  SaLassoOptions sa;
-  sa.base.lambda = 0.05;
-  sa.base.max_iterations = 40;
-  sa.base.trace_every = 10;
-  sa.s = 4;
-  const LassoResult r = solve_sa_lasso_serial(d, sa);
+  const SolveResult r = solve(d, SolverSpec::make("sa-lasso")
+                                     .with_lambda(0.05)
+                                     .with_max_iterations(40)
+                                     .with_trace_every(10)
+                                     .with_s(4));
   ASSERT_GE(r.trace.points.size(), 2u);
   for (const TracePoint& p : r.trace.points)
     EXPECT_EQ(p.iteration % 4, 0u) << "trace points land on outer boundaries";
@@ -247,16 +232,14 @@ TEST(SaLasso, MetersReplicatedInnerLoopWork) {
   // corrections and eigenvalue solves must land in replicated_flops, not
   // in the data-parallel flops counter.
   const data::Dataset d = make_problem(40, 20, 0.5, 61);
-  SaLassoOptions sa;
-  sa.base.lambda = 0.05;
-  sa.base.block_size = 2;
-  sa.base.accelerated = true;
-  sa.base.max_iterations = 32;
-  sa.s = 8;
-  dist::SerialComm comm;
-  solve_sa_lasso(comm, d, data::Partition::block(d.num_points(), 1), sa);
-  EXPECT_GT(comm.stats().replicated_flops, 0u);
-  EXPECT_GT(comm.stats().flops, 0u);
+  const SolveResult r = solve(d, SolverSpec::make("sa-lasso")
+                                     .with_lambda(0.05)
+                                     .with_block_size(2)
+                                     .with_acceleration(true)
+                                     .with_max_iterations(32)
+                                     .with_s(8));
+  EXPECT_GT(r.stats.replicated_flops, 0u);
+  EXPECT_GT(r.stats.flops, 0u);
 }
 
 TEST(SaLasso, ReplicatedWorkGrowsWithS) {
@@ -265,16 +248,14 @@ TEST(SaLasso, ReplicatedWorkGrowsWithS) {
   const data::Dataset d = make_problem(40, 20, 0.5, 62);
   std::size_t previous = 0;
   for (std::size_t s : {2, 8, 32}) {
-    SaLassoOptions sa;
-    sa.base.lambda = 0.05;
-    sa.base.block_size = 2;
-    sa.base.accelerated = true;
-    sa.base.max_iterations = 64;
-    sa.s = s;
-    dist::SerialComm comm;
-    solve_sa_lasso(comm, d, data::Partition::block(d.num_points(), 1), sa);
-    EXPECT_GT(comm.stats().replicated_flops, previous);
-    previous = comm.stats().replicated_flops;
+    const SolveResult r = solve(d, SolverSpec::make("sa-lasso")
+                                       .with_lambda(0.05)
+                                       .with_block_size(2)
+                                       .with_acceleration(true)
+                                       .with_max_iterations(64)
+                                       .with_s(s));
+    EXPECT_GT(r.stats.replicated_flops, previous);
+    previous = r.stats.replicated_flops;
   }
 }
 

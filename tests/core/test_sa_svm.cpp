@@ -1,14 +1,13 @@
 // SA-SVM (Algorithm 4) equivalence and behaviour tests — the paper's §V
 // claim that the rearrangement leaves the iterate sequence unchanged in
 // exact arithmetic (validated in Figure 5 with s = 500).
-#include "core/sa_svm.hpp"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "core/objective.hpp"
+#include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -30,6 +29,13 @@ data::Dataset make_problem(std::size_t m, std::size_t n, double density,
 
 constexpr double kIterateTol = 1e-9;
 
+/// The synchronization-avoiding variant of a classical SVM spec.
+SolverSpec sa_variant(SolverSpec spec, std::size_t s) {
+  spec.algorithm = "sa-svm";
+  spec.s = s;
+  return spec;
+}
+
 struct SvmEquivalenceCase {
   std::size_t s;
   SvmLoss loss;
@@ -48,17 +54,14 @@ TEST_P(SaSvmEquivalenceSweep, IteratesMatchNonSa) {
   const SvmEquivalenceCase c = GetParam();
   const data::Dataset d = make_problem(50, 30, c.density, 23);
 
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.loss = c.loss;
   base.max_iterations = 300;
   base.seed = 11;
 
-  const SvmResult ref = solve_svm_serial(d, base);
-  SaSvmOptions sa;
-  sa.base = base;
-  sa.s = c.s;
-  const SvmResult got = solve_sa_svm_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, c.s));
 
   EXPECT_LT(la::max_rel_diff(ref.alpha, got.alpha), kIterateTol);
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), kIterateTol);
@@ -79,30 +82,25 @@ TEST(SaSvm, RepeatedCoordinateWithinWindowHandled) {
   // Tiny m forces the same data point to be sampled repeatedly inside one
   // s-window — the β/overlap terms of equations (14)–(15) must kick in.
   const data::Dataset d = make_problem(6, 12, 0.8, 31);
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.max_iterations = 200;
   base.seed = 2;
-  const SvmResult ref = solve_svm_serial(d, base);
-  SaSvmOptions sa;
-  sa.base = base;
-  sa.s = 16;  // s >> m guarantees many repeats per window
-  const SvmResult got = solve_sa_svm_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  // s >> m guarantees many repeats per window.
+  const SolveResult got = solve(d, sa_variant(base, 16));
   EXPECT_LT(la::max_rel_diff(ref.alpha, got.alpha), kIterateTol);
 }
 
 TEST(SaSvm, PaperScaleSFiveHundredIsStable) {
   // Figure 5 uses s = 500; verify numerical stability at that depth.
   const data::Dataset d = make_problem(60, 20, 0.5, 7);
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.max_iterations = 1000;
   base.trace_every = 500;
-  const SvmResult ref = solve_svm_serial(d, base);
-  SaSvmOptions sa;
-  sa.base = base;
-  sa.s = 500;
-  const SvmResult got = solve_sa_svm_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 500));
   EXPECT_LT(la::max_rel_diff(ref.alpha, got.alpha), 1e-8);
   EXPECT_LT(relative_objective_error(
                 ref.trace.points.back().objective + 1.0,
@@ -112,21 +110,20 @@ TEST(SaSvm, PaperScaleSFiveHundredIsStable) {
 
 TEST(SaSvm, GapToleranceStopsAtOuterBoundary) {
   const data::Dataset d = make_problem(80, 25, 0.5, 13);
-  SaSvmOptions sa;
-  sa.base.lambda = 1.0;
-  sa.base.loss = SvmLoss::kL2;
-  sa.base.max_iterations = 100000;
-  sa.base.trace_every = 64;
-  sa.base.gap_tolerance = 1e-3;
-  sa.s = 64;
-  const SvmResult r = solve_sa_svm_serial(d, sa);
+  const SolveResult r = solve(d, SolverSpec::make("sa-svm")
+                                     .with_lambda(1.0)
+                                     .with_loss(SvmLoss::kL2)
+                                     .with_max_iterations(100000)
+                                     .with_trace_every(64)
+                                     .with_gap_tolerance(1e-3)
+                                     .with_s(64));
   EXPECT_LT(r.trace.iterations_run, 100000u);
   EXPECT_LE(r.trace.points.back().objective, 1e-3);
 }
 
 TEST(SaSvm, CommunicationRoundsReducedByFactorS) {
   const data::Dataset d = make_problem(48, 32, 0.4, 17);
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.max_iterations = 64;
 
@@ -138,17 +135,15 @@ TEST(SaSvm, CommunicationRoundsReducedByFactorS) {
   {
     const auto stats =
         dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-          solve_svm(comm, d, cols, base);
+          make_solver(comm, d, cols, base)->run();
         });
     ref_stats = stats[0];
   }
   {
-    SaSvmOptions sa;
-    sa.base = base;
-    sa.s = 8;
+    const SolverSpec sa = sa_variant(base, 8);
     const auto stats =
         dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-          solve_sa_svm(comm, d, cols, sa);
+          make_solver(comm, d, cols, sa)->run();
         });
     sa_stats = stats[0];
   }
@@ -161,37 +156,30 @@ TEST(SaSvm, CommunicationRoundsReducedByFactorS) {
 
 TEST(SaSvm, SEqualsOneMatchesTightly) {
   const data::Dataset d = make_problem(40, 20, 0.5, 19);
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.max_iterations = 150;
-  const SvmResult ref = solve_svm_serial(d, base);
-  SaSvmOptions sa;
-  sa.base = base;
-  sa.s = 1;
-  const SvmResult got = solve_sa_svm_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 1));
   EXPECT_LT(la::max_rel_diff(ref.alpha, got.alpha), 1e-13);
 }
 
 TEST(SaSvm, AccuracyMatchesNonSa) {
   const data::Dataset d = make_problem(100, 30, 0.4, 37);
-  SvmOptions base;
+  SolverSpec base = SolverSpec::make("svm");
   base.lambda = 1.0;
   base.loss = SvmLoss::kL2;
   base.max_iterations = 3000;
-  const SvmResult ref = solve_svm_serial(d, base);
-  SaSvmOptions sa;
-  sa.base = base;
-  sa.s = 50;
-  const SvmResult got = solve_sa_svm_serial(d, sa);
+  const SolveResult ref = solve(d, base);
+  const SolveResult got = solve(d, sa_variant(base, 50));
   EXPECT_DOUBLE_EQ(svm_accuracy(d.a, d.b, ref.x),
                    svm_accuracy(d.a, d.b, got.x));
 }
 
 TEST(SaSvm, RejectsZeroS) {
   const data::Dataset d = make_problem(10, 5, 0.5, 1);
-  SaSvmOptions sa;
-  sa.s = 0;
-  EXPECT_THROW(solve_sa_svm_serial(d, sa), sa::PreconditionError);
+  EXPECT_THROW(solve(d, SolverSpec::make("sa-svm").with_s(0)),
+               sa::PreconditionError);
 }
 
 }  // namespace

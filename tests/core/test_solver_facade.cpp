@@ -1,5 +1,5 @@
-// The unified Solver facade: registry coverage, bitwise parity with the
-// legacy free functions, the SolverSpec single-source-of-defaults pin,
+// The unified Solver facade: registry coverage, the SolverSpec defaults
+// pin, path/cross-validation against explicit warm-started loops,
 // re-entrant step()/run() semantics, observers, and stopping criteria.
 #include "core/registry.hpp"
 
@@ -10,15 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "core/cd_lasso.hpp"
 #include "core/cross_validation.hpp"
-#include "core/group_lasso.hpp"
 #include "core/objective.hpp"
 #include "core/path.hpp"
-#include "core/sa_group_lasso.hpp"
-#include "core/sa_lasso.hpp"
-#include "core/sa_svm.hpp"
-#include "core/svm.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/vector_ops.hpp"
@@ -104,221 +98,30 @@ TEST(SolverRegistry, SpecValidationRejectsContradictions) {
 // Single source of defaults
 // ---------------------------------------------------------------------
 
-TEST(SolverSpecDefaults, PinTheLegacyOptionStructDefaults) {
-  // SolverSpec is THE source of defaults; the legacy option structs (and
-  // the CLI's Args) must agree with it.  This pins the historical
-  // divergence where sa_opt_cli defaulted accelerated = true while
-  // LassoOptions defaulted false.
+TEST(SolverSpecDefaults, PinTheSharedDefaults) {
+  // SolverSpec is THE source of defaults for every family and for the
+  // CLI.  The SVM family shares λ = 0.1 and H = 1000; the paper's
+  // Algorithm 3 settings (λ = 1, H = 10000) are always spelled out.
   const SolverSpec spec;
-  const LassoOptions lasso;
-  EXPECT_EQ(spec.lambda, lasso.lambda);
-  EXPECT_EQ(spec.penalty, lasso.penalty);
-  EXPECT_EQ(spec.elastic_net_l1, lasso.elastic_net_l1);
-  EXPECT_EQ(spec.elastic_net_l2, lasso.elastic_net_l2);
-  EXPECT_EQ(spec.block_size, lasso.block_size);
-  EXPECT_EQ(spec.max_iterations, lasso.max_iterations);
-  EXPECT_EQ(spec.accelerated, lasso.accelerated);
-  EXPECT_FALSE(spec.accelerated);  // the unified default, explicitly
-  EXPECT_EQ(spec.seed, lasso.seed);
-  EXPECT_EQ(spec.trace_every, lasso.trace_every);
-
-  const SaLassoOptions sa_lasso;
-  EXPECT_EQ(spec.s, sa_lasso.s);
-
-  const SvmOptions svm;
-  EXPECT_EQ(spec.loss, svm.loss);
-  EXPECT_EQ(spec.seed, svm.seed);
-  EXPECT_EQ(spec.gap_tolerance, svm.gap_tolerance);
-  // Documented exception (solver_options.hpp): the legacy SVM struct
-  // keeps the paper's Algorithm 3 conventions λ = 1, H = 10000 instead
-  // of the spec's shared 0.1 / 1000.  Pin the divergence so it can only
-  // change deliberately.
-  EXPECT_EQ(svm.lambda, 1.0);
-  EXPECT_EQ(svm.max_iterations, 10000u);
-
-  const GroupLassoOptions group;
-  EXPECT_EQ(spec.lambda, group.lambda);
-  EXPECT_EQ(spec.seed, group.seed);
+  EXPECT_EQ(spec.algorithm, "lasso");
+  EXPECT_EQ(spec.lambda, 0.1);
+  EXPECT_EQ(spec.max_iterations, 1000u);
+  EXPECT_EQ(spec.seed, 42u);
+  EXPECT_EQ(spec.trace_every, 0u);
+  EXPECT_EQ(spec.s, 8u);
+  EXPECT_EQ(spec.penalty, Penalty::kLasso);
+  EXPECT_EQ(spec.block_size, 1u);
+  EXPECT_FALSE(spec.accelerated);
+  EXPECT_EQ(spec.loss, SvmLoss::kL1);
+  EXPECT_EQ(spec.gap_tolerance, 0.0);
+  EXPECT_TRUE(spec.pipeline);
 }
 
 // ---------------------------------------------------------------------
-// Facade ↔ legacy free-function parity (bitwise)
+// Warm-started path / cross-validation against explicit loops
 // ---------------------------------------------------------------------
 
-struct ParityHarness {
-  SolverSpec spec;
-  /// Runs the legacy free function for `spec` and returns (x, alpha,
-  /// trace) as a SolveResult-shaped triple.
-  std::function<SolveResult(dist::Communicator&, const data::Dataset&,
-                            const data::Partition&)>
-      legacy;
-  const data::Dataset dataset;
-  PartitionAxis axis;
-};
-
-ParityHarness harness_for(const std::string& id) {
-  if (id == "lasso" || id == "sa-lasso") {
-    SolverSpec spec = SolverSpec::make(id)
-                          .with_lambda(0.05)
-                          .with_block_size(3)
-                          .with_acceleration(true)
-                          .with_max_iterations(48)
-                          .with_trace_every(8)
-                          .with_s(6);
-    auto legacy = [id](dist::Communicator& comm, const data::Dataset& d,
-                       const data::Partition& p) {
-      LassoOptions base;
-      base.lambda = 0.05;
-      base.block_size = 3;
-      base.accelerated = true;
-      base.max_iterations = 48;
-      base.trace_every = 8;
-      LassoResult r;
-      if (id == "lasso") {
-        r = solve_lasso(comm, d, p, base);
-      } else {
-        SaLassoOptions sa;
-        sa.base = base;
-        sa.s = 6;
-        r = solve_sa_lasso(comm, d, p, sa);
-      }
-      SolveResult out;
-      out.x = std::move(r.x);
-      out.trace = std::move(r.trace);
-      return out;
-    };
-    return {spec, legacy, regression_problem(), PartitionAxis::kRows};
-  }
-  if (id == "group-lasso" || id == "sa-group-lasso") {
-    const data::Dataset d = regression_problem(7);
-    const GroupStructure groups = GroupStructure::uniform(d.num_features(), 5);
-    SolverSpec spec = SolverSpec::make(id)
-                          .with_lambda(0.1)
-                          .with_groups(groups)
-                          .with_max_iterations(40)
-                          .with_trace_every(10)
-                          .with_s(4);
-    auto legacy = [id, groups](dist::Communicator& comm,
-                               const data::Dataset& dd,
-                               const data::Partition& p) {
-      GroupLassoOptions base;
-      base.lambda = 0.1;
-      base.groups = groups;
-      base.max_iterations = 40;
-      base.trace_every = 10;
-      LassoResult r;
-      if (id == "group-lasso") {
-        r = solve_group_lasso(comm, dd, p, base);
-      } else {
-        SaGroupLassoOptions sa;
-        sa.base = base;
-        sa.s = 4;
-        r = solve_sa_group_lasso(comm, dd, p, sa);
-      }
-      SolveResult out;
-      out.x = std::move(r.x);
-      out.trace = std::move(r.trace);
-      return out;
-    };
-    return {spec, legacy, d, PartitionAxis::kRows};
-  }
-  // svm / sa-svm
-  SolverSpec spec = SolverSpec::make(id)
-                        .with_lambda(1.0)
-                        .with_loss(SvmLoss::kL2)
-                        .with_max_iterations(60)
-                        .with_trace_every(20)
-                        .with_s(5);
-  auto legacy = [id](dist::Communicator& comm, const data::Dataset& d,
-                     const data::Partition& p) {
-    SvmOptions base;
-    base.lambda = 1.0;
-    base.loss = SvmLoss::kL2;
-    base.max_iterations = 60;
-    base.trace_every = 20;
-    SvmResult r;
-    if (id == "svm") {
-      r = solve_svm(comm, d, p, base);
-    } else {
-      SaSvmOptions sa;
-      sa.base = base;
-      sa.s = 5;
-      r = solve_sa_svm(comm, d, p, sa);
-    }
-    SolveResult out;
-    out.x = std::move(r.x);
-    out.alpha = std::move(r.alpha);
-    out.trace = std::move(r.trace);
-    return out;
-  };
-  return {spec, legacy, classification_problem(), PartitionAxis::kCols};
-}
-
-class FacadeParity : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(FacadeParity, SerialRunIsBitwiseIdenticalToLegacy) {
-  const ParityHarness h = harness_for(GetParam());
-  dist::SerialComm comm_facade, comm_legacy;
-  const std::size_t extent = h.axis == PartitionAxis::kRows
-                                 ? h.dataset.num_points()
-                                 : h.dataset.num_features();
-  const data::Partition part = data::Partition::block(extent, 1);
-
-  const SolveResult facade =
-      make_solver(comm_facade, h.dataset, part, h.spec)->run();
-  const SolveResult legacy = h.legacy(comm_legacy, h.dataset, part);
-
-  EXPECT_EQ(facade.x, legacy.x);          // bitwise
-  EXPECT_EQ(facade.alpha, legacy.alpha);  // bitwise (empty for Lasso ids)
-  expect_traces_identical(facade.trace, legacy.trace);
-  EXPECT_EQ(facade.algorithm, GetParam());
-  EXPECT_EQ(facade.stop_reason, StopReason::kMaxIterations);
-}
-
-TEST_P(FacadeParity, FourRankRunIsBitwiseIdenticalToLegacy) {
-  const ParityHarness h = harness_for(GetParam());
-  const int p = 4;
-  const std::size_t extent = h.axis == PartitionAxis::kRows
-                                 ? h.dataset.num_points()
-                                 : h.dataset.num_features();
-  const data::Partition part = data::Partition::block(extent, p);
-
-  std::vector<SolveResult> facade(p), legacy(p);
-  std::mutex lock;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SolveResult r = make_solver(comm, h.dataset, part, h.spec)->run();
-    std::scoped_lock guard(lock);
-    facade[comm.rank()] = std::move(r);
-  });
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SolveResult r = h.legacy(comm, h.dataset, part);
-    std::scoped_lock guard(lock);
-    legacy[comm.rank()] = std::move(r);
-  });
-
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(facade[r].x, legacy[r].x) << "rank " << r;
-    EXPECT_EQ(facade[r].alpha, legacy[r].alpha) << "rank " << r;
-    expect_traces_identical(facade[r].trace, legacy[r].trace);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSix, FacadeParity,
-    ::testing::Values("lasso", "sa-lasso", "group-lasso", "sa-group-lasso",
-                      "svm", "sa-svm"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    });
-
-// ---------------------------------------------------------------------
-// Warm-started path / cross-validation parity
-// ---------------------------------------------------------------------
-
-TEST(FacadePath, WarmStartedPathMatchesLegacyLoopBitwise) {
+TEST(FacadePath, WarmStartedPathMatchesExplicitLoopBitwise) {
   const data::Dataset d = regression_problem(11);
   PathOptions opt;
   opt.solver.block_size = 2;
@@ -331,24 +134,23 @@ TEST(FacadePath, WarmStartedPathMatchesLegacyLoopBitwise) {
   const auto path = lasso_path(d, opt);
   ASSERT_EQ(path.size(), 6u);
 
-  // The legacy equivalent: explicit warm-started loop over the same grid.
+  // The explicit warm-started loop over the same grid.
   const auto grid = default_lambda_grid(d, 6, 1e-2);
   std::vector<double> warm;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    SaLassoOptions sa;
-    sa.base.lambda = grid[i];
-    sa.base.block_size = 2;
-    sa.base.accelerated = true;
-    sa.base.max_iterations = 120;
-    sa.base.x0 = warm;
-    sa.s = 4;
-    const LassoResult r = solve_sa_lasso_serial(d, sa);
+    const SolveResult r = solve(d, SolverSpec::make("sa-lasso")
+                                       .with_lambda(grid[i])
+                                       .with_block_size(2)
+                                       .with_acceleration(true)
+                                       .with_max_iterations(120)
+                                       .with_warm_start(warm)
+                                       .with_s(4));
     EXPECT_EQ(path[i].x, r.x) << "lambda index " << i;  // bitwise
     warm = r.x;
   }
 }
 
-TEST(FacadeCv, CrossValidationMatchesLegacyComputation) {
+TEST(FacadeCv, CrossValidationMatchesExplicitComputation) {
   const data::Dataset d = regression_problem(13);
   CvOptions cv;
   cv.path.solver.block_size = 2;
@@ -359,7 +161,7 @@ TEST(FacadeCv, CrossValidationMatchesLegacyComputation) {
   const CvResult facade = cross_validate_lasso(d, cv);
   ASSERT_EQ(facade.points.size(), 4u);
 
-  // Recompute fold MSEs with the legacy warm-started loop (same solves,
+  // Recompute fold MSEs with an explicit warm-started loop (same solves,
   // same averaging arithmetic — bitwise agreement).
   const auto grid = default_lambda_grid(d, 4, 1e-2);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -369,12 +171,12 @@ TEST(FacadeCv, CrossValidationMatchesLegacyComputation) {
           split_fold(d, fold, cv.num_folds, cv.shuffle_seed);
       std::vector<double> warm;
       for (std::size_t k = 0; k <= i; ++k) {
-        LassoOptions o;
-        o.lambda = grid[k];
-        o.block_size = 2;
-        o.max_iterations = 80;
-        o.x0 = warm;
-        warm = solve_lasso_serial(train, o).x;
+        warm = solve(train, SolverSpec::make("lasso")
+                                .with_lambda(grid[k])
+                                .with_block_size(2)
+                                .with_max_iterations(80)
+                                .with_warm_start(warm))
+                   .x;
       }
       fold_mse[fold] = mean_squared_error(test, warm);
     }

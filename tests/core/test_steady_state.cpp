@@ -12,12 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/annotate.hpp"
-#include "core/cd_lasso.hpp"
-#include "core/group_lasso.hpp"
 #include "core/registry.hpp"
-#include "core/sa_group_lasso.hpp"
-#include "core/sa_lasso.hpp"
-#include "core/sa_svm.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
 
@@ -71,14 +66,14 @@ data::Dataset regression_problem() {
 TEST(SteadyState, SaLassoAllocatesOnlyInTheFirstOuterIteration) {
   const data::Dataset d = regression_problem();
   const auto run = [&](std::size_t iterations, bool accelerated) {
-    SaLassoOptions sa;
-    sa.base.lambda = 0.05;
-    sa.base.block_size = 2;
-    sa.base.accelerated = accelerated;
-    sa.base.max_iterations = iterations;
-    sa.base.trace_every = 0;  // tracing is instrumentation, not hot path
+    SolverSpec sa = SolverSpec::make("sa-lasso");
+    sa.lambda = 0.05;
+    sa.block_size = 2;
+    sa.accelerated = accelerated;
+    sa.max_iterations = iterations;
+    sa.trace_every = 0;  // tracing is instrumentation, not hot path
     sa.s = 4;
-    return allocations_during([&] { solve_sa_lasso_serial(d, sa); });
+    return allocations_during([&] { solve(d, sa); });
   };
   for (const bool accelerated : {false, true}) {
     run(4, accelerated);  // warm thread-local kernel scratch
@@ -98,13 +93,13 @@ TEST(SteadyState, SaSvmAllocatesOnlyInTheFirstOuterIteration) {
   cfg.seed = 23;
   const data::Dataset d = data::make_classification(cfg);
   const auto run = [&](std::size_t iterations) {
-    SaSvmOptions sa;
-    sa.base.lambda = 1.0;
-    sa.base.loss = SvmLoss::kL2;
-    sa.base.max_iterations = iterations;
-    sa.base.trace_every = 0;
+    SolverSpec sa = SolverSpec::make("sa-svm");
+    sa.lambda = 1.0;
+    sa.loss = SvmLoss::kL2;
+    sa.max_iterations = iterations;
+    sa.trace_every = 0;
     sa.s = 6;
-    return allocations_during([&] { solve_sa_svm_serial(d, sa); });
+    return allocations_during([&] { solve(d, sa); });
   };
   run(6);
   const std::size_t one_iteration = run(6);
@@ -115,13 +110,13 @@ TEST(SteadyState, SaSvmAllocatesOnlyInTheFirstOuterIteration) {
 TEST(SteadyState, SaGroupLassoAllocatesOnlyInTheFirstOuterIteration) {
   const data::Dataset d = regression_problem();
   const auto run = [&](std::size_t iterations) {
-    SaGroupLassoOptions sa;
-    sa.base.lambda = 0.1;
-    sa.base.groups = GroupStructure::uniform(d.num_features(), 4);
-    sa.base.max_iterations = iterations;
-    sa.base.trace_every = 0;
+    SolverSpec sa = SolverSpec::make("sa-group-lasso");
+    sa.lambda = 0.1;
+    sa.groups = GroupStructure::uniform(d.num_features(), 4);
+    sa.max_iterations = iterations;
+    sa.trace_every = 0;
     sa.s = 4;
-    return allocations_during([&] { solve_sa_group_lasso_serial(d, sa); });
+    return allocations_during([&] { solve(d, sa); });
   };
   run(4);
   const std::size_t one_iteration = run(4);
@@ -136,13 +131,13 @@ TEST(SteadyState, SaGroupLassoAllocatesOnlyInTheFirstOuterIteration) {
 TEST(SteadyState, ClassicalLassoAllocatesOnlyInTheFirstIteration) {
   const data::Dataset d = regression_problem();
   const auto run = [&](std::size_t iterations, bool accelerated) {
-    LassoOptions opt;
+    SolverSpec opt = SolverSpec::make("lasso");
     opt.lambda = 0.05;
     opt.block_size = 2;
     opt.accelerated = accelerated;
     opt.max_iterations = iterations;
     opt.trace_every = 0;
-    return allocations_during([&] { solve_lasso_serial(d, opt); });
+    return allocations_during([&] { solve(d, opt); });
   };
   for (const bool accelerated : {false, true}) {
     run(1, accelerated);  // warm thread-local kernel scratch
@@ -157,12 +152,12 @@ TEST(SteadyState, ClassicalLassoAllocatesOnlyInTheFirstIteration) {
 TEST(SteadyState, ClassicalGroupLassoAllocatesOnlyInTheFirstIteration) {
   const data::Dataset d = regression_problem();
   const auto run = [&](std::size_t iterations) {
-    GroupLassoOptions opt;
+    SolverSpec opt = SolverSpec::make("group-lasso");
     opt.lambda = 0.1;
     opt.groups = GroupStructure::uniform(d.num_features(), 4);
     opt.max_iterations = iterations;
     opt.trace_every = 0;
-    return allocations_during([&] { solve_group_lasso_serial(d, opt); });
+    return allocations_during([&] { solve(d, opt); });
   };
   run(1);
   const std::size_t one_iteration = run(1);
@@ -207,12 +202,12 @@ TEST(SteadyState, ClassicalSvmAllocatesOnlyInTheFirstIteration) {
   cfg.seed = 23;
   const data::Dataset d = data::make_classification(cfg);
   const auto run = [&](std::size_t iterations) {
-    SvmOptions opt;
+    SolverSpec opt = SolverSpec::make("svm");
     opt.lambda = 1.0;
     opt.loss = SvmLoss::kL2;
     opt.max_iterations = iterations;
     opt.trace_every = 0;
-    return allocations_during([&] { solve_svm_serial(d, opt); });
+    return allocations_during([&] { solve(d, opt); });
   };
   run(1);
   const std::size_t one_iteration = run(1);

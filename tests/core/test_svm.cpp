@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "core/objective.hpp"
+#include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "la/vector_ops.hpp"
 
@@ -23,8 +24,8 @@ data::Dataset separable_problem(std::uint64_t seed = 42) {
   return data::make_classification(cfg);
 }
 
-SvmOptions base_options(SvmLoss loss = SvmLoss::kL1) {
-  SvmOptions opt;
+SolverSpec base_spec(SvmLoss loss = SvmLoss::kL1) {
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = 1.0;  // the paper's setting
   opt.loss = loss;
   opt.max_iterations = 4000;
@@ -35,7 +36,7 @@ SvmOptions base_options(SvmLoss loss = SvmLoss::kL1) {
 
 TEST(Svm, DualityGapShrinksL1) {
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options(SvmLoss::kL1));
+  const SolveResult r = solve(d, base_spec(SvmLoss::kL1));
   ASSERT_GE(r.trace.points.size(), 3u);
   EXPECT_LT(r.trace.points.back().objective,
             0.1 * r.trace.points.front().objective);
@@ -43,22 +44,22 @@ TEST(Svm, DualityGapShrinksL1) {
 
 TEST(Svm, DualityGapShrinksL2) {
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options(SvmLoss::kL2));
+  const SolveResult r = solve(d, base_spec(SvmLoss::kL2));
   EXPECT_LT(r.trace.points.back().objective,
             0.1 * r.trace.points.front().objective);
 }
 
 TEST(Svm, DualityGapIsNonNegativeThroughout) {
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options());
+  const SolveResult r = solve(d, base_spec());
   for (const TracePoint& p : r.trace.points)
     EXPECT_GE(p.objective, -1e-9);
 }
 
 TEST(Svm, DualIterateStaysInBoxL1) {
   const data::Dataset d = separable_problem();
-  const SvmOptions opt = base_options(SvmLoss::kL1);
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolverSpec opt = base_spec(SvmLoss::kL1);
+  const SolveResult r = solve(d, opt);
   for (double a : r.alpha) {
     EXPECT_GE(a, -1e-15);
     EXPECT_LE(a, opt.lambda + 1e-15);
@@ -67,14 +68,14 @@ TEST(Svm, DualIterateStaysInBoxL1) {
 
 TEST(Svm, DualIterateNonNegativeL2) {
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options(SvmLoss::kL2));
+  const SolveResult r = solve(d, base_spec(SvmLoss::kL2));
   for (double a : r.alpha) EXPECT_GE(a, -1e-15);
 }
 
 TEST(Svm, PrimalEqualsWeightedSupportVectorSum) {
   // Invariant of the dual method: x = Σ b_i α_i A_iᵀ at every point.
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options());
+  const SolveResult r = solve(d, base_spec());
   std::vector<double> x(d.num_features(), 0.0);
   for (std::size_t i = 0; i < d.num_points(); ++i) {
     if (r.alpha[i] == 0.0) continue;
@@ -85,7 +86,7 @@ TEST(Svm, PrimalEqualsWeightedSupportVectorSum) {
 
 TEST(Svm, SeparableDataReachesHighTrainAccuracy) {
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options(SvmLoss::kL2));
+  const SolveResult r = solve(d, base_spec(SvmLoss::kL2));
   EXPECT_GT(svm_accuracy(d.a, d.b, r.x), 0.95);
 }
 
@@ -93,7 +94,7 @@ TEST(Svm, SparsityOfDualSolution) {
   // Support vectors are a subset of the data: some α must be exactly 0
   // (points classified with margin) on separable data.
   const data::Dataset d = separable_problem();
-  const SvmResult r = solve_svm_serial(d, base_options(SvmLoss::kL1));
+  const SolveResult r = solve(d, base_spec(SvmLoss::kL1));
   std::size_t zeros = 0;
   for (double a : r.alpha)
     if (a == 0.0) ++zeros;
@@ -104,31 +105,31 @@ TEST(Svm, L2ConvergesFasterThanL1) {
   // Paper Figure 5: "SVM-L2 converges faster than SVM-L1 since the loss
   // function is smoothed."
   const data::Dataset d = separable_problem(3);
-  SvmOptions l1 = base_options(SvmLoss::kL1);
-  SvmOptions l2 = base_options(SvmLoss::kL2);
+  SolverSpec l1 = base_spec(SvmLoss::kL1);
+  SolverSpec l2 = base_spec(SvmLoss::kL2);
   l1.max_iterations = l2.max_iterations = 2000;
-  const double gap1 = solve_svm_serial(d, l1).trace.points.back().objective;
-  const double gap2 = solve_svm_serial(d, l2).trace.points.back().objective;
+  const double gap1 = solve(d, l1).trace.points.back().objective;
+  const double gap2 = solve(d, l2).trace.points.back().objective;
   EXPECT_LT(gap2, gap1 * 1.5);
 }
 
 TEST(Svm, GapToleranceStopsEarly) {
   const data::Dataset d = separable_problem();
-  SvmOptions opt = base_options(SvmLoss::kL2);
+  SolverSpec opt = base_spec(SvmLoss::kL2);
   opt.max_iterations = 100000;
   opt.trace_every = 200;
   opt.gap_tolerance = 1e-3;
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_LT(r.trace.iterations_run, 100000u);
   EXPECT_LE(r.trace.points.back().objective, 1e-3);
 }
 
 TEST(Svm, DeterministicAcrossRuns) {
   const data::Dataset d = separable_problem();
-  SvmOptions opt = base_options();
+  SolverSpec opt = base_spec();
   opt.max_iterations = 500;
-  const SvmResult r1 = solve_svm_serial(d, opt);
-  const SvmResult r2 = solve_svm_serial(d, opt);
+  const SolveResult r1 = solve(d, opt);
+  const SolveResult r2 = solve(d, opt);
   EXPECT_EQ(r1.x, r2.x);
   EXPECT_EQ(r1.alpha, r2.alpha);
 }
@@ -139,7 +140,7 @@ TEST(Svm, RejectsNonBinaryLabels) {
   cfg.num_features = 5;
   cfg.support_size = 2;
   const data::Dataset d = data::make_regression(cfg).dataset;
-  EXPECT_THROW(solve_svm_serial(d, base_options()), sa::PreconditionError);
+  EXPECT_THROW(solve(d, base_spec()), sa::PreconditionError);
 }
 
 TEST(SvmPredict, SignOfMargins) {
@@ -171,12 +172,12 @@ class SvmSweep : public ::testing::TestWithParam<SvmCase> {};
 TEST_P(SvmSweep, GapShrinksAndIterateFeasible) {
   const SvmCase c = GetParam();
   const data::Dataset d = separable_problem(13);
-  SvmOptions opt;
+  SolverSpec opt = SolverSpec::make("svm");
   opt.lambda = c.lambda;
   opt.loss = c.loss;
   opt.max_iterations = 3000;
   opt.trace_every = 1500;
-  const SvmResult r = solve_svm_serial(d, opt);
+  const SolveResult r = solve(d, opt);
   EXPECT_LT(r.trace.points.back().objective,
             r.trace.points.front().objective);
   const double nu = SvmConstants::make(c.loss, c.lambda).nu;

@@ -1,18 +1,22 @@
-// Kernel-parity tests: the blocked/parallel Gram, dot_all, and spmv
-// kernels must agree with naive reference implementations on random dense
-// and sparse inputs, including the degenerate shapes (k = 1, empty
-// batches, all-zero rows) the solvers hit on ultra-sparse data.
+// Kernel-parity tests: the blocked/parallel Gram and dot kernels
+// (sampled_gram_range / sampled_dots_range over the full range) and spmv
+// must agree with naive reference implementations on random dense and
+// sparse inputs, including the degenerate shapes (k = 1, empty batches,
+// all-zero rows) the solvers hit on ultra-sparse data.
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/rng.hpp"
+#include "la/batch_view.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/sparse_vector.hpp"
-#include "la/vector_batch.hpp"
 #include "la/vector_ops.hpp"
+#include "la/workspace.hpp"
 
 namespace sa::la {
 namespace {
@@ -44,19 +48,85 @@ std::vector<SparseVector> random_sparse(std::size_t count, std::size_t dim,
   return vs;
 }
 
+/// Owns a batch's members (dense rows or sparse vectors) and exposes them
+/// as a BatchView.  Pinned in place: the view's descriptors point into it.
+class Batch {
+ public:
+  explicit Batch(DenseMatrix rows) : dense_(std::move(rows)) {
+    for (std::size_t i = 0; i < dense_.rows(); ++i)
+      ptrs_.push_back(dense_.row(i).data());
+    view_ = BatchView::dense(ptrs_, dense_.cols());
+  }
+  Batch(std::vector<SparseVector> members, std::size_t dim)
+      : sparse_(std::move(members)) {
+    for (const SparseVector& v : sparse_) {
+      idx_.emplace_back(v.indices);
+      val_.emplace_back(v.values);
+    }
+    view_ = BatchView::sparse(idx_, val_, dim);
+  }
+  Batch(const Batch&) = delete;
+  Batch& operator=(const Batch&) = delete;
+
+  const BatchView& view() const { return view_; }
+  std::size_t size() const { return view_.size(); }
+  std::size_t dim() const { return view_.dim(); }
+
+  /// Member i as a dense vector of length dim().
+  std::vector<double> member(std::size_t i) const {
+    if (view_.is_dense()) {
+      const std::span<const double> r = dense_.row(i);
+      return {r.begin(), r.end()};
+    }
+    std::vector<double> v(dim(), 0.0);
+    for (std::size_t p = 0; p < sparse_[i].nnz(); ++p)
+      v[sparse_[i].indices[p]] = sparse_[i].values[p];
+    return v;
+  }
+
+ private:
+  DenseMatrix dense_;
+  std::vector<const double*> ptrs_;
+  std::vector<SparseVector> sparse_;
+  std::vector<std::span<const std::size_t>> idx_;
+  std::vector<std::span<const double>> val_;
+  BatchView view_;
+};
+
+/// The Gram kernel over the full range, unpacked to a symmetric matrix.
+DenseMatrix gram(const Batch& b) {
+  const std::size_t k = b.size();
+  Workspace scratch;
+  std::vector<double> packed(fused_buffer_size(k, 0));
+  sampled_gram_range(b.view(), 0, b.dim(), scratch, packed);
+  DenseMatrix g(k, k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i; j < k; ++j)
+      g(i, j) = g(j, i) = packed[packed_upper_index(i, j, k)];
+  return g;
+}
+
+/// The dot kernel over the full range: [v_0·x, …, v_{k-1}·x].
+std::vector<double> dots(const Batch& b, std::span<const double> x) {
+  Workspace scratch;
+  std::vector<double> out(b.size());
+  const std::array<std::span<const double>, 1> xs{x};
+  sampled_dots_range(b.view(), xs, 0, b.dim(), scratch, out);
+  return out;
+}
+
 /// Reference Gram: plain pairwise dots, strict left-to-right accumulation.
-DenseMatrix reference_gram(const VectorBatch& b, double shift = 0.0) {
+DenseMatrix reference_gram(const Batch& b) {
   const std::size_t k = b.size();
   DenseMatrix g(k, k);
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
-      const std::vector<double> vi = b.to_dense_vector(i);
-      const std::vector<double> vj = b.to_dense_vector(j);
+      const std::vector<double> vi = b.member(i);
+      const std::vector<double> vj = b.member(j);
       double acc = 0.0;
       for (std::size_t p = 0; p < vi.size(); ++p) acc += vi[p] * vj[p];
       g(i, j) = acc;
     }
-    g(i, i) += shift;
   }
   return g;
 }
@@ -66,14 +136,9 @@ class DenseGramSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(DenseGramSweep, BlockedMatchesReference) {
   // Sizes straddle the 4×4 micro-kernel and the 32-wide tile edges.
   const std::size_t k = GetParam();
-  const VectorBatch b = VectorBatch::dense(random_dense(k, 173, 7 + k));
-  const DenseMatrix got = b.gram();
-  const DenseMatrix want = reference_gram(b);
-  EXPECT_LT(got.max_abs_diff(want), kTol * static_cast<double>(b.dim()));
-  // Exact symmetry (the kernel mirrors, it does not recompute).
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      EXPECT_EQ(got(i, j), got(j, i)) << i << "," << j;
+  const Batch b(random_dense(k, 173, 7 + k));
+  EXPECT_LT(gram(b).max_abs_diff(reference_gram(b)),
+            kTol * static_cast<double>(b.dim()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DenseGramSweep,
@@ -82,35 +147,29 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DenseGramSweep,
 
 TEST(DenseGram, LargeEnoughToTakeParallelPath) {
   // 128 vectors × 1024 dims crosses the OpenMP work threshold.
-  const VectorBatch b = VectorBatch::dense(random_dense(128, 1024, 99));
-  EXPECT_LT(b.gram().max_abs_diff(reference_gram(b)), kTol * 1024);
-}
-
-TEST(DenseGram, DiagShiftAppliedOnceEverywhere) {
-  const VectorBatch b = VectorBatch::dense(random_dense(9, 50, 3));
-  EXPECT_LT(b.gram(1.75).max_abs_diff(reference_gram(b, 1.75)), kTol * 50);
+  const Batch b(random_dense(128, 1024, 99));
+  EXPECT_LT(gram(b).max_abs_diff(reference_gram(b)), kTol * 1024);
 }
 
 class SparseGramSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SparseGramSweep, AccumulatorMatchesReference) {
   const std::size_t k = GetParam();
-  const VectorBatch b =
-      VectorBatch::sparse(random_sparse(k, 211, 0.15, 11 + k), 211);
-  EXPECT_LT(b.gram().max_abs_diff(reference_gram(b)), kTol * 211);
+  const Batch b(random_sparse(k, 211, 0.15, 11 + k), 211);
+  EXPECT_LT(gram(b).max_abs_diff(reference_gram(b)), kTol * 211);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseGramSweep,
                          ::testing::Values(1, 2, 5, 16, 33, 80));
 
 TEST(SparseGram, EmptyBatchAndEmptyMembers) {
-  EXPECT_EQ(VectorBatch::sparse({}, 64).gram().rows(), 0u);
+  EXPECT_EQ(gram(Batch({}, 64)).rows(), 0u);
   // Members with zero nonzeros must produce exact zero rows/columns.
   std::vector<SparseVector> vs = random_sparse(4, 90, 0.2, 5);
   vs[1].indices.clear();
   vs[1].values.clear();
-  const VectorBatch b = VectorBatch::sparse(vs, 90);
-  const DenseMatrix g = b.gram();
+  const Batch b(vs, 90);
+  const DenseMatrix g = gram(b);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_EQ(g(1, j), 0.0);
     EXPECT_EQ(g(j, 1), 0.0);
@@ -120,41 +179,41 @@ TEST(SparseGram, EmptyBatchAndEmptyMembers) {
 
 TEST(SparseGram, DenseAndSparseStorageAgree) {
   const std::vector<SparseVector> vs = random_sparse(24, 130, 0.3, 21);
-  const VectorBatch sp = VectorBatch::sparse(vs, 130);
   DenseMatrix rows(24, 130);
   for (std::size_t i = 0; i < 24; ++i) {
     const std::vector<double> d = to_dense(vs[i]);
     la::copy(d, rows.row(i));
   }
-  const VectorBatch dn = VectorBatch::dense(std::move(rows));
-  EXPECT_LT(sp.gram().max_abs_diff(dn.gram()), kTol * 130);
+  const Batch sp(vs, 130);
+  const Batch dn(std::move(rows));
+  EXPECT_LT(gram(sp).max_abs_diff(gram(dn)), kTol * 130);
 }
 
-TEST(DotAll, MatchesMemberwiseDots) {
+TEST(Dots, MatchesMemberwiseDots) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{6},
                               std::size_t{200}}) {
-    const VectorBatch b = VectorBatch::dense(random_dense(k, 301, k));
+    const Batch b(random_dense(k, 301, k));
     data::SplitMix64 rng(77);
     std::vector<double> x(301);
     for (double& v : x) v = rng.next_normal();
-    const std::vector<double> got = b.dot_all(x);
+    const std::vector<double> got = dots(b, x);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < k; ++i) {
       double want = 0.0;
-      const std::vector<double> vi = b.to_dense_vector(i);
+      const std::vector<double> vi = b.member(i);
       for (std::size_t p = 0; p < vi.size(); ++p) want += vi[p] * x[p];
       EXPECT_NEAR(got[i], want, kTol * 301);
     }
   }
 }
 
-TEST(DotAll, SparseMatchesDenseStorage) {
+TEST(Dots, SparseMatchesGatherReference) {
   const std::vector<SparseVector> vs = random_sparse(40, 256, 0.1, 31);
-  const VectorBatch sp = VectorBatch::sparse(vs, 256);
+  const Batch sp(vs, 256);
   data::SplitMix64 rng(13);
   std::vector<double> x(256);
   for (double& v : x) v = rng.next_normal();
-  const std::vector<double> got = sp.dot_all(x);
+  const std::vector<double> got = dots(sp, x);
   for (std::size_t i = 0; i < 40; ++i) {
     double want = 0.0;
     for (std::size_t p = 0; p < vs[i].nnz(); ++p)
@@ -233,8 +292,8 @@ TEST(GramFlops, SparseFormulaMatchesAccumulatorModel) {
   vs.push_back({8, {0, 2, 4}, {1, 1, 1}});        // nnz 3
   vs.push_back({8, {1}, {1}});                    // nnz 1
   vs.push_back({8, {0, 1, 2, 3, 4}, {1, 1, 1, 1, 1}});  // nnz 5
-  const VectorBatch b = VectorBatch::sparse(std::move(vs), 8);
-  EXPECT_EQ(b.gram_flops(), 2u * (1 * 3 + 2 * 1 + 3 * 5));
+  const Batch b(std::move(vs), 8);
+  EXPECT_EQ(b.view().gram_flops(), 2u * (1 * 3 + 2 * 1 + 3 * 5));
 }
 
 }  // namespace

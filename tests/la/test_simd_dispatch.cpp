@@ -5,9 +5,9 @@
 //      loops (this TU is compiled with the same pinned baseline flags as
 //      kernels_scalar.cpp, see CMakeLists), so any accidental
 //      accumulation-order change in the scalar table fails exactly.
-//   2. Per-ISA determinism — at every available ISA level, the fused
-//      kernel matches the split entry points bitwise, and two
-//      back-to-back full solves are bitwise identical.
+//   2. Per-ISA determinism — at every available ISA level, two
+//      back-to-back kernel calls and two back-to-back full solves are
+//      bitwise identical.
 //   3. Cross-ISA parity — SIMD tables agree with scalar to 1e-12
 //      (mass-relative), and axpy is bit-identical across ALL levels.
 #include <array>
@@ -152,7 +152,7 @@ double ref_gather_dot2(const double* vals, const std::size_t* idx,
 }
 
 // ---------------------------------------------------------------------
-// Shared fixtures for the fused-kernel comparisons.
+// Shared fixtures for the Gram/dots kernel comparisons.
 // ---------------------------------------------------------------------
 
 data::Dataset make_dataset(double density, std::uint64_t seed) {
@@ -165,26 +165,9 @@ data::Dataset make_dataset(double density, std::uint64_t seed) {
   return data::make_regression(cfg).dataset;
 }
 
-/// Fused Gram+dots over 12 sampled columns, two right-hand sides.
-std::vector<double> run_fused(const data::Dataset& d, Workspace& ws) {
-  const core::RowBlock block(d, data::Partition::block(d.num_points(), 1),
-                             0);
-  data::CoordinateSampler sampler(d.num_features(), 4, 7);
-  std::vector<std::size_t> cols(12);
-  for (std::size_t t = 0; t < 3; ++t)
-    sampler.next_into(std::span<std::size_t>(cols).subspan(t * 4, 4));
-  const BatchView view = block.view_columns(cols, ws);
-  const std::array<std::vector<double>, 2> rhs{
-      random_vector(block.local_rows(), 11),
-      random_vector(block.local_rows(), 12)};
-  const std::array<std::span<const double>, 2> xs{rhs[0], rhs[1]};
-  std::vector<double> buffer(fused_buffer_size(view.size(), xs.size()));
-  sampled_gram_and_dots(view, xs, buffer);
-  return buffer;
-}
-
-/// Same draw through the split entry points (pipeline packing order).
-std::vector<double> run_split(const data::Dataset& d, Workspace& ws) {
+/// Gram + dots over 12 sampled columns, two right-hand sides, through the
+/// range kernels over the full range.
+std::vector<double> run_kernels(const data::Dataset& d, Workspace& ws) {
   const core::RowBlock block(d, data::Partition::block(d.num_points(), 1),
                              0);
   data::CoordinateSampler sampler(d.num_features(), 4, 7);
@@ -199,9 +182,11 @@ std::vector<double> run_split(const data::Dataset& d, Workspace& ws) {
   const std::size_t k = view.size();
   const std::size_t tri = k * (k + 1) / 2;
   std::vector<double> buffer(fused_buffer_size(k, xs.size()));
-  sampled_gram(view, std::span<double>(buffer.data(), tri));
-  sampled_dots(view, xs,
-               std::span<double>(buffer.data() + tri, xs.size() * k));
+  Workspace scratch;
+  sampled_gram_range(view, 0, view.dim(), scratch,
+                     std::span<double>(buffer.data(), tri));
+  sampled_dots_range(view, xs, 0, view.dim(), scratch,
+                     std::span<double>(buffer.data() + tri, xs.size() * k));
   return buffer;
 }
 
@@ -335,20 +320,6 @@ TEST(ScalarPin, SpmvBitIdenticalToLegacyRowKernel) {
 // Per-ISA structural contracts.
 // ---------------------------------------------------------------------
 
-TEST(PerIsa, FusedMatchesSplitBitwise) {
-  IsaGuard guard;
-  for (const Isa isa : available_isas()) {
-    ASSERT_TRUE(simd::set_kernel_isa(isa));
-    for (const double density : {0.05, 0.5}) {
-      const data::Dataset d = make_dataset(density, 31);
-      Workspace ws_fused, ws_split;
-      EXPECT_TRUE(bitwise_equal(run_fused(d, ws_fused),
-                                run_split(d, ws_split)))
-          << "isa " << simd::to_cstring(isa) << " density " << density;
-    }
-  }
-}
-
 TEST(PerIsa, BackToBackRunsBitwiseIdentical) {
   IsaGuard guard;
   for (const Isa isa : available_isas()) {
@@ -356,7 +327,7 @@ TEST(PerIsa, BackToBackRunsBitwiseIdentical) {
     for (const double density : {0.05, 0.5}) {
       const data::Dataset d = make_dataset(density, 41);
       Workspace ws1, ws2;
-      EXPECT_TRUE(bitwise_equal(run_fused(d, ws1), run_fused(d, ws2)))
+      EXPECT_TRUE(bitwise_equal(run_kernels(d, ws1), run_kernels(d, ws2)))
           << "isa " << simd::to_cstring(isa) << " density " << density;
     }
   }
@@ -443,13 +414,13 @@ TEST(CrossIsa, KernelParityWithin1e12OfScalar) {
   }
 }
 
-TEST(CrossIsa, FusedGramParityWithin1e12OfScalar) {
+TEST(CrossIsa, GramAndDotsParityWithin1e12OfScalar) {
   IsaGuard guard;
   for (const double density : {0.05, 0.5}) {
     const data::Dataset d = make_dataset(density, 71);
     ASSERT_TRUE(simd::set_kernel_isa(Isa::kScalar));
     Workspace ws_scalar;
-    const std::vector<double> want = run_fused(d, ws_scalar);
+    const std::vector<double> want = run_kernels(d, ws_scalar);
     // The entries are contractions over ≤120 products of O(1) normals;
     // their mass is bounded by a small constant times the entry scale.
     double mass = 0.0;
@@ -460,7 +431,7 @@ TEST(CrossIsa, FusedGramParityWithin1e12OfScalar) {
       if (isa == Isa::kScalar) continue;
       ASSERT_TRUE(simd::set_kernel_isa(isa));
       Workspace ws;
-      const std::vector<double> got = run_fused(d, ws);
+      const std::vector<double> got = run_kernels(d, ws);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_LE(std::abs(got[i] - want[i]), 1e-12 * mass)

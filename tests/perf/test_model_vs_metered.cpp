@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/grouping.hpp"
-#include "core/cd_lasso.hpp"
-#include "core/sa_lasso.hpp"
-#include "core/sa_svm.hpp"
+#include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -21,7 +19,7 @@ namespace {
 /// rank 0's counters.
 dist::CommStats metered_lasso(const data::Dataset& d, std::size_t mu,
                               std::size_t s, std::size_t h, int ranks) {
-  core::LassoOptions base;
+  core::SolverSpec base = core::SolverSpec::make("lasso");
   base.lambda = 0.05;
   base.block_size = mu;
   base.accelerated = true;
@@ -31,12 +29,12 @@ dist::CommStats metered_lasso(const data::Dataset& d, std::size_t mu,
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
     if (s == 0) {
-      core::solve_lasso(comm, d, rows, base);
+      core::make_solver(comm, d, rows, base)->run();
     } else {
-      core::SaLassoOptions sa;
-      sa.base = base;
+      core::SolverSpec sa = base;
+      sa.algorithm = "sa-lasso";
       sa.s = s;
-      core::solve_sa_lasso(comm, d, rows, sa);
+      core::make_solver(comm, d, rows, sa)->run();
     }
     if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
@@ -140,16 +138,16 @@ TEST(ModelVsMetered, SvmLatencyCountsMatchExactly) {
     dist::CommStats metered;
     std::mutex lock;
     dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-      core::SvmOptions base;
+      core::SolverSpec base = core::SolverSpec::make("svm");
       base.lambda = 1.0;
       base.max_iterations = h;
       if (s == 0) {
-        core::solve_svm(comm, d, cols, base);
+        core::make_solver(comm, d, cols, base)->run();
       } else {
-        core::SaSvmOptions sa;
-        sa.base = base;
+        core::SolverSpec sa = base;
+        sa.algorithm = "sa-svm";
         sa.s = s;
-        core::solve_sa_svm(comm, d, cols, sa);
+        core::make_solver(comm, d, cols, sa)->run();
       }
       if (comm.rank() == 0) {
         std::scoped_lock guard(lock);
