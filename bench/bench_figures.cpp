@@ -2,6 +2,7 @@
 //
 //   bench_figures [convergence|runtime|scaling|overlap|all] [--smoke]
 //                 [--json out.json]
+//   bench_figures comm [--cli PATH] [--baseline-cli PATH] [--json out.json]
 //
 // Every series is produced through the Solver facade by iterating
 // core::registered_algorithms() — no per-figure solver plumbing:
@@ -17,7 +18,14 @@
 //   overlap      measured wall time and per-phase seconds for the
 //                double-buffered round pipeline vs the unpipelined loop,
 //                every id on 4 thread-backed ranks, with the fraction of
-//                the reduce-wait the overlap hid.
+//                the reduce-wait the overlap hid;
+//   comm         wire words per round collective and reduce-wait seconds
+//                per round for sa-lasso and sa-svm at P ∈ {1, 2, 3, 4},
+//                measured through sa_opt_cli runs — this build's (the
+//                sibling binary, or --cli) and, with --baseline-cli,
+//                another build's, interleaved run by run, so a change to
+//                the reduction wire is measured before and after in one
+//                invocation.  Not part of `all`.
 //
 // --json PATH additionally writes every series the selected figures
 // produced as one machine-readable JSON document (plotting scripts and CI
@@ -28,14 +36,17 @@
 // SVM) at one target P; for the full dataset × P sweeps of the paper's
 // figure panels, edit Config / dataset_for — every series goes through
 // the same registry loop.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/registry.hpp"
+#include "data/libsvm_io.hpp"
 #include "data/synthetic.hpp"
 #include "perf/scaling.hpp"
 
@@ -46,6 +57,9 @@ using sa::core::SolverSpec;
 
 struct Config {
   bool smoke = false;
+  std::string cli;           // comm: sa_opt_cli of this build
+  std::string baseline_cli;  // comm: sa_opt_cli of the build compared to
+  std::string command;       // this invocation, recorded in the JSON
   std::size_t h = 400;            // inner iterations
   std::size_t trace_every = 100;  // objective cadence
   std::size_t s = 32;             // unrolling depth for sa-* ids
@@ -416,12 +430,149 @@ void run_overlap(const Config& cfg, JsonSink& json) {
   json.add("overlap", jarr(items));
 }
 
+// ---------------------------------------------------------------------
+// comm — wire words and reduce-wait per round, before/after
+// ---------------------------------------------------------------------
+
+/// One sa_opt_cli run's round-plane meters (rank 0's), parsed from its
+/// summary and phase lines.
+struct CommRun {
+  bool ok = false;
+  double words = 0.0;
+  double collectives = 0.0;
+  double wait_seconds = 0.0;
+};
+
+CommRun run_cli(const std::string& command) {
+  CommRun run;
+  std::FILE* pipe = popen((command + " 2>/dev/null").c_str(), "r");
+  if (pipe == nullptr) return run;
+  char line[1024];
+  bool have_words = false, have_wait = false;
+  while (std::fgets(line, sizeof line, pipe) != nullptr) {
+    if (const char* w = std::strstr(line, " words=")) {
+      const char* c = std::strstr(line, " collectives=");
+      have_words = c != nullptr;
+      if (have_words) {
+        run.words = std::strtod(w + 7, nullptr);
+        run.collectives = std::strtod(c + 13, nullptr);
+      }
+    }
+    if (const char* r = std::strstr(line, "reduce-wait ")) {
+      run.wait_seconds = std::strtod(r + 12, nullptr);
+      have_wait = true;
+    }
+  }
+  run.ok = pclose(pipe) == 0 && have_words && have_wait;
+  return run;
+}
+
+void run_comm(const Config& cfg, JsonSink& json) {
+  sa::bench::print_header(
+      "Round-collective wire words and reduce-wait, per build",
+      "sa_opt_cli runs on synthetic twins, median of 5 interleaved runs\n"
+      "per (build, id, P); words = metered words / collectives (payload\n"
+      "times ceil(log2 P) hops), wire = words per hop.");
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "bench_figures_comm";
+  fs::create_directories(dir);
+  sa::data::RegressionConfig rc;
+  rc.num_points = 4000;
+  rc.num_features = 2000;
+  rc.density = 0.005;
+  rc.support_size = 40;
+  rc.seed = 7;
+  sa::data::ClassificationConfig cc;
+  cc.num_points = 2000;
+  cc.num_features = 1000;
+  cc.density = 0.01;
+  cc.seed = 7;
+  const std::string lasso_file = (dir / "regression.libsvm").string();
+  const std::string svm_file = (dir / "classification.libsvm").string();
+  sa::data::write_libsvm_file(lasso_file,
+                              sa::data::make_regression(rc).dataset);
+  sa::data::write_libsvm_file(svm_file, sa::data::make_classification(cc));
+
+  struct Case {
+    std::string id;
+    std::string args;
+    double rounds;
+  };
+  const std::vector<Case> cases = {
+      {"sa-lasso",
+       "sa-lasso " + lasso_file +
+           " --mu 4 --s 16 -H 8192 --lambda 0.05 --trace-every 8192",
+       8192.0 / 16.0},
+      {"sa-svm",
+       "sa-svm " + svm_file +
+           " --s 4 -H 16384 --lambda 1 --loss l2 --trace-every 16384",
+       16384.0 / 4.0}};
+  struct Build {
+    std::string name;
+    std::string cli;
+  };
+  std::vector<Build> builds;
+  if (!cfg.baseline_cli.empty()) builds.push_back({"baseline", cfg.baseline_cli});
+  builds.push_back({"this build", cfg.cli});
+  constexpr int kReps = 5;
+
+  std::printf("%-10s %-12s %3s %14s %10s %16s\n", "id", "build", "P",
+              "words/coll", "wire", "wait us/round");
+  std::vector<std::string> items;
+  for (const Case& c : cases) {
+    for (const int p : {1, 2, 3, 4}) {
+      std::vector<std::vector<CommRun>> runs(builds.size());
+      for (int rep = 0; rep < kReps; ++rep)
+        for (std::size_t b = 0; b < builds.size(); ++b)
+          runs[b].push_back(run_cli(builds[b].cli + " " + c.args +
+                                    " --ranks " + std::to_string(p)));
+      for (std::size_t b = 0; b < builds.size(); ++b) {
+        std::vector<double> waits;
+        CommRun last;
+        for (const CommRun& r : runs[b])
+          if (r.ok) {
+            waits.push_back(r.wait_seconds / c.rounds);
+            last = r;
+          }
+        if (waits.empty()) {
+          std::printf("%-10s %-12s %3d   (sa_opt_cli failed)\n",
+                      c.id.c_str(), builds[b].name.c_str(), p);
+          continue;
+        }
+        std::sort(waits.begin(), waits.end());
+        const double wait = waits[waits.size() / 2];
+        const double per_collective =
+            last.collectives > 0 ? last.words / last.collectives : 0.0;
+        const double hops = sa::bench::log2_rounds(p);
+        const double wire = hops > 0 ? per_collective / hops : 0.0;
+        std::printf("%-10s %-12s %3d %14.1f %10.1f %16.2f\n", c.id.c_str(),
+                    builds[b].name.c_str(), p, per_collective, wire,
+                    1e6 * wait);
+        items.push_back("{\"id\":" + jstr(c.id) +
+                        ",\"build\":" + jstr(builds[b].name) +
+                        ",\"ranks\":" + jnum(p) +
+                        ",\"rounds\":" + jnum(c.rounds) +
+                        ",\"words_per_collective\":" + jnum(per_collective) +
+                        ",\"wire_words\":" + jnum(wire) +
+                        ",\"wait_seconds_per_round\":" + jnum(wait) +
+                        ",\"runs\":" + jnum(static_cast<double>(waits.size())) +
+                        "}");
+      }
+    }
+  }
+  fs::remove_all(dir);
+  json.add("command", jstr(cfg.command));
+  json.add("comm", jarr(items));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string figure = "all";
   std::string json_path;
   Config cfg;
+  for (int i = 0; i < argc; ++i)
+    cfg.command += (i ? " " : "") + std::string(argv[i]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.smoke = true;
@@ -434,18 +585,27 @@ int main(int argc, char** argv) {
         return 2;
       }
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--cli") == 0 && i + 1 < argc) {
+      cfg.cli = argv[++i];
+    } else if (std::strcmp(argv[i], "--baseline-cli") == 0 && i + 1 < argc) {
+      cfg.baseline_cli = argv[++i];
     } else {
       figure = argv[i];
     }
   }
   if (figure != "convergence" && figure != "runtime" && figure != "scaling" &&
-      figure != "overlap" && figure != "all") {
+      figure != "overlap" && figure != "comm" && figure != "all") {
     std::fprintf(stderr,
                  "usage: bench_figures "
                  "[convergence|runtime|scaling|overlap|all] [--smoke] "
-                 "[--json out.json]\n");
+                 "[--json out.json]\n"
+                 "       bench_figures comm [--cli PATH] "
+                 "[--baseline-cli PATH] [--json out.json]\n");
     return 2;
   }
+  if (cfg.cli.empty())
+    cfg.cli = (std::filesystem::path(argv[0]).parent_path() / "sa_opt_cli")
+                  .string();
 
   JsonSink json;
   json.enabled = !json_path.empty();
@@ -453,6 +613,7 @@ int main(int argc, char** argv) {
   if (figure == "runtime" || figure == "all") run_runtime(cfg, json);
   if (figure == "scaling" || figure == "all") run_scaling(cfg, json);
   if (figure == "overlap" || figure == "all") run_overlap(cfg, json);
+  if (figure == "comm") run_comm(cfg, json);
 
   if (json.enabled) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -424,6 +424,23 @@ int main(int argc, char** argv) {
                 dataset.num_features(), 100.0 * dataset.density());
     if (args.normalize)
       dataset = sa::data::normalize_columns(dataset).first;
+    // Every rank owns a block of the partitioned axis (points for the
+    // regression families and the path, features for SVM); more ranks
+    // than elements is a usage error, not a solve with idle ranks.
+    const bool by_rows =
+        args.mode == "path" ||
+        sa::core::SolverRegistry::instance().require(args.spec.algorithm)
+                .axis == sa::core::PartitionAxis::kRows;
+    const std::size_t extent =
+        by_rows ? dataset.num_points() : dataset.num_features();
+    if (static_cast<std::size_t>(args.ranks) > extent) {
+      std::fprintf(stderr,
+                   "error: --ranks %d exceeds the partitioned extent: %s "
+                   "has %zu %s to split across ranks\n",
+                   args.ranks, args.file.c_str(), extent,
+                   by_rows ? "points" : "features");
+      usage();
+    }
 
     if (args.mode == "path") return run_path(args, dataset);
     return run_solver(args, dataset);

@@ -140,49 +140,41 @@ class EngineBase : public Solver {
   /// gap needs a full margins reduction, so the SVM engine leaves this
   /// off and keeps gap/objective stopping at trace points.
   virtual bool has_round_objective() const { return false; }
-  /// Writes this rank's objective partials into the per-chunk block
-  /// (msg.objective_chunks(), grouping().num_chunks() entries): one
-  /// partial per OWNED global chunk, at the chunk's grid index; foreign
-  /// entries arrive zeroed and must stay +0.0.  Evaluated at the CURRENT
-  /// iterate (pack time).
-  virtual void write_objective_chunks(std::span<double> chunks) {
-    (void)chunks;
-  }
-  /// Full replicated objective from the chunk-folded reduced partial.
+  /// Writes this rank's share of the kObjective section through
+  /// msg.fold_owned (one partial per owned chunk, folded like the Gram),
+  /// evaluated at the CURRENT iterate (pack time).
+  virtual void write_round_objective(dist::RoundMessage& msg) { (void)msg; }
+  /// Full replicated objective from the tree-folded reduced partial.
   virtual double objective_from_partial(double reduced_partial) {
     (void)reduced_partial;
     return 0.0;
   }
 
-  /// The fixed global reduction grouping this solve accumulates in.
-  /// Derived constructors call init_grouping with the global extent of
-  /// their reduction axis (rows for the regression families, features for
-  /// SVM); it sizes the grid from SolverSpec::reduction_chunk and arms
-  /// both round-message buffers.
-  void init_grouping(std::size_t extent);
-  const common::ReduceGrouping& grouping() const { return grouping_; }
+  /// Declares the fixed global reduction grouping this solve accumulates
+  /// in.  Derived constructors call it with the partition of their
+  /// reduction axis (rows for the regression families, features for
+  /// SVM); it sizes the chunk grid from SolverSpec::reduction_chunk and
+  /// arms every round message with it, which picks the payload or the
+  /// slotted wire (dist/round_message.hpp) identically on every rank.
+  void init_grouping(const data::Partition& part);
 
-  /// Visits every global chunk that intersects this rank's slice
-  /// [part_begin, part_end) as fn(chunk_index, global_begin, global_end)
-  /// — the loop every chunked pack site shares.  Iterating the full grid
-  /// (rather than just the owned chunks) keeps the chunk indices global,
-  /// which is what makes the wire slots line up across rank counts.
-  template <typename Fn>
-  void for_owned_chunks(std::size_t part_begin, std::size_t part_end,
-                        Fn&& fn) const {
-    for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
-      const std::size_t b = std::max(grouping_.begin(c), part_begin);
-      const std::size_t e = std::min(grouping_.end(c), part_end);
-      if (b < e) fn(c, b, e);
-    }
+  /// Collective helper for trace-point sums: reduces a `words`-long
+  /// vector whose per-chunk partials `leaf(b, e, out)` writes for the
+  /// rank-local element range [b, e) (as RoundMessage::fold_owned), folded
+  /// through the grouping's tree — rank-count invariant.  The span is
+  /// arena-backed: valid until the next grouped sum.
+  template <typename Leaf>
+  std::span<const double> grouped_sum(std::size_t words, Leaf&& leaf) {
+    trace_msg_.layout(0, words, 0);
+    trace_msg_.fold_owned(dist::RoundSection::kDots1,
+                          dist::RoundSection::kDots1, leaf);
+    return reduce_grouped_sum();
   }
 
-  /// Collective helper for trace-point norms: reduces ||v||² where this
-  /// rank owns the slice of the global vector starting at `global_begin`,
-  /// accumulating per-global-chunk partials folded in chunk order — the
-  /// rank-count-invariant replacement for allreduce_sum_scalar(nrm2²(v)).
-  double grouped_norm_allreduce(std::span<const double> local,
-                                std::size_t global_begin);
+  /// ||v||² of the global vector whose slice this rank owns (`local`,
+  /// the rank's block of the grouping's axis) — the rank-count-invariant
+  /// replacement for allreduce_sum_scalar(nrm2²(v)).
+  double grouped_norm_allreduce(std::span<const double> local);
 
   /// Evaluates the traced quantity (objective / duality gap) at
   /// `iteration` and pushes a TracePoint.  Implementations must exclude
@@ -221,6 +213,7 @@ class EngineBase : public Solver {
   EngineClock::time_point start_ = EngineClock::now();
 
  private:
+  std::span<const double> reduce_grouped_sum();
   void run_round(std::size_t s_eff);
   void check_stops_after_round();
   void write_checkpoint();
@@ -231,17 +224,20 @@ class EngineBase : public Solver {
   // stopping criteria riding as trailer sections (sized once, up front).
   // Slot 1 of the same arena backs gather_full's assembly buffer; slot 2
   // is the second round-message buffer the pipeline ping-pongs with; slot
-  // 3 backs grouped_norm_allreduce's per-chunk partial block.
+  // 3 backs grouped_sum's message; slot 4 holds the fold scratch levels
+  // all three messages share (a fold never outlives its call).
   enum : std::size_t {
     kMsgSlot = 0,
     kGatherSlot = 1,
     kMsgSlotB = 2,
-    kTraceSlot = 3
+    kTraceSlot = 3,
+    kFoldSlot = 4
   };
   common::ReduceGrouping grouping_;
   la::Workspace msg_ws_;
-  dist::RoundMessage msg_{msg_ws_, kMsgSlot};
-  dist::RoundMessage msg_b_{msg_ws_, kMsgSlotB};
+  dist::RoundMessage msg_{msg_ws_, kMsgSlot, kFoldSlot};
+  dist::RoundMessage msg_b_{msg_ws_, kMsgSlotB, kFoldSlot};
+  dist::RoundMessage trace_msg_{msg_ws_, kTraceSlot, kFoldSlot};
   dist::RoundMessage& round_msg(std::size_t buf) {
     return buf == 0 ? msg_ : msg_b_;
   }

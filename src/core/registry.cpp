@@ -100,9 +100,15 @@ data::Partition partition_for_ranks(const data::Dataset& dataset,
   const std::size_t extent = info.axis == PartitionAxis::kRows
                                  ? dataset.num_points()
                                  : dataset.num_features();
-  const std::size_t chunk =
-      common::ReduceGrouping::make(extent, spec.reduction_chunk).chunk;
-  return data::Partition::block_aligned(extent, ranks, chunk);
+  const common::ReduceGrouping grouping =
+      common::ReduceGrouping::make(extent, spec.reduction_chunk);
+  // Power-of-two rank counts get the fold tree's own nodes as blocks, the
+  // layout on which each rank sends one payload (dist/round_message.hpp);
+  // other counts keep balanced chunk-aligned blocks (the slotted wire).
+  if (common::ReduceGrouping::rank_depth(static_cast<std::size_t>(ranks)) >= 0)
+    return data::Partition(
+        grouping.tree_partition(static_cast<std::size_t>(ranks)));
+  return data::Partition::block_aligned(extent, ranks, grouping.chunk);
 }
 
 SolveResult solve(const data::Dataset& dataset, const SolverSpec& spec,
@@ -133,7 +139,7 @@ SolveResult solve_on_ranks(const data::Dataset& dataset,
   const AlgorithmInfo& info =
       SolverRegistry::instance().require(spec.algorithm);
   // Chunk-aligned boundaries: every global reduction chunk has a single
-  // owner, so the chunked round sums match the serial fold bitwise.
+  // owner, so the tree-folded round sums match the serial fold bitwise.
   const data::Partition part = partition_for_ranks(dataset, spec, ranks);
   SolveResult result;
   std::mutex lock;

@@ -94,10 +94,13 @@ std::unique_ptr<Solver> make_solver(dist::Communicator& comm,
 /// to the solve's fixed reduction-chunk grid
 /// (common::ReduceGrouping::make over the axis extent and
 /// spec.reduction_chunk).  Alignment is what makes every global chunk
-/// single-owner, so the chunked round sums — and therefore entire traces
-/// — are bitwise identical across rank counts.  Exported so tests and
-/// drivers that construct solvers directly can reproduce the exact
-/// partition grid.
+/// single-owner, so the tree-folded round sums — and therefore entire
+/// traces — are bitwise identical across rank counts.  For a power-of-two
+/// `ranks` the blocks are the fold tree's depth-log₂P nodes
+/// (ReduceGrouping::tree_partition), so each rank sends one payload per
+/// round; other counts get balanced chunk-aligned blocks and the slotted
+/// wire.  Exported so tests and drivers that construct solvers directly
+/// can reproduce the exact partition grid.
 data::Partition partition_for_ranks(const data::Dataset& dataset,
                                     const SolverSpec& spec, int ranks);
 

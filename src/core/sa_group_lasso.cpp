@@ -63,7 +63,7 @@ class GroupLassoEngine final : public detail::EngineBase {
       range_ws_.member_value_spans(k_max);
       range_ws_.member_rows(k_max);
     }
-    init_grouping(rows_.total());
+    init_grouping(rows_);
 
     if (!spec_.x0.empty()) {
       x_ = spec_.x0;
@@ -95,8 +95,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     const dist::CommStats snapshot = comm_.stats();
     // Trace instrumentation: runs only at user-requested trace points,
     // outside the round plane, and restores the comm stats it perturbs.
-    const double total_sq =
-        grouped_norm_allreduce(res_, rows_.begin(comm_.rank()));
+    const double total_sq = grouped_norm_allreduce(res_);
     const double penalty = penalty_value();
     comm_.set_stats(snapshot);
     push_trace_point(iteration, 0.5 * total_sq + penalty, snapshot);
@@ -108,17 +107,16 @@ class GroupLassoEngine final : public detail::EngineBase {
   // the iterate that produced the partial.
   bool has_round_objective() const override { return true; }
 
-  void write_objective_chunks(std::span<double> chunks) override {
+  void write_round_objective(dist::RoundMessage& msg) override {
     pending_penalty_ = penalty_value();
     comm_.add_flops(2 * res_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::size_t pb = rows_.begin(comm_.rank());
     const std::span<const double> res(res_);
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       chunks[c] =
-                           la::nrm2_squared(res.subspan(b - pb, e - b));
-                     });
+    msg.fold_owned(dist::RoundSection::kObjective,
+                   dist::RoundSection::kObjective,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     out[0] = la::nrm2_squared(res.subspan(b, e - b));
+                   });
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -158,15 +156,13 @@ class GroupLassoEngine final : public detail::EngineBase {
     //     section waits for finish_round (it reads the residual the
     //     previous apply just updated). ---
     msg.layout(detail::triangle_size(k), k, 0);
-    // Gram partials per OWNED global row chunk, each into its fixed wire
-    // slot (rank-count-invariant reduction grouping).
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           big_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    // Gram partials per OWNED global row chunk, folded through the
+    // grouping's tree (rank-count-invariant reduction grouping).
+    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_gram_range(big_b_[buf], b, e, range_ws_,
+                                            out);
+                   });
     comm_.add_flops(big_b_[buf].gram_flops());
   }
 
@@ -176,13 +172,11 @@ class GroupLassoEngine final : public detail::EngineBase {
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(res_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(big_b_[buf], rhs_span, b - pb,
-                                              e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_dots_range(big_b_[buf], rhs_span, b, e,
+                                            range_ws_, out);
+                   });
     comm_.add_flops(big_b_[buf].dot_all_flops());
   }
 

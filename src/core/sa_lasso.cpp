@@ -60,7 +60,7 @@ class LassoEngine final : public detail::EngineBase {
       for (std::size_t i = 0; i < z_img_.size(); ++i)
         z_img_[i] = -block_.labels()[i];
     }
-    init_grouping(rows_.total());
+    init_grouping(rows_);
     eig_scratch_.reserve(mu_);
     // Flat pending-update table + touched list (replaces a per-iteration
     // map): pending[coord] accumulates this round's deferred updates and
@@ -127,8 +127,7 @@ class LassoEngine final : public detail::EngineBase {
     write_current_residual();
     // Trace instrumentation: runs only at user-requested trace points,
     // outside the round plane, and restores the comm stats it perturbs.
-    const double total_sq =
-        grouped_norm_allreduce(res_scratch_, rows_.begin(comm_.rank()));
+    const double total_sq = grouped_norm_allreduce(res_scratch_);
     const double penalty = penalty_value(x_scratch_);
     comm_.set_stats(snapshot);
     push_trace_point(iteration, 0.5 * total_sq + penalty, snapshot);
@@ -141,19 +140,18 @@ class LassoEngine final : public detail::EngineBase {
   // with the iterate that produced the partial.
   bool has_round_objective() const override { return true; }
 
-  void write_objective_chunks(std::span<double> chunks) override {
+  void write_round_objective(dist::RoundMessage& msg) override {
     write_current_x(x_scratch_);
     pending_penalty_ = penalty_value(x_scratch_);
     write_current_residual();
     comm_.add_flops(2 * res_scratch_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::size_t pb = rows_.begin(comm_.rank());
     const std::span<const double> res(res_scratch_);
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       chunks[c] =
-                           la::nrm2_squared(res.subspan(b - pb, e - b));
-                     });
+    msg.fold_owned(dist::RoundSection::kObjective,
+                   dist::RoundSection::kObjective,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     out[0] = la::nrm2_squared(res.subspan(b, e - b));
+                   });
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -180,16 +178,14 @@ class LassoEngine final : public detail::EngineBase {
     //     the previous apply just updated. ---
     const std::size_t k_dots = spec_.accelerated ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
-    // Gram partials per OWNED global row chunk, each into its fixed wire
-    // slot — the per-chunk sums are identical on every rank count, so the
-    // chunk-order fold after the reduction is too.
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           big_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    // Gram partials per OWNED global row chunk, folded through the
+    // grouping's tree — the per-chunk sums are identical on every rank
+    // count, so the folded payload is too.
+    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_gram_range(big_b_[buf], b, e, range_ws_,
+                                            out);
+                   });
     comm_.add_flops(big_b_[buf].gram_flops());
   }
 
@@ -201,13 +197,11 @@ class LassoEngine final : public detail::EngineBase {
         std::span<const double>(y_img_), std::span<const double>(z_img_)};
     const std::span<const std::span<const double>> rhs_span(
         rhs.data() + (spec_.accelerated ? 0 : 1), sections);
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(big_b_[buf], rhs_span, b - pb,
-                                              e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_dots_range(big_b_[buf], rhs_span, b, e,
+                                            range_ws_, out);
+                   });
     comm_.add_flops(sections * big_b_[buf].dot_all_flops());
   }
 

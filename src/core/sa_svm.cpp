@@ -45,12 +45,10 @@ class SvmEngine final : public detail::EngineBase {
         rng_(spec.seed),
         alpha_(m_, 0.0),
         x_loc_(block_.local_cols(), 0.0),
-        theta_(spec.unroll_depth()),
-        margins_(m_) {
+        theta_(spec.unroll_depth()) {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
-    init_grouping(cols_.total());
-    margins_chunks_.resize(grouping().num_chunks() * m_);
+    init_grouping(cols_);
     if (spec_.pipeline) {
       // Pre-size both round buffers up front, so short (never-speculating)
       // and long solves make identical allocations
@@ -76,28 +74,19 @@ class SvmEngine final : public detail::EngineBase {
     const dist::CommStats snapshot = comm_.stats();
     // Duality gap evaluation (instrumentation only): margins need the full
     // A·x.  Each rank contributes per-global-column-chunk partial
-    // products; one allreduce combines the G·m block, and the chunk-order
-    // fold below is identical on every rank count (the rank-count-
-    // invariant replacement for summing whole per-rank partials).
-    la::fill(margins_chunks_, 0.0);
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       block_.matrix().spmv_col_range(
-                           x_loc_, b - pb, e - pb,
-                           std::span<double>(margins_chunks_)
-                               .subspan(c * m_, m_));
-                     });
-    // sa-lint: allow(collective): duality-gap trace instrumentation only
-    comm_.allreduce_sum(margins_chunks_);
-    la::fill(margins_, 0.0);
-    for (std::size_t c = 0; c < grouping().num_chunks(); ++c)
-      for (std::size_t i = 0; i < m_; ++i)
-        margins_[i] += margins_chunks_[c * m_ + i];
-    const double x_norm_sq = grouped_norm_allreduce(x_loc_, pb);
+    // products, folded through the grouping's tree like a round payload
+    // (the rank-count-invariant replacement for summing whole per-rank
+    // partials).  The norm goes first: the margins span is valid only
+    // until the next grouped sum.
+    const double x_norm_sq = grouped_norm_allreduce(x_loc_);
+    const std::span<const double> margins = grouped_sum(
+        m_, [&](std::size_t b, std::size_t e, std::span<double> out) {
+          la::fill(out, 0.0);
+          block_.matrix().spmv_col_range(x_loc_, b, e, out);
+        });
     double hinge_sum = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
-      const double slack = std::max(0.0, 1.0 - b[i] * margins_[i]);
+      const double slack = std::max(0.0, 1.0 - b[i] * margins[i]);
       hinge_sum += (spec_.loss == SvmLoss::kL1) ? slack : slack * slack;
     }
     const double primal = 0.5 * x_norm_sq + spec_.lambda * hinge_sum;
@@ -121,15 +110,13 @@ class SvmEngine final : public detail::EngineBase {
     //     section waits for finish_round (it reads the primal slice the
     //     previous apply just updated). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
-    // Gram partials per OWNED global column chunk, each into its fixed
-    // wire slot (rank-count-invariant reduction grouping).
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           batch_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    // Gram partials per OWNED global column chunk, folded through the
+    // grouping's tree (rank-count-invariant reduction grouping).
+    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_gram_range(batch_b_[buf], b, e, range_ws_,
+                                            out);
+                   });
     comm_.add_flops(batch_b_[buf].gram_flops());
   }
 
@@ -139,13 +126,11 @@ class SvmEngine final : public detail::EngineBase {
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(x_loc_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(batch_b_[buf], rhs_span,
-                                              b - pb, e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
+                   [&](std::size_t b, std::size_t e, std::span<double> out) {
+                     la::sampled_dots_range(batch_b_[buf], rhs_span, b, e,
+                                            range_ws_, out);
+                   });
     comm_.add_flops(batch_b_[buf].dot_all_flops());
   }
 
@@ -261,12 +246,6 @@ class SvmEngine final : public detail::EngineBase {
   // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
   la::Workspace range_ws_;
   std::uint64_t rng_mark_ = 0;
-
-  // Trace scratch, reused across every trace point (no fresh vectors):
-  // the folded margins and the per-global-chunk partial block (G·m) the
-  // duality-gap reduction accumulates in.
-  std::vector<double> margins_;
-  std::vector<double> margins_chunks_;
 };
 
 }  // namespace

@@ -366,10 +366,9 @@ void EngineBase::run_round(std::size_t s_eff) {
     msg_b_sized_ = true;
   }
   if (piggyback_objective_)
-    // Per-global-chunk objective partials (one entry per owned chunk;
-    // foreign entries were zeroed by layout) — reduce_wait folds them in
-    // chunk order, so the summed partial is rank-count invariant.
-    write_objective_chunks(msg.objective_chunks());
+    // Per-chunk objective partials, folded through the grouping's tree
+    // like the Gram, so the summed partial is rank-count invariant.
+    write_round_objective(msg);
   if (piggyback_wall_)
     // Replicated decision: every rank adopts rank 0's clock, so the ranks
     // agree on when to stop (their local clocks may not).  Sampled at
@@ -792,33 +791,23 @@ std::span<const double> EngineBase::gather_full(
   return full;
 }
 
-void EngineBase::init_grouping(std::size_t extent) {
-  grouping_ = common::ReduceGrouping::make(extent, spec_.reduction_chunk);
-  msg_.set_grouping(grouping_.num_chunks());
-  msg_b_.set_grouping(grouping_.num_chunks());
+void EngineBase::init_grouping(const data::Partition& part) {
+  grouping_ = common::ReduceGrouping::make(part.total(), spec_.reduction_chunk);
+  for (dist::RoundMessage* msg : {&msg_, &msg_b_, &trace_msg_})
+    msg->set_grouping(grouping_, part.offsets(), comm_.rank());
 }
 
-double EngineBase::grouped_norm_allreduce(std::span<const double> local,
-                                          std::size_t global_begin) {
+std::span<const double> EngineBase::reduce_grouped_sum() {
+  trace_msg_.reduce(comm_);
+  return trace_msg_.section(dist::RoundSection::kDots1);
+}
+
+double EngineBase::grouped_norm_allreduce(std::span<const double> local) {
   SA_STEADY_STATE;
-  const std::size_t g = grouping_.num_chunks();
-  const std::span<double> partials = msg_ws_.doubles(kTraceSlot, g);
-  la::fill(partials, 0.0);
-  const std::size_t lo = global_begin;
-  const std::size_t hi = global_begin + local.size();
-  for (std::size_t c = 0; c < g; ++c) {
-    const std::size_t b = std::max(grouping_.begin(c), lo);
-    const std::size_t e = std::min(grouping_.end(c), hi);
-    if (b >= e) continue;
-    partials[c] = la::nrm2_squared(local.subspan(b - lo, e - b));
-  }
-  comm_.allreduce_sum(partials);
-  // Chunk-order fold (from +0.0, so a -0.0 chunk total is canonicalised):
-  // the accumulation order depends only on the chunk grid, never on the
-  // rank count.
-  double total = 0.0;
-  for (std::size_t c = 0; c < g; ++c) total += partials[c];
-  return total;
+  return grouped_sum(1, [&](std::size_t b, std::size_t e,
+                            std::span<double> out) {
+    out[0] = la::nrm2_squared(local.subspan(b, e - b));
+  })[0];
 }
 
 void EngineBase::snapshot_to_file(const std::string& path) {

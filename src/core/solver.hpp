@@ -154,10 +154,10 @@ struct SolverSpec {
   // -- reduction grouping -----------------------------------------------
   // Chunk size of the fixed global reduction grouping
   // (common/grouping.hpp): every cross-rank sum accumulates per-global-
-  // chunk partials that are folded in chunk order, so serial and P-rank
-  // runs of the same spec are bitwise identical (and a solve checkpointed
-  // at P ranks resumes at Q ranks bitwise) whenever the rank partition is
-  // chunk-aligned (data::Partition::block_aligned — what solve/
+  // chunk partials folded through one fixed pairwise tree, so serial and
+  // P-rank runs of the same spec are bitwise identical (and a solve
+  // checkpointed at P ranks resumes at Q ranks bitwise) whenever the rank
+  // partition is chunk-aligned (core::partition_for_ranks — what solve/
   // solve_on_ranks build).  0 = automatic (targets ~64 chunks).  The
   // grouping is part of the snapshot fingerprint: resuming under a
   // different chunk size is rejected descriptively.

@@ -170,8 +170,11 @@ class Communicator {
 
   /// In-place summing allreduce: after the call, `data` holds the
   /// elementwise sum of every rank's buffer, identical on all ranks.
-  /// Partial sums are combined in rank order (0, 1, …, P−1), so results
-  /// are deterministic and rank-count-reproducible.
+  /// Backends combine in a fixed order (ThreadComm: a binomial tree), so
+  /// results are run-to-run deterministic.  They are rank-count
+  /// reproducible only for data whose summation grouping cannot show in
+  /// the bits (exclusive slots, integers) or that is laid out as the
+  /// reduction grouping's tree nodes (see dist/round_message.hpp).
   void allreduce_sum(std::span<double> data);
 
   /// Convenience overload for owning vectors.
@@ -190,7 +193,7 @@ class Communicator {
 
   /// Completes the in-flight allreduce; afterwards the buffer passed to
   /// allreduce_start holds the elementwise sum on every rank (same
-  /// rank-ordered determinism as the blocking call).  A positive
+  /// fixed-order determinism as the blocking call).  A positive
   /// `deadline_seconds` arms failure detection: a backend that can tell
   /// the wait exceeded the deadline throws CommFailure(kTimeout) — and the
   /// communicator stays usable (the pending state is cleared before the
@@ -321,7 +324,7 @@ class Communicator {
 
 }  // namespace sa::dist
 
-// The serial backend ships with the interface: every solver offers a
-// *_serial entry point built on SerialComm, so the two are inseparable in
-// practice (include order is safe under the header guards).
+// The serial backend ships with the interface: solve() and most tests
+// run on SerialComm, so the two are inseparable in practice (include
+// order is safe under the header guards).
 #include "dist/serial_comm.hpp"  // IWYU pragma: export

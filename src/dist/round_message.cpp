@@ -6,61 +6,61 @@
 
 namespace sa::dist {
 
+void RoundMessage::set_grouping(const common::ReduceGrouping& grouping,
+                                std::span<const std::size_t> rank_offsets,
+                                int rank) {
+  grouping_ = grouping;
+  const auto r = static_cast<std::size_t>(rank);
+  lo_ = rank_offsets[r];
+  hi_ = rank_offsets[r + 1];
+  payload_wire_ = grouping.is_tree_partition(rank_offsets);
+  depth_ = payload_wire_ ? static_cast<std::size_t>(
+                               common::ReduceGrouping::rank_depth(
+                                   rank_offsets.size() - 1))
+                         : 0;
+  node_ = payload_wire_ ? r : 0;
+}
+
 std::span<double> RoundMessage::layout(std::size_t gram_words,
                                        std::size_t dots1_words,
                                        std::size_t dots2_words) {
   words_ = {gram_words, dots1_words, dots2_words, trailer_objective_,
             trailer_flags_, trailer_checksum_};
-  chunk_offset_ = {0, gram_words, gram_words + dots1_words};
-  chunk_stride_ = gram_words + dots1_words + dots2_words;
-  const std::size_t g = chunks_;
-  // Wire: G chunk bodies, the G-chunk objective block, then the scalar
-  // trailer words.  With G == 1 this is byte-for-byte the legacy layout.
-  const std::size_t bodies = g * chunk_stride_;
-  const std::size_t objective = g * trailer_objective_;
-  wire_words_ = bodies + objective + trailer_flags_ + trailer_checksum_;
-  // section() offsets: stop-flags/checksum always alias the wire; the
-  // body + objective sections alias the wire when G == 1 and the fold
-  // region (appended past the wire) when G > 1.
-  const std::size_t fold = g > 1 ? wire_words_ : 0;
-  offset_[0] = fold + 0;
-  offset_[1] = fold + gram_words;
-  offset_[2] = fold + gram_words + dots1_words;
-  offset_[3] = fold + chunk_stride_;
-  offset_[4] = bodies + objective;
-  offset_[5] = bodies + objective + trailer_flags_;
-  const std::size_t total =
-      g > 1 ? wire_words_ + chunk_stride_ + trailer_objective_ : wire_words_;
-  buffer_ = ws_.doubles(slot_, total);
-  if (g > 1) {
-    // Every chunk slot must start from +0.0: a rank only writes the
-    // chunks it owns, and foreign slots still hold the PREVIOUS round's
-    // reduced values.  (The fold region is recomputed by reduce_wait, but
-    // clearing it too keeps the buffer state trivially reasoned about.)
-    la::fill(buffer_, 0.0);
-  } else {
-    // The body is overwritten wholesale by the fused kernel; the trailer
-    // is written field-by-field by the round skeleton, so clear it here in
-    // case a rank packs fewer fields than the schema reserves (non-rank-0
-    // clocks).
-    la::fill(buffer_.subspan(chunk_stride_), 0.0);
-  }
-  return buffer_.first(chunk_stride_);
+  const std::size_t body = gram_words + dots1_words + dots2_words;
+  offset_[0] = 0;
+  for (std::size_t i = 1; i < kRoundSectionCount; ++i)
+    offset_[i] = offset_[i - 1] + words_[i - 1];
+  const std::size_t trailer = trailer_flags_ + trailer_checksum_;
+  const std::size_t slots =
+      payload_wire_ ? 0 : grouping_.num_chunks() * payload_words();
+  wire_words_ = payload_wire_ ? payload_words() + trailer : trailer + slots;
+  buffer_ = ws_.doubles(slot_, payload_words() + trailer + slots);
+  // The body is overwritten wholesale by the folds (or, on the slotted
+  // wire, recomputed by reduce_wait).  Everything past it is cleared: the
+  // trailer is written field-by-field by the round skeleton (non-rank-0
+  // clocks stay +0.0), and foreign leaf slots must contribute +0.0 — they
+  // hold the PREVIOUS round's reduced values otherwise.
+  la::fill(buffer_.subspan(body), 0.0);
+  return buffer_.first(body);
 }
 
 void RoundMessage::seal() {
   if (trailer_checksum_ == 0) return;
-  const std::uint64_t digest =
-      payload_digest(buffer_.first(chunks_ * chunk_stride_));
+  const std::span<double> w = wire();
+  const std::uint64_t digest = payload_digest(
+      payload_wire_ ? w.first(payload_words()) : w.subspan(trailer_flags_ +
+                                                           trailer_checksum_));
   section(RoundSection::kChecksum)[0] =
       static_cast<double>(digest & 0xffffffffull);
 }
 
 void RoundMessage::reduce_start(Communicator& comm) {
-  comm.allreduce_start(buffer_.first(wire_words_));
-  // Metering reports WIRE words: chunked sections cost G slots each.
+  comm.allreduce_start(wire());
+  // Metering reports WIRE words: on the slotted wire every payload
+  // section costs G leaf slots.
+  const std::size_t g = payload_wire_ ? 1 : grouping_.num_chunks();
   for (std::size_t i = 0; i < kRoundSectionCount; ++i) {
-    const std::size_t factor = i <= 3 ? chunks_ : 1;  // body + objective
+    const std::size_t factor = i <= 3 ? g : 1;  // payload vs trailer
     comm.note_section(static_cast<RoundSection>(i), factor * words_[i]);
   }
 }
@@ -73,7 +73,7 @@ void RoundMessage::reduce_wait(Communicator& comm, double deadline_seconds) {
     // back and this message consuming them is caught HERE, before
     // apply_round touches solver state.
     const std::uint64_t receipt = comm.last_reduce_digest();
-    const std::uint64_t delivered = payload_digest(buffer_.first(wire_words_));
+    const std::uint64_t delivered = payload_digest(wire());
     if (receipt != delivered) {
       // sa-lint: allow(alloc): corruption error path, formats then throws
       std::ostringstream os;
@@ -83,22 +83,14 @@ void RoundMessage::reduce_wait(Communicator& comm, double deadline_seconds) {
       throw CommFailure(FailureKind::kCorruption, os.str());
     }
   }
-  if (chunks_ <= 1) return;
-  // Fold the reduced chunks left-to-right in GLOBAL-CHUNK order into the
-  // fold region section() serves.  The order depends only on the chunk
-  // grid — never on the rank count — and starting from +0.0 canonicalises
-  // any -0.0 chunk total, so serial and P-rank folds are bit-identical.
-  std::span<double> fold = buffer_.subspan(
-      wire_words_, chunk_stride_ + trailer_objective_);
-  la::fill(fold, 0.0);
-  for (std::size_t c = 0; c < chunks_; ++c) {
-    const std::span<const double> body =
-        buffer_.subspan(c * chunk_stride_, chunk_stride_);
-    for (std::size_t i = 0; i < chunk_stride_; ++i) fold[i] += body[i];
-    for (std::size_t j = 0; j < trailer_objective_; ++j)
-      fold[chunk_stride_ + j] +=
-          buffer_[chunks_ * chunk_stride_ + c * trailer_objective_ + j];
-  }
+  if (payload_wire_) return;  // the binomial tree combined the upper levels
+  // Slotted wire: fold the reduced leaf slots from the root into the
+  // payload — the same tree, so the bits match the payload wire's.
+  const std::size_t p = payload_words();
+  grouping_.fold_node(0, 0, buffer_.first(p), fold_scratch(0, p),
+                      [&](std::size_t c, std::span<double> out) {
+                        la::copy(slot(c), out);
+                      });
 }
 
 }  // namespace sa::dist

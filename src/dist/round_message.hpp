@@ -1,37 +1,44 @@
 // The packed per-round message plane every solver speaks.
 //
 // One outer round of every algorithm family exchanges exactly ONE
-// collective, whose payload is a schema'd, contiguous buffer.  With the
-// default single-chunk grouping (G = 1) the wire layout is:
+// collective, whose payload is a schema'd, contiguous buffer:
 //
 //   [ upper(G) | Yᵀỹ | Yᵀz̃ | objective | stop-flags | checksum ]
 //    └─ kGram ─┴kDots1┴kDots2┴kObjective─┴─kStopFlags┴─kChecksum┘
+//    └────────── payload ───────────────┘└────── trailer ──────┘
 //
-// Under a fixed global reduction grouping (set_grouping(G), G > 1 — see
-// common/grouping.hpp) the body sections are replicated per global chunk
-// so the reduction accumulates in chunk order, not rank order:
+// section() always serves these offsets.  The payload sections are
+// cross-rank sums under the fixed reduction grouping (common/grouping.hpp):
+// engines write them through fold_owned(), handing it one leaf writer per
+// section group; the message decides how the chunk partials reach the
+// wire.
 //
-//   [ chunk 0: gram|dots1|dots2 ] … [ chunk G-1 ] [ objective × G ]
-//   [ stop-flags | checksum ]  ‖  fold: [ gram|dots1|dots2|objective ]
+// Payload wire (the fast path — the rank blocks are tree nodes, see
+// ReduceGrouping::is_tree_partition, or no grouping was declared): the
+// rank folds the subtree of chunk partials it owns straight into the
+// payload, through O(log G) payload-sized scratch levels in a second
+// workspace slot, and the collective carries the payload plus the
+// trailer.  The communicator's binomial tree combines the upper levels,
+// so nothing is left to do after reduce_wait.
 //
-// Each rank writes per-chunk partials for the global chunks it owns
-// (chunk_section/chunk_dots/objective_chunks); foreign chunk slots stay
-// +0.0 and contribute exactly nothing to the elementwise sum, so the wire
-// carries the per-chunk totals regardless of rank count.  After
-// reduce_wait, the chunks are folded left-to-right in global-chunk order
-// into the fold region past the wire; section() then serves the folded
-// sums through the same accessors the G = 1 path uses, so apply_round is
-// grouping-agnostic.  Folding from +0.0 also canonicalises any -0.0 chunk
-// total, keeping serial and multi-rank bits identical.  Only the wire
-// prefix rides the collective; the fold region never leaves the rank.
+// Slotted wire (the fallback — any other partition): the buffer grows one
+// leaf slot per chunk past the trailer,
 //
-// The trailer sections piggy-back the stopping machinery: a per-chunk
-// objective partial block (objective-tolerance stopping at round
-// granularity) and rank 0's wall clock (replicated wall-budget
-// decisions), so enabling those criteria costs zero extra messages — only
-// trailing words on the message the round pays for anyway.
-// Fault-tolerant solves reserve one more trailer word, the FNV-1a body
-// checksum (see seal()), the same zero-extra-messages way.
+//   [ payload | stop-flags | checksum ][ slot 0 ] … [ slot G−1 ]
+//                          └──────────── wire ────────────────┘
+//
+// each slot a payload-shaped [gram|dots1|dots2|objective] leaf partial;
+// foreign slots stay +0.0, so the allreduce adds exact zeros.  After
+// reduce_wait every rank folds the reduced slots from the root into the
+// payload with the same fold_node routine.
+//
+// The trailer sections piggy-back the stopping machinery: the objective
+// partial (objective-tolerance stopping at round granularity, folded like
+// the Gram) and rank 0's wall clock (replicated wall-budget decisions), so
+// enabling those criteria costs zero extra messages — only trailing words
+// on the message the round pays for anyway.  Fault-tolerant solves reserve
+// one more trailer word, the FNV-1a body checksum (see seal()), the same
+// zero-extra-messages way.
 //
 // The buffer is arena-backed by a la::Workspace slot: it is laid out anew
 // every round but only ever grows, so steady-state rounds allocate
@@ -46,10 +53,12 @@
 // tests/core/test_round_plane.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <span>
 
+#include "common/grouping.hpp"
 #include "dist/comm.hpp"
 #include "la/workspace.hpp"
 
@@ -57,10 +66,12 @@ namespace sa::dist {
 
 class RoundMessage {
  public:
-  /// Binds the message to a workspace slot (the arena the packed buffer
-  /// lives in).  The workspace must outlive the message.
-  explicit RoundMessage(la::Workspace& ws, std::size_t slot = 0)
-      : ws_(ws), slot_(slot) {}
+  /// Binds the message to workspace slots: `slot` holds the packed
+  /// buffer, `fold_slot` the fold's scratch levels (reused per call, so
+  /// messages may share it).  The workspace must outlive the message.
+  explicit RoundMessage(la::Workspace& ws, std::size_t slot = 0,
+                        std::size_t fold_slot = 1)
+      : ws_(ws), slot_(slot), fold_slot_(fold_slot) {}
 
   RoundMessage(const RoundMessage&) = delete;
   RoundMessage& operator=(const RoundMessage&) = delete;
@@ -77,26 +88,28 @@ class RoundMessage {
     trailer_checksum_ = checksum_words;
   }
 
-  /// Declares the number of global reduction chunks the body sections are
-  /// replicated over.  Sticky, like the trailer sizes; the default (1)
-  /// reproduces the legacy single-partial wire byte for byte.
-  void set_grouping(std::size_t num_chunks) {
-    chunks_ = num_chunks == 0 ? 1 : num_chunks;
-  }
-  std::size_t num_chunks() const { return chunks_; }
+  /// Declares the reduction grouping and this rank's block of it:
+  /// `rank_offsets` are the replicated partition's P + 1 element
+  /// boundaries.  Sticky, like the trailer sizes.  Picks the payload wire
+  /// when the blocks are tree nodes, the slotted wire otherwise — every
+  /// rank decides identically.  Without a call the message is a plain
+  /// payload wire (the caller owns the partials).
+  void set_grouping(const common::ReduceGrouping& grouping,
+                    std::span<const std::size_t> rank_offsets, int rank);
+
+  /// True when the collective carries one payload (the fast path), false
+  /// for the slotted fallback.
+  bool payload_wire() const { return payload_wire_; }
 
   /// Lays out one round's message and returns the contiguous body span
-  /// [gram | dots1 | dots2] of chunk 0 for the fused Gram+dots kernel
-  /// (the whole body under G = 1).  Invalidates spans from previous
-  /// rounds.  Under G = 1 the trailer is zero-initialised; under G > 1
-  /// the whole buffer is (foreign chunk slots must contribute +0.0, and
-  /// they hold the previous round's reduced values otherwise).
+  /// [gram | dots1 | dots2].  Invalidates spans from previous rounds.
+  /// Zero-initialises the objective and the trailer (and, on the slotted
+  /// wire, every leaf slot: a rank only writes the chunks it owns).
   std::span<double> layout(std::size_t gram_words, std::size_t dots1_words,
                            std::size_t dots2_words);
 
-  /// Post-reduce view of a section.  Body + objective sections serve the
-  /// chunk-folded sums when G > 1 (valid after reduce_wait); stop-flags
-  /// and checksum always alias the wire.
+  /// View of a section — this rank's partial before reduce_start, the sum
+  /// after reduce_wait.
   std::span<double> section(RoundSection s) {
     const auto i = static_cast<std::size_t>(s);
     return buffer_.subspan(offset_[i], words_[i]);
@@ -110,35 +123,36 @@ class RoundMessage {
   }
   std::size_t total_words() const { return buffer_.size(); }
 
-  /// The whole packed buffer (wire plus, under G > 1, the fold region).
+  /// The whole packed buffer (payload, trailer and any leaf slots).
   std::span<double> packed() { return buffer_; }
 
-  /// Chunk `c`'s slot of a body section (kGram/kDots1/kDots2) on the
-  /// wire — where a rank writes the per-chunk partial for a global chunk
-  /// it owns.
-  std::span<double> chunk_section(RoundSection s, std::size_t c) {
-    const auto i = static_cast<std::size_t>(s);
-    return buffer_.subspan(c * chunk_stride_ + chunk_offset_[i], words_[i]);
-  }
-
-  /// Chunk `c`'s contiguous [dots1 | dots2] half — the state-DEPENDENT
-  /// sections la::sampled_dots_range writes after the previous round's
-  /// apply, while the Gram triangle may have been packed speculatively a
-  /// round earlier.
-  std::span<double> chunk_dots(std::size_t c) {
-    return buffer_.subspan(c * chunk_stride_ + chunk_offset_[1],
-                           words_[1] + words_[2]);
-  }
-
-  /// Whole-body convenience under G = 1 (legacy split pack path).
-  std::span<double> dots() { return chunk_dots(0); }
-
-  /// The G-chunk objective partial block on the wire (G × objective_words,
-  /// chunk-major).  Engines write per-owned-chunk objective partials here;
-  /// foreign chunk entries stay +0.0.
-  std::span<double> objective_chunks() {
-    return buffer_.subspan(chunks_ * chunk_stride_,
-                           chunks_ * trailer_objective_);
+  /// Writes this rank's share of the contiguous payload sections
+  /// [first, last] (e.g. kGram alone, kDots1..kDots2, or kObjective).
+  /// `leaf(b, e, out)` overwrites `out` with the partial of the rank-local
+  /// element range [b, e) — one chunk, clipped to this rank's block.  On
+  /// the payload wire the partials fold into the payload through the
+  /// rank's subtree; on the slotted wire each lands in its chunk's slot.
+  template <typename Leaf>
+  void fold_owned(RoundSection first, RoundSection last, Leaf&& leaf) {
+    const std::size_t off = offset_[static_cast<std::size_t>(first)];
+    const std::size_t words =
+        offset_[static_cast<std::size_t>(last)] +
+        words_[static_cast<std::size_t>(last)] - off;
+    if (payload_wire_) {
+      grouping_.fold_node(depth_, node_, buffer_.subspan(off, words),
+                          fold_scratch(depth_, words),
+                          [&](std::size_t c, std::span<double> out) {
+                            leaf(grouping_.begin(c) - lo_,
+                                 grouping_.end(c) - lo_, out);
+                          });
+      return;
+    }
+    for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
+      const std::size_t b = std::max(grouping_.begin(c), lo_);
+      const std::size_t e = std::min(grouping_.end(c), hi_);
+      if (b >= e) continue;
+      leaf(b - lo_, e - lo_, slot(c).subspan(off, words));
+    }
   }
 
   /// Writes the kChecksum trailer word (when reserved): the low 32 bits
@@ -151,19 +165,17 @@ class RoundMessage {
   /// fields are final, before reduce_start.  No-op without the section.
   void seal();
 
-  /// Starts the round's ONE collective (nonblocking) over the wire prefix
-  /// and attributes per-section wire traffic to the communicator's
-  /// CommStats.
+  /// Starts the round's ONE collective (nonblocking) over the wire and
+  /// attributes per-section wire traffic to the communicator's CommStats.
   void reduce_start(Communicator& comm);
 
-  /// Completes the collective; afterwards every wire slot holds the
-  /// elementwise sum over ranks, and under G > 1 the chunks are folded
-  /// left-to-right in global-chunk order into the fold region section()
-  /// serves.  A positive `deadline_seconds` arms the communicator's
-  /// timeout detection, and when the checksum trailer is reserved and the
-  /// delivery digest enabled, the delivered wire is re-hashed against the
-  /// communicator's receipt — CommFailure(kCorruption) before any reduced
-  /// bit reaches the solver.
+  /// Completes the collective; afterwards every section holds the sum
+  /// over ranks (on the slotted wire, after folding the reduced leaf
+  /// slots from the root).  A positive `deadline_seconds` arms the
+  /// communicator's timeout detection, and when the checksum trailer is
+  /// reserved and the delivery digest enabled, the delivered wire is
+  /// re-hashed against the communicator's receipt —
+  /// CommFailure(kCorruption) before any reduced bit reaches the solver.
   void reduce_wait(Communicator& comm, double deadline_seconds = 0.0);
 
   /// Blocking convenience: start + wait.
@@ -173,18 +185,38 @@ class RoundMessage {
   }
 
  private:
+  std::size_t payload_words() const { return offset_[4]; }
+  std::span<double> wire() {
+    return payload_wire_ ? buffer_.first(wire_words_)
+                         : buffer_.subspan(payload_words(), wire_words_);
+  }
+  std::span<double> slot(std::size_t c) {
+    const std::size_t p = payload_words();
+    return buffer_.subspan(p + trailer_flags_ + trailer_checksum_ + c * p, p);
+  }
+  std::span<double> fold_scratch(std::size_t depth, std::size_t words) {
+    return ws_.doubles(fold_slot_, grouping_.fold_levels(depth) * words);
+  }
+
   la::Workspace& ws_;
   std::size_t slot_;
+  std::size_t fold_slot_;
   std::span<double> buffer_;
   std::array<std::size_t, kRoundSectionCount> words_{};
   std::array<std::size_t, kRoundSectionCount> offset_{};
-  std::array<std::size_t, 3> chunk_offset_{};  // body offsets within a chunk
-  std::size_t chunk_stride_ = 0;  // gram + dots1 + dots2 words per chunk
-  std::size_t wire_words_ = 0;    // what the collective carries
-  std::size_t chunks_ = 1;
+  std::size_t wire_words_ = 0;  // what the collective carries
   std::size_t trailer_objective_ = 0;
   std::size_t trailer_flags_ = 0;
   std::size_t trailer_checksum_ = 0;
+
+  // Grouping: this rank's element block [lo_, hi_) and, on the payload
+  // wire, its tree node (depth_, node_) — the root for an undeclared one.
+  common::ReduceGrouping grouping_;
+  bool payload_wire_ = true;
+  std::size_t depth_ = 0;
+  std::size_t node_ = 0;
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
 };
 
 }  // namespace sa::dist

@@ -17,16 +17,14 @@ namespace internal {
 struct TeamAborted {};
 
 struct TeamState {
-  TeamState(int rank_count, int tree_threshold_, std::size_t chunk_threshold_)
+  TeamState(int rank_count, std::size_t chunk_threshold_)
       : ranks(rank_count),
-        tree_threshold(tree_threshold_),
         tree_chunk_threshold(chunk_threshold_),
         slots(rank_count),
         acc(rank_count),
         stats(rank_count) {}
 
   const int ranks;
-  const int tree_threshold;
   const std::size_t tree_chunk_threshold;
 
   std::mutex mu;
@@ -39,11 +37,10 @@ struct TeamState {
   std::uint64_t generation = 0;
   bool aborted = false;
 
-  // Allreduce workspace: per-rank input spans, the shared result of the
-  // linear algorithm, and the per-rank accumulators of the tree algorithm
-  // (grow-only, so steady-state collectives do not allocate).
+  // Allreduce workspace: per-rank input spans (for the length check) and
+  // the per-rank tree accumulators (grow-only, so steady-state
+  // collectives do not allocate).
   std::vector<std::span<double>> slots;
-  std::vector<double> scratch;
   std::vector<std::vector<double>> acc;
   bool length_mismatch = false;
 
@@ -85,83 +82,14 @@ void barrier(TeamState& s) {
 
 }  // namespace internal
 
-bool ThreadComm::use_tree() const {
-  return size_ >= state_.tree_threshold;
-}
-
 void ThreadComm::do_allreduce_sum(std::span<double> data) {
-  if (size_ == 1) return;  // nothing to combine, no synchronisation needed
-  if (use_tree()) {
-    tree_start(data);
-    tree_wait(data);
-  } else {
-    linear_start(data);
-    linear_wait(data);
-  }
+  do_allreduce_start(data);
+  do_allreduce_wait(data);
 }
 
 void ThreadComm::do_allreduce_start(std::span<double> data) {
-  if (size_ == 1) return;
-  if (use_tree()) {
-    tree_start(data);
-  } else {
-    linear_start(data);
-  }
-}
-
-void ThreadComm::do_allreduce_wait(std::span<double> data) {
-  if (size_ == 1) return;
-  if (use_tree()) {
-    tree_wait(data);
-  } else {
-    linear_wait(data);
-  }
-}
-
-void ThreadComm::linear_start(std::span<double> data) {
   SA_STEADY_STATE;
-  internal::TeamState& s = state_;
-  const std::size_t n = data.size();
-  s.slots[rank_] = data;
-  internal::barrier(s, [&] {
-    // Validate before any rank gathers, so a mismatch can never read past
-    // a shorter sibling buffer.
-    s.length_mismatch = false;
-    for (const std::span<double>& slot : s.slots)
-      if (slot.size() != n) s.length_mismatch = true;
-    // Grow-only team scratch: sized by the first round at each length.
-    // sa-lint: allow(alloc): grow-only scratch, warm rounds never resize
-    if (!s.length_mismatch && s.scratch.size() < n) s.scratch.resize(n);
-  });
-  SA_CHECK(!s.length_mismatch,
-           "ThreadComm::allreduce_sum: buffer length differs across ranks");
-
-  // Each rank sums a disjoint chunk of elements; every element is
-  // accumulated over ranks 0 → P−1 in order, the same left-to-right order
-  // a serial reduction uses, so the result is bitwise deterministic.
-  const std::size_t p = static_cast<std::size_t>(size_);
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  const std::size_t begin = n * r / p;
-  const std::size_t end = n * (r + 1) / p;
-  for (std::size_t i = begin; i < end; ++i) {
-    double acc = s.slots[0][i];
-    for (std::size_t other = 1; other < p; ++other) acc += s.slots[other][i];
-    s.scratch[i] = acc;
-  }
-  internal::barrier(s);
-  // From here the shared scratch holds the final sum; wait() copies it
-  // back.  Callers may run local work in between.
-}
-
-void ThreadComm::linear_wait(std::span<double> data) {
-  SA_STEADY_STATE;
-  internal::TeamState& s = state_;
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = s.scratch[i];
-  internal::barrier(s);  // keep scratch stable until every rank copied
-}
-
-void ThreadComm::tree_start(std::span<double> data) {
-  SA_STEADY_STATE;
+  if (size_ == 1) return;  // nothing to combine, no synchronisation needed
   internal::TeamState& s = state_;
   const std::size_t n = data.size();
   const std::size_t p = static_cast<std::size_t>(size_);
@@ -186,7 +114,10 @@ void ThreadComm::tree_start(std::span<double> data) {
   // Binomial-tree reduction: in round `step`, rank j ≡ 0 (mod 2·step)
   // absorbs partner j + step.  The pairing (and hence the summation
   // grouping) is fixed, so the result is bit-deterministic — every rank
-  // later reads the same acc[0].
+  // later reads the same acc[0].  At P = 2^k this is exactly the top k
+  // levels of the reduction grouping's fold tree (common/grouping.hpp):
+  // rank j holds tree node (k, j), and acc[j] += acc[j + step] forms
+  // their parent.
   //
   // For large payloads the within-pair element loop is chunked across the
   // pair's subtree: every rank in [owner, owner + 2·step) has already
@@ -217,22 +148,20 @@ void ThreadComm::tree_start(std::span<double> data) {
   // acc[0] now holds the final sum; wait() copies it back.
 }
 
-void ThreadComm::tree_wait(std::span<double> data) {
+void ThreadComm::do_allreduce_wait(std::span<double> data) {
   SA_STEADY_STATE;
+  if (size_ == 1) return;
   internal::TeamState& s = state_;
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = s.acc[0][i];
   internal::barrier(s);  // keep acc[0] stable until every rank copied
 }
 
-ThreadTeam::ThreadTeam(int ranks, int tree_threshold,
-                       std::size_t tree_chunk_threshold)
+ThreadTeam::ThreadTeam(int ranks, std::size_t tree_chunk_threshold)
     : ranks_(ranks) {
   SA_CHECK(ranks >= 1, "ThreadTeam: need at least one rank");
-  SA_CHECK(tree_threshold >= 2, "ThreadTeam: tree threshold must be >= 2");
   SA_CHECK(tree_chunk_threshold >= 1,
            "ThreadTeam: tree chunk threshold must be >= 1");
-  state_ = std::make_unique<internal::TeamState>(ranks, tree_threshold,
-                                                 tree_chunk_threshold);
+  state_ = std::make_unique<internal::TeamState>(ranks, tree_chunk_threshold);
   workers_.reserve(ranks);
   for (int r = 0; r < ranks; ++r)
     workers_.emplace_back([this, r] { worker_loop(r); });

@@ -2,31 +2,22 @@
 //
 // ThreadTeam owns a pool of P persistent worker threads; run(task) executes
 // `task(comm)` once on every rank and blocks until all ranks return.  The
-// collective is a barrier-synchronised shared-memory allreduce with two
-// algorithms, selected by rank count:
+// collective is a barrier-synchronised shared-memory allreduce over a
+// binomial reduction tree: each rank copies its buffer into a per-rank
+// accumulator, then ceil(log2 P) barrier-separated rounds combine pairs
+// with the fixed pairing of a binomial tree — in round r (step 2^r), rank
+// j with j mod 2^(r+1) == 0 accumulates partner j + 2^r.  The pairing is
+// fixed, so results are bit-deterministic run-to-run and identical on
+// every rank; every rank's read fan-in is bounded to 2 buffers per round,
+// and the round count matches the ceil(log2 P) the metering charges.
 //
-// Linear (P < tree_threshold, the default regime for small teams):
-//   1. every rank publishes a span over its buffer and hits a barrier
-//      (the last arriver sizes the shared scratch vector);
-//   2. ranks cooperatively sum disjoint element chunks, each chunk
-//      accumulated over ranks in order 0, 1, …, P−1 — bit-for-bit the
-//      left-to-right order a serial reduction would use, so results are
-//      deterministic regardless of thread scheduling;
-//   3. after a second barrier every rank copies the shared result back
-//      into its own buffer, and a third barrier protects the scratch from
-//      the next collective.
-//
-// Binary reduction tree (P ≥ tree_threshold): each rank copies its buffer
-// into a per-rank accumulator, then ceil(log2 P) barrier-separated rounds
-// combine pairs with the fixed pairing of a binomial tree — in round r
-// (step 2^r), rank j with j mod 2^(r+1) == 0 accumulates partner j + 2^r.
-// This bounds every rank's read fan-in to 2 buffers per round (the linear
-// gather reads all P, which falls out of cache as teams grow) and matches
-// the ceil(log2 P)-round model the metering charges.  The pairing order
-// is fixed, so results are bit-deterministic run-to-run and identical on
-// every rank — but they differ in the last bits from the linear order
-// ((c0+c1)+(c2+c3) vs ((c0+c1)+c2)+c3), which is why small teams, whose
-// tests pin the serial left-to-right sum, stay on the linear path.
+// At P = 2^k the pairing IS the upper k levels of the reduction
+// grouping's fold tree (common/grouping.hpp): when rank j sends tree node
+// (k, j), acc[j] += acc[j + 2^r] builds exactly the node's parent, which
+// is what lets a round message put one payload on the wire and still
+// match the serial fold bit for bit.  Every other caller's data is
+// exclusive-slot (one nonzero contributor per element, the rest +0.0) or
+// integer-exact, so the grouping of its summands cannot show in the bits.
 //
 // Chunked within-pair combine: for payloads of at least
 // tree_chunk_threshold words, the element loop of each absorbing pair is
@@ -38,11 +29,10 @@
 // rounds changes.  Small payloads stay on the single-owner loop — the
 // index arithmetic isn't worth it below the threshold.
 //
-// Both algorithms support the split-phase (nonblocking) allreduce: start()
-// performs the combine up to the point where the shared result is final,
-// wait() copies it back and releases the shared state.  Between the two,
-// callers may do unrelated local work; the input buffer must stay
-// unmodified (siblings may still read it during start(), and the result
+// The split-phase (nonblocking) allreduce is supported: start() performs
+// the combine up to the point where acc[0] is final, wait() copies it back
+// and releases the shared state.  Between the two, callers may do
+// unrelated local work; the input buffer must stay unmodified (the result
 // overwrites it at wait()).
 //
 // Barriers block on a condition variable (no spinning), so oversubscribed
@@ -86,20 +76,11 @@ class ThreadComm final : public Communicator {
   ThreadComm(internal::TeamState& state, int rank, int size)
       : state_(state), rank_(rank), size_(size) {}
 
-  bool use_tree() const;
-  void linear_start(std::span<double> data);
-  void linear_wait(std::span<double> data);
-  void tree_start(std::span<double> data);
-  void tree_wait(std::span<double> data);
 
   internal::TeamState& state_;
   int rank_ = 0;
   int size_ = 1;
 };
-
-/// Rank count at and above which ThreadTeam switches the allreduce from
-/// the rank-ordered linear gather to the binary reduction tree.
-inline constexpr int kDefaultTreeThreshold = 16;
 
 /// Payload size (words) at and above which the tree allreduce chunks each
 /// pair's element loop across the pair's idle subtree ranks.
@@ -108,14 +89,12 @@ inline constexpr std::size_t kDefaultTreeChunkWords = 4096;
 /// A pool of P worker threads acting as P communicator ranks.
 class ThreadTeam {
  public:
-  /// Spawns `ranks` persistent workers (ranks >= 1).  `tree_threshold`
-  /// selects the allreduce algorithm: teams of at least that many ranks
-  /// use the binary reduction tree (pass 2 to force the tree everywhere,
-  /// or a huge value to pin the linear order).  `tree_chunk_threshold` is
-  /// the payload size (words) from which the tree's within-pair combine is
-  /// chunked across idle subtree ranks (pass 1 to force chunking, or a
-  /// huge value to pin the single-owner loop; bit-identical either way).
-  explicit ThreadTeam(int ranks, int tree_threshold = kDefaultTreeThreshold,
+  /// Spawns `ranks` persistent workers (ranks >= 1).
+  /// `tree_chunk_threshold` is the payload size (words) from which the
+  /// tree's within-pair combine is chunked across idle subtree ranks (pass
+  /// 1 to force chunking, or a huge value to pin the single-owner loop;
+  /// bit-identical either way).
+  explicit ThreadTeam(int ranks,
                       std::size_t tree_chunk_threshold = kDefaultTreeChunkWords);
   ~ThreadTeam();
 

@@ -36,9 +36,7 @@ Costs accbcd_costs(const BcdParams& p) {
   // Single-message round: the piggy-backed trailer rides the round's one
   // collective — H rounds of flag_words extra words, zero extra latency.
   c.latency = h * logp;
-  const double g = static_cast<double>(p.reduction_chunks);
-  c.bandwidth =
-      (h * mu * mu * g + h * static_cast<double>(p.flag_words)) * logp;
+  c.bandwidth = (h * mu * mu + h * static_cast<double>(p.flag_words)) * logp;
   return c;
 }
 
@@ -59,10 +57,8 @@ Costs sa_accbcd_costs(const BcdParams& p) {
   // H/s rounds, each ONE message carrying the s²µ² fused payload plus the
   // piggy-backed trailer words.
   c.latency = (h / s) * logp;
-  const double g = static_cast<double>(p.reduction_chunks);
   c.bandwidth =
-      (h * s * mu * mu * g + (h / s) * static_cast<double>(p.flag_words)) *
-      logp;
+      (h * s * mu * mu + (h / s) * static_cast<double>(p.flag_words)) * logp;
   return c;
 }
 
@@ -78,12 +74,8 @@ Costs svm_costs(const SvmParams& p) {
   c.memory = f * static_cast<double>(p.rows) * n / pr + n / pr +
              static_cast<double>(p.rows);
   c.latency = h * logp;
-  // [A_i·A_iᵀ | A_i·x | trailer] per iteration — still one message; the
-  // chunked wire carries the 2-word payload once per reduction chunk.
-  c.bandwidth = h *
-                (2.0 * static_cast<double>(p.reduction_chunks) +
-                 static_cast<double>(p.flag_words)) *
-                logp;
+  // [A_i·A_iᵀ | A_i·x | trailer] per iteration — still one message.
+  c.bandwidth = h * (2.0 + static_cast<double>(p.flag_words)) * logp;
   return c;
 }
 
@@ -101,11 +93,10 @@ Costs sa_svm_costs(const SvmParams& p) {
   c.memory = f * static_cast<double>(p.rows) * n / pr + n / pr +
              static_cast<double>(p.rows) + s * s;
   c.latency = (h / s) * logp;
-  // s² words every s iterations → H·s overall (once per reduction
-  // chunk), plus the trailer on each of the H/s single-message rounds.
-  c.bandwidth = (h * s * static_cast<double>(p.reduction_chunks) +
-                 (h / s) * static_cast<double>(p.flag_words)) *
-                logp;
+  // s² words every s iterations → H·s overall, plus the trailer on each
+  // of the H/s single-message rounds.
+  c.bandwidth =
+      (h * s + (h / s) * static_cast<double>(p.flag_words)) * logp;
   return c;
 }
 

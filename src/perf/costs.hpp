@@ -24,11 +24,6 @@ struct BcdParams {
   /// The single-message round plane means enabled stopping criteria cost
   /// bandwidth only — L is unchanged, W grows by flag_words per round.
   std::size_t flag_words = 0;
-  /// G — number of chunks in the fixed reduction grouping
-  /// (common::ReduceGrouping).  The rank-count-invariant wire carries one
-  /// partial PER GLOBAL CHUNK for the Gram/dot payload, so those terms
-  /// scale by G (latency does not: still one collective per round).
-  std::size_t reduction_chunks = 1;
 };
 
 /// The four Table I cost terms.
@@ -59,9 +54,6 @@ struct SvmParams {
   int processors = 1;          ///< P
   /// Piggy-backed trailer words per round (see BcdParams::flag_words).
   std::size_t flag_words = 0;
-  /// Chunks in the fixed reduction grouping (see
-  /// BcdParams::reduction_chunks) — scales the Gram/dot payload terms.
-  std::size_t reduction_chunks = 1;
 };
 
 /// SVM dual CD (Algorithm 3): per iteration one allreduce of O(1) words,

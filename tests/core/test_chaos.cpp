@@ -238,10 +238,11 @@ TEST(Chaos, NoDetectionMeansNoProtection) {
   spec.round_deadline = 0.0;
   ASSERT_FALSE(spec.fault_detection());
   const data::Dataset& d = dataset_for(spec);
-  // Seed 25 flips a mid-order mantissa bit of a NONZERO chunk partial:
-  // the chunked wire is mostly zero slots (a rank writes only the chunks
-  // it owns, sparse chunk sums can be 0), and a flipped bit of +0.0 is a
-  // denormal that rounds away in the chunk fold — pick a flip that lands.
+  // Seed 25 flips a mid-order mantissa bit of a payload word that moves
+  // the iterates: the serial wire is the folded payload plus trailer, and
+  // a flip of the objective or clock trailer word (or of a +0.0 Gram
+  // entry, which becomes a denormal too small to matter) would leave x
+  // unchanged — pick a flip that lands.
   const dist::FaultPlan plan = dist::FaultPlan::parse("25:corrupt@3");
   const SolveResult reference = solve(d, spec);
   const SolveResult corrupted = solve(d, spec, "", &plan);

@@ -1,8 +1,7 @@
 // Communicator-layer tests: the thread-backed allreduce must be
-// deterministic (rank-ordered summation, bit-for-bit equal to the serial
-// left-to-right reduction), the α-β-γ counters must follow the tree-
-// collective model exactly, and failures on one rank must not hang the
-// team.
+// deterministic (the fixed binomial-tree pairing, bit for bit), the α-β-γ
+// counters must follow the tree-collective model exactly, and failures on
+// one rank must not hang the team.
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -26,20 +25,24 @@ std::vector<double> rank_contribution(int rank, std::size_t n) {
   return v;
 }
 
+/// The binomial-tree sum of every rank's contribution, computed serially:
+/// in round `step`, rank j ≡ 0 (mod 2·step) absorbs j + step — the
+/// pairing ThreadComm combines with (((c0+c1)+(c2+c3)) at P = 4).
+std::vector<double> binomial_reference(int p, std::size_t n) {
+  std::vector<std::vector<double>> acc;
+  for (int r = 0; r < p; ++r) acc.push_back(rank_contribution(r, n));
+  for (int step = 1; step < p; step *= 2)
+    for (int j = 0; j + step < p; j += 2 * step)
+      for (std::size_t i = 0; i < n; ++i) acc[j][i] += acc[j + step][i];
+  return acc[0];
+}
+
 class RankSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(RankSweep, AllreduceMatchesSerialSummationOrderBitForBit) {
+TEST_P(RankSweep, AllreduceMatchesBinomialPairingBitForBit) {
   const int p = GetParam();
   const std::size_t n = 257;  // not a multiple of the chunking
-
-  // Reference: the serial left-to-right sum (c0 + c1) + c2 + … — exactly
-  // the order SerialComm would accumulate contributions arriving in rank
-  // order.
-  std::vector<double> want = rank_contribution(0, n);
-  for (int r = 1; r < p; ++r) {
-    const std::vector<double> c = rank_contribution(r, n);
-    for (std::size_t i = 0; i < n; ++i) want[i] += c[i];
-  }
+  const std::vector<double> want = binomial_reference(p, n);
 
   std::vector<std::vector<double>> got(p);
   run_distributed(p, [&](Communicator& comm) {
@@ -186,12 +189,12 @@ TEST(ThreadTeam, RejectsZeroRanks) {
 
 class TreeAllreduceSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndMatchesLinearToRounding) {
+TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndChunkingIsBitIdentical) {
   const int p = GetParam();
   const std::size_t n = 257;
 
-  auto reduce = [&](int tree_threshold, std::size_t chunk_threshold) {
-    ThreadTeam team(p, tree_threshold, chunk_threshold);
+  auto reduce = [&](std::size_t chunk_threshold) {
+    ThreadTeam team(p, chunk_threshold);
     std::vector<std::vector<double>> got(p);
     team.run([&](ThreadComm& comm) {
       std::vector<double> mine = rank_contribution(comm.rank(), n);
@@ -201,13 +204,12 @@ TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndMatchesLinearToRounding) {
     return got;
   };
 
-  // Force the tree (threshold 2) and pin the linear order (huge
-  // threshold); run the tree both single-owner (huge chunk threshold) and
-  // chunked across idle ranks (chunk threshold 1).
-  const auto tree_a = reduce(2, std::size_t{1} << 30);
-  const auto tree_b = reduce(2, std::size_t{1} << 30);
-  const auto chunked = reduce(2, 1);
-  const auto linear = reduce(1 << 20, kDefaultTreeChunkWords);
+  // Run the tree single-owner (huge chunk threshold) twice and chunked
+  // across idle ranks (chunk threshold 1).
+  const auto tree_a = reduce(std::size_t{1} << 30);
+  const auto tree_b = reduce(std::size_t{1} << 30);
+  const auto chunked = reduce(1);
+  const std::vector<double> want = binomial_reference(p, n);
 
   for (int r = 0; r < p; ++r) {
     ASSERT_EQ(tree_a[r].size(), n);
@@ -218,10 +220,8 @@ TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndMatchesLinearToRounding) {
       // Chunking only splits the element loop across helpers; every
       // element is still the same two-term addition — bit-identical.
       EXPECT_EQ(chunked[r][i], tree_a[r][i]);
-      // The tree groups the summands differently, so it agrees with the
-      // rank-ordered linear reduction only to rounding.
-      EXPECT_NEAR(tree_a[r][i], linear[r][i],
-                  1e-12 * std::max(1.0, std::abs(linear[r][i])));
+      // And it is exactly the binomial pairing.
+      EXPECT_EQ(tree_a[r][i], want[i]);
     }
   }
 }
@@ -230,11 +230,11 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, TreeAllreduceSweep,
                          ::testing::Values(2, 3, 4, 8));
 
 TEST(TreeAllreduce, ChunkedPathEngagesAtDefaultThresholdPayloads) {
-  // A payload at the default chunk threshold, forced through the tree on
-  // an odd rank count: exact integer sums survive the chunked combine.
+  // A payload at the default chunk threshold on an odd rank count: exact
+  // integer sums survive the chunked combine.
   const int p = 5;
   const std::size_t n = kDefaultTreeChunkWords;
-  ThreadTeam team(p, /*tree_threshold=*/2);
+  ThreadTeam team(p);
   team.run([&](ThreadComm& comm) {
     std::vector<double> buf(n, static_cast<double>(comm.rank() + 1));
     comm.allreduce_sum(buf);
@@ -254,7 +254,7 @@ TEST_P(TreeChunkStraddleSweep, ChunkedPairLoopIsExactOnNonPowerOfTwoRanks) {
   const std::size_t threshold = 64;
 
   auto reduce = [&](std::size_t chunk_threshold, std::size_t n) {
-    ThreadTeam team(p, /*tree_threshold=*/2, chunk_threshold);
+    ThreadTeam team(p, chunk_threshold);
     std::vector<std::vector<double>> got(p);
     team.run([&](ThreadComm& comm) {
       std::vector<double> mine = rank_contribution(comm.rank(), n);
@@ -288,9 +288,9 @@ TEST_P(TreeChunkStraddleSweep, ChunkedPairLoopIsExactOnNonPowerOfTwoRanks) {
 INSTANTIATE_TEST_SUITE_P(NonPowerOfTwoRanks, TreeChunkStraddleSweep,
                          ::testing::Values(3, 5, 6, 7));
 
-TEST(TreeAllreduce, DefaultThresholdEngagesTreeAtSixteenRanks) {
-  // 16 ranks ≥ kDefaultTreeThreshold: exact-in-any-order payload sums
-  // still come out right through the tree, on repeated collectives.
+TEST(TreeAllreduce, SixteenRanksSumExactlyOnRepeatedCollectives) {
+  // Exact-in-any-order payload sums come out right through a four-level
+  // tree, on repeated collectives.
   ThreadTeam team(16);
   team.run([](ThreadComm& comm) {
     for (int round = 0; round < 5; ++round) {
@@ -302,7 +302,7 @@ TEST(TreeAllreduce, DefaultThresholdEngagesTreeAtSixteenRanks) {
 }
 
 TEST(TreeAllreduce, MismatchedLengthsThrowInsteadOfCorrupting) {
-  ThreadTeam team(4, /*tree_threshold=*/2);
+  ThreadTeam team(4);
   EXPECT_THROW(team.run([](ThreadComm& comm) {
                  std::vector<double> buf(comm.rank() == 0 ? 4 : 5, 1.0);
                  comm.allreduce_sum(buf);
@@ -319,12 +319,7 @@ class NonblockingSweep : public ::testing::TestWithParam<int> {};
 TEST_P(NonblockingSweep, StartWaitMatchesBlockingBitForBit) {
   const int p = GetParam();
   const std::size_t n = 129;
-
-  std::vector<double> want = rank_contribution(0, n);
-  for (int r = 1; r < p; ++r) {
-    const std::vector<double> c = rank_contribution(r, n);
-    for (std::size_t i = 0; i < n; ++i) want[i] += c[i];
-  }
+  const std::vector<double> want = binomial_reference(p, n);
 
   std::vector<std::vector<double>> got(p);
   const auto stats = run_distributed(p, [&](Communicator& comm) {
@@ -359,7 +354,7 @@ TEST_P(NonblockingSweep, StartWaitMatchesBlockingThroughTheTree) {
   const int p = GetParam();
   if (p < 2) return;
   const std::size_t n = 257;
-  ThreadTeam team(p, /*tree_threshold=*/2);
+  ThreadTeam team(p);
 
   std::vector<std::vector<double>> blocking(p), split(p);
   team.run([&](ThreadComm& comm) {

@@ -323,7 +323,7 @@ TEST(SnapshotResume, FourRankFileRoundTripMatchesRankZero) {
 
 // ---------------------------------------------------------------------
 // Rank-count invariance: the fixed reduction grouping makes every
-// cross-rank sum accumulate in the same global chunk order on every rank
+// cross-rank sum fold through the same global chunk tree on every rank
 // count, so entire trajectories — not just snapshots — are bitwise
 // identical across P.  CommStats are the one excluded quantity: message
 // and word counts legitimately scale with log P.
@@ -536,6 +536,24 @@ TEST_F(SnapshotNegative, DoctoredGroupingVersionIsRejected) {
   std::memcpy(doctored.data() + payload, &foreign, sizeof(foreign));
   restamp_checksum(doctored);
   expect_rejected(doctored, "grouping version");
+}
+
+TEST_F(SnapshotNegative, VersionOneGroupingSnapshotIsRejectedByName) {
+  // A snapshot written under grouping v1 (the left-to-right chunk fold)
+  // carries sums this build's pairwise tree cannot continue bitwise: the
+  // refusal must name version 1, not surface as a chunk-size mismatch.
+  std::vector<std::uint8_t> doctored = image_;
+  const std::string name = "core/grouping";
+  const auto it = std::search(doctored.begin(), doctored.end(),
+                              name.begin(), name.end());
+  ASSERT_NE(it, doctored.end()) << "snapshot lacks the grouping section";
+  const std::size_t payload =
+      static_cast<std::size_t>(it - doctored.begin()) +
+      ((name.size() + 7) & ~std::size_t{7}) + 8;
+  const std::uint64_t v1 = 1;
+  std::memcpy(doctored.data() + payload, &v1, sizeof(v1));
+  restamp_checksum(doctored);
+  expect_rejected(doctored, "reduction grouping version 1 in the snapshot");
 }
 
 TEST_F(SnapshotNegative, GroupingChunkMismatchIsRejected) {

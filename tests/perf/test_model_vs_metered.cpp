@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/grouping.hpp"
 #include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
@@ -64,9 +63,6 @@ BcdParams params_for(const data::Dataset& d, std::size_t mu, std::size_t s,
   p.rows = d.num_points();
   p.cols = d.num_features();
   p.processors = ranks;
-  // The wire carries one Gram/dot partial per global reduction chunk.
-  p.reduction_chunks =
-      common::ReduceGrouping::make(d.num_points()).num_chunks();
   return p;
 }
 
@@ -104,6 +100,46 @@ TEST(ModelVsMetered, BandwidthWithinSmallConstantFactor) {
       EXPECT_GT(ratio, 0.4) << "mu=" << mu << " s=" << s;
       EXPECT_LT(ratio, 4.0) << "mu=" << mu << " s=" << s;
     }
+  }
+}
+
+TEST(ModelVsMetered, PayloadWireWordsAreExact) {
+  // On the partition solve_on_ranks builds at P = 2, 4, 8 (the reduction
+  // grouping's tree nodes) every round puts ONE payload plus the trailer
+  // on the wire: metered words = rounds × (payload + trailer) × ⌈log₂P⌉,
+  // with no per-chunk factor.
+  const data::Dataset d = dense_problem();
+  const std::size_t h = 64, mu = 2, s = 8;
+  core::SolverSpec spec = core::SolverSpec::make("sa-lasso");
+  spec.lambda = 0.05;
+  spec.block_size = mu;
+  spec.accelerated = true;
+  spec.max_iterations = h;
+  spec.s = s;
+  spec.objective_tolerance = 1e-300;  // kObjective: 1 payload word
+  spec.wall_clock_budget = 1e9;       // kStopFlags: 1 trailer word
+  const std::size_t k = mu * s;
+  const std::size_t payload = k * (k + 1) / 2 + 2 * k + 1;
+  const std::size_t trailer = 1;
+  const std::size_t rounds = h / s;
+  for (const int ranks : {2, 4, 8}) {
+    const data::Partition part = core::partition_for_ranks(d, spec, ranks);
+    dist::CommStats metered;
+    std::size_t iterations = 0;
+    std::mutex lock;
+    dist::run_distributed(ranks, [&](dist::Communicator& comm) {
+      auto solver = core::make_solver(comm, d, part, spec);
+      solver->run();
+      if (comm.rank() == 0) {
+        std::scoped_lock guard(lock);
+        metered = comm.stats();
+        iterations = solver->iterations_run();
+      }
+    });
+    ASSERT_EQ(iterations, h) << "ranks=" << ranks;
+    EXPECT_EQ(metered.words,
+              rounds * (payload + trailer) * dist::collective_rounds(ranks))
+        << "ranks=" << ranks;
   }
 }
 
@@ -161,8 +197,6 @@ TEST(ModelVsMetered, SvmLatencyCountsMatchExactly) {
     p.rows = d.num_points();
     p.cols = d.num_features();
     p.processors = ranks;
-    p.reduction_chunks =
-        common::ReduceGrouping::make(d.num_features()).num_chunks();
     const Costs model = s == 0 ? svm_costs(p) : sa_svm_costs(p);
     // +1 collective: the final primal-vector assembly (log2(4) = 2 rounds).
     EXPECT_DOUBLE_EQ(model.latency + 2.0,
