@@ -1,6 +1,6 @@
 // The paper's figures from ONE registry-driven driver.
 //
-//   bench_figures [convergence|runtime|scaling|overlap|all] [--smoke]
+//   bench_figures [convergence|runtime|scaling|all] [--smoke]
 //                 [--json out.json]
 //   bench_figures comm [--cli PATH] [--baseline-cli PATH] [--json out.json]
 //
@@ -15,10 +15,6 @@
 //                Figure 3), with the SA speedup over the classical id;
 //   scaling      Table I cost-model strong scaling and speedup-vs-s
 //                breakdown (paper Figure 4);
-//   overlap      measured wall time and per-phase seconds for the
-//                double-buffered round pipeline vs the unpipelined loop,
-//                every id on 4 thread-backed ranks, with the fraction of
-//                the reduce-wait the overlap hid;
 //   comm         wire words per round collective and reduce-wait seconds
 //                per round for sa-lasso and sa-svm at P ∈ {1, 2, 3, 4},
 //                measured through sa_opt_cli runs — this build's (the
@@ -37,7 +33,6 @@
 // figure panels, edit Config / dataset_for — every series goes through
 // the same registry loop.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -94,13 +89,6 @@ std::string jarr(const std::vector<std::string>& items) {
     out += items[i];
   }
   return out + "]";
-}
-
-double wall_seconds_since(
-    std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0)
-      .count();
 }
 
 bool is_svm_id(const std::string& id) {
@@ -376,61 +364,6 @@ void run_scaling(const Config& cfg, JsonSink& json) {
 }
 
 // ---------------------------------------------------------------------
-// overlap — pipelined vs unpipelined phase timing
-// ---------------------------------------------------------------------
-
-void run_overlap(const Config& cfg, JsonSink& json) {
-  sa::bench::print_header(
-      "Round-pipeline overlap efficiency, every registered id",
-      "Measured wall and per-phase seconds on 4 thread-backed ranks,\n"
-      "pipeline on vs off (bitwise-identical math; see "
-      "tests/core/test_round_pipeline.cpp).\nhidden = the reduce-wait "
-      "seconds the overlap removed; efficiency = hidden / wait(off).");
-
-  constexpr int kRanks = 4;
-  struct Timing {
-    double wall = 0.0;
-    sa::dist::CommStats stats;
-  };
-  std::printf("%-16s %10s %10s %10s %10s %10s %11s\n", "algorithm",
-              "wall on", "wall off", "wait on", "wait off", "hidden",
-              "efficiency");
-  std::vector<std::string> items;
-  for (const std::string& id : sa::core::registered_algorithms()) {
-    Timing timing[2];  // [0] = pipeline on, [1] = off
-    for (int mode = 0; mode < 2; ++mode) {
-      SolverSpec spec = spec_for(id, cfg).with_pipeline(mode == 0);
-      const auto t0 = std::chrono::steady_clock::now();
-      const SolveResult r =
-          sa::core::solve_on_ranks(dataset_for(id, cfg), spec, kRanks);
-      timing[mode] = {wall_seconds_since(t0), r.stats};
-    }
-    const double wait_on = timing[0].stats.wait_seconds;
-    const double wait_off = timing[1].stats.wait_seconds;
-    const double hidden = wait_off - wait_on;
-    const double efficiency = wait_off > 0.0 ? hidden / wait_off : 0.0;
-    std::printf("%-16s %9.4fs %9.4fs %9.4fs %9.4fs %9.4fs %10.1f%%\n",
-                id.c_str(), timing[0].wall, timing[1].wall, wait_on,
-                wait_off, hidden, 100.0 * efficiency);
-    const auto phases = [&](const Timing& t) {
-      return std::string("{\"wall_seconds\":") + jnum(t.wall) +
-             ",\"pack_seconds\":" + jnum(t.stats.pack_seconds) +
-             ",\"wait_seconds\":" + jnum(t.stats.wait_seconds) +
-             ",\"apply_seconds\":" + jnum(t.stats.apply_seconds) +
-             ",\"checkpoint_seconds\":" + jnum(t.stats.checkpoint_seconds) +
-             "}";
-    };
-    items.push_back("{\"id\":" + jstr(id) +
-                    ",\"ranks\":" + jnum(kRanks) +
-                    ",\"pipeline_on\":" + phases(timing[0]) +
-                    ",\"pipeline_off\":" + phases(timing[1]) +
-                    ",\"hidden_wait_seconds\":" + jnum(hidden) +
-                    ",\"overlap_efficiency\":" + jnum(efficiency) + "}");
-  }
-  json.add("overlap", jarr(items));
-}
-
-// ---------------------------------------------------------------------
 // comm — wire words and reduce-wait per round, before/after
 // ---------------------------------------------------------------------
 
@@ -594,10 +527,10 @@ int main(int argc, char** argv) {
     }
   }
   if (figure != "convergence" && figure != "runtime" && figure != "scaling" &&
-      figure != "overlap" && figure != "comm" && figure != "all") {
+      figure != "comm" && figure != "all") {
     std::fprintf(stderr,
                  "usage: bench_figures "
-                 "[convergence|runtime|scaling|overlap|all] [--smoke] "
+                 "[convergence|runtime|scaling|all] [--smoke] "
                  "[--json out.json]\n"
                  "       bench_figures comm [--cli PATH] "
                  "[--baseline-cli PATH] [--json out.json]\n");
@@ -612,7 +545,6 @@ int main(int argc, char** argv) {
   if (figure == "convergence" || figure == "all") run_convergence(cfg, json);
   if (figure == "runtime" || figure == "all") run_runtime(cfg, json);
   if (figure == "scaling" || figure == "all") run_scaling(cfg, json);
-  if (figure == "overlap" || figure == "all") run_overlap(cfg, json);
   if (figure == "comm") run_comm(cfg, json);
 
   if (json.enabled) {

@@ -86,8 +86,6 @@ void print_registry() {
       "  --gap-tol X     SVM duality-gap stop (default off)\n"
       "  --obj-tol X     stop when successive trace objectives agree\n"
       "  --time-budget X wall-clock budget in seconds (default off)\n"
-      "  --no-pipeline   disable the double-buffered round pipeline\n"
-      "                  (bitwise-identical results; for A/B timing)\n"
       "  --seed N        sampler seed (default %llu)\n"
       "  --group-size N  uniform group size for group-lasso ids "
       "(default 8)\n"
@@ -207,8 +205,6 @@ Args parse(int argc, char** argv) {
       args.spec.objective_tolerance = parse_nonnegative(flag, value());
     } else if (flag == "--time-budget") {
       args.spec.wall_clock_budget = parse_nonnegative(flag, value());
-    } else if (flag == "--no-pipeline") {
-      args.spec.pipeline = false;
     } else if (flag == "--seed") {
       args.spec.seed = parse_count(flag, value());
     } else if (flag == "--group-size") {
@@ -331,15 +327,15 @@ int run_solver(const Args& args, const sa::data::Dataset& dataset) {
               sa::core::summarize_trace(result.trace).c_str(),
               sa::core::to_string(result.stop_reason),
               result.trace.iterations_run);
-  // Where the round loop spent its wall time (rank 0's meters).  With the
-  // pipeline on, reduce-wait is the residual latency the overlap could
-  // not hide; checkpoint covers serialization plus the finish() drain —
-  // the disk write itself runs on the async writer's thread.
+  // Where the round loop spent its wall time (rank 0's meters).
+  // Reduce-wait is the latency overlap_round could not hide; checkpoint
+  // covers serialization plus the finish() drain — the disk write itself
+  // runs on the async writer's thread.
   const sa::dist::CommStats& st = result.stats;
   std::printf("phase seconds: pack %.4f  reduce-wait %.4f  apply %.4f  "
-              "checkpoint %.4f  (pipeline %s, kernels %s%s)\n",
+              "checkpoint %.4f  (kernels %s%s)\n",
               st.pack_seconds, st.wait_seconds, st.apply_seconds,
-              st.checkpoint_seconds, spec.pipeline ? "on" : "off",
+              st.checkpoint_seconds,
               sa::la::simd::to_cstring(
                   static_cast<sa::la::simd::Isa>(st.kernel_isa)),
               grouping_note.c_str());

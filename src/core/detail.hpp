@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <utility>
 
 #include "core/solver.hpp"
 #include "la/batch_view.hpp"
+#include "la/workspace.hpp"
 
 namespace sa::core::detail {
 
@@ -51,6 +53,22 @@ inline double theta_next(double theta) {
 /// Acceleration coefficient  (1 − q·θ)/θ²  from lines 16–17 of Algorithm 1.
 inline double acceleration_coefficient(double theta, double q) {
   return (1.0 - q * theta) / (theta * theta);
+}
+
+/// Pre-sizes an engine's round workspace (the sampled-index slot
+/// `idx_slot` and the view descriptor pools) and its per-chunk range
+/// workspace for batches of up to `k_max` members, so a short solve and a
+/// long one make identical allocations (tests/core/test_steady_state.cpp).
+inline void presize_round_workspaces(la::Workspace& round,
+                                     std::size_t idx_slot,
+                                     la::Workspace& range,
+                                     std::size_t k_max) {
+  round.indices(idx_slot, k_max);
+  for (la::Workspace* ws : {&round, &range}) {
+    ws->member_index_spans(k_max);
+    ws->member_value_spans(k_max);
+    ws->member_rows(k_max);
+  }
 }
 
 /// Elementwise proximal step for the supported penalties:

@@ -14,33 +14,19 @@
 //
 // A round runs as
 //
-//   plan_round(msg, buf)    engine: sample, layout + write the Gram section
-//                           (state-independent given the RNG stream)
-//   finish_round(msg, buf)  engine: write the dot sections (read the
-//                           residuals left by the previous apply)
-//   msg.reduce_start()      the round's single collective, nonblocking
-//   plan_round(k+1)         [pipeline] speculative plan of the NEXT round
-//                           into the other buffer, overlapped with the
-//                           in-flight reduction
+//   pack_round(s_eff, msg)  engine: sample, lay out the message, write the
+//                           Gram and dot sections
+//   msg.reduce_start()      the round's single collective
 //   overlap_round()         engine: replicated work independent of the sums
-//                           (θ recurrences etc.), also overlapped
+//                           (θ recurrences etc.), run before the wait
 //   msg.reduce_wait()
-//   apply_round(msg, buf)   engine: unpack, inner iterations, batch updates
+//   apply_round(s_eff, msg) engine: unpack, inner iterations, batch updates
 //
 // followed by the base class unpacking the trailer sections and evaluating
 // the stopping criteria — so enabling objective-tolerance or wall-budget
-// stopping never adds a message.
-//
-// The double-buffered pipeline (SolverSpec::pipeline, default on) hides
-// the sampling + Gram cost of round k+1 behind round k's reduction: round
-// messages and the engines' round-scoped views ping-pong between two
-// buffers, so the speculative plan never clobbers live state.  A round
-// that turns out to be the last one (stop criterion fired, step budget
-// exhausted, or a checkpoint is due) rolls its speculation back —
-// mark_sampler()/rewind_sampler() restore the RNG and permutation exactly,
-// and the speculatively charged flops are dropped — so traces, snapshots,
-// and step() boundaries are bitwise identical to the unpipelined loop
-// (asserted per algorithm by tests/core/test_round_pipeline.cpp).
+// stopping never adds a message.  Due checkpoints are serialized
+// collectively after the round; rank 0 hands the image to an
+// io::AsyncCheckpointWriter so no rank waits on the disk.
 #pragma once
 
 #include <algorithm>
@@ -65,8 +51,7 @@ inline double seconds_since(EngineClock::time_point start) {
 }
 
 /// Shared outer-round skeleton.  Derived engines implement the round
-/// phases (plan_round / finish_round / overlap_round / apply_round), the
-/// speculation bracket (mark_sampler / rewind_sampler), trace-point
+/// phases (pack_round / overlap_round / apply_round), trace-point
 /// evaluation (record_trace_point), and result assembly (assemble);
 /// everything else — cadence, stopping criteria, the round message,
 /// step()/run()/finish() plumbing — lives here so the six algorithms
@@ -97,40 +82,21 @@ class EngineBase : public Solver {
  protected:
   EngineBase(dist::Communicator& comm, const SolverSpec& spec);
 
-  /// First half of packing round `s_eff`: draw the coordinates, build the
-  /// round's batch view and message layout in buffer `buf`, and write the
-  /// Gram section.  Everything here depends only on the RNG stream — NOT
-  /// on iterate state — so the base class may call it speculatively for
-  /// round k+1 while round k's reduction is in flight.  A speculative call
-  /// is either consumed unchanged by the next round or undone via
-  /// rewind_sampler(); it must leave no other observable state behind
-  /// (round-scoped views/buffers indexed by `buf` are fine).
-  virtual void plan_round(std::size_t s_eff, dist::RoundMessage& msg,
-                          std::size_t buf) = 0;
+  /// Packs round `s_eff`: draws the coordinates, builds the round's batch
+  /// view and message layout, and writes the Gram and dot sections (the
+  /// dots read the residual/image vectors the previous apply_round
+  /// updated).
+  virtual void pack_round(std::size_t s_eff, dist::RoundMessage& msg) = 0;
 
-  /// Second half: write the dot sections for the plan already laid out in
-  /// `msg`.  Runs at the top of the round it belongs to — these read the
-  /// residual/image vectors the PREVIOUS apply_round just updated, which
-  /// is exactly why they cannot be speculated.
-  virtual void finish_round(std::size_t s_eff, dist::RoundMessage& msg,
-                            std::size_t buf) = 0;
-
-  /// Replicated work independent of the reduced sums, run while the
-  /// round's collective is in flight (θ recurrence tables and the like).
+  /// Replicated work independent of the reduced sums, run between
+  /// reduce_start and reduce_wait (θ recurrence tables and the like).
   virtual void overlap_round(std::size_t s_eff) { (void)s_eff; }
 
   /// Unpacks the reduced Gram/dot sections and replays the s_eff inner
-  /// iterations plus the deferred batch updates.  `buf` selects the
-  /// round-scoped views written by the matching plan_round.
-  virtual void apply_round(std::size_t s_eff, const dist::RoundMessage& msg,
-                           std::size_t buf) = 0;
-
-  /// Speculation bracket around a pipelined plan_round: mark_sampler()
-  /// records the coordinate-stream state, rewind_sampler() restores it
-  /// exactly (RNG word and, for the permutation-based sampler, the swap
-  /// log).  Rewind is only ever called with a mark outstanding.
-  virtual void mark_sampler() = 0;
-  virtual void rewind_sampler() = 0;
+  /// iterations plus the deferred batch updates, on the round view the
+  /// matching pack_round built.
+  virtual void apply_round(std::size_t s_eff,
+                           const dist::RoundMessage& msg) = 0;
 
   /// Round-objective piggyback (the kObjective section).  Engines whose
   /// objective splits into a summable local partial plus a replicated
@@ -223,46 +189,27 @@ class EngineBase : public Solver {
   // The per-round message plane: ONE collective per outer round, with the
   // stopping criteria riding as trailer sections (sized once, up front).
   // Slot 1 of the same arena backs gather_full's assembly buffer; slot 2
-  // is the second round-message buffer the pipeline ping-pongs with; slot
-  // 3 backs grouped_sum's message; slot 4 holds the fold scratch levels
-  // all three messages share (a fold never outlives its call).
+  // backs grouped_sum's message; slot 3 holds the fold scratch levels both
+  // messages share (a fold never outlives its call).
   enum : std::size_t {
     kMsgSlot = 0,
     kGatherSlot = 1,
-    kMsgSlotB = 2,
-    kTraceSlot = 3,
-    kFoldSlot = 4
+    kTraceSlot = 2,
+    kFoldSlot = 3
   };
   common::ReduceGrouping grouping_;
   la::Workspace msg_ws_;
   dist::RoundMessage msg_{msg_ws_, kMsgSlot, kFoldSlot};
-  dist::RoundMessage msg_b_{msg_ws_, kMsgSlotB, kFoldSlot};
   dist::RoundMessage trace_msg_{msg_ws_, kTraceSlot, kFoldSlot};
-  dist::RoundMessage& round_msg(std::size_t buf) {
-    return buf == 0 ? msg_ : msg_b_;
-  }
   bool piggyback_objective_ = false;
   bool piggyback_wall_ = false;
-
-  // Pipeline state: which buffer the CURRENT round lives in, and whether a
-  // speculative plan for the next round is parked in the other one.  The
-  // flops a speculative plan charges are deferred — committed when the
-  // plan is consumed, dropped when it is rolled back — so CommStats at
-  // every trace point match the unpipelined loop exactly.
-  std::size_t cur_buf_ = 0;
-  bool next_planned_ = false;
-  std::size_t next_planned_s_ = 0;
-  std::size_t deferred_flops_ = 0;
-  std::size_t deferred_replicated_ = 0;
-  bool msg_b_sized_ = false;  // slot-B arena warmed (first layout seen)
 
   // Checkpoint-every plumbing: the writer and the tmp-path string persist
   // across checkpoints, so the steady-state path reuses their storage
   // (zero heap allocations after the first snapshot — asserted by
-  // tests/core/test_steady_state.cpp).  With the pipeline on, rank 0
-  // hands the image to the async writer thread instead of blocking the
-  // round loop on the disk (created lazily at the first checkpoint,
-  // drained at finish()).
+  // tests/core/test_steady_state.cpp).  Rank 0 hands the image to the
+  // async writer thread instead of blocking the round loop on the disk
+  // (created lazily at the first checkpoint, drained at finish()).
   std::size_t since_checkpoint_ = 0;
   io::SnapshotWriter ckpt_writer_;
   std::string ckpt_tmp_path_;

@@ -12,30 +12,31 @@ RowBlock::RowBlock(const data::Dataset& dataset, const data::Partition& rows,
            "RowBlock: partition does not cover the dataset rows");
   SA_CHECK(rank >= 0 && rank < rows.num_ranks(), "RowBlock: bad rank");
   a_ = dataset.a.row_slice(rows.begin(rank), rows.end(rank));
-  csc_ = la::CscMatrix(a_);
-  col_norms_ = csc_.col_norms_squared();  // one O(nnz) pass at construction
+  dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
+  if (dense_batches_) {
+    // One densification pass for the whole solve: every column scattered
+    // into its own contiguous run (column-major over the local block).
+    // Dense-mode views read only this stage, so no CSC mirror is built.
+    const std::size_t m_loc = local_rows();
+    stage_.assign(num_features() * m_loc, 0.0);
+    for (std::size_t i = 0; i < m_loc; ++i) {
+      const auto idx = a_.row_indices(i);
+      const auto val = a_.row_values(i);
+      for (std::size_t p = 0; p < idx.size(); ++p)
+        stage_[idx[p] * m_loc + i] = val[p];
+    }
+    // Same order (rows ascending) as the CSC pass; the staged zeros add
+    // +0.0, so the norms are bitwise those of the sparse path.
+    col_norms_.assign(num_features(), 0.0);
+    for (std::size_t c = 0; c < num_features(); ++c)
+      for (std::size_t i = 0; i < m_loc; ++i)
+        col_norms_[c] += stage_[c * m_loc + i] * stage_[c * m_loc + i];
+  } else {
+    csc_ = la::CscMatrix(a_);
+    col_norms_ = csc_.col_norms_squared();  // one O(nnz) pass
+  }
   b_.assign(dataset.b.begin() + rows.begin(rank),
             dataset.b.begin() + rows.end(rank));
-  dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
-}
-
-const std::vector<double>& RowBlock::staged_columns() const {
-  // One densification pass for the whole solve: every column scattered
-  // into its own contiguous run (column-major over the local block).  The
-  // same values the per-iteration scatter produced, paid once instead of
-  // once per round.
-  if (stage_.empty()) {
-    const std::size_t m_loc = local_rows();
-    // sa-lint: allow(alloc): one-time lazy densification, empty-guarded
-    stage_.assign(num_features() * m_loc, 0.0);
-    for (std::size_t c = 0; c < num_features(); ++c) {
-      double* run = stage_.data() + c * m_loc;
-      const auto idx = csc_.col_indices(c);
-      const auto val = csc_.col_values(c);
-      for (std::size_t p = 0; p < idx.size(); ++p) run[idx[p]] = val[p];
-    }
-  }
-  return stage_;
 }
 
 la::BatchView RowBlock::view_columns(std::span<const std::size_t> cols,
@@ -43,11 +44,10 @@ la::BatchView RowBlock::view_columns(std::span<const std::size_t> cols,
   const std::size_t m_loc = local_rows();
   const std::size_t k = cols.size();
   if (dense_batches_) {
-    const std::vector<double>& stage = staged_columns();
     std::span<const double*> rows = ws.member_rows(k);
     for (std::size_t c = 0; c < k; ++c) {
       SA_CHECK(cols[c] < num_features(), "view_columns: column out of range");
-      rows[c] = stage.data() + cols[c] * m_loc;
+      rows[c] = stage_.data() + cols[c] * m_loc;
     }
     return la::BatchView::dense(rows, m_loc);
   }
@@ -70,12 +70,8 @@ ColBlock::ColBlock(const data::Dataset& dataset, const data::Partition& cols,
   a_ = dataset.a.col_slice(cols.begin(rank), cols.end(rank));
   b_ = dataset.b;  // labels replicated
   dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
-}
-
-const std::vector<double>& ColBlock::staged_rows() const {
-  if (stage_.empty()) {
+  if (dense_batches_) {
     const std::size_t n_loc = local_cols();
-    // sa-lint: allow(alloc): one-time lazy densification, empty-guarded
     stage_.assign(num_points() * n_loc, 0.0);
     for (std::size_t r = 0; r < num_points(); ++r) {
       double* run = stage_.data() + r * n_loc;
@@ -84,7 +80,6 @@ const std::vector<double>& ColBlock::staged_rows() const {
       for (std::size_t p = 0; p < idx.size(); ++p) run[idx[p]] = val[p];
     }
   }
-  return stage_;
 }
 
 la::BatchView ColBlock::view_rows(std::span<const std::size_t> rows,
@@ -92,11 +87,10 @@ la::BatchView ColBlock::view_rows(std::span<const std::size_t> rows,
   const std::size_t n_loc = local_cols();
   const std::size_t k = rows.size();
   if (dense_batches_) {
-    const std::vector<double>& stage = staged_rows();
     std::span<const double*> ptrs = ws.member_rows(k);
     for (std::size_t r = 0; r < k; ++r) {
       SA_CHECK(rows[r] < num_points(), "view_rows: row out of range");
-      ptrs[r] = stage.data() + rows[r] * n_loc;
+      ptrs[r] = stage_.data() + rows[r] * n_loc;
     }
     return la::BatchView::dense(ptrs, n_loc);
   }

@@ -2,8 +2,9 @@
 //
 // RowBlock is the Lasso layout (Figure 1 of the paper): A is 1D-row
 // partitioned, ℝ^m vectors (residuals) are partitioned alike, ℝ^n vectors
-// (solutions) are replicated.  Solvers sample *columns*, so each block
-// keeps a CSC mirror for O(nnz(column)) gathers.
+// (solutions) are replicated.  Solvers sample *columns*, so a sparse block
+// keeps a CSC mirror for O(nnz(column)) gathers; a dense block keeps a
+// column-major staged copy instead.
 //
 // ColBlock is the SVM layout (paper §V): A is 1D-column partitioned, the
 // primal iterate x ∈ ℝ^n is partitioned, the dual iterate α ∈ ℝ^m and the
@@ -57,25 +58,25 @@ class RowBlock {
   /// of dim local_rows(); storage (dense vs sparse) follows the matrix
   /// density.  Sparse members alias the resident CSC arrays directly; in
   /// dense-batch mode the members point into a column-major staged copy
-  /// of the whole local block, densified ONCE on first use and kept alive
-  /// across iterations — sampled views then cost only k pointer writes,
-  /// no per-iteration memset + scatter.  The view is valid until the next
-  /// view_columns call on the same workspace.
+  /// of the whole local block, densified ONCE at construction and kept
+  /// alive across iterations — sampled views then cost only k pointer
+  /// writes, no per-iteration memset + scatter.  The view is valid until
+  /// the next view_columns call on the same workspace.
   la::BatchView view_columns(std::span<const std::size_t> cols,
                              la::Workspace& ws) const;
 
  private:
-  const std::vector<double>& staged_columns() const;
-
   la::CsrMatrix a_;   // m_loc × n
-  la::CscMatrix csc_; // column mirror of a_
+  la::CscMatrix csc_; // column mirror of a_ (sparse-batch mode only)
   std::vector<double> b_;
   std::vector<double> col_norms_;  // ‖local slice of column j‖² for all j
   bool dense_batches_ = false;
-  // Lazily-built column-major dense copy (n × m_loc, one column per run)
-  // backing dense-mode views; empty until the first view_columns call, so
-  // solves on the sparse path never pay for it.
-  mutable std::vector<double> stage_;
+  // Column-major dense copy (n × m_loc, one column per run) backing
+  // dense-mode views, in place of csc_; built at construction in
+  // dense-batch mode only (so solves on the sparse path never pay for
+  // it) — allocating it before the solve's small round buffers keeps the
+  // large block's placement, and so the peak RSS, independent of them.
+  std::vector<double> stage_;
 };
 
 /// The column block of one rank under 1D-column partitioning.
@@ -93,19 +94,19 @@ class ColBlock {
   /// Views the given global rows (restricted to local columns) as a batch
   /// of dim local_cols().  Sparse members alias the CSR row arrays
   /// directly; dense-batch mode points into a row-major staged copy of the
-  /// local block, densified once and reused across iterations.  Valid
-  /// until the next view_rows call on the same workspace.
+  /// local block, densified once at construction and reused across
+  /// iterations.  Valid until the next view_rows call on the same
+  /// workspace.
   la::BatchView view_rows(std::span<const std::size_t> rows,
                           la::Workspace& ws) const;
 
  private:
-  const std::vector<double>& staged_rows() const;
-
   la::CsrMatrix a_;  // m × n_loc
   std::vector<double> b_;
   bool dense_batches_ = false;
-  // Lazily-built dense copy (m × n_loc) backing dense-mode views.
-  mutable std::vector<double> stage_;
+  // Dense copy (m × n_loc) backing dense-mode views; built at construction
+  // in dense-batch mode only (see RowBlock::stage_).
+  std::vector<double> stage_;
 };
 
 }  // namespace sa::core

@@ -44,25 +44,10 @@ class GroupLassoEngine final : public detail::EngineBase {
     base_state_.resize(max_group);
     gjj_.reshape(max_group, max_group);
     eig_scratch_.reserve(max_group);
-    for (std::size_t b = 0; b < 2; ++b) {
-      group_of_b_[b].resize(spec_.unroll_depth());
-      offset_b_[b].resize(spec_.unroll_depth() + 1);
-    }
-    if (spec_.pipeline) {
-      // Pre-size both round buffers to the worst-case batch, so short
-      // (never-speculating) and long solves make identical allocations
-      // (tests/core/test_steady_state.cpp).
-      const std::size_t k_max = spec_.unroll_depth() * max_group;
-      for (la::Workspace& ws : round_ws_) {
-        ws.indices(kSlotIdx, k_max);
-        ws.member_index_spans(k_max);
-        ws.member_value_spans(k_max);
-        ws.member_rows(k_max);
-      }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
-    }
+    group_of_.resize(spec_.unroll_depth());
+    offset_.resize(spec_.unroll_depth() + 1);
+    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
+                                     spec_.unroll_depth() * max_group);
     init_grouping(rows_);
 
     if (!spec_.x0.empty()) {
@@ -123,18 +108,13 @@ class GroupLassoEngine final : public detail::EngineBase {
     return 0.5 * reduced_partial + pending_penalty_;
   }
 
-  void plan_round(std::size_t s_eff, dist::RoundMessage& msg,
-                  std::size_t buf) override {
+  void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
     const GroupStructure& groups = spec_.groups;
 
     // --- Sample s_eff groups (with replacement, seed-replicated).
     //     Groups vary in size, so track the offset of each block inside
     //     the stacked batch; the sampled column indices are contiguous
-    //     runs viewed zero-copy in the resident CSC storage.  Depends
-    //     only on the generator stream, so the pipeline may run this
-    //     speculatively (rolled back by restoring the generator). ---
-    std::vector<std::size_t>& group_of_ = group_of_b_[buf];
-    std::vector<std::size_t>& offset_ = offset_b_[buf];
+    //     runs viewed zero-copy in the resident CSC storage. ---
     offset_[0] = 0;
     for (std::size_t t = 0; t < s_eff; ++t) {
       const auto g =
@@ -144,51 +124,38 @@ class GroupLassoEngine final : public detail::EngineBase {
           offset_[t] + (groups.offsets[g + 1] - groups.offsets[g]);
     }
     const std::size_t k = offset_[s_eff];
-    idx_b_[buf] = round_ws_[buf].indices(kSlotIdx, k);
+    const std::span<std::size_t> idx = round_ws_.indices(kSlotIdx, k);
     for (std::size_t t = 0; t < s_eff; ++t) {
       const std::size_t begin = groups.offsets[group_of_[t]];
       for (std::size_t l = 0; l < offset_[t + 1] - offset_[t]; ++l)
-        idx_b_[buf][offset_[t] + l] = begin + l;
+        idx[offset_[t] + l] = begin + l;
     }
-    big_b_[buf] = block_.view_columns(idx_b_[buf], round_ws_[buf]);
+    big_ = block_.view_columns(idx, round_ws_);
 
-    // --- Gram triangle of the ONE message: [upper(G) | Yᵀr̃]; the dot
-    //     section waits for finish_round (it reads the residual the
-    //     previous apply just updated). ---
+    // --- The ONE message: [upper(G) | Yᵀr̃], partials per OWNED global
+    //     row chunk folded through the grouping's tree
+    //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(k), k, 0);
-    // Gram partials per OWNED global row chunk, folded through the
-    // grouping's tree (rank-count-invariant reduction grouping).
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(big_b_[buf], b, e, range_ws_,
-                                            out);
+                     la::sampled_gram_range(big_, b, e, range_ws_, out);
                    });
-    comm_.add_flops(big_b_[buf].gram_flops());
-  }
+    comm_.add_flops(big_.gram_flops());
 
-  void finish_round(std::size_t s_eff, dist::RoundMessage& msg,
-                    std::size_t buf) override {
-    (void)s_eff;
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(res_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(big_b_[buf], rhs_span, b, e,
-                                            range_ws_, out);
+                     la::sampled_dots_range(big_, rhs_span, b, e, range_ws_,
+                                            out);
                    });
-    comm_.add_flops(big_b_[buf].dot_all_flops());
+    comm_.add_flops(big_.dot_all_flops());
   }
 
-  void mark_sampler() override { rng_mark_ = rng_.state(); }
-  void rewind_sampler() override { rng_.set_state(rng_mark_); }
-
-  void apply_round(std::size_t s_eff, const dist::RoundMessage& msg,
-                   std::size_t buf) override {
+  void apply_round(std::size_t s_eff,
+                   const dist::RoundMessage& msg) override {
     const GroupStructure& groups = spec_.groups;
-    const std::vector<std::size_t>& group_of_ = group_of_b_[buf];
-    const std::vector<std::size_t>& offset_ = offset_b_[buf];
-    la::BatchView& big_ = big_b_[buf];
     const std::size_t k = offset_[s_eff];
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), k);
@@ -311,18 +278,15 @@ class GroupLassoEngine final : public detail::EngineBase {
   la::DenseMatrix gjj_;
   la::EigenScratch eig_scratch_;
 
-  // Plan-to-apply round state, double-buffered for the pipeline: each
-  // buffer carries its sampled groups, their batch offsets, the stacked
-  // indices, and the zero-copy view (descriptors live in that buffer's
-  // Workspace named pools).  Unpipelined solves only touch buffer 0.
-  la::Workspace round_ws_[2];
-  std::vector<std::size_t> group_of_b_[2];
-  std::vector<std::size_t> offset_b_[2];
-  std::span<std::size_t> idx_b_[2];
-  la::BatchView big_b_[2];
+  // Pack-to-apply round state: the sampled groups, their batch offsets,
+  // and the zero-copy view over the stacked indices (indices and view
+  // descriptors live in round_ws_).
+  la::Workspace round_ws_;
+  std::vector<std::size_t> group_of_;
+  std::vector<std::size_t> offset_;
+  la::BatchView big_;
   // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
   la::Workspace range_ws_;
-  std::uint64_t rng_mark_ = 0;
   double pending_penalty_ = 0.0;
 };
 

@@ -69,22 +69,8 @@ class LassoEngine final : public detail::EngineBase {
     // span stays valid for the engine's lifetime.
     pending_ = ws_.doubles(kSlotPending, n_);
     touched_.reserve(spec_.unroll_depth() * mu_);
-    if (spec_.pipeline) {
-      // Pre-size BOTH round buffers (and the sampler's rewind log) up
-      // front, so a solve short enough to never speculate and a long one
-      // make identical allocations (tests/core/test_steady_state.cpp).
-      const std::size_t k_max = spec_.unroll_depth() * mu_;
-      for (la::Workspace& ws : round_ws_) {
-        ws.indices(kSlotIdx, k_max);
-        ws.member_index_spans(k_max);
-        ws.member_value_spans(k_max);
-        ws.member_rows(k_max);
-      }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
-      sampler_.reserve_rewind(k_max);
-    }
+    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
+                                     spec_.unroll_depth() * mu_);
   }
 
  private:
@@ -158,40 +144,29 @@ class LassoEngine final : public detail::EngineBase {
     return 0.5 * reduced_partial + pending_penalty_;
   }
 
-  void plan_round(std::size_t s_eff, dist::RoundMessage& msg,
-                  std::size_t buf) override {
+  void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
     const std::size_t k = s_eff * mu_;  // members of the sampled batch
 
     // --- Sampling: s_eff blocks of µ coordinates (seed-replicated),
-    //     viewed zero-copy in the resident CSC storage.  Depends only on
-    //     the sampler stream, so the pipeline may run this for round k+1
-    //     while round k's reduction is in flight (rolled back with
-    //     sampler_.rewind() if that round never happens). ---
-    idx_b_[buf] = round_ws_[buf].indices(kSlotIdx, k);
+    //     viewed zero-copy in the resident CSC storage. ---
+    idx_ = round_ws_.indices(kSlotIdx, k);
     for (std::size_t t = 0; t < s_eff; ++t)
-      sampler_.next_into(idx_b_[buf].subspan(t * mu_, mu_));
-    big_b_[buf] = block_.view_columns(idx_b_[buf], round_ws_[buf]);
+      sampler_.next_into(idx_.subspan(t * mu_, mu_));
+    big_ = block_.view_columns(idx_, round_ws_);
 
-    // --- Gram triangle of the ONE message of this outer round:
+    // --- The ONE message of this outer round:
     //     [upper(G) | Yᵀỹ | Yᵀz̃]   (plain mode: [upper(G) | Yᵀr̃]).
-    //     The dot sections wait for finish_round — they read the images
-    //     the previous apply just updated. ---
+    //     Partials per OWNED global row chunk, folded through the
+    //     grouping's tree — the per-chunk sums are identical on every rank
+    //     count, so the folded payload is too. ---
     const std::size_t k_dots = spec_.accelerated ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
-    // Gram partials per OWNED global row chunk, folded through the
-    // grouping's tree — the per-chunk sums are identical on every rank
-    // count, so the folded payload is too.
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(big_b_[buf], b, e, range_ws_,
-                                            out);
+                     la::sampled_gram_range(big_, b, e, range_ws_, out);
                    });
-    comm_.add_flops(big_b_[buf].gram_flops());
-  }
+    comm_.add_flops(big_.gram_flops());
 
-  void finish_round(std::size_t s_eff, dist::RoundMessage& msg,
-                    std::size_t buf) override {
-    (void)s_eff;
     const std::size_t sections = spec_.accelerated ? 2 : 1;
     const std::array<std::span<const double>, 2> rhs{
         std::span<const double>(y_img_), std::span<const double>(z_img_)};
@@ -199,14 +174,11 @@ class LassoEngine final : public detail::EngineBase {
         rhs.data() + (spec_.accelerated ? 0 : 1), sections);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(big_b_[buf], rhs_span, b, e,
-                                            range_ws_, out);
+                     la::sampled_dots_range(big_, rhs_span, b, e, range_ws_,
+                                            out);
                    });
-    comm_.add_flops(sections * big_b_[buf].dot_all_flops());
+    comm_.add_flops(sections * big_.dot_all_flops());
   }
-
-  void mark_sampler() override { sampler_.mark(); }
-  void rewind_sampler() override { sampler_.rewind(); }
 
   void overlap_round(std::size_t s_eff) override {
     // θ entering inner iteration t (θ_{sk+t} in paper indexing, t
@@ -217,10 +189,8 @@ class LassoEngine final : public detail::EngineBase {
       theta_in_[t + 1] = detail::theta_next(theta_in_[t]);
   }
 
-  void apply_round(std::size_t s_eff, const dist::RoundMessage& msg,
-                   std::size_t buf) override {
-    const std::span<const std::size_t> idx_ = idx_b_[buf];
-    la::BatchView& big_ = big_b_[buf];
+  void apply_round(std::size_t s_eff,
+                   const dist::RoundMessage& msg) override {
     const std::size_t k = s_eff * mu_;
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), k);
@@ -411,19 +381,17 @@ class LassoEngine final : public detail::EngineBase {
   std::span<double> pending_;
   std::vector<std::size_t> touched_;
 
-  // Plan-to-apply round state, double-buffered for the pipeline: each
-  // buffer owns its sampled indices and the zero-copy view over them,
-  // backed by that buffer's Workspace (the view descriptors live in
-  // per-Workspace named pools, so two rounds can be live at once without
-  // clobbering each other).  Unpipelined solves only ever touch buffer 0.
-  la::Workspace round_ws_[2];
-  std::span<std::size_t> idx_b_[2];
-  la::BatchView big_b_[2];
+  // Pack-to-apply round state: the sampled indices and the zero-copy view
+  // over them, backed by round_ws_ (the view descriptors live in its
+  // named pools).
+  la::Workspace round_ws_;
+  std::span<std::size_t> idx_;
+  la::BatchView big_;
   // Scratch workspace for the narrowed (per-chunk) views the range
-  // kernels build — distinct from the round workspaces because the named
-  // descriptor pools are one-buffer-per-Workspace and the original view
-  // must stay intact for apply_round.  One suffices even with the
-  // pipeline: narrowed views are consumed inside each kernel call.
+  // kernels build — distinct from round_ws_ because the named descriptor
+  // pools are one-buffer-per-Workspace and the round view must stay
+  // intact for apply_round.  Narrowed views are consumed inside each
+  // kernel call.
   la::Workspace range_ws_;
   double pending_penalty_ = 0.0;
 

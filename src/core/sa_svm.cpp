@@ -49,21 +49,8 @@ class SvmEngine final : public detail::EngineBase {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
     init_grouping(cols_);
-    if (spec_.pipeline) {
-      // Pre-size both round buffers up front, so short (never-speculating)
-      // and long solves make identical allocations
-      // (tests/core/test_steady_state.cpp).
-      const std::size_t k_max = spec_.unroll_depth();
-      for (la::Workspace& ws : round_ws_) {
-        ws.indices(kSlotIdx, k_max);
-        ws.member_index_spans(k_max);
-        ws.member_value_spans(k_max);
-        ws.member_rows(k_max);
-      }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
-    }
+    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
+                                     spec_.unroll_depth());
   }
 
  private:
@@ -96,46 +83,33 @@ class SvmEngine final : public detail::EngineBase {
     push_trace_point(iteration, primal - dual, snapshot);
   }
 
-  void plan_round(std::size_t s_eff, dist::RoundMessage& msg,
-                  std::size_t buf) override {
+  void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
     // --- Sampling (seed-replicated, with replacement as in Algorithm 3).
-    //     Depends only on the generator stream, so the pipeline may run
-    //     this speculatively (rolled back by restoring the generator). ---
-    idx_b_[buf] = round_ws_[buf].indices(kSlotIdx, s_eff);
+    idx_ = round_ws_.indices(kSlotIdx, s_eff);
     for (std::size_t t = 0; t < s_eff; ++t)
-      idx_b_[buf][t] = static_cast<std::size_t>(rng_.next_below(m_));
-    batch_b_[buf] = block_.view_rows(idx_b_[buf], round_ws_[buf]);
+      idx_[t] = static_cast<std::size_t>(rng_.next_below(m_));
+    batch_ = block_.view_rows(idx_, round_ws_);
 
-    // --- Gram triangle of the ONE message: [upper(G) | Yᵀx]; the dot
-    //     section waits for finish_round (it reads the primal slice the
-    //     previous apply just updated). ---
+    // --- The ONE message: [upper(G) | Yᵀx], partials per OWNED global
+    //     column chunk folded through the grouping's tree
+    //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
-    // Gram partials per OWNED global column chunk, folded through the
-    // grouping's tree (rank-count-invariant reduction grouping).
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(batch_b_[buf], b, e, range_ws_,
-                                            out);
+                     la::sampled_gram_range(batch_, b, e, range_ws_, out);
                    });
-    comm_.add_flops(batch_b_[buf].gram_flops());
-  }
+    comm_.add_flops(batch_.gram_flops());
 
-  void finish_round(std::size_t s_eff, dist::RoundMessage& msg,
-                    std::size_t buf) override {
-    (void)s_eff;
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(x_loc_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
                    [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(batch_b_[buf], rhs_span, b, e,
+                     la::sampled_dots_range(batch_, rhs_span, b, e,
                                             range_ws_, out);
                    });
-    comm_.add_flops(batch_b_[buf].dot_all_flops());
+    comm_.add_flops(batch_.dot_all_flops());
   }
-
-  void mark_sampler() override { rng_mark_ = rng_.state(); }
-  void rewind_sampler() override { rng_.set_state(rng_mark_); }
 
   void overlap_round(std::size_t s_eff) override {
     // The deferred-update table is reset while the reduction is in
@@ -143,10 +117,8 @@ class SvmEngine final : public detail::EngineBase {
     std::fill(theta_.begin(), theta_.begin() + s_eff, 0.0);
   }
 
-  void apply_round(std::size_t s_eff, const dist::RoundMessage& msg,
-                   std::size_t buf) override {
-    const std::span<const std::size_t> idx_ = idx_b_[buf];
-    la::BatchView& batch_ = batch_b_[buf];
+  void apply_round(std::size_t s_eff,
+                   const dist::RoundMessage& msg) override {
     const std::vector<double>& b = block_.labels();
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), s_eff);
@@ -236,16 +208,13 @@ class SvmEngine final : public detail::EngineBase {
   // round message lives in EngineBase's arena.
   std::vector<double> theta_;
 
-  // Plan-to-apply round state, double-buffered for the pipeline: each
-  // buffer owns its sampled indices and zero-copy row view (descriptors
-  // live in that buffer's Workspace named pools).  Unpipelined solves
-  // only touch buffer 0.
-  la::Workspace round_ws_[2];
-  std::span<std::size_t> idx_b_[2];
-  la::BatchView batch_b_[2];
+  // Pack-to-apply round state: the sampled indices and the zero-copy row
+  // view over them (descriptors live in round_ws_'s named pools).
+  la::Workspace round_ws_;
+  std::span<std::size_t> idx_;
+  la::BatchView batch_;
   // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
   la::Workspace range_ws_;
-  std::uint64_t rng_mark_ = 0;
 };
 
 }  // namespace

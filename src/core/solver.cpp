@@ -106,10 +106,6 @@ SolverSpec& SolverSpec::with_reduction_chunk(std::size_t elements) {
   reduction_chunk = elements;
   return *this;
 }
-SolverSpec& SolverSpec::with_pipeline(bool on) {
-  pipeline = on;
-  return *this;
-}
 SolverSpec& SolverSpec::with_max_retries(std::size_t retries) {
   max_retries = retries;
   return *this;
@@ -252,9 +248,6 @@ std::size_t EngineBase::step(std::size_t iterations) {
     msg_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
                            piggyback_wall_ ? 1 : 0,
                            fault_detection_ ? 1 : 0);
-    msg_b_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
-                             piggyback_wall_ ? 1 : 0,
-                             fault_detection_ ? 1 : 0);
     if (fault_detection_) comm_.enable_reduce_digest(true);
     if (spec_.trace_every > 0) {
       record_trace_point(0);
@@ -308,23 +301,8 @@ std::size_t EngineBase::step(std::size_t iterations) {
       check_stops_after_round();
     }
     if (observer_) observer_(iterations_done_);
-    // Roll back an outstanding speculative plan whenever the next round is
-    // not the one it was planned for: the solve stopped, the step budget is
-    // exhausted (the caller may snapshot between steps), or a checkpoint is
-    // about to serialize the sampler.  Rewinding restores the coordinate
-    // stream exactly and drops the deferred flop charges, so everything
-    // observable — snapshots, traces, CommStats — matches the unpipelined
-    // loop bitwise; the only cost is redoing one plan's local work.
-    const bool checkpoint_due = spec_.checkpoint_every > 0 &&
-                                since_checkpoint_ >= spec_.checkpoint_every;
-    if (next_planned_ &&
-        (finished() || advanced >= iterations || checkpoint_due)) {
-      rewind_sampler();
-      next_planned_ = false;
-      deferred_flops_ = 0;
-      deferred_replicated_ = 0;
-    }
-    if (checkpoint_due) {
+    if (spec_.checkpoint_every > 0 &&
+        since_checkpoint_ >= spec_.checkpoint_every) {
       write_checkpoint();
       since_checkpoint_ = 0;
     }
@@ -339,36 +317,12 @@ void EngineBase::run_round(std::size_t s_eff) {
   // the iterate ENTERING this round (pack time), so the criterion it
   // feeds lags the iterate by one round — the price of zero extra
   // messages.
-  const std::size_t buf = cur_buf_;
-  dist::RoundMessage& msg = round_msg(buf);
   const EngineClock::time_point t_pack = EngineClock::now();
-  if (next_planned_) {
-    // The pipeline planned this round during the previous reduction:
-    // commit the deferred flop charges and skip straight to the
-    // state-dependent half.
-    SA_CHECK(next_planned_s_ == s_eff,
-             "EngineBase: speculative plan depth mismatch");
-    next_planned_ = false;
-    comm_.add_flops(deferred_flops_);
-    comm_.add_replicated_flops(deferred_replicated_);
-    deferred_flops_ = 0;
-    deferred_replicated_ = 0;
-  } else {
-    plan_round(s_eff, msg, buf);
-  }
-  finish_round(s_eff, msg, buf);
-  if (spec_.pipeline && !msg_b_sized_) {
-    // Warm the idle buffer's arena slot to the live layout's size, so the
-    // first speculative plan allocates nothing — a short solve that never
-    // speculates and a long one stay heap-identical
-    // (tests/core/test_steady_state.cpp).
-    msg_ws_.doubles(buf == 0 ? kMsgSlotB : kMsgSlot, msg.total_words());
-    msg_b_sized_ = true;
-  }
+  pack_round(s_eff, msg_);
   if (piggyback_objective_)
     // Per-chunk objective partials, folded through the grouping's tree
     // like the Gram, so the summed partial is rank-count invariant.
-    write_round_objective(msg);
+    write_round_objective(msg_);
   if (piggyback_wall_)
     // Replicated decision: every rank adopts rank 0's clock, so the ranks
     // agree on when to stop (their local clocks may not).  Sampled at
@@ -376,53 +330,27 @@ void EngineBase::run_round(std::size_t s_eff) {
     // budget can be overshot by as much as two round durations (the old
     // post-round scalar allreduce overshot by one; the difference buys
     // zero extra messages).
-    msg.section(dist::RoundSection::kStopFlags)[0] =
+    msg_.section(dist::RoundSection::kStopFlags)[0] =
         comm_.rank() == 0 ? seconds_since(start_) : 0.0;
-  msg.seal();  // checksum trailer word (fault detection only; no-op off)
+  msg_.seal();  // checksum trailer word (fault detection only; no-op off)
   comm_.add_pack_seconds(seconds_since(t_pack));
 
   // Tag the round's ONE collective so deadline/fault machinery applies to
   // it and never to instrumentation traffic.
   comm_.tag_round(rounds_run_);
-  msg.reduce_start(comm_);
-  if (spec_.pipeline) {
-    // Speculatively plan the next round into the other buffer while the
-    // reduction is in flight (no communication happens in plan_round).
-    // The flops it charges are deferred so trace points taken after THIS
-    // round report exactly the unpipelined counters; if this round turns
-    // out to be the last one, step() rewinds the sampler and drops them.
-    const std::size_t done_after = iterations_done_ + s_eff;
-    if (done_after < spec_.max_iterations) {
-      const std::size_t next_s =
-          std::min(spec_.unroll_depth(), spec_.max_iterations - done_after);
-      const EngineClock::time_point t_plan = EngineClock::now();
-      const dist::CommStats before = comm_.stats();
-      mark_sampler();
-      plan_round(next_s, round_msg(1 - buf), 1 - buf);
-      dist::CommStats after = comm_.stats();
-      deferred_flops_ = after.flops - before.flops;
-      deferred_replicated_ =
-          after.replicated_flops - before.replicated_flops;
-      after.flops = before.flops;
-      after.replicated_flops = before.replicated_flops;
-      comm_.set_stats(after);
-      comm_.add_pack_seconds(seconds_since(t_plan));
-      next_planned_ = true;
-      next_planned_s_ = next_s;
-    }
-  }
-  overlap_round(s_eff);  // replicated work, overlapped with the reduction
+  msg_.reduce_start(comm_);
+  overlap_round(s_eff);  // replicated work, independent of the sums
   const EngineClock::time_point t_wait = EngineClock::now();
-  msg.reduce_wait(comm_, spec_.round_deadline);
+  msg_.reduce_wait(comm_, spec_.round_deadline);
   comm_.add_wait_seconds(seconds_since(t_wait));
   const EngineClock::time_point t_apply = EngineClock::now();
-  apply_round(s_eff, msg, buf);
+  apply_round(s_eff, msg_);
   comm_.add_apply_seconds(seconds_since(t_apply));
 
   // Trailer sections → stopping criteria, zero extra collectives.
   if (piggyback_objective_ && !done_) {
     const double objective = objective_from_partial(
-        msg.section(dist::RoundSection::kObjective)[0]);
+        msg_.section(dist::RoundSection::kObjective)[0]);
     // Compare samples spaced at least trace_every iterations apart (round
     // granularity when tracing is off): single-round plateaus — one
     // unlucky zero-update block — must not stop a classical (s = 1)
@@ -444,14 +372,11 @@ void EngineBase::run_round(std::size_t s_eff) {
     }
   }
   if (piggyback_wall_ && !done_ &&
-      msg.section(dist::RoundSection::kStopFlags)[0] >=
+      msg_.section(dist::RoundSection::kStopFlags)[0] >=
           spec_.wall_clock_budget) {
     done_ = true;
     reason_ = StopReason::kWallClockBudget;
   }
-  // The next round lives where its plan was parked (step() may still roll
-  // the plan back; the fresh plan then simply reuses that buffer).
-  if (next_planned_) cur_buf_ = 1 - buf;
 }
 
 void EngineBase::check_stops_after_round() {
@@ -760,18 +685,8 @@ void EngineBase::load_state(const io::SnapshotReader& in) {
     msg_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
                            piggyback_wall_ ? 1 : 0,
                            fault_detection_ ? 1 : 0);
-    msg_b_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
-                             piggyback_wall_ ? 1 : 0,
-                             fault_detection_ ? 1 : 0);
     if (fault_detection_) comm_.enable_reduce_digest(true);
   }
-  // No speculation is ever outstanding between steps (step() rewinds at
-  // its budget boundary), so a restore only needs to re-seat the buffer
-  // cursor.
-  cur_buf_ = 0;
-  next_planned_ = false;
-  deferred_flops_ = 0;
-  deferred_replicated_ = 0;
   since_checkpoint_ = 0;
   comm_.set_stats(stats_from_words(stats_words));
 }
@@ -793,7 +708,7 @@ std::span<const double> EngineBase::gather_full(
 
 void EngineBase::init_grouping(const data::Partition& part) {
   grouping_ = common::ReduceGrouping::make(part.total(), spec_.reduction_chunk);
-  for (dist::RoundMessage* msg : {&msg_, &msg_b_, &trace_msg_})
+  for (dist::RoundMessage* msg : {&msg_, &trace_msg_})
     msg->set_grouping(grouping_, part.offsets(), comm_.rank());
 }
 
@@ -866,20 +781,14 @@ void EngineBase::write_checkpoint() {
       ckpt_tmp_path_ = spec_.checkpoint_path;
       ckpt_tmp_path_ += ".tmp";
     }
-    if (spec_.pipeline) {
-      // Hand the image to the writer thread; the round loop never blocks
-      // on the disk.  Back-pressure (previous write still in flight) skips
-      // this checkpoint — logged and counted in CommStats, never waited
-      // for.
-      if (!ckpt_async_)
-        ckpt_async_ = std::make_unique<io::AsyncCheckpointWriter>();
-      if (!ckpt_async_->submit(ckpt_writer_.finalize(),
-                               spec_.checkpoint_path, ckpt_tmp_path_)) {
-        comm_.note_checkpoint_skip();
-      }
-    } else {
-      io::write_snapshot_file(ckpt_writer_, spec_.checkpoint_path,
-                              ckpt_tmp_path_);
+    // Hand the image to the writer thread; the round loop never blocks on
+    // the disk.  Back-pressure (previous write still in flight) skips this
+    // checkpoint — logged and counted in CommStats, never waited for.
+    if (!ckpt_async_)
+      ckpt_async_ = std::make_unique<io::AsyncCheckpointWriter>();
+    if (!ckpt_async_->submit(ckpt_writer_.finalize(), spec_.checkpoint_path,
+                             ckpt_tmp_path_)) {
+      comm_.note_checkpoint_skip();
     }
   }
   comm_.add_checkpoint_seconds(seconds_since(t0));

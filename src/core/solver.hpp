@@ -163,18 +163,6 @@ struct SolverSpec {
   // different chunk size is rejected descriptively.
   std::size_t reduction_chunk = 0;  ///< elements per chunk (0 = auto)
 
-  // -- round pipeline ---------------------------------------------------
-  // Double-buffered round pipeline (default on): round k+1's coordinate
-  // draw and Gram triangle are packed while round k's allreduce is in
-  // flight, and checkpoints are handed to a dedicated rank-0 writer
-  // thread instead of stalling every rank behind the file write.  The
-  // pipelined loop is bitwise identical to the unpipelined one — same
-  // iterates, trace, stop reason, snapshots, and metered counters (a
-  // stopping round's speculative plan is rolled back without observable
-  // side effects) — so the toggle only trades memory (a second message
-  // buffer) for overlap.  Pinned by tests/core/test_round_pipeline.cpp.
-  bool pipeline = true;
-
   // -- builder-style construction ------------------------------------
   static SolverSpec make(std::string algorithm_id);
   SolverSpec& with_lambda(double v);
@@ -193,7 +181,6 @@ struct SolverSpec {
   SolverSpec& with_wall_clock_budget(double seconds);
   SolverSpec& with_checkpoint(std::string path, std::size_t every_n);
   SolverSpec& with_reduction_chunk(std::size_t elements);
-  SolverSpec& with_pipeline(bool on);
   SolverSpec& with_max_retries(std::size_t retries);
   SolverSpec& with_retry_backoff(double seconds);
   SolverSpec& with_round_deadline(double seconds);

@@ -1,7 +1,9 @@
 #include "data/libsvm_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -13,10 +15,27 @@ namespace sa::data {
 
 namespace {
 
-/// Parses a double from a token; throws with line context on failure.
-/// Accepts an explicit leading '+' (LIBSVM labels are often "+1"), which
-/// std::from_chars itself rejects.
-double parse_double(std::string_view token, std::size_t line_no) {
+/// Largest accepted feature count: every ℝ^n vector must be addressable
+/// in bytes, and the n + 1 CSC/CSR offsets must not wrap.
+constexpr std::size_t kMaxFeatures =
+    std::numeric_limits<std::size_t>::max() / sizeof(double);
+
+/// A token as quoted in an error message, clipped so an overlong token
+/// cannot balloon the message.
+std::string quoted(std::string_view token) {
+  constexpr std::size_t kMaxQuoted = 32;
+  std::string out(1, '\'');
+  out.append(token.substr(0, kMaxQuoted));
+  if (token.size() <= kMaxQuoted) return out + "'";
+  return out + "...' (" + std::to_string(token.size()) + " chars)";
+}
+
+/// Parses a finite double from a token; throws with line context on
+/// failure.  Accepts an explicit leading '+' (LIBSVM labels are often
+/// "+1"), which std::from_chars itself rejects.  `what` names the field
+/// ("label" or "value") in the message.
+double parse_double(std::string_view token, const char* what,
+                    std::size_t line_no) {
   if (!token.empty() && token.front() == '+') token.remove_prefix(1);
   // std::from_chars<double> is available in libstdc++ >= 11.
   double value = 0.0;
@@ -24,8 +43,13 @@ double parse_double(std::string_view token, std::size_t line_no) {
   const char* last = token.data() + token.size();
   auto [ptr, ec] = std::from_chars(first, last, value);
   SA_CHECK(ec == std::errc() && ptr == last,
-           "libsvm: bad numeric token '" + std::string(token) + "' on line " +
-               std::to_string(line_no));
+           std::string("libsvm: bad numeric ") + what + " " + quoted(token) +
+               " on line " + std::to_string(line_no));
+  // from_chars accepts "nan" and "inf"; a non-finite entry would poison
+  // every sum it reaches.
+  SA_CHECK(std::isfinite(value),
+           std::string("libsvm: non-finite ") + what + " " + quoted(token) +
+               " on line " + std::to_string(line_no));
   return value;
 }
 
@@ -35,7 +59,7 @@ std::size_t parse_index(std::string_view token, std::size_t line_no) {
   const char* last = token.data() + token.size();
   auto [ptr, ec] = std::from_chars(first, last, value);
   SA_CHECK(ec == std::errc() && ptr == last,
-           "libsvm: bad index token '" + std::string(token) + "' on line " +
+           "libsvm: bad index token " + quoted(token) + " on line " +
                std::to_string(line_no));
   return value;
 }
@@ -60,7 +84,7 @@ Dataset read_libsvm(std::istream& in, const LibsvmReadOptions& options) {
     std::string token;
     if (!(tokens >> token)) continue;  // blank line
 
-    labels.push_back(parse_double(token, line_no));
+    labels.push_back(parse_double(token, "label", line_no));
 
     std::size_t prev_index = 0;
     bool first_feature = true;
@@ -76,10 +100,15 @@ Dataset read_libsvm(std::istream& in, const LibsvmReadOptions& options) {
                                std::to_string(line_no));
         idx -= 1;
       }
+      SA_CHECK(idx < kMaxFeatures,
+               "libsvm: feature index " + quoted(tv.substr(0, colon)) +
+                   " on line " + std::to_string(line_no) +
+                   " overflows the feature count");
       SA_CHECK(first_feature || idx > prev_index,
                "libsvm: indices must be strictly increasing on line " +
                    std::to_string(line_no));
-      const double value = parse_double(tv.substr(colon + 1), line_no);
+      const double value =
+          parse_double(tv.substr(colon + 1), "value", line_no);
       indices.push_back(idx);
       values.push_back(value);
       prev_index = idx;

@@ -51,8 +51,6 @@ void CoordinateSampler::restore(std::uint64_t rng_state,
   }
   rng_.set_state(rng_state);
   std::copy(perm.begin(), perm.end(), perm_.begin());
-  swap_log_.clear();
-  logging_ = false;
 }
 
 void CoordinateSampler::next_into(std::span<std::size_t> out) {
@@ -61,26 +59,9 @@ void CoordinateSampler::next_into(std::span<std::size_t> out) {
   const std::size_t n = perm_.size();
   for (std::size_t l = 0; l < block_size_; ++l) {
     const std::size_t j = l + static_cast<std::size_t>(rng_.next_below(n - l));
-    // sa-lint: allow(alloc): rewind log pre-sized by reserve_rewind()
-    if (logging_) swap_log_.emplace_back(l, j);
     std::swap(perm_[l], perm_[j]);
     out[l] = perm_[l];
   }
-}
-
-void CoordinateSampler::mark() {
-  mark_state_ = rng_.state();
-  swap_log_.clear();
-  logging_ = true;
-}
-
-void CoordinateSampler::rewind() {
-  SA_CHECK(logging_, "CoordinateSampler::rewind: no mark to rewind to");
-  for (std::size_t i = swap_log_.size(); i-- > 0;)
-    std::swap(perm_[swap_log_[i].first], perm_[swap_log_[i].second]);
-  swap_log_.clear();
-  rng_.set_state(mark_state_);
-  logging_ = false;
 }
 
 }  // namespace sa::data

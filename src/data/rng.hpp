@@ -95,25 +95,10 @@ class CoordinateSampler {
   /// of length n(); validated before any state is overwritten.
   void restore(std::uint64_t rng_state, std::span<const std::size_t> perm);
 
-  // --- Speculative draws (the round pipeline's plan-ahead) -------------
-  // mark() records the generator state and starts logging the swaps
-  // next_into performs; rewind() undoes the logged swaps (LIFO) and
-  // restores the generator, so the draws since the mark are replayed
-  // identically by the next next_into calls.  Each mark() supersedes the
-  // previous one.  The log is grow-only; reserve_rewind pre-sizes it so a
-  // steady-state mark/draw/rewind cycle never allocates.
-
-  void mark();
-  void rewind();
-  void reserve_rewind(std::size_t draws) { swap_log_.reserve(draws); }
-
  private:
   std::size_t block_size_;
   SplitMix64 rng_;
   std::vector<std::size_t> perm_;
-  std::vector<std::pair<std::size_t, std::size_t>> swap_log_;
-  std::uint64_t mark_state_ = 0;
-  bool logging_ = false;
 };
 
 }  // namespace sa::data

@@ -113,13 +113,13 @@ struct CommStats {
   std::array<SectionTraffic, kRoundSectionCount> sections{};
 
   // Round-phase wall-time meters (seconds), charged by the engine round
-  // skeleton so the pipeline's overlap is measurable: how long this rank
+  // skeleton so each phase is measurable: how long this rank
   // spent packing messages, blocked in reduce_wait, applying the reduced
   // sums, and serializing/handing off checkpoints.  These are measured,
   // not replayed: snapshots exclude them (the wire format is unchanged),
   // so a resumed run restarts them from zero, and bitwise-parity checks
   // must compare the counters above, never the timers.
-  double pack_seconds = 0.0;        ///< plan + pack (incl. speculative)
+  double pack_seconds = 0.0;        ///< sample + pack
   double wait_seconds = 0.0;        ///< blocked in reduce_wait
   double apply_seconds = 0.0;       ///< unpack + inner iterations
   double checkpoint_seconds = 0.0;  ///< serialize + hand off snapshots

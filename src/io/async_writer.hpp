@@ -1,14 +1,13 @@
-// Asynchronous checkpoint writer: the disk half of the round pipeline.
+// Asynchronous checkpoint writer: the engine's only checkpoint path.
 //
-// Periodic checkpoints used to stall every rank behind rank 0's file
-// write.  With the pipeline on, the engine still serializes collectively
-// (save_state gathers partitioned state through the communicator, so all
-// ranks stay in lockstep), but rank 0 then hands the finalized image to
-// this writer instead of touching the disk itself: submit() copies the
-// bytes into an internal buffer and wakes a dedicated thread that does
-// the usual atomic tmp + rename (io::write_snapshot_bytes), so the torn-
-// file guarantee is unchanged — a SIGKILL mid-write leaves either the
-// previous snapshot or the new one.
+// A periodic checkpoint must not stall every rank behind rank 0's file
+// write.  The engine serializes collectively (save_state gathers
+// partitioned state through the communicator, so all ranks stay in
+// lockstep), then rank 0 hands the finalized image to this writer instead
+// of touching the disk itself: submit() copies the bytes into an internal
+// buffer and wakes a dedicated thread that does the usual atomic tmp +
+// rename (io::write_snapshot_bytes), so the torn-file guarantee holds — a
+// SIGKILL mid-write leaves either the previous snapshot or the new one.
 //
 // Back-pressure is skip-and-log, never block: if the previous write is
 // still in flight when the next checkpoint round arrives, submit()

@@ -251,6 +251,18 @@ SnapshotReader SnapshotReader::parse(std::span<const std::uint8_t> bytes) {
   reader.algorithm_ = cur.take_string(id_len, "algorithm id");
   cur.skip_pad();
 
+  // The count sits outside the checksummed region, so bound it by what
+  // the remaining bytes can hold before reserving: a section takes at
+  // least its name length, kind + padding, and element count (16 bytes).
+  constexpr std::size_t kMinSectionBytes = 16;
+  const std::size_t remaining =
+      bytes.size() > cur.pos ? bytes.size() - cur.pos : 0;
+  if (section_count > remaining / kMinSectionBytes) {
+    std::ostringstream os;
+    os << "section count " << section_count << " exceeds what the "
+       << remaining << " remaining bytes can hold";
+    fail(os.str());
+  }
   reader.sections_.reserve(section_count);
   for (std::uint32_t s = 0; s < section_count; ++s) {
     const auto name_len = cur.take<std::uint32_t>("section name length");

@@ -114,7 +114,6 @@ TEST(SolverSpecDefaults, PinTheSharedDefaults) {
   EXPECT_FALSE(spec.accelerated);
   EXPECT_EQ(spec.loss, SvmLoss::kL1);
   EXPECT_EQ(spec.gap_tolerance, 0.0);
-  EXPECT_TRUE(spec.pipeline);
 }
 
 // ---------------------------------------------------------------------

@@ -16,13 +16,15 @@
 // version, pre-grouping (version 2) files, doctored grouping sections,
 // and wrong-algorithm snapshots are rejected with descriptive
 // SnapshotErrors and leave the target solver untouched (it still finishes
-// bitwise-identically to a never-restored run).
+// bitwise-identically to a never-restored run).  Every single-byte flip
+// and every truncation offset of one small image is tried exhaustively.
 #include "io/snapshot.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -489,6 +491,42 @@ TEST_F(SnapshotNegative, FlippedByteFailsTheChecksum) {
   expect_rejected(corrupted, "checksum");
 }
 
+// Every single-byte corruption and every truncation of a small snapshot
+// must be rejected with a SnapshotError — never another exception, never
+// a crash (the sanitizer CI leg runs this too) — and leave the solver
+// untouched.
+TEST_F(SnapshotNegative, EveryByteFlipAndTruncationIsRejected) {
+  dist::SerialComm comm;
+  const std::unique_ptr<Solver> solver =
+      fresh_solver(comm, spec_, dataset_for(spec_));
+  const auto expect_snapshot_error = [&](std::span<const std::uint8_t> bytes,
+                                         const std::string& what) {
+    try {
+      solver->restore(bytes);
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const io::SnapshotError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " threw a non-snapshot error: " << e.what();
+    }
+  };
+  std::vector<std::uint8_t> mutated = image_;
+  for (std::size_t i = 0; i < image_.size(); ++i) {
+    for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0xFF}}) {
+      mutated[i] ^= mask;
+      expect_snapshot_error(mutated, "flip of byte " + std::to_string(i) +
+                                         " by " + std::to_string(mask));
+      mutated[i] = image_[i];
+    }
+  }
+  for (std::size_t n = 0; n < image_.size(); ++n) {
+    expect_snapshot_error(std::span<const std::uint8_t>(image_.data(), n),
+                          "truncation to " + std::to_string(n) + " bytes");
+  }
+  EXPECT_EQ(solver->iterations_run(), 0u) << "solver was touched";
+  expect_results_identical(reference_, solver->run(),
+                           "after every rejected mutation");
+}
+
 TEST_F(SnapshotNegative, WrongVersionIsRejected) {
   std::vector<std::uint8_t> wrong = image_;
   wrong[8] += 1;  // u32 version field lives at offset 8
@@ -725,6 +763,27 @@ TEST(SnapshotResume, CheckpointEveryWritesAResumableFile) {
   // the plain spec (no further checkpoints).
   const SolveResult resumed = solve(d, spec, path);
   expect_results_identical(reference, resumed, "resumed from checkpoint");
+}
+
+// Checkpointing every round keeps the async writer's back-pressure path
+// busy (a submit while the previous write is in flight is skipped): the
+// file left on disk after finish() drains must resume bitwise onto the
+// original trajectory, whichever checkpoint's image survived.
+TEST(SnapshotResume, AsyncCheckpointFileResumesBitwise) {
+  const std::string path = ::testing::TempDir() + "sa_async_ckpt.snap";
+  SolverSpec spec = conformance_spec("sa-lasso");
+  const data::Dataset& d = dataset_for(spec);
+  dist::SerialComm ref_comm;
+  const SolveResult reference = fresh_solver(ref_comm, spec, d)->run();
+
+  SolverSpec ckpt_spec = spec;
+  ckpt_spec.checkpoint_path = path;
+  ckpt_spec.checkpoint_every = spec.s;
+  expect_results_identical(reference, solve(d, ckpt_spec),
+                           "checkpointed every round");
+  expect_results_identical(reference, solve(d, spec, path),
+                           "resumed from the async checkpoint");
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotResume, CheckpointCadenceRequiresAPath) {
