@@ -109,9 +109,11 @@ void print_registry() {
       "                  last checkpoint image (default 0: fail fast)\n"
       "  --retry-backoff X seconds before the first replay, doubling per\n"
       "                  consecutive failure (default 0)\n"
-      "  --round-deadline X  per-round reduce-wait deadline in seconds;\n"
-      "                  a stalled collective raises a timeout (default\n"
-      "                  off)\n",
+      "  --round-deadline X  per-round reduce deadline in seconds; a\n"
+      "                  stall injected by --inject-faults raises a\n"
+      "                  timeout (only the fault-injection layer enforces\n"
+      "                  it: the thread-team barriers never time out;\n"
+      "                  default off)\n",
       defaults.lambda, defaults.block_size, defaults.max_iterations,
       defaults.loss == sa::core::SvmLoss::kL1 ? "l1" : "l2",
       static_cast<unsigned long long>(defaults.seed));
@@ -328,9 +330,10 @@ int run_solver(const Args& args, const sa::data::Dataset& dataset) {
               sa::core::to_string(result.stop_reason),
               result.trace.iterations_run);
   // Where the round loop spent its wall time (rank 0's meters).
-  // Reduce-wait is the latency overlap_round could not hide; checkpoint
-  // covers serialization plus the finish() drain — the disk write itself
-  // runs on the async writer's thread.
+  // Reduce-wait is the whole round collective (waiting for the slowest
+  // rank, the combine, the copy-out); checkpoint covers serialization
+  // plus the finish() drain — the disk write itself runs on the async
+  // writer's thread.
   const sa::dist::CommStats& st = result.stats;
   std::printf("phase seconds: pack %.4f  reduce-wait %.4f  apply %.4f  "
               "checkpoint %.4f  (kernels %s%s)\n",

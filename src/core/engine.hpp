@@ -16,17 +16,17 @@
 //
 //   pack_round(s_eff, msg)  engine: sample, lay out the message, write the
 //                           Gram and dot sections
-//   msg.reduce_start()      the round's single collective
-//   overlap_round()         engine: replicated work independent of the sums
-//                           (θ recurrences etc.), run before the wait
-//   msg.reduce_wait()
+//   msg.reduce()            the round's single, blocking collective
 //   apply_round(s_eff, msg) engine: unpack, inner iterations, batch updates
 //
 // followed by the base class unpacking the trailer sections and evaluating
 // the stopping criteria — so enabling objective-tolerance or wall-budget
 // stopping never adds a message.  Due checkpoints are serialized
 // collectively after the round; rank 0 hands the image to an
-// io::AsyncCheckpointWriter so no rank waits on the disk.
+// io::AsyncCheckpointWriter so no rank waits on the disk.  Each phase is
+// timed into CommStats (pack / wait / apply / checkpoint seconds); the
+// wait meter covers the whole collective, so the phases sum to the round
+// loop's wall time.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +51,7 @@ inline double seconds_since(EngineClock::time_point start) {
 }
 
 /// Shared outer-round skeleton.  Derived engines implement the round
-/// phases (pack_round / overlap_round / apply_round), trace-point
+/// phases (pack_round / apply_round), trace-point
 /// evaluation (record_trace_point), and result assembly (assemble);
 /// everything else — cadence, stopping criteria, the round message,
 /// step()/run()/finish() plumbing — lives here so the six algorithms
@@ -87,10 +87,6 @@ class EngineBase : public Solver {
   /// dots read the residual/image vectors the previous apply_round
   /// updated).
   virtual void pack_round(std::size_t s_eff, dist::RoundMessage& msg) = 0;
-
-  /// Replicated work independent of the reduced sums, run between
-  /// reduce_start and reduce_wait (θ recurrence tables and the like).
-  virtual void overlap_round(std::size_t s_eff) { (void)s_eff; }
 
   /// Unpacks the reduced Gram/dot sections and replays the s_eff inner
   /// iterations plus the deferred batch updates, on the round view the

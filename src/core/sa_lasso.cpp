@@ -6,9 +6,7 @@
 // [upper(G) | Yᵀỹ | Yᵀz̃ | trailer], and replays s_eff redundant inner
 // iterations — with s_eff == 1 this is exactly Algorithm 1, so the
 // classical solvers are this engine at unrolling depth 1 (and inherit the
-// zero-copy la::BatchView + la::Workspace pipeline for free).  The θ
-// recurrence table is computed in overlap_round, while the reduction is
-// in flight.
+// zero-copy la::BatchView + la::Workspace pipeline for free).
 #include <array>
 #include <cmath>
 
@@ -180,17 +178,14 @@ class LassoEngine final : public detail::EngineBase {
     comm_.add_flops(sections * big_.dot_all_flops());
   }
 
-  void overlap_round(std::size_t s_eff) override {
+  void apply_round(std::size_t s_eff,
+                   const dist::RoundMessage& msg) override {
     // θ entering inner iteration t (θ_{sk+t} in paper indexing, t
-    // 0-based): a pure recurrence on θ, independent of the reduced sums —
-    // replicated work that hides under the in-flight collective.
+    // 0-based): a pure recurrence on θ, independent of the reduced sums.
     theta_in_[0] = theta_;
     for (std::size_t t = 0; t < s_eff; ++t)
       theta_in_[t + 1] = detail::theta_next(theta_in_[t]);
-  }
 
-  void apply_round(std::size_t s_eff,
-                   const dist::RoundMessage& msg) override {
     const std::size_t k = s_eff * mu_;
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), k);

@@ -111,14 +111,11 @@ class SvmEngine final : public detail::EngineBase {
     comm_.add_flops(batch_.dot_all_flops());
   }
 
-  void overlap_round(std::size_t s_eff) override {
-    // The deferred-update table is reset while the reduction is in
-    // flight (the inner loop reads it before the first write).
-    std::fill(theta_.begin(), theta_.begin() + s_eff, 0.0);
-  }
-
   void apply_round(std::size_t s_eff,
                    const dist::RoundMessage& msg) override {
+    // Reset the deferred-update table (the inner loop reads it before the
+    // first write).
+    std::fill(theta_.begin(), theta_.begin() + s_eff, 0.0);
     const std::vector<double>& b = block_.labels();
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), s_eff);

@@ -336,12 +336,12 @@ void EngineBase::run_round(std::size_t s_eff) {
   comm_.add_pack_seconds(seconds_since(t_pack));
 
   // Tag the round's ONE collective so deadline/fault machinery applies to
-  // it and never to instrumentation traffic.
-  comm_.tag_round(rounds_run_);
-  msg_.reduce_start(comm_);
-  overlap_round(s_eff);  // replicated work, independent of the sums
+  // it and never to instrumentation traffic.  The wait meter brackets the
+  // whole collective: waiting for the slowest rank, the combine and the
+  // copy-out.
+  comm_.tag_round(rounds_run_, spec_.round_deadline);
   const EngineClock::time_point t_wait = EngineClock::now();
-  msg_.reduce_wait(comm_, spec_.round_deadline);
+  msg_.reduce(comm_);
   comm_.add_wait_seconds(seconds_since(t_wait));
   const EngineClock::time_point t_apply = EngineClock::now();
   apply_round(s_eff, msg_);

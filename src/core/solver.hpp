@@ -142,8 +142,10 @@ struct SolverSpec {
   // finishes bitwise identical to a fault-free run (trace, solution, stop
   // reason, metered counters — pinned by tests/core/test_chaos.cpp).
   // round_deadline > 0 arms timeout detection on each round's collective
-  // independently of retries; after max_retries consecutive failures the
-  // CommFailure propagates to the caller.
+  // independently of retries (only the fault-injection decorator,
+  // dist::FaultyComm, enforces it: ThreadComm barriers never time out);
+  // after max_retries consecutive failures the CommFailure propagates to
+  // the caller.
   std::size_t max_retries = 0;  ///< recovery attempts per failure streak
                                 ///< (0 = fault tolerance off)
   double retry_backoff = 0.0;   ///< base backoff seconds; attempt k sleeps

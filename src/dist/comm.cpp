@@ -83,10 +83,19 @@ void Communicator::charge_collective(std::size_t payload_words) {
 }
 
 void Communicator::allreduce_sum(std::span<double> data) {
-  SA_CHECK(!pending_active_,
-           "Communicator::allreduce_sum: a nonblocking allreduce is in "
-           "flight; wait() on it first");
-  do_allreduce_sum(data);
+  // The tag_round() arming belongs to this collective alone: clear it
+  // even when the backend throws (deadline missed, peer lost), so the
+  // recovery loop's next collective on this communicator is untagged
+  // unless the replay tags it again.
+  try {
+    do_allreduce_sum(data);
+  } catch (...) {
+    round_tagged_ = false;
+    round_deadline_ = 0.0;
+    throw;
+  }
+  round_tagged_ = false;
+  round_deadline_ = 0.0;
   if (digest_on_) last_digest_ = payload_digest(data);
   charge_collective(data.size());
 }
@@ -94,43 +103,6 @@ void Communicator::allreduce_sum(std::span<double> data) {
 double Communicator::allreduce_sum_scalar(double value) {
   allreduce_sum(std::span<double>(&value, 1));
   return value;
-}
-
-void Communicator::allreduce_start(std::span<double> data) {
-  SA_CHECK(!pending_active_,
-           "Communicator::allreduce_start: only one allreduce may be in "
-           "flight per communicator");
-  // Mark the operation in flight only once the backend accepted it: a
-  // backend throw (e.g. a buffer-length mismatch) must leave the
-  // communicator usable, exactly like the blocking path.
-  do_allreduce_start(data);
-  pending_ = data;
-  pending_active_ = true;
-  round_tag_active_ = round_tag_armed_;
-  round_tag_armed_ = false;
-  charge_collective(data.size());
-}
-
-void Communicator::allreduce_wait(double deadline_seconds) {
-  SA_CHECK(pending_active_,
-           "Communicator::allreduce_wait: no allreduce in flight");
-  // Clear the pending state BEFORE the backend runs: a wait that throws
-  // (deadline missed, peer lost) must leave the communicator reusable so
-  // the recovery loop can replay the round on it.
-  const std::span<double> data = pending_;
-  pending_active_ = false;
-  pending_ = std::span<double>();
-  wait_deadline_ = deadline_seconds;
-  try {
-    do_allreduce_wait(data);
-  } catch (...) {
-    wait_deadline_ = 0.0;
-    round_tag_active_ = false;
-    throw;
-  }
-  wait_deadline_ = 0.0;
-  round_tag_active_ = false;
-  if (digest_on_) last_digest_ = payload_digest(data);
 }
 
 void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
@@ -195,18 +167,6 @@ void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
        << root << " failed checksum validation (dropped or corrupted "
        << "broadcast)";
     throw CommFailure(FailureKind::kCorruption, os.str());
-  }
-}
-
-void Communicator::do_allreduce_start(std::span<double> /*data*/) {
-  // Default: defer the whole reduction to wait().
-  pending_deferred_ = true;
-}
-
-void Communicator::do_allreduce_wait(std::span<double> data) {
-  if (pending_deferred_) {
-    pending_deferred_ = false;
-    do_allreduce_sum(data);
   }
 }
 

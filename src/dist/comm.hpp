@@ -8,14 +8,10 @@
 // payload·rounds words along the critical path, exactly the quantities in
 // the paper's Table I.
 //
-// Two call styles:
-//   * allreduce_sum(data) — the blocking collective;
-//   * allreduce_start(data) / allreduce_wait() — the nonblocking pair.
-//     start() may begin (or fully perform) the reduction; the contents of
-//     `data` are unspecified until wait() returns, and at most one
-//     operation may be in flight per communicator.  The split lets callers
-//     overlap replicated local work with the in-flight reduction — the
-//     engines' round skeleton runs their recurrence precomputation there.
+// The collective is blocking: allreduce_sum(data) returns with the sum
+// in `data`.  The SA solvers save time by issuing fewer collectives, not
+// by hiding them, so a round's whole collective — the entry skew, the
+// combine and the copy-out — is one call the engine can time.
 //
 // The per-round message the solvers exchange is a packed, schema'd
 // RoundMessage (dist/round_message.hpp) whose sections are enumerated here
@@ -113,14 +109,16 @@ struct CommStats {
   std::array<SectionTraffic, kRoundSectionCount> sections{};
 
   // Round-phase wall-time meters (seconds), charged by the engine round
-  // skeleton so each phase is measurable: how long this rank
-  // spent packing messages, blocked in reduce_wait, applying the reduced
+  // skeleton so each phase is measurable: how long this rank spent
+  // packing messages, inside the round's collective, applying the reduced
   // sums, and serializing/handing off checkpoints.  These are measured,
   // not replayed: snapshots exclude them (the wire format is unchanged),
   // so a resumed run restarts them from zero, and bitwise-parity checks
   // must compare the counters above, never the timers.
   double pack_seconds = 0.0;        ///< sample + pack
-  double wait_seconds = 0.0;        ///< blocked in reduce_wait
+  /// The whole round collective (RoundMessage::reduce): waiting for the
+  /// slowest rank to arrive, the combine, and the copy-out.
+  double wait_seconds = 0.0;
   double apply_seconds = 0.0;       ///< unpack + inner iterations
   double checkpoint_seconds = 0.0;  ///< serialize + hand off snapshots
 
@@ -159,8 +157,7 @@ std::size_t collective_rounds(int ranks);
 /// Abstract communicator: the solver-facing API plus metering.
 ///
 /// Metering lives in this base class so every backend charges identically;
-/// backends only implement the data movement (`do_allreduce_sum`, and
-/// optionally the split-phase `do_allreduce_start`/`do_allreduce_wait`).
+/// backends only implement the data movement (`do_allreduce_sum`).
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -185,24 +182,6 @@ class Communicator {
   /// Scalar allreduce; returns the sum over all ranks.
   double allreduce_sum_scalar(double value);
 
-  /// Nonblocking allreduce start.  The buffer must stay alive and
-  /// unmodified until the matching allreduce_wait(); its contents are
-  /// unspecified in between.  At most one operation may be in flight.
-  /// Metering is charged at start, identically to allreduce_sum.
-  void allreduce_start(std::span<double> data);
-
-  /// Completes the in-flight allreduce; afterwards the buffer passed to
-  /// allreduce_start holds the elementwise sum on every rank (same
-  /// fixed-order determinism as the blocking call).  A positive
-  /// `deadline_seconds` arms failure detection: a backend that can tell
-  /// the wait exceeded the deadline throws CommFailure(kTimeout) — and the
-  /// communicator stays usable (the pending state is cleared before the
-  /// backend runs, exactly so a throwing wait does not wedge it).
-  void allreduce_wait(double deadline_seconds = 0.0);
-
-  /// True between allreduce_start() and allreduce_wait().
-  bool allreduce_pending() const { return pending_active_; }
-
   /// Collective: replicates `bytes` from rank `root` to every rank (the
   /// snapshot subsystem's scatter — rank 0 owns the file, the payload
   /// travels through the communicator, so every backend inherits resume
@@ -221,8 +200,8 @@ class Communicator {
   // -- fault detection ------------------------------------------------
   // The transport-receipt digest protocol: with the digest enabled, the
   // base class hashes the reduced buffer the moment the backend delivers
-  // it (end of allreduce_sum / allreduce_wait).  A consumer that re-hashes
-  // its copy later — RoundMessage::reduce_wait does, when the solve runs
+  // it (end of allreduce_sum).  A consumer that re-hashes
+  // its copy later — RoundMessage::reduce does, when the solve runs
   // fault-tolerant — detects any corruption between delivery and use.
   // Decorators that model in-transit corruption (dist::FaultyComm) forward
   // these to the wrapped backend, so the receipt attests the CLEAN
@@ -240,12 +219,17 @@ class Communicator {
   /// enable_reduce_digest(true) is in effect.
   virtual std::uint64_t last_reduce_digest() const { return last_digest_; }
 
-  /// Tags the NEXT allreduce_start as round `round`'s collective.  Fault
-  /// injection keys on this tag, so instrumentation traffic (snapshots,
-  /// trace evaluation, gathers) is never faulted — only the round plane.
-  void tag_round(std::size_t round) {
+  /// Tags the NEXT allreduce_sum as round `round`'s collective and arms
+  /// it with `deadline_seconds` (0: none).  Fault injection keys on this
+  /// tag, so instrumentation traffic (snapshots, trace evaluation,
+  /// gathers) is never faulted — only the round plane.  A backend that
+  /// can tell the collective exceeded the deadline throws
+  /// CommFailure(kTimeout).  The tag and deadline apply to exactly one
+  /// collective: allreduce_sum clears them whether it returns or throws.
+  void tag_round(std::size_t round, double deadline_seconds = 0.0) {
     round_tag_ = round;
-    round_tag_armed_ = true;
+    round_tagged_ = true;
+    round_deadline_ = deadline_seconds;
   }
 
   // -- fault/recovery counters (see CommStats) ------------------------
@@ -286,40 +270,29 @@ class Communicator {
   /// Backend hook: performs the actual elementwise sum across ranks.
   virtual void do_allreduce_sum(std::span<double> data) = 0;
 
-  /// Split-phase backend hooks.  The defaults defer the whole reduction to
-  /// wait() — a correct (if overlap-free) implementation for any backend;
-  /// ThreadComm overrides both so the combine genuinely happens in start()
-  /// and only the copy-back waits.
-  virtual void do_allreduce_start(std::span<double> data);
-  virtual void do_allreduce_wait(std::span<double> data);
+  /// Deadline (seconds) the running collective was armed with via
+  /// tag_round(), 0 when none — readable from inside do_allreduce_sum by
+  /// backends/decorators that can detect a stall.
+  double round_deadline() const { return round_deadline_; }
 
-  /// Deadline (seconds) the in-progress wait was armed with, 0 when none —
-  /// readable from inside do_allreduce_wait by backends/decorators that
-  /// can detect a stall.
-  double wait_deadline() const { return wait_deadline_; }
-
-  /// True (and `*round` filled) when the in-flight collective was tagged
+  /// True (and `*round` filled) when the running collective was tagged
   /// as a solver round via tag_round().
-  bool in_flight_round(std::size_t* round) const {
-    if (round_tag_active_ && round != nullptr) *round = round_tag_;
-    return round_tag_active_;
+  bool tagged_round(std::size_t* round) const {
+    if (round_tagged_ && round != nullptr) *round = round_tag_;
+    return round_tagged_;
   }
 
  private:
   void charge_collective(std::size_t payload_words);
 
   CommStats stats_;
-  std::span<double> pending_;
-  bool pending_active_ = false;
-  bool pending_deferred_ = false;  // default start(): reduce at wait()
 
   // Delivery digest + round tagging (fault detection; see above).
   bool digest_on_ = false;
   std::uint64_t last_digest_ = 0;
-  double wait_deadline_ = 0.0;
   std::size_t round_tag_ = 0;
-  bool round_tag_armed_ = false;   // tag_round() called, start() pending
-  bool round_tag_active_ = false;  // the in-flight collective is tagged
+  bool round_tagged_ = false;
+  double round_deadline_ = 0.0;
 };
 
 }  // namespace sa::dist

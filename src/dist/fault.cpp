@@ -133,7 +133,11 @@ int FaultyComm::culprit(std::size_t event) const {
 
 void FaultyComm::do_allreduce_sum(std::span<double> data) {
   inner_.allreduce_sum(data);
-  if (drop_armed_ && ++bcast_allreduces_ >= 2) {
+  std::size_t round = 0;
+  // Untagged collectives are instrumentation traffic — never round-faulted.
+  if (tagged_round(&round)) {
+    inject_round_faults(round, data);
+  } else if (drop_armed_ && ++bcast_allreduces_ >= 2) {
     // The first collective inside broadcast_bytes is the header; the
     // second is the first payload chunk — that is the one to lose.  Every
     // rank zeroes its reduced copy identically, so the ranks reassemble
@@ -142,17 +146,6 @@ void FaultyComm::do_allreduce_sum(std::span<double> data) {
     for (double& word : data) word = 0.0;
     drop_armed_ = false;
   }
-}
-
-void FaultyComm::do_allreduce_start(std::span<double> data) {
-  inner_.allreduce_start(data);
-}
-
-void FaultyComm::do_allreduce_wait(std::span<double> data) {
-  inner_.allreduce_wait();
-  std::size_t round = 0;
-  // Untagged collectives are instrumentation traffic — never faulted.
-  if (in_flight_round(&round)) inject_round_faults(round, data);
 }
 
 // sa-lint: allow(alloc): chaos plane — allocates only to describe faults
@@ -172,10 +165,10 @@ void FaultyComm::inject_round_faults(std::size_t round,
   e = find_event(FaultKind::kStall, round);
   if (e < plan_.events.size()) {
     consume(e);
-    if (wait_deadline() > 0.0) {
+    if (round_deadline() > 0.0) {
       std::ostringstream os;
-      os << "allreduce_wait: round " << round << " missed its "
-         << wait_deadline() << "s deadline (rank " << culprit(e)
+      os << "allreduce_sum: round " << round << " missed its "
+         << round_deadline() << "s deadline (rank " << culprit(e)
          << " stalled)";
       throw CommFailure(FailureKind::kTimeout, os.str());
     }
@@ -192,7 +185,7 @@ void FaultyComm::inject_round_faults(std::size_t round,
   if (e < plan_.events.size()) {
     consume(e);
     std::ostringstream os;
-    os << "allreduce_wait: rank " << culprit(e) << " lost during round "
+    os << "allreduce_sum: rank " << culprit(e) << " lost during round "
        << round << " (peer unreachable)";
     throw CommFailure(FailureKind::kRankLost, os.str());
   }
@@ -202,7 +195,7 @@ void FaultyComm::inject_round_faults(std::size_t round,
     consume(e);
     // Flip one mantissa bit of one seed-chosen word, identically on every
     // rank's delivered copy.  Detection is NOT here: the engine's digest
-    // check (RoundMessage::reduce_wait) has to catch this, which is what
+    // check (RoundMessage::reduce) has to catch this, which is what
     // the chaos suite asserts.
     const std::uint64_t h = event_hash(e);
     const std::size_t word = h % data.size();

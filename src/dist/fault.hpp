@@ -30,22 +30,25 @@
 // abort the team, and the engine's recovery runs collectively.
 //
 // What each kind does:
-//   delay    the culprit rank sleeps a seed-derived few milliseconds in
-//            allreduce_wait, then the round proceeds — recoverable jitter,
-//            no failure is raised.
-//   stall    the culprit misses the round deadline: when the wait was
-//            armed with one (SolverSpec::round_deadline), every rank
+//   delay    the culprit rank sleeps a seed-derived few milliseconds after
+//            the round's collective completes, then the round proceeds —
+//            recoverable jitter, no failure is raised.
+//   stall    the culprit misses the round deadline: when the collective
+//            was armed with one (SolverSpec::round_deadline), every rank
 //            throws CommFailure(kTimeout); with no deadline armed the
 //            stall degrades to a delay (nothing detects it — the point of
 //            deadlines).
 //   corrupt  after the reduction completes, one seed-chosen mantissa bit
 //            of the delivered buffer is flipped (identically on every
 //            rank).  Detection is downstream and real: the digest check
-//            in RoundMessage::reduce_wait raises CommFailure(kCorruption).
+//            in RoundMessage::reduce raises CommFailure(kCorruption).
 //   drop     zeroes one reduced payload chunk of the next broadcast_bytes
 //            — caught by the broadcast's own checksum validation.
 //   lost     the peer is gone: every rank throws CommFailure(kRankLost)
 //            after the inner collective completes.
+//
+// This decorator is the only place a round deadline is enforced: the
+// ThreadComm barriers never time out, so a real stall there blocks.
 #pragma once
 
 #include <cstddef>
@@ -124,8 +127,6 @@ class FaultyComm final : public Communicator {
 
  protected:
   void do_allreduce_sum(std::span<double> data) override;
-  void do_allreduce_start(std::span<double> data) override;
-  void do_allreduce_wait(std::span<double> data) override;
 
  private:
   /// First unconsumed event of `kind` scheduled at `index`, or nullptr.

@@ -36,7 +36,7 @@ std::span<double> RoundMessage::layout(std::size_t gram_words,
   wire_words_ = payload_wire_ ? payload_words() + trailer : trailer + slots;
   buffer_ = ws_.doubles(slot_, payload_words() + trailer + slots);
   // The body is overwritten wholesale by the folds (or, on the slotted
-  // wire, recomputed by reduce_wait).  Everything past it is cleared: the
+  // wire, recomputed by reduce).  Everything past it is cleared: the
   // trailer is written field-by-field by the round skeleton (non-rank-0
   // clocks stay +0.0), and foreign leaf slots must contribute +0.0 — they
   // hold the PREVIOUS round's reduced values otherwise.
@@ -54,8 +54,8 @@ void RoundMessage::seal() {
       static_cast<double>(digest & 0xffffffffull);
 }
 
-void RoundMessage::reduce_start(Communicator& comm) {
-  comm.allreduce_start(wire());
+void RoundMessage::reduce(Communicator& comm) {
+  comm.allreduce_sum(wire());
   // Metering reports WIRE words: on the slotted wire every payload
   // section costs G leaf slots.
   const std::size_t g = payload_wire_ ? 1 : grouping_.num_chunks();
@@ -63,10 +63,6 @@ void RoundMessage::reduce_start(Communicator& comm) {
     const std::size_t factor = i <= 3 ? g : 1;  // payload vs trailer
     comm.note_section(static_cast<RoundSection>(i), factor * words_[i]);
   }
-}
-
-void RoundMessage::reduce_wait(Communicator& comm, double deadline_seconds) {
-  comm.allreduce_wait(deadline_seconds);
   if (trailer_checksum_ != 0 && comm.reduce_digest_enabled()) {
     // Re-hash the delivered wire against the communicator's delivery
     // receipt: any bit that changed between the backend handing the sums
@@ -77,7 +73,7 @@ void RoundMessage::reduce_wait(Communicator& comm, double deadline_seconds) {
     if (receipt != delivered) {
       // sa-lint: allow(alloc): corruption error path, formats then throws
       std::ostringstream os;
-      os << "RoundMessage::reduce_wait: reduced payload of " << wire_words_
+      os << "RoundMessage::reduce: reduced payload of " << wire_words_
          << " words failed checksum validation (delivery "
          << "digest " << receipt << ", buffer digest " << delivered << ")";
       throw CommFailure(FailureKind::kCorruption, os.str());

@@ -19,7 +19,7 @@
 // payload, through O(log G) payload-sized scratch levels in a second
 // workspace slot, and the collective carries the payload plus the
 // trailer.  The communicator's binomial tree combines the upper levels,
-// so nothing is left to do after reduce_wait.
+// so nothing is left to do after the collective.
 //
 // Slotted wire (the fallback — any other partition): the buffer grows one
 // leaf slot per chunk past the trailer,
@@ -28,8 +28,8 @@
 //                          └──────────── wire ────────────────┘
 //
 // each slot a payload-shaped [gram|dots1|dots2|objective] leaf partial;
-// foreign slots stay +0.0, so the allreduce adds exact zeros.  After
-// reduce_wait every rank folds the reduced slots from the root into the
+// foreign slots stay +0.0, so the allreduce adds exact zeros.  After the
+// collective every rank folds the reduced slots from the root into the
 // payload with the same fold_node routine.
 //
 // The trailer sections piggy-back the stopping machinery: the objective
@@ -42,8 +42,8 @@
 //
 // The buffer is arena-backed by a la::Workspace slot: it is laid out anew
 // every round but only ever grows, so steady-state rounds allocate
-// nothing.  reduce_start()/reduce_wait() wrap the communicator's
-// nonblocking pair and attribute per-section traffic to CommStats.
+// nothing.  reduce() runs the communicator's blocking allreduce over the
+// wire and attributes per-section traffic to CommStats.
 //
 // Not every section is present every round: empty sections occupy zero
 // words and are skipped by the accounting.  Appending or removing trailer
@@ -108,8 +108,8 @@ class RoundMessage {
   std::span<double> layout(std::size_t gram_words, std::size_t dots1_words,
                            std::size_t dots2_words);
 
-  /// View of a section — this rank's partial before reduce_start, the sum
-  /// after reduce_wait.
+  /// View of a section — this rank's partial before reduce(), the sum
+  /// after it.
   std::span<double> section(RoundSection s) {
     const auto i = static_cast<std::size_t>(s);
     return buffer_.subspan(offset_[i], words_[i]);
@@ -162,27 +162,19 @@ class RoundMessage {
   /// any trailer word (perf::costs.flag_words) — while verification uses
   /// the communicator's out-of-band delivery digest (hashes do not
   /// commute with summation).  Call after the body and other trailer
-  /// fields are final, before reduce_start.  No-op without the section.
+  /// fields are final, before reduce().  No-op without the section.
   void seal();
 
-  /// Starts the round's ONE collective (nonblocking) over the wire and
-  /// attributes per-section wire traffic to the communicator's CommStats.
-  void reduce_start(Communicator& comm);
-
-  /// Completes the collective; afterwards every section holds the sum
-  /// over ranks (on the slotted wire, after folding the reduced leaf
-  /// slots from the root).  A positive `deadline_seconds` arms the
-  /// communicator's timeout detection, and when the checksum trailer is
-  /// reserved and the delivery digest enabled, the delivered wire is
-  /// re-hashed against the communicator's receipt —
-  /// CommFailure(kCorruption) before any reduced bit reaches the solver.
-  void reduce_wait(Communicator& comm, double deadline_seconds = 0.0);
-
-  /// Blocking convenience: start + wait.
-  void reduce(Communicator& comm) {
-    reduce_start(comm);
-    reduce_wait(comm);
-  }
+  /// Runs the round's ONE collective over the wire and attributes
+  /// per-section wire traffic to the communicator's CommStats; afterwards
+  /// every section holds the sum over ranks (on the slotted wire, after
+  /// folding the reduced leaf slots from the root).  A round tag and
+  /// deadline armed with Communicator::tag_round apply to this
+  /// collective.  When the checksum trailer is reserved and the delivery
+  /// digest enabled, the delivered wire is re-hashed against the
+  /// communicator's receipt — CommFailure(kCorruption) before any
+  /// reduced bit reaches the solver.
+  void reduce(Communicator& comm);
 
  private:
   std::size_t payload_words() const { return offset_[4]; }

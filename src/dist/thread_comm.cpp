@@ -83,11 +83,6 @@ void barrier(TeamState& s) {
 }  // namespace internal
 
 void ThreadComm::do_allreduce_sum(std::span<double> data) {
-  do_allreduce_start(data);
-  do_allreduce_wait(data);
-}
-
-void ThreadComm::do_allreduce_start(std::span<double> data) {
   SA_STEADY_STATE;
   if (size_ == 1) return;  // nothing to combine, no synchronisation needed
   internal::TeamState& s = state_;
@@ -145,14 +140,7 @@ void ThreadComm::do_allreduce_start(std::span<double> data) {
     }
     internal::barrier(s);
   }
-  // acc[0] now holds the final sum; wait() copies it back.
-}
-
-void ThreadComm::do_allreduce_wait(std::span<double> data) {
-  SA_STEADY_STATE;
-  if (size_ == 1) return;
-  internal::TeamState& s = state_;
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = s.acc[0][i];
+  for (std::size_t i = 0; i < n; ++i) data[i] = s.acc[0][i];
   internal::barrier(s);  // keep acc[0] stable until every rank copied
 }
 

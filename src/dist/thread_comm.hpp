@@ -29,11 +29,11 @@
 // rounds changes.  Small payloads stay on the single-owner loop — the
 // index arithmetic isn't worth it below the threshold.
 //
-// The split-phase (nonblocking) allreduce is supported: start() performs
-// the combine up to the point where acc[0] is final, wait() copies it back
-// and releases the shared state.  Between the two, callers may do
-// unrelated local work; the input buffer must stay unmodified (the result
-// overwrites it at wait()).
+// The collective is blocking: the entry barrier, the tree rounds and the
+// copy-out of acc[0] (followed by a barrier that keeps acc[0] stable until
+// every rank copied) all happen inside one allreduce_sum call.  No barrier
+// has a timeout: a round deadline (Communicator::tag_round) is enforced
+// only by the fault-injection decorator (dist/fault.hpp).
 //
 // Barriers block on a condition variable (no spinning), so oversubscribed
 // runs — more ranks than cores, the common case in tests — stay cheap.
@@ -68,8 +68,6 @@ class ThreadComm final : public Communicator {
 
  protected:
   void do_allreduce_sum(std::span<double> data) override;
-  void do_allreduce_start(std::span<double> data) override;
-  void do_allreduce_wait(std::span<double> data) override;
 
  private:
   friend class ThreadTeam;

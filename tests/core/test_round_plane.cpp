@@ -3,11 +3,15 @@
 // stopping criterion enabled simultaneously (objective tolerance +
 // wall-clock budget + SVM gap tolerance), serial and 4-rank — and
 // enabling the piggy-backed trailer sections must not perturb a single
-// bit of the iterates or the traced objectives.
+// bit of the iterates or the traced objectives.  The reduce-wait meter
+// must cover the whole round collective, the wait for the slowest rank
+// included.
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,6 +269,33 @@ TEST(RoundPlane, WallBudgetStopCostsZeroExtraCollectives) {
       drive(comm, d, data::Partition::block(d.num_points(), 1), spec);
   EXPECT_EQ(run.result.stop_reason, StopReason::kWallClockBudget);
   EXPECT_EQ(run.pre_finish_stats.collectives, run.rounds);
+}
+
+// Rank 1 arrives late to each round's collective; rank 0 spends that time
+// in the collective's entry barrier, so its reduce-wait meter must show it.
+TEST(RoundPlane, WaitMeterCoversTheWaitForTheSlowestRank) {
+  const data::Dataset d = regression_problem();
+  constexpr std::size_t kLateRounds = 10;
+  constexpr double kLateSeconds = 0.005;
+  // One round more than the late ones: the sleep after round k delays
+  // round k + 1's collective.
+  const SolverSpec spec = SolverSpec::make("lasso")
+                              .with_lambda(0.05)
+                              .with_max_iterations(kLateRounds + 1);
+  const data::Partition part = data::Partition::block(d.num_points(), 2);
+  dist::ThreadTeam team(2);
+  const std::vector<dist::CommStats> stats =
+      team.run([&](dist::ThreadComm& comm) {
+        auto solver = make_solver(comm, d, part, spec);
+        std::size_t rounds = 0;
+        solver->set_observer([&](std::size_t) {
+          if (comm.rank() == 1 && ++rounds <= kLateRounds)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(kLateSeconds));
+        });
+        while (!solver->finished()) solver->step(1);
+      });
+  EXPECT_GE(stats[0].wait_seconds, 0.9 * kLateRounds * kLateSeconds);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // deterministic (the fixed binomial-tree pairing, bit for bit), the α-β-γ
 // counters must follow the tree-collective model exactly, and failures on
 // one rank must not hang the team.
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -310,105 +309,18 @@ TEST(TreeAllreduce, MismatchedLengthsThrowInsteadOfCorrupting) {
                sa::PreconditionError);
 }
 
-// ---------------------------------------------------------------------
-// Nonblocking allreduce_start / allreduce_wait
-// ---------------------------------------------------------------------
-
-class NonblockingSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(NonblockingSweep, StartWaitMatchesBlockingBitForBit) {
-  const int p = GetParam();
-  const std::size_t n = 129;
-  const std::vector<double> want = binomial_reference(p, n);
-
-  std::vector<std::vector<double>> got(p);
-  const auto stats = run_distributed(p, [&](Communicator& comm) {
-    std::vector<double> mine = rank_contribution(comm.rank(), n);
-    comm.allreduce_start(mine);
-    EXPECT_TRUE(comm.allreduce_pending());
-    // Overlapped local work while the reduction is in flight: must not
-    // touch the in-flight buffer.
-    double busy = 0.0;
-    for (int i = 0; i < 1000; ++i) busy += std::sqrt(static_cast<double>(i));
-    EXPECT_GT(busy, 0.0);
-    comm.allreduce_wait();
-    EXPECT_FALSE(comm.allreduce_pending());
-    got[comm.rank()] = std::move(mine);
-  });
-
-  for (int r = 0; r < p; ++r) {
-    ASSERT_EQ(got[r].size(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(got[r][i], want[i]) << "rank " << r << " element " << i;
-  }
-  // Metering identical to the blocking call: one collective.
-  const std::size_t rounds = collective_rounds(p);
-  for (const CommStats& s : stats) {
-    EXPECT_EQ(s.collectives, 1u);
-    EXPECT_EQ(s.messages, rounds);
-    EXPECT_EQ(s.words, n * rounds);
-  }
-}
-
-TEST_P(NonblockingSweep, StartWaitMatchesBlockingThroughTheTree) {
-  const int p = GetParam();
-  if (p < 2) return;
-  const std::size_t n = 257;
-  ThreadTeam team(p);
-
-  std::vector<std::vector<double>> blocking(p), split(p);
-  team.run([&](ThreadComm& comm) {
-    std::vector<double> mine = rank_contribution(comm.rank(), n);
-    comm.allreduce_sum(mine);
-    blocking[comm.rank()] = std::move(mine);
-  });
-  team.run([&](ThreadComm& comm) {
-    std::vector<double> mine = rank_contribution(comm.rank(), n);
-    comm.allreduce_start(mine);
-    comm.allreduce_wait();
-    split[comm.rank()] = std::move(mine);
-  });
-  for (int r = 0; r < p; ++r) EXPECT_EQ(split[r], blocking[r]);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, NonblockingSweep,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(Nonblocking, SerialCommStartWaitIsIdentity) {
-  SerialComm comm;
-  std::vector<double> v{1.0, -2.5, 3.0};
-  const std::vector<double> original = v;
-  comm.allreduce_start(v);
-  comm.allreduce_wait();
-  EXPECT_EQ(v, original);
-  EXPECT_EQ(comm.stats().collectives, 1u);
-  EXPECT_EQ(comm.stats().messages, 0u);
-}
-
-TEST(Nonblocking, FailedStartLeavesTheCommunicatorUsable) {
-  // A backend throw during start() (mismatched lengths) must not leave a
-  // phantom operation in flight: the same communicator must accept a
-  // well-formed collective afterwards.
+TEST(TreeAllreduce, FailedCollectiveLeavesTheCommunicatorUsable) {
+  // A backend throw (mismatched lengths) must not wedge the communicator:
+  // every rank catches it, and the same communicator then sums a
+  // well-formed buffer correctly.
   ThreadTeam team(2);
   team.run([](ThreadComm& comm) {
     std::vector<double> bad(comm.rank() == 0 ? 4 : 5, 1.0);
-    EXPECT_THROW(comm.allreduce_start(bad), sa::PreconditionError);
-    EXPECT_FALSE(comm.allreduce_pending());
+    EXPECT_THROW(comm.allreduce_sum(bad), sa::PreconditionError);
     std::vector<double> good(3, 1.0);
     comm.allreduce_sum(good);
     EXPECT_EQ(good[0], 2.0);
   });
-}
-
-TEST(Nonblocking, MisuseIsRejected) {
-  SerialComm comm;
-  std::vector<double> a(4, 1.0), b(4, 2.0);
-  EXPECT_THROW(comm.allreduce_wait(), sa::PreconditionError);
-  comm.allreduce_start(a);
-  EXPECT_THROW(comm.allreduce_start(b), sa::PreconditionError);
-  EXPECT_THROW(comm.allreduce_sum(b), sa::PreconditionError);
-  comm.allreduce_wait();
-  comm.allreduce_sum(b);  // usable again after completion
 }
 
 // ---------------------------------------------------------------------

@@ -96,15 +96,40 @@ TEST(FaultyComm, WrapsAMultiRankBackendTransparently) {
 
 TEST(FaultyComm, UntaggedCollectivesAreNeverFaulted) {
   // Instrumentation traffic carries no round tag: an event scheduled for
-  // round 0 must not fire on an untagged nonblocking collective.
+  // round 0 must not fire on an untagged collective.
   SerialComm inner;
   FaultyComm comm(inner, FaultPlan::parse("3:corrupt@0,lost@0"));
   std::vector<double> v{7.0, 8.0};
-  comm.allreduce_start(v);
-  comm.allreduce_wait();
+  comm.allreduce_sum(v);
   EXPECT_EQ(v[0], 7.0);
   EXPECT_EQ(v[1], 8.0);
   EXPECT_EQ(comm.faults_injected(), 0u);
+}
+
+TEST(FaultyComm, ARoundTagAppliesToExactlyOneCollective) {
+  // Each event is listed twice, so it could fire twice.  Only the tagged
+  // collective is faulted — whether it returns or throws; the next
+  // collective, untagged, is instrumentation traffic and passes clean.
+  SerialComm inner;
+  FaultyComm comm(inner,
+                  FaultPlan::parse("9:corrupt@0,corrupt@0,lost@1,lost@1"));
+  std::vector<double> v{1.0, 2.0, 3.0};
+  const std::vector<double> original = v;
+  comm.tag_round(0);
+  comm.allreduce_sum(v);
+  EXPECT_NE(v, original);
+  EXPECT_EQ(comm.faults_injected(), 1u);
+  v = original;
+  comm.allreduce_sum(v);
+  EXPECT_EQ(v, original);
+  EXPECT_EQ(comm.faults_injected(), 1u);
+
+  comm.tag_round(1, 0.25);
+  EXPECT_THROW(comm.allreduce_sum(v), CommFailure);
+  EXPECT_EQ(comm.faults_injected(), 2u);
+  comm.allreduce_sum(v);
+  EXPECT_EQ(v, original);
+  EXPECT_EQ(comm.faults_injected(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -115,9 +140,8 @@ TEST(FaultyComm, DelayCompletesTheRoundWithCorrectValues) {
   SerialComm inner;
   FaultyComm comm(inner, FaultPlan::parse("5:delay@0"));
   std::vector<double> v{2.5};
-  comm.tag_round(0);
-  comm.allreduce_start(v);
-  comm.allreduce_wait(0.25);  // a delay never trips the deadline machinery
+  comm.tag_round(0, 0.25);  // a delay never trips the deadline machinery
+  comm.allreduce_sum(v);
   EXPECT_EQ(v[0], 2.5);
   EXPECT_EQ(comm.faults_injected(), 1u);
 }
@@ -126,23 +150,20 @@ TEST(FaultyComm, StallRaisesTimeoutOnlyWhenADeadlineIsArmed) {
   SerialComm inner;
   FaultyComm comm(inner, FaultPlan::parse("4:stall@0,stall@1"));
   std::vector<double> v{2.0};
-  comm.tag_round(0);
-  comm.allreduce_start(v);
+  comm.tag_round(0, 0.25);
   try {
-    comm.allreduce_wait(0.25);
+    comm.allreduce_sum(v);
     FAIL() << "expected CommFailure";
   } catch (const CommFailure& failure) {
     EXPECT_EQ(failure.kind(), FailureKind::kTimeout);
     EXPECT_NE(std::string(failure.what()).find("deadline"),
               std::string::npos);
   }
-  // The throwing wait cleared the pending state: the communicator is
-  // immediately reusable for the replay.
-  EXPECT_FALSE(comm.allreduce_pending());
-  // Without a deadline the stall is undetectable and degrades to a delay.
+  // The throwing collective cleared the tag and the deadline: the
+  // communicator is immediately reusable for the replay.  Without a
+  // deadline the stall is undetectable and degrades to a delay.
   comm.tag_round(1);
-  comm.allreduce_start(v);
-  comm.allreduce_wait();
+  comm.allreduce_sum(v);
   EXPECT_EQ(v[0], 2.0);
   EXPECT_EQ(comm.faults_injected(), 2u);
 }
@@ -152,9 +173,8 @@ TEST(FaultyComm, LostPeerRaisesRankLost) {
   FaultyComm comm(inner, FaultPlan::parse("2:lost@3"));
   std::vector<double> v{1.0};
   comm.tag_round(3);
-  comm.allreduce_start(v);
   try {
-    comm.allreduce_wait();
+    comm.allreduce_sum(v);
     FAIL() << "expected CommFailure";
   } catch (const CommFailure& failure) {
     EXPECT_EQ(failure.kind(), FailureKind::kRankLost);
@@ -164,7 +184,7 @@ TEST(FaultyComm, LostPeerRaisesRankLost) {
 
 TEST(FaultyComm, CorruptReductionIsCaughtByTheDigestCheckDownstream) {
   // The injector flips a bit and raises nothing itself: detection has to
-  // happen in RoundMessage::reduce_wait, comparing the delivered buffer
+  // happen in RoundMessage::reduce, comparing the delivered buffer
   // against the inner backend's clean delivery receipt.
   SerialComm inner;
   FaultyComm comm(inner, FaultPlan::parse("9:corrupt@0"));
@@ -178,9 +198,8 @@ TEST(FaultyComm, CorruptReductionIsCaughtByTheDigestCheckDownstream) {
   msg.section(RoundSection::kObjective)[0] = 4.0;
   msg.seal();
   comm.tag_round(0);
-  msg.reduce_start(comm);
   try {
-    msg.reduce_wait(comm);
+    msg.reduce(comm);
     FAIL() << "expected CommFailure";
   } catch (const CommFailure& failure) {
     EXPECT_EQ(failure.kind(), FailureKind::kCorruption);
@@ -194,8 +213,7 @@ TEST(FaultyComm, CorruptReductionIsCaughtByTheDigestCheckDownstream) {
     body[i] = static_cast<double>(i + 1);
   msg.seal();
   comm.tag_round(0);
-  msg.reduce_start(comm);
-  msg.reduce_wait(comm);
+  msg.reduce(comm);
   EXPECT_EQ(body[0], 1.0);
 }
 
@@ -207,8 +225,7 @@ TEST(FaultyComm, CorruptionGoesUndetectedWithoutTheDigest) {
   std::vector<double> v{1.0, 2.0, 3.0};
   const std::vector<double> original = v;
   comm.tag_round(0);
-  comm.allreduce_start(v);
-  comm.allreduce_wait();
+  comm.allreduce_sum(v);
   EXPECT_NE(v, original);
   EXPECT_EQ(comm.faults_injected(), 1u);
 }

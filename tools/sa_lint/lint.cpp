@@ -59,8 +59,7 @@ const std::set<std::string>& banned_alloc_types() {
 
 const std::set<std::string>& collective_calls() {
   static const std::set<std::string> k = {
-      "allreduce_sum",   "allreduce_sum_scalar", "allreduce_start",
-      "allreduce_wait",  "broadcast_bytes",
+      "allreduce_sum", "allreduce_sum_scalar", "broadcast_bytes",
   };
   return k;
 }
