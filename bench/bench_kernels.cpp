@@ -15,6 +15,7 @@
 #include <omp.h>
 #endif
 
+#include "common/grouping.hpp"
 #include "core/local_data.hpp"
 #include "core/prox.hpp"
 #include "data/partition.hpp"
@@ -88,10 +89,10 @@ void BM_BatchedGram(benchmark::State& state) {
   const sa::la::DenseMatrix a = random_dense(s, m, 1);
   std::vector<const double*> ptrs;
   const sa::la::BatchView batch = dense_view(a, ptrs);
-  sa::la::Workspace scratch;
+  const std::size_t whole[2] = {0, m};
   std::vector<double> packed(sa::la::fused_buffer_size(s, 0));
   for (auto _ : state) {
-    sa::la::sampled_gram_range(batch, 0, m, scratch, packed);
+    sa::la::sampled_gram_range(batch, whole, packed);
     benchmark::DoNotOptimize(packed.data());
     benchmark::ClobberMemory();
   }
@@ -111,10 +112,10 @@ void BM_DotAllThreads(benchmark::State& state) {
   const sa::la::BatchView batch = dense_view(a, ptrs);
   std::vector<double> x(m, 1.0);
   const std::array<std::span<const double>, 1> xs{std::span<const double>(x)};
-  sa::la::Workspace scratch;
+  const std::size_t whole[2] = {0, m};
   std::vector<double> out(k);
   for (auto _ : state) {
-    sa::la::sampled_dots_range(batch, xs, 0, m, scratch, out);
+    sa::la::sampled_dots_range(batch, xs, whole, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -162,10 +163,10 @@ void BM_SparseColumnGram(benchmark::State& state) {
   }
   const sa::la::BatchView batch =
       sa::la::BatchView::sparse(idx, val, d.num_points());
-  sa::la::Workspace scratch;
+  const std::size_t whole[2] = {0, d.num_points()};
   std::vector<double> packed(sa::la::fused_buffer_size(k, 0));
   for (auto _ : state) {
-    sa::la::sampled_gram_range(batch, 0, d.num_points(), scratch, packed);
+    sa::la::sampled_gram_range(batch, whole, packed);
     benchmark::DoNotOptimize(packed.data());
     benchmark::ClobberMemory();
   }
@@ -184,18 +185,25 @@ sa::data::Dataset pipeline_dataset(double density) {
 
 // ---------------------------------------------------------------------------
 // Per-ISA kernel matrix: the engines' per-round Gram + dots stage —
-// view_columns, then sampled_gram_range + sampled_dots_range over the full
-// range, exactly the calls a one-chunk round makes — at every dispatchable
-// ISA level (scalar / sse2 / avx2) × {sparse, dense} × s ∈ {1, 4, 16}
-// blocks of µ = 64 columns, one residual dot section (the plain-mode wire
-// format [upper(G) | Yᵀr̃]), with a GFLOP/s counter.  This is the
-// committed-speedup evidence for the SIMD plane (BENCH_kernels.json at the
-// repo root and the README table): avx2 vs scalar on the same config is
-// the dispatch win.
+// view_columns, then one sampled_gram_range + one sampled_dots_range call
+// over a chunk grid of the shared dimension, exactly the calls a round
+// makes — at every dispatchable ISA level (scalar / sse2 / avx2) ×
+// {sparse, dense}, one residual dot section (the plain-mode wire format
+// [upper(G) | Yᵀr̃]), with a GFLOP/s counter.  Two families:
+//
+//   * BM_KernelGramDots_<isa>_<storage>/s — one chunk (the full range),
+//     s ∈ {1, 4, 16} blocks of µ = 64 columns: the dispatch win (avx2 vs
+//     scalar on the same config) committed in BENCH_kernels.json and the
+//     README table;
+//   * BM_KernelGramDotsChunked_<isa>_<storage>/64 — one block of µ = 64
+//     columns over the reduction grid at the automatic policy's G = 64
+//     chunks: what the rank-count-invariant grid costs the fused kernels
+//     (its G = 1 reference is BM_KernelGramDots_<isa>_<storage>/1).
 // ---------------------------------------------------------------------------
 
 void bench_kernel_isa_gram_dots(benchmark::State& state,
-                                sa::la::simd::Isa isa, double density) {
+                                sa::la::simd::Isa isa, double density,
+                                std::size_t s, std::size_t chunks) {
   if (!sa::la::simd::isa_available(isa)) {
     state.SkipWithError("ISA level not available on this build/machine");
     return;
@@ -203,7 +211,6 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   const sa::la::simd::Isa entry = sa::la::simd::active_isa();
   sa::la::simd::set_kernel_isa(isa);
 
-  const std::size_t s = state.range(0);
   const std::size_t mu = 64;
   const sa::data::Dataset d = pipeline_dataset(density);
   const sa::core::RowBlock block(
@@ -212,21 +219,26 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   std::vector<double> res(block.local_rows(), 1.0);
   const std::array<std::span<const double>, 1> rhs{
       std::span<const double>(res)};
-  sa::la::Workspace ws, scratch;
+  // The grid as the engines build it: chunks == 1 pins one chunk, 64 is
+  // the automatic policy's target.
+  const sa::common::ReduceGrouping grouping = sa::common::ReduceGrouping::make(
+      block.local_rows(), chunks == 1 ? block.local_rows() : 0);
+  std::vector<std::size_t> bounds(grouping.num_chunks() + 1);
+  for (std::size_t c = 0; c < bounds.size(); ++c)
+    bounds[c] = grouping.begin(c);
+  const std::size_t n = grouping.num_chunks();
+  sa::la::Workspace ws;
   const std::size_t k = s * mu;
-  const std::size_t tri = sa::la::fused_buffer_size(k, 0);
+  const std::size_t tri = n * sa::la::fused_buffer_size(k, 0);
   double flops = 0.0;
   for (auto _ : state) {
     const std::span<std::size_t> idx = ws.indices(0, k);
     for (std::size_t t = 0; t < s; ++t)
       sampler.next_into(idx.subspan(t * mu, mu));
     const sa::la::BatchView big = block.view_columns(idx, ws);
-    const std::span<double> buffer =
-        ws.doubles(0, sa::la::fused_buffer_size(k, 1));
-    sa::la::sampled_gram_range(big, 0, big.dim(), scratch,
-                               buffer.first(tri));
-    sa::la::sampled_dots_range(big, rhs, 0, big.dim(), scratch,
-                               buffer.subspan(tri));
+    const std::span<double> buffer = ws.doubles(0, tri + n * k);
+    sa::la::sampled_gram_range(big, bounds, buffer.first(tri));
+    sa::la::sampled_dots_range(big, rhs, bounds, buffer.subspan(tri));
     benchmark::DoNotOptimize(buffer.data());
     benchmark::ClobberMemory();
     flops += static_cast<double>(big.gram_flops() + big.dot_all_flops());
@@ -241,7 +253,7 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
 #define SA_KERNEL_ISA_BENCH(name, isa, density)                      \
   void name(benchmark::State& state) {                               \
     bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,        \
-                               density);                             \
+                               density, state.range(0), 1);          \
   }                                                                  \
   BENCHMARK(name)->Arg(1)->Arg(4)->Arg(16)
 
@@ -253,6 +265,22 @@ SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_dense, kSse2, 0.5);
 SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5);
 
 #undef SA_KERNEL_ISA_BENCH
+
+#define SA_KERNEL_CHUNKED_BENCH(name, isa, density)                  \
+  void name(benchmark::State& state) {                               \
+    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,        \
+                               density, 1, state.range(0));          \
+  }                                                                  \
+  BENCHMARK(name)->Arg(64)
+
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_sparse, kScalar, 0.02);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_sparse, kSse2, 0.02);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_sparse, kAvx2, 0.02);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_dense, kScalar, 0.5);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5);
+
+#undef SA_KERNEL_CHUNKED_BENCH
 
 /// Thread-team allreduce cost vs rank count and payload.
 void BM_Allreduce(benchmark::State& state) {

@@ -84,16 +84,16 @@ struct ReduceGrouping {
     return g;
   }
 
+  /// ⌈extent / chunk⌉ without the overflow of (extent + chunk − 1) —
+  /// a chunk of SIZE_MAX is one chunk, not zero.
   std::size_t num_chunks() const {
     if (extent == 0) return 1;
-    return (extent + chunk - 1) / chunk;
+    return extent / chunk + (extent % chunk != 0 ? 1 : 0);
   }
   std::size_t begin(std::size_t c) const {
-    return std::min(c * chunk, extent);
+    return c < num_chunks() ? c * chunk : extent;
   }
-  std::size_t end(std::size_t c) const {
-    return std::min((c + 1) * chunk, extent);
-  }
+  std::size_t end(std::size_t c) const { return begin(c + 1); }
 
   /// ⌈log₂G⌉: every node at this depth holds at most one chunk.
   std::size_t tree_depth() const {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <initializer_list>
 #include <span>
 #include <utility>
 
@@ -56,19 +55,16 @@ inline double acceleration_coefficient(double theta, double q) {
 }
 
 /// Pre-sizes an engine's round workspace (the sampled-index slot
-/// `idx_slot` and the view descriptor pools) and its per-chunk range
-/// workspace for batches of up to `k_max` members, so a short solve and a
-/// long one make identical allocations (tests/core/test_steady_state.cpp).
-inline void presize_round_workspaces(la::Workspace& round,
-                                     std::size_t idx_slot,
-                                     la::Workspace& range,
-                                     std::size_t k_max) {
+/// `idx_slot` and the view descriptor pools) for batches of up to `k_max`
+/// members, so a short solve and a long one make identical allocations
+/// (tests/core/test_steady_state.cpp).
+inline void presize_round_workspace(la::Workspace& round,
+                                    std::size_t idx_slot,
+                                    std::size_t k_max) {
   round.indices(idx_slot, k_max);
-  for (la::Workspace* ws : {&round, &range}) {
-    ws->member_index_spans(k_max);
-    ws->member_value_spans(k_max);
-    ws->member_rows(k_max);
-  }
+  round.member_index_spans(k_max);
+  round.member_value_spans(k_max);
+  round.member_rows(k_max);
 }
 
 /// Elementwise proximal step for the supported penalties:

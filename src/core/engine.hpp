@@ -103,8 +103,8 @@ class EngineBase : public Solver {
   /// off and keeps gap/objective stopping at trace points.
   virtual bool has_round_objective() const { return false; }
   /// Writes this rank's share of the kObjective section through
-  /// msg.fold_owned (one partial per owned chunk, folded like the Gram),
-  /// evaluated at the CURRENT iterate (pack time).
+  /// msg.fold_owned (every owned chunk's partial in one call, folded like
+  /// the Gram), evaluated at the CURRENT iterate (pack time).
   virtual void write_round_objective(dist::RoundMessage& msg) { (void)msg; }
   /// Full replicated objective from the tree-folded reduced partial.
   virtual double objective_from_partial(double reduced_partial) {
@@ -121,15 +121,16 @@ class EngineBase : public Solver {
   void init_grouping(const data::Partition& part);
 
   /// Collective helper for trace-point sums: reduces a `words`-long
-  /// vector whose per-chunk partials `leaf(b, e, out)` writes for the
-  /// rank-local element range [b, e) (as RoundMessage::fold_owned), folded
-  /// through the grouping's tree — rank-count invariant.  The span is
-  /// arena-backed: valid until the next grouped sum.
-  template <typename Leaf>
-  std::span<const double> grouped_sum(std::size_t words, Leaf&& leaf) {
+  /// vector whose chunk partials `leaves(bounds, row_begin, row_end,
+  /// staged)` writes for every owned chunk, one block of rows per call
+  /// (the RoundMessage::fold_owned_rows contract), folded through the
+  /// grouping's tree — rank-count invariant.  The span is arena-backed:
+  /// valid until the next grouped sum.
+  template <typename Leaves>
+  std::span<const double> grouped_sum(std::size_t words, Leaves&& leaves) {
     trace_msg_.layout(0, words, 0);
-    trace_msg_.fold_owned(dist::RoundSection::kDots1,
-                          dist::RoundSection::kDots1, leaf);
+    trace_msg_.fold_owned_rows(dist::RoundSection::kDots1, kTraceRowBlock,
+                               leaves);
     return reduce_grouped_sum();
   }
 
@@ -137,6 +138,12 @@ class EngineBase : public Solver {
   /// the rank's block of the grouping's axis) — the rank-count-invariant
   /// replacement for allreduce_sum_scalar(nrm2²(v)).
   double grouped_norm_allreduce(std::span<const double> local);
+
+  /// Writes the chunk partials of ||v||² (`local` as above) into the
+  /// one-word `section` of `msg`: one nrm2² per owned chunk.
+  static void fold_norm_squared(dist::RoundMessage& msg,
+                                dist::RoundSection section,
+                                std::span<const double> local);
 
   /// Evaluates the traced quantity (objective / duality gap) at
   /// `iteration` and pushes a TracePoint.  Implementations must exclude
@@ -182,11 +189,16 @@ class EngineBase : public Solver {
   void capture_recovery_image();
   void recover_from(const dist::CommFailure& failure);
 
+  // Rows per grouped_sum block: bounds its staging to G·kTraceRowBlock
+  // words (a 64-chunk grid stages 1 MiB) whatever the vector's length.
+  static constexpr std::size_t kTraceRowBlock = 2048;
+
   // The per-round message plane: ONE collective per outer round, with the
   // stopping criteria riding as trailer sections (sized once, up front).
   // Slot 1 of the same arena backs gather_full's assembly buffer; slot 2
-  // backs grouped_sum's message; slot 3 holds the fold scratch levels both
-  // messages share (a fold never outlives its call).
+  // backs grouped_sum's message; slot 3 holds the staged chunk partials
+  // and fold scratch levels both messages share (a fold never outlives
+  // its call).
   enum : std::size_t {
     kMsgSlot = 0,
     kGatherSlot = 1,

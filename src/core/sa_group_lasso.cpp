@@ -46,8 +46,8 @@ class GroupLassoEngine final : public detail::EngineBase {
     eig_scratch_.reserve(max_group);
     group_of_.resize(spec_.unroll_depth());
     offset_.resize(spec_.unroll_depth() + 1);
-    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
-                                     spec_.unroll_depth() * max_group);
+    detail::presize_round_workspace(round_ws_, kSlotIdx,
+                                    spec_.unroll_depth() * max_group);
     init_grouping(rows_);
 
     if (!spec_.x0.empty()) {
@@ -96,12 +96,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     pending_penalty_ = penalty_value();
     comm_.add_flops(2 * res_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::span<const double> res(res_);
-    msg.fold_owned(dist::RoundSection::kObjective,
-                   dist::RoundSection::kObjective,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     out[0] = la::nrm2_squared(res.subspan(b, e - b));
-                   });
+    fold_norm_squared(msg, dist::RoundSection::kObjective, res_);
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -137,8 +132,9 @@ class GroupLassoEngine final : public detail::EngineBase {
     //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(k), k, 0);
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(big_, b, e, range_ws_, out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_gram_range(big_, bounds, staged);
                    });
     comm_.add_flops(big_.gram_flops());
 
@@ -146,9 +142,9 @@ class GroupLassoEngine final : public detail::EngineBase {
         std::span<const double>(res_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(big_, rhs_span, b, e, range_ws_,
-                                            out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_dots_range(big_, rhs_span, bounds, staged);
                    });
     comm_.add_flops(big_.dot_all_flops());
   }
@@ -285,8 +281,6 @@ class GroupLassoEngine final : public detail::EngineBase {
   std::vector<std::size_t> group_of_;
   std::vector<std::size_t> offset_;
   la::BatchView big_;
-  // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
-  la::Workspace range_ws_;
   double pending_penalty_ = 0.0;
 };
 

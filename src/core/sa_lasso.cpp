@@ -67,8 +67,8 @@ class LassoEngine final : public detail::EngineBase {
     // span stays valid for the engine's lifetime.
     pending_ = ws_.doubles(kSlotPending, n_);
     touched_.reserve(spec_.unroll_depth() * mu_);
-    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
-                                     spec_.unroll_depth() * mu_);
+    detail::presize_round_workspace(round_ws_, kSlotIdx,
+                                    spec_.unroll_depth() * mu_);
   }
 
  private:
@@ -130,12 +130,7 @@ class LassoEngine final : public detail::EngineBase {
     write_current_residual();
     comm_.add_flops(2 * res_scratch_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::span<const double> res(res_scratch_);
-    msg.fold_owned(dist::RoundSection::kObjective,
-                   dist::RoundSection::kObjective,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     out[0] = la::nrm2_squared(res.subspan(b, e - b));
-                   });
+    fold_norm_squared(msg, dist::RoundSection::kObjective, res_scratch_);
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -154,14 +149,16 @@ class LassoEngine final : public detail::EngineBase {
 
     // --- The ONE message of this outer round:
     //     [upper(G) | Yᵀỹ | Yᵀz̃]   (plain mode: [upper(G) | Yᵀr̃]).
-    //     Partials per OWNED global row chunk, folded through the
-    //     grouping's tree — the per-chunk sums are identical on every rank
-    //     count, so the folded payload is too. ---
+    //     One kernel call per section writes the partial of every OWNED
+    //     global row chunk, folded through the grouping's tree — the
+    //     per-chunk sums are identical on every rank count, so the folded
+    //     payload is too. ---
     const std::size_t k_dots = spec_.accelerated ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(big_, b, e, range_ws_, out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_gram_range(big_, bounds, staged);
                    });
     comm_.add_flops(big_.gram_flops());
 
@@ -171,9 +168,9 @@ class LassoEngine final : public detail::EngineBase {
     const std::span<const std::span<const double>> rhs_span(
         rhs.data() + (spec_.accelerated ? 0 : 1), sections);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(big_, rhs_span, b, e, range_ws_,
-                                            out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_dots_range(big_, rhs_span, bounds, staged);
                    });
     comm_.add_flops(sections * big_.dot_all_flops());
   }
@@ -382,12 +379,6 @@ class LassoEngine final : public detail::EngineBase {
   la::Workspace round_ws_;
   std::span<std::size_t> idx_;
   la::BatchView big_;
-  // Scratch workspace for the narrowed (per-chunk) views the range
-  // kernels build — distinct from round_ws_ because the named descriptor
-  // pools are one-buffer-per-Workspace and the round view must stay
-  // intact for apply_round.  Narrowed views are consumed inside each
-  // kernel call.
-  la::Workspace range_ws_;
   double pending_penalty_ = 0.0;
 
   // Trace scratch, reused across every trace point (no fresh vectors).

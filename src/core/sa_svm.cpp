@@ -49,8 +49,8 @@ class SvmEngine final : public detail::EngineBase {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
     init_grouping(cols_);
-    detail::presize_round_workspaces(round_ws_, kSlotIdx, range_ws_,
-                                     spec_.unroll_depth());
+    detail::presize_round_workspace(round_ws_, kSlotIdx,
+                                    spec_.unroll_depth());
   }
 
  private:
@@ -61,15 +61,17 @@ class SvmEngine final : public detail::EngineBase {
     const dist::CommStats snapshot = comm_.stats();
     // Duality gap evaluation (instrumentation only): margins need the full
     // A·x.  Each rank contributes per-global-column-chunk partial
-    // products, folded through the grouping's tree like a round payload
-    // (the rank-count-invariant replacement for summing whole per-rank
+    // products — one CSR row walk emits every owned chunk's — folded
+    // through the grouping's tree like a round payload (the
+    // rank-count-invariant replacement for summing whole per-rank
     // partials).  The norm goes first: the margins span is valid only
     // until the next grouped sum.
     const double x_norm_sq = grouped_norm_allreduce(x_loc_);
     const std::span<const double> margins = grouped_sum(
-        m_, [&](std::size_t b, std::size_t e, std::span<double> out) {
-          la::fill(out, 0.0);
-          block_.matrix().spmv_col_range(x_loc_, b, e, out);
+        m_, [&](std::span<const std::size_t> bounds, std::size_t row_begin,
+                std::size_t row_end, std::span<double> staged) {
+          block_.matrix().spmv_col_chunks(x_loc_, bounds, row_begin, row_end,
+                                          staged);
         });
     double hinge_sum = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
@@ -95,8 +97,9 @@ class SvmEngine final : public detail::EngineBase {
     //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_gram_range(batch_, b, e, range_ws_, out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_gram_range(batch_, bounds, staged);
                    });
     comm_.add_flops(batch_.gram_flops());
 
@@ -104,9 +107,9 @@ class SvmEngine final : public detail::EngineBase {
         std::span<const double>(x_loc_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
-                   [&](std::size_t b, std::size_t e, std::span<double> out) {
-                     la::sampled_dots_range(batch_, rhs_span, b, e,
-                                            range_ws_, out);
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_dots_range(batch_, rhs_span, bounds, staged);
                    });
     comm_.add_flops(batch_.dot_all_flops());
   }
@@ -210,8 +213,6 @@ class SvmEngine final : public detail::EngineBase {
   la::Workspace round_ws_;
   std::span<std::size_t> idx_;
   la::BatchView batch_;
-  // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
-  la::Workspace range_ws_;
 };
 
 }  // namespace

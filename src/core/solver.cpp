@@ -717,12 +717,23 @@ std::span<const double> EngineBase::reduce_grouped_sum() {
   return trace_msg_.section(dist::RoundSection::kDots1);
 }
 
+void EngineBase::fold_norm_squared(dist::RoundMessage& msg,
+                                   dist::RoundSection section,
+                                   std::span<const double> local) {
+  msg.fold_owned(section, section,
+                 [&](std::span<const std::size_t> bounds,
+                     std::span<double> staged) {
+                   for (std::size_t c = 0; c + 1 < bounds.size(); ++c)
+                     staged[c] = la::nrm2_squared(
+                         local.subspan(bounds[c], bounds[c + 1] - bounds[c]));
+                 });
+}
+
 double EngineBase::grouped_norm_allreduce(std::span<const double> local) {
   SA_STEADY_STATE;
-  return grouped_sum(1, [&](std::size_t b, std::size_t e,
-                            std::span<double> out) {
-    out[0] = la::nrm2_squared(local.subspan(b, e - b));
-  })[0];
+  trace_msg_.layout(0, 1, 0);
+  fold_norm_squared(trace_msg_, dist::RoundSection::kDots1, local);
+  return reduce_grouped_sum()[0];
 }
 
 void EngineBase::snapshot_to_file(const std::string& path) {

@@ -24,12 +24,15 @@ Partition Partition::block_aligned(std::size_t n, int num_ranks,
   SA_CHECK(alignment >= 1, "Partition::block_aligned: alignment must be >= 1");
   if (alignment == 1) return block(n, num_ranks);
   // Block-partition the chunk grid, then scale the boundaries back to
-  // element space, clamping the tail (the last chunk may be short).
-  const std::size_t chunks = (n + alignment - 1) / alignment;
+  // element space; the grid's end maps to n (the last chunk may be
+  // short).  Overflow-free for any alignment, SIZE_MAX included.
+  const std::size_t chunks = n / alignment + (n % alignment != 0 ? 1 : 0);
   const Partition grid = block(chunks, num_ranks);
   std::vector<std::size_t> offsets(num_ranks + 1, 0);
-  for (int r = 0; r <= num_ranks; ++r)
-    offsets[r] = std::min(grid.offsets()[r] * alignment, n);
+  for (int r = 0; r <= num_ranks; ++r) {
+    const std::size_t c = grid.offsets()[r];
+    offsets[r] = c == chunks ? n : c * alignment;
+  }
   return Partition(std::move(offsets));
 }
 

@@ -1,5 +1,6 @@
 #include "dist/round_message.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "la/vector_ops.hpp"
@@ -11,14 +12,27 @@ void RoundMessage::set_grouping(const common::ReduceGrouping& grouping,
                                 int rank) {
   grouping_ = grouping;
   const auto r = static_cast<std::size_t>(rank);
-  lo_ = rank_offsets[r];
-  hi_ = rank_offsets[r + 1];
+  const std::size_t lo = rank_offsets[r];
+  const std::size_t hi = rank_offsets[r + 1];
   payload_wire_ = grouping.is_tree_partition(rank_offsets);
   depth_ = payload_wire_ ? static_cast<std::size_t>(
                                common::ReduceGrouping::rank_depth(
                                    rank_offsets.size() - 1))
                          : 0;
   node_ = payload_wire_ ? r : 0;
+  // Owned chunks: the tree node's on the payload wire (possibly none when
+  // G < P), every chunk meeting [lo, hi) on the slotted wire.
+  std::size_t last = 0;
+  if (payload_wire_) {
+    first_chunk_ = grouping.node_first(depth_, node_);
+    last = grouping.node_first(depth_, node_ + 1);
+  } else {
+    first_chunk_ = lo / grouping.chunk;
+    last = hi > lo ? (hi - 1) / grouping.chunk + 1 : first_chunk_;
+  }
+  bounds_.resize(last - first_chunk_ + 1);
+  for (std::size_t c = 0; c < bounds_.size(); ++c)
+    bounds_[c] = std::clamp(grouping.begin(first_chunk_ + c), lo, hi) - lo;
 }
 
 std::span<double> RoundMessage::layout(std::size_t gram_words,

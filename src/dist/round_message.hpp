@@ -9,17 +9,18 @@
 //
 // section() always serves these offsets.  The payload sections are
 // cross-rank sums under the fixed reduction grouping (common/grouping.hpp):
-// engines write them through fold_owned(), handing it one leaf writer per
-// section group; the message decides how the chunk partials reach the
-// wire.
+// engines write them through fold_owned(), handing it one writer per
+// section group that stages every owned chunk's partial in one call; the
+// message decides how the staged partials reach the wire.
 //
 // Payload wire (the fast path — the rank blocks are tree nodes, see
 // ReduceGrouping::is_tree_partition, or no grouping was declared): the
 // rank folds the subtree of chunk partials it owns straight into the
 // payload, through O(log G) payload-sized scratch levels in a second
-// workspace slot, and the collective carries the payload plus the
-// trailer.  The communicator's binomial tree combines the upper levels,
-// so nothing is left to do after the collective.
+// workspace slot (which also holds the staged partials), and the
+// collective carries the payload plus the trailer.  The communicator's
+// binomial tree combines the upper levels, so nothing is left to do after
+// the collective.
 //
 // Slotted wire (the fallback — any other partition): the buffer grows one
 // leaf slot per chunk past the trailer,
@@ -57,6 +58,7 @@
 #include <array>
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "common/grouping.hpp"
 #include "dist/comm.hpp"
@@ -128,30 +130,41 @@ class RoundMessage {
 
   /// Writes this rank's share of the contiguous payload sections
   /// [first, last] (e.g. kGram alone, kDots1..kDots2, or kObjective).
-  /// `leaf(b, e, out)` overwrites `out` with the partial of the rank-local
-  /// element range [b, e) — one chunk, clipped to this rank's block.  On
-  /// the payload wire the partials fold into the payload through the
-  /// rank's subtree; on the slotted wire each lands in its chunk's slot.
-  template <typename Leaf>
-  void fold_owned(RoundSection first, RoundSection last, Leaf&& leaf) {
+  /// `leaves(bounds, staged)` writes every owned chunk's partial in ONE
+  /// call: `bounds` holds the n + 1 rank-local boundaries of the n chunks
+  /// this rank owns (chunk c is the element range [bounds[c],
+  /// bounds[c + 1]), clipped to the rank's block), and `staged` holds n
+  /// blocks of the sections' words, chunk c's at c·words.  On the payload
+  /// wire the staged partials fold into the payload through the rank's
+  /// subtree; on the slotted wire each is copied into its chunk's slot.
+  /// A rank that owns no chunk is not called.
+  template <typename Leaves>
+  void fold_owned(RoundSection first, RoundSection last, Leaves&& leaves) {
     const std::size_t off = offset_[static_cast<std::size_t>(first)];
-    const std::size_t words =
-        offset_[static_cast<std::size_t>(last)] +
-        words_[static_cast<std::size_t>(last)] - off;
-    if (payload_wire_) {
-      grouping_.fold_node(depth_, node_, buffer_.subspan(off, words),
-                          fold_scratch(depth_, words),
-                          [&](std::size_t c, std::span<double> out) {
-                            leaf(grouping_.begin(c) - lo_,
-                                 grouping_.end(c) - lo_, out);
-                          });
-      return;
-    }
-    for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
-      const std::size_t b = std::max(grouping_.begin(c), lo_);
-      const std::size_t e = std::min(grouping_.end(c), hi_);
-      if (b >= e) continue;
-      leaf(b - lo_, e - lo_, slot(c).subspan(off, words));
+    fold_words(off,
+               offset_[static_cast<std::size_t>(last)] +
+                   words_[static_cast<std::size_t>(last)] - off,
+               [&](std::span<double> staged) {
+                 leaves(std::span<const std::size_t>(bounds_), staged);
+               });
+  }
+
+  /// fold_owned for one section of independent words (rows of a vector
+  /// partial), in blocks of at most `block` words so the staging holds
+  /// n·block words, not n·words.  `leaves(bounds, row_begin, row_end,
+  /// staged)` writes every owned chunk's partial of words [row_begin,
+  /// row_end), chunk c's at c·(row_end − row_begin).  The fold is
+  /// elementwise, so the bits do not depend on the block size.
+  template <typename Leaves>
+  void fold_owned_rows(RoundSection section, std::size_t block,
+                       Leaves&& leaves) {
+    const std::size_t off = offset_[static_cast<std::size_t>(section)];
+    const std::size_t words = words_[static_cast<std::size_t>(section)];
+    for (std::size_t r = 0; r < words; r += block) {
+      const std::size_t e = std::min(words, r + block);
+      fold_words(off + r, e - r, [&](std::span<double> staged) {
+        leaves(std::span<const std::size_t>(bounds_), r, e, staged);
+      });
     }
   }
 
@@ -177,6 +190,36 @@ class RoundMessage {
   void reduce(Communicator& comm);
 
  private:
+  /// Stages every owned chunk's partial of the buffer words
+  /// [off, off + words) through `write(staged)` and folds them (payload
+  /// wire) or copies them into the leaf slots (slotted wire).
+  template <typename Write>
+  void fold_words(std::size_t off, std::size_t words, Write&& write) {
+    const std::size_t n = bounds_.size() - 1;
+    const std::size_t levels =
+        payload_wire_ ? grouping_.fold_levels(depth_) : 0;
+    const std::span<double> scratch =
+        ws_.doubles(fold_slot_, (n + levels) * words);
+    const std::span<double> staged = scratch.first(n * words);
+    if (n > 0) write(staged);
+    const auto leaf = [&](std::size_t c) {
+      return staged.subspan((c - first_chunk_) * words, words);
+    };
+    if (payload_wire_) {
+      grouping_.fold_node(depth_, node_, buffer_.subspan(off, words),
+                          scratch.subspan(n * words),
+                          [&](std::size_t c, std::span<double> out) {
+                            const std::span<double> in = leaf(c);
+                            std::copy(in.begin(), in.end(), out.begin());
+                          });
+      return;
+    }
+    for (std::size_t c = first_chunk_; c < first_chunk_ + n; ++c) {
+      const std::span<double> in = leaf(c);
+      std::copy(in.begin(), in.end(), slot(c).begin() + off);
+    }
+  }
+
   std::size_t payload_words() const { return offset_[4]; }
   std::span<double> wire() {
     return payload_wire_ ? buffer_.first(wire_words_)
@@ -201,14 +244,16 @@ class RoundMessage {
   std::size_t trailer_flags_ = 0;
   std::size_t trailer_checksum_ = 0;
 
-  // Grouping: this rank's element block [lo_, hi_) and, on the payload
-  // wire, its tree node (depth_, node_) — the root for an undeclared one.
+  // Grouping: on the payload wire this rank's tree node (depth_, node_) —
+  // the root for an undeclared one — and the chunks it owns: chunks
+  // [first_chunk_, first_chunk_ + n) with rank-local boundaries bounds_
+  // (n + 1 entries; the undeclared grouping owns one empty chunk).
   common::ReduceGrouping grouping_;
   bool payload_wire_ = true;
   std::size_t depth_ = 0;
   std::size_t node_ = 0;
-  std::size_t lo_ = 0;
-  std::size_t hi_ = 0;
+  std::size_t first_chunk_ = 0;
+  std::vector<std::size_t> bounds_ = {0, 0};
 };
 
 }  // namespace sa::dist

@@ -14,10 +14,11 @@
 //
 // (row-major upper triangle, then one length-k section per right-hand
 // side).  sampled_gram_range() writes the Gram section and
-// sampled_dots_range() the dot sections, each restricted to one
-// coordinate range of the shared dimension; [0, dim()) is the full-range
-// case.  These two functions are the only Gram and dot entry points, so
-// every caller runs the same code in the same accumulation order.
+// sampled_dots_range() the dot sections, each for every chunk of a
+// monotone chunk grid over the shared dimension in ONE call; a single
+// range is the one-chunk case.  These two functions are the only Gram and
+// dot entry points, so every caller runs the same code in the same
+// accumulation order.
 #pragma once
 
 #include <cstddef>
@@ -105,33 +106,47 @@ inline std::size_t packed_upper_index(std::size_t i, std::size_t j,
 /// sides: k(k+1)/2 packed Gram entries plus sections·k dot entries.
 std::size_t fused_buffer_size(std::size_t k, std::size_t sections);
 
-// Range-restricted entry points, one per buffer section.  The fixed
-// reduction grouping (common/grouping.hpp) calls them once per global
-// chunk [begin, end) of the shared dimension.  The restricted view's
-// descriptor arrays are built in `scratch` — a Workspace DISTINCT from the
-// one that built `y`, because the named descriptor pools hand out one
-// buffer per Workspace — so steady-state calls allocate nothing.  Bit
-// contract: a chunk partial depends only on the member values inside
-// [begin, end), their order, and the kernels in this translation unit, so
-// any two ranks (or rank counts) that own the same global chunk produce
-// identical bits.  Every output entry is produced by exactly one thread
-// in a fixed accumulation order.
+// Chunked entry points, one per buffer section.  `bounds` holds the
+// n + 1 monotone boundaries of n chunks of the shared dimension (chunk c
+// is [bounds[c], bounds[c + 1]), possibly empty; bounds.back() ≤ dim());
+// `out` holds n blocks of one chunk's section words, chunk c's block at
+// c·words.  The fixed reduction grouping (common/grouping.hpp) calls each
+// once per round with the rank's owned chunks.  Steady-state calls
+// allocate nothing (the per-call scratch is grow-only and thread-local).
+//
+// Bit contract, per call: chunk c's partial is bitwise the partial a
+// call with bounds {bounds[c], bounds[c + 1]} writes.  It depends only on
+// the member values inside the chunk, their order, and the active kernel
+// table — never on the other chunks in the call or on the thread count —
+// so any two ranks (or rank counts) that own the same global chunk
+// produce identical bits.  An empty chunk writes +0.0.  Every output
+// entry is produced by exactly one thread in a fixed accumulation order.
 
-/// Packed upper-triangular Gram of the view restricted to [begin, end):
-/// out must have k(k+1)/2 entries (== fused_buffer_size(size(), 0)).
-void sampled_gram_range(const BatchView& y, std::size_t begin,
-                        std::size_t end, Workspace& scratch,
+/// Packed upper-triangular Gram of every chunk: out must have
+/// n·k(k+1)/2 entries (n·fused_buffer_size(size(), 0)).
+void sampled_gram_range(const BatchView& y,
+                        std::span<const std::size_t> bounds,
                         std::span<double> out);
 
-/// Dot sections of the view restricted to [begin, end):
-/// out = [Yᵀxs[0] | Yᵀxs[1] | …], one length-k section per right-hand
-/// side (out.size() == xs.size() · size()).  For dense views the
-/// right-hand sides are narrowed to the same range; for sparse views the
-/// members keep their absolute indices (which gather through the FULL
-/// right-hand sides), so pass xs whole either way.
+/// Dot sections of every chunk: chunk c's block is
+/// [Yᵀxs[0] | Yᵀxs[1] | …] over the chunk, one length-k section per
+/// right-hand side (out.size() == n · xs.size() · size()).  Pass each
+/// right-hand side whole (length dim()): dense members read it at the
+/// chunk's offset, sparse members gather through their absolute indices.
 void sampled_dots_range(const BatchView& y,
                         std::span<const std::span<const double>> xs,
-                        std::size_t begin, std::size_t end,
-                        Workspace& scratch, std::span<double> out);
+                        std::span<const std::size_t> bounds,
+                        std::span<double> out);
+
+/// The one-chunk Gram over [begin, end) — the chunked call with bounds
+/// {begin, end}.  `scratch` is unused; the form stays for callers that
+/// time one chunk at a time (perfbench's Gram probe).
+inline void sampled_gram_range(const BatchView& y, std::size_t begin,
+                               std::size_t end, Workspace& scratch,
+                               std::span<double> out) {
+  (void)scratch;
+  const std::size_t bounds[2] = {begin, end};
+  sampled_gram_range(y, bounds, out);
+}
 
 }  // namespace sa::la

@@ -129,25 +129,44 @@ void CsrMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   (void)parallel;
 }
 
-void CsrMatrix::spmv_col_range(std::span<const double> x,
-                               std::size_t col_begin, std::size_t col_end,
-                               std::span<double> y) const {
-  SA_CHECK(x.size() == cols_ && y.size() == rows_,
-           "spmv_col_range: dimension mismatch");
-  SA_CHECK(col_begin <= col_end && col_end <= cols_,
-           "spmv_col_range: invalid range");
-  // Scalar nonzero-order accumulation: the chunk partial must depend only
-  // on the in-range nonzeros, so every rank count (including serial, which
-  // walks the same global chunk grid) produces identical bits.  Column
-  // indices are sorted within a row, so the range is one contiguous run.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const std::size_t* first = indices_.data() + indptr_[i];
+void CsrMatrix::spmv_col_chunks(std::span<const double> x,
+                                std::span<const std::size_t> bounds,
+                                std::size_t row_begin, std::size_t row_end,
+                                std::span<double> out) const {
+  SA_CHECK(row_begin <= row_end && row_end <= rows_,
+           "spmv_col_chunks: invalid row range");
+  const std::size_t rows = row_end - row_begin;
+  SA_CHECK(!bounds.empty() && x.size() == cols_ &&
+               out.size() == (bounds.size() - 1) * rows,
+           "spmv_col_chunks: dimension mismatch");
+  SA_CHECK(bounds.back() <= cols_ &&
+               std::is_sorted(bounds.begin(), bounds.end()),
+           "spmv_col_chunks: invalid chunk bounds");
+  // Scalar nonzero-order accumulation straight into the zero-filled
+  // output: a chunk partial depends only on the in-chunk nonzeros, so
+  // every rank count (including serial, which walks the same global chunk
+  // grid) produces identical bits.  A column-to-chunk table makes the
+  // row walk branch-free: each nonzero lands in its chunk's partial.
+  const std::size_t n = bounds.size() - 1;
+  const std::size_t lo = bounds.front();
+  const std::size_t hi = bounds.back();
+  std::fill(out.begin(), out.end(), 0.0);
+  // Grow-only per-thread scratch: entry col − lo holds its chunk's offset
+  // into `out` (chunk · rows).
+  thread_local std::vector<std::size_t> chunk_offset;
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (chunk_offset.size() < hi - lo) chunk_offset.resize(hi - lo);
+  for (std::size_t c = 0; c < n; ++c)
+    std::fill(chunk_offset.begin() + (bounds[c] - lo),
+              chunk_offset.begin() + (bounds[c + 1] - lo), c * rows);
+  for (std::size_t i = row_begin; i < row_end; ++i) {
+    double* row = out.data() + (i - row_begin);
     const std::size_t* last = indices_.data() + indptr_[i + 1];
-    const std::size_t* lo = std::lower_bound(first, last, col_begin);
-    double acc = 0.0;
-    for (const std::size_t* k = lo; k != last && *k < col_end; ++k)
-      acc += values_[static_cast<std::size_t>(k - indices_.data())] * x[*k];
-    y[i] += acc;
+    for (const std::size_t* k =
+             std::lower_bound(indices_.data() + indptr_[i], last, lo);
+         k != last && *k < hi; ++k)
+      row[chunk_offset[*k - lo]] +=
+          values_[static_cast<std::size_t>(k - indices_.data())] * x[*k];
   }
 }
 

@@ -63,16 +63,19 @@ class CsrMatrix {
   /// y := A' * x.
   void spmv_transpose(std::span<const double> x, std::span<double> y) const;
 
-  /// y := A(:, [col_begin, col_end)) * x(col_begin:col_end) — the column-
-  /// range restriction of spmv, used to form per-global-chunk partials for
-  /// the fixed reduction grouping (common/grouping.hpp).  `x` is the FULL
-  /// length-cols() vector; only the entries inside the range are read.
-  /// Accumulates per row in nonzero order over a scalar loop, so a chunk
-  /// partial depends only on the in-range nonzeros — identical bits on
-  /// every rank count.  Does not zero-fill `y` first: partials accumulate
-  /// into the caller's buffer.
-  void spmv_col_range(std::span<const double> x, std::size_t col_begin,
-                      std::size_t col_end, std::span<double> y) const;
+  /// The column-chunked spmv over rows [row_begin, row_end): for every
+  /// chunk c of the n + 1 monotone column boundaries `bounds`,
+  /// out[c·rows + (i − row_begin)] = A(i, [bounds[c], bounds[c + 1])) · x
+  /// (rows = row_end − row_begin) — the per-global-chunk partials of the
+  /// fixed reduction grouping (common/grouping.hpp), all emitted by one
+  /// CSR row walk.  `x` is the FULL length-cols() vector.  Accumulates per
+  /// row and chunk in nonzero order over a scalar loop, so a chunk
+  /// partial depends only on the in-chunk nonzeros — identical bits on
+  /// every rank count.  out.size() must be n·rows.
+  void spmv_col_chunks(std::span<const double> x,
+                       std::span<const std::size_t> bounds,
+                       std::size_t row_begin, std::size_t row_end,
+                       std::span<double> out) const;
 
   /// Returns the contiguous row block [row_begin, row_end) as a new matrix
   /// with the same column dimension (1D-row partitioning).

@@ -2,8 +2,13 @@
 // thread communicator must produce exactly the P = 1 result, for every
 // solver family — the property that makes the thread runtime a faithful
 // stand-in for the paper's MPI implementation.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <mutex>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,58 +41,103 @@ data::Dataset classification_problem() {
   return data::make_classification(cfg);
 }
 
-class RankSweep : public ::testing::TestWithParam<int> {};
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Runs `spec` traced every 8 iterations on `p` ranks twice: over a plain
+/// block partition (agreement with serial to rounding — the partition
+/// need not respect the reduction grid) and over partition_for_ranks,
+/// whose chunk-aligned blocks must reproduce the serial solution and
+/// every trace-point objective bitwise on every rank.  `axis_extent`
+/// sizes the block partition (rows for the regression families, features
+/// for SVM).
+void expect_rank_invariant(const data::Dataset& d, const SolverSpec& spec,
+                           int p, std::size_t axis_extent) {
+  SolverSpec opt = spec;
+  opt.trace_every = 8;
+  const SolveResult serial = solve(d, opt);
+  ASSERT_FALSE(serial.trace.points.empty());
+  for (const bool aligned : {false, true}) {
+    SCOPED_TRACE(aligned ? "chunk-aligned partition" : "block partition");
+    const data::Partition part =
+        aligned ? partition_for_ranks(d, opt, p)
+                : data::Partition::block(axis_extent, p);
+    std::vector<SolveResult> per_rank(p);
+    std::mutex mu;
+    dist::run_distributed(p, [&](dist::Communicator& comm) {
+      SolveResult r = make_solver(comm, d, part, opt)->run();
+      std::scoped_lock lock(mu);
+      per_rank[comm.rank()] = std::move(r);
+    });
+    for (int r = 0; r < p; ++r) {
+      SCOPED_TRACE(::testing::Message() << "rank " << r);
+      const std::vector<TracePoint>& want = serial.trace.points;
+      const std::vector<TracePoint>& got = per_rank[r].trace.points;
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].iteration, want[i].iteration);
+        const double a = want[i].objective;
+        const double b = got[i].objective;
+        if (aligned) {
+          EXPECT_TRUE(same_bits({a}, {b})) << "trace point " << i;
+        } else {
+          EXPECT_LE(std::abs(a - b), 1e-10 * std::max(1.0, std::abs(a)))
+              << "trace point " << i;
+        }
+      }
+      if (aligned) {
+        EXPECT_TRUE(same_bits(serial.x, per_rank[r].x));
+        EXPECT_TRUE(same_bits(serial.alpha, per_rank[r].alpha));
+      } else {
+        EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r].x), 1e-10);
+        if (!serial.alpha.empty()) {
+          EXPECT_LT(la::max_rel_diff(serial.alpha, per_rank[r].alpha), 1e-10);
+        }
+        // Replicated arithmetic: every rank holds the same result.
+        EXPECT_TRUE(same_bits(per_rank[r].x, per_rank[0].x));
+      }
+    }
+  }
+}
+
+/// (rank count, SolverSpec::reduction_chunk).  Chunk 0 is the automatic
+/// 64-chunk policy (35 chunks over 70 rows); chunk 1 gives one chunk per
+/// element; chunk 7 gives non-power-of-two grids (10 chunks over 70 rows,
+/// 6 over 40 features — fewer chunks than 8 ranks).  P = 3 runs the
+/// slotted wire, powers of two the payload wire.
+class RankSweep
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {
+ protected:
+  int ranks() const { return std::get<0>(GetParam()); }
+  SolverSpec spec(const char* id) const {
+    SolverSpec opt = SolverSpec::make(id);
+    opt.reduction_chunk = std::get<1>(GetParam());
+    return opt;
+  }
+};
 
 TEST_P(RankSweep, LassoMatchesSerialExactly) {
-  const int p = GetParam();
   const data::Dataset d = regression_problem();
-  SolverSpec opt = SolverSpec::make("lasso");
+  SolverSpec opt = spec("lasso");
   opt.lambda = 0.05;
   opt.block_size = 3;
   opt.accelerated = true;
   opt.max_iterations = 60;
-
-  const SolveResult serial = solve(d, opt);
-
-  const data::Partition rows = data::Partition::block(d.num_points(), p);
-  std::vector<std::vector<double>> per_rank(p);
-  std::mutex mu;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const SolveResult r = make_solver(comm, d, rows, opt)->run();
-    std::scoped_lock lock(mu);
-    per_rank[comm.rank()] = r.x;
-  });
-
-  for (int r = 0; r < p; ++r) {
-    // Distributed dots sum per-rank partials in fixed order; agreement with
-    // the serial sum is to rounding, and the result is identical on all
-    // ranks (replicated arithmetic).
-    EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r]), 1e-10) << "rank " << r;
-    EXPECT_EQ(per_rank[r], per_rank[0]);
-  }
+  expect_rank_invariant(d, opt, ranks(), d.num_points());
 }
 
 TEST_P(RankSweep, SaLassoMatchesSerialExactly) {
-  const int p = GetParam();
   const data::Dataset d = regression_problem();
-  SolverSpec opt = SolverSpec::make("sa-lasso");
+  SolverSpec opt = spec("sa-lasso");
   opt.lambda = 0.05;
   opt.block_size = 2;
   opt.accelerated = true;
   opt.max_iterations = 48;
   opt.s = 6;
-
-  const SolveResult serial = solve(d, opt);
-  const data::Partition rows = data::Partition::block(d.num_points(), p);
-  std::vector<std::vector<double>> per_rank(p);
-  std::mutex mu;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const SolveResult r = make_solver(comm, d, rows, opt)->run();
-    std::scoped_lock lock(mu);
-    per_rank[comm.rank()] = r.x;
-  });
-  for (int r = 0; r < p; ++r)
-    EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r]), 1e-10) << "rank " << r;
+  expect_rank_invariant(d, opt, ranks(), d.num_points());
 }
 
 TEST(SaLassoTrace, FourRankObjectiveTraceMatchesSerial) {
@@ -124,73 +174,101 @@ TEST(SaLassoTrace, FourRankObjectiveTraceMatchesSerial) {
 }
 
 TEST_P(RankSweep, SvmMatchesSerialExactly) {
-  const int p = GetParam();
   const data::Dataset d = classification_problem();
-  SolverSpec opt = SolverSpec::make("svm");
+  SolverSpec opt = spec("svm");
   opt.lambda = 1.0;
   opt.max_iterations = 150;
-
-  const SolveResult serial = solve(d, opt);
-  const data::Partition cols = data::Partition::block(d.num_features(), p);
-  std::vector<SolveResult> per_rank(p);
-  std::mutex mu;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SolveResult r = make_solver(comm, d, cols, opt)->run();
-    std::scoped_lock lock(mu);
-    per_rank[comm.rank()] = std::move(r);
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_LT(la::max_rel_diff(serial.alpha, per_rank[r].alpha), 1e-10);
-    EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r].x), 1e-10);
-  }
+  expect_rank_invariant(d, opt, ranks(), d.num_features());
 }
 
 TEST_P(RankSweep, SaSvmMatchesSerialExactly) {
-  const int p = GetParam();
   const data::Dataset d = classification_problem();
-  SolverSpec opt = SolverSpec::make("sa-svm");
+  SolverSpec opt = spec("sa-svm");
   opt.lambda = 1.0;
   opt.loss = SvmLoss::kL2;
   opt.max_iterations = 120;
   opt.s = 10;
-
-  const SolveResult serial = solve(d, opt);
-  const data::Partition cols = data::Partition::block(d.num_features(), p);
-  std::vector<SolveResult> per_rank(p);
-  std::mutex mu;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    SolveResult r = make_solver(comm, d, cols, opt)->run();
-    std::scoped_lock lock(mu);
-    per_rank[comm.rank()] = std::move(r);
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_LT(la::max_rel_diff(serial.alpha, per_rank[r].alpha), 1e-10);
-    EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r].x), 1e-10);
-  }
+  expect_rank_invariant(d, opt, ranks(), d.num_features());
 }
 
 TEST_P(RankSweep, GroupLassoMatchesSerialExactly) {
-  const int p = GetParam();
   const data::Dataset d = regression_problem();
-  SolverSpec opt = SolverSpec::make("group-lasso");
+  SolverSpec opt = spec("group-lasso");
   opt.lambda = 0.1;
   opt.groups = GroupStructure::uniform(d.num_features(), 5);
   opt.max_iterations = 80;
-
-  const SolveResult serial = solve(d, opt);
-  const data::Partition rows = data::Partition::block(d.num_points(), p);
-  std::vector<std::vector<double>> per_rank(p);
-  std::mutex mu;
-  dist::run_distributed(p, [&](dist::Communicator& comm) {
-    const SolveResult r = make_solver(comm, d, rows, opt)->run();
-    std::scoped_lock lock(mu);
-    per_rank[comm.rank()] = r.x;
-  });
-  for (int r = 0; r < p; ++r)
-    EXPECT_LT(la::max_rel_diff(serial.x, per_rank[r]), 1e-10) << "rank " << r;
+  expect_rank_invariant(d, opt, ranks(), d.num_points());
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, RankSweep, ::testing::Values(2, 3, 4, 8));
+TEST_P(RankSweep, SaGroupLassoMatchesSerialExactly) {
+  const data::Dataset d = regression_problem();
+  SolverSpec opt = spec("sa-group-lasso");
+  opt.lambda = 0.1;
+  opt.groups = GroupStructure::uniform(d.num_features(), 5);
+  opt.max_iterations = 80;
+  opt.s = 4;
+  expect_rank_invariant(d, opt, ranks(), d.num_points());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankCountsAndGrids, RankSweep,
+    ::testing::Combine(::testing::Values(2, 3, 4, 8),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{7})));
+
+// A chunk at or past the extent is the one-chunk grid, SIZE_MAX included
+// (its chunk count once wrapped to zero, and every section summed to
+// +0.0): the solve must be bitwise the reduction_chunk = extent one, on
+// the payload wire (P = 1, 4) and the slotted wire (P = 3).
+TEST(ReductionChunk, HugeChunkSolvesAsTheOneChunkGrid) {
+  const data::Dataset reg = regression_problem();
+  const data::Dataset cls = classification_problem();
+  for (const char* id : {"sa-lasso", "sa-svm"}) {
+    const bool svm = std::string_view(id) == "sa-svm";
+    const data::Dataset& d = svm ? cls : reg;
+    SolverSpec opt = SolverSpec::make(id);
+    opt.lambda = svm ? 1.0 : 0.05;
+    opt.max_iterations = 48;
+    opt.s = 4;
+    opt.reduction_chunk = svm ? d.num_features() : d.num_points();
+    const SolveResult want = solve(d, opt);
+    opt.reduction_chunk = std::numeric_limits<std::size_t>::max();
+    for (const int p : {1, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << id << " P=" << p);
+      const SolveResult got = solve_on_ranks(d, opt, p);
+      EXPECT_TRUE(same_bits(want.x, got.x));
+      EXPECT_TRUE(same_bits(want.alpha, got.alpha));
+      EXPECT_GT(la::nrm2(got.x), 0.0);
+    }
+  }
+}
+
+// The duality-gap margins reduce in blocks of rows (EngineBase::
+// grouped_sum); with more points than one block, every trace point must
+// still be bitwise the serial one on both wires.
+TEST(DistributedTrace, SvmMarginsOverSeveralRowBlocksMatchSerial) {
+  data::ClassificationConfig cfg;
+  cfg.num_points = 5000;
+  cfg.num_features = 40;
+  cfg.density = 0.2;
+  cfg.seed = 9;
+  const data::Dataset d = data::make_classification(cfg);
+  SolverSpec opt = SolverSpec::make("sa-svm");
+  opt.lambda = 1.0;
+  opt.max_iterations = 64;
+  opt.trace_every = 16;
+  opt.s = 4;
+  const Trace serial = solve(d, opt).trace;
+  ASSERT_EQ(serial.points.size(), 5u);
+  for (const int p : {3, 4}) {
+    const Trace got = solve_on_ranks(d, opt, p).trace;
+    ASSERT_EQ(got.points.size(), serial.points.size()) << "P=" << p;
+    for (std::size_t i = 0; i < serial.points.size(); ++i)
+      EXPECT_TRUE(same_bits({serial.points[i].objective},
+                            {got.points[i].objective}))
+          << "P=" << p << " trace point " << i;
+  }
+}
 
 TEST(DistributedTrace, ObjectiveEvaluationDoesNotPolluteMetering) {
   const data::Dataset d = regression_problem();

@@ -1,6 +1,9 @@
 // Tests for 1D block partitioning and load-balance diagnostics.
 #include "data/partition.hpp"
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -36,6 +39,21 @@ TEST(Partition, MoreRanksThanItemsGivesEmptyBlocks) {
   EXPECT_EQ(p.count(0), 1u);
   EXPECT_EQ(p.count(1), 1u);
   for (int r = 2; r < 5; ++r) EXPECT_EQ(p.count(r), 0u);
+}
+
+TEST(Partition, BlockAlignedKeepsBoundariesOnTheChunkGrid) {
+  // 10 elements in chunks of 3 (4 chunks, the last short) over 2 ranks.
+  EXPECT_EQ(Partition::block_aligned(10, 2, 3).offsets(),
+            (std::vector<std::size_t>{0, 6, 10}));
+  // A chunk at or past the extent is one chunk, owned by rank 0 — the
+  // chunk count must not wrap for a SIZE_MAX alignment.
+  for (const std::size_t chunk :
+       {std::size_t{100}, std::size_t{101},
+        std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_EQ(Partition::block_aligned(100, 3, chunk).offsets(),
+              (std::vector<std::size_t>{0, 100, 100, 100}))
+        << "chunk " << chunk;
+  }
 }
 
 TEST(Partition, OwnerFindsCorrectRank) {

@@ -127,6 +127,44 @@ TEST(ReduceGroupingTree, NegativeZeroLeavesFoldToPositiveZero) {
   }
 }
 
+TEST(ReduceGroupingTree, ChunkAtOrPastTheExtentIsOneChunk) {
+  // ⌈extent / chunk⌉ must not wrap: a SIZE_MAX chunk once gave zero
+  // chunks, and every section then folded to +0.0.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(ReduceGrouping::make(10, 3).num_chunks(), 4u);
+  EXPECT_EQ(ReduceGrouping::make(9, 3).num_chunks(), 3u);
+  for (const std::size_t extent : {std::size_t{1}, std::size_t{100},
+                                   std::size_t{4096}}) {
+    for (const std::size_t chunk :
+         {extent, extent + 1, 2 * extent, kMax / 2 + 1, kMax - 1, kMax}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "extent=" << extent << " chunk=" << chunk);
+      const ReduceGrouping grouping = ReduceGrouping::make(extent, chunk);
+      EXPECT_EQ(grouping.num_chunks(), 1u);
+      EXPECT_EQ(grouping.begin(0), 0u);
+      EXPECT_EQ(grouping.end(0), extent);
+      EXPECT_EQ(grouping.begin(1), extent);
+      EXPECT_EQ(grouping.tree_partition(4),
+                (std::vector<std::size_t>{0, 0, 0, 0, extent}));
+      // The one chunk carries the whole partial into the payload.
+      la::Workspace ws;
+      RoundMessage msg(ws);
+      const std::vector<std::size_t> whole{0, extent};
+      msg.set_grouping(grouping, whole, 0);
+      msg.layout(1, 0, 0);
+      msg.fold_owned(RoundSection::kGram, RoundSection::kGram,
+                     [&](std::span<const std::size_t> bounds,
+                         std::span<double> staged) {
+                       EXPECT_EQ(std::vector<std::size_t>(bounds.begin(),
+                                                          bounds.end()),
+                                 whole);
+                       staged[0] = 3.5;
+                     });
+      EXPECT_EQ(msg.section(RoundSection::kGram)[0], 3.5);
+    }
+  }
+}
+
 TEST(ReduceGroupingTree, TreePartitionIsRecognisedOnlyAtPowersOfTwo) {
   const ReduceGrouping grouping = ReduceGrouping::make(10);
   for (const std::size_t p : {1u, 2u, 4u, 8u}) {
@@ -182,11 +220,18 @@ TEST(RoundMessageTree, EveryRankFoldsBitIdenticalToSerialOnBothWires) {
           msg.layout(kGramWords, kDotsWords, 0);
           const std::size_t lo = offsets[comm.rank()];
           const auto leaf_from = [&](std::size_t first) {
-            return [&, first](std::size_t b, std::size_t e,
-                              std::span<double> out) {
-              ASSERT_EQ(e, b + 1);  // chunk size 1: one chunk per leaf
-              for (std::size_t i = 0; i < out.size(); ++i)
-                out[i] = partials[(lo + b) * kPayloadWords + first + i];
+            return [&, first](std::span<const std::size_t> bounds,
+                              std::span<double> staged) {
+              const std::size_t n = bounds.size() - 1;
+              ASSERT_GT(n, 0u);  // a rank owning nothing is not called
+              const std::size_t words = staged.size() / n;
+              for (std::size_t c = 0; c < n; ++c) {
+                // Chunk size 1: chunk c is the one element bounds[c].
+                ASSERT_EQ(bounds[c + 1], bounds[c] + 1);
+                for (std::size_t i = 0; i < words; ++i)
+                  staged[c * words + i] =
+                      partials[(lo + bounds[c]) * kPayloadWords + first + i];
+              }
             };
           };
           msg.fold_owned(RoundSection::kGram, RoundSection::kGram,
@@ -219,6 +264,51 @@ TEST(RoundMessageTree, EveryRankFoldsBitIdenticalToSerialOnBothWires) {
               (tree ? kPayloadWords : g * kPayloadWords) + 1;
           EXPECT_EQ(stats[r].words, wire * collective_rounds(p));
           EXPECT_EQ(stats[r].collectives, 1u);
+        }
+      }
+    }
+  }
+}
+
+TEST(RoundMessageTree, RowBlocksFoldBitIdenticalToTheWholeSection) {
+  // fold_owned_rows folds a vector section a few words at a time; the
+  // fold is elementwise, so every block size gives the serial bits.
+  constexpr std::size_t kRows = 7;  // the first kRows words of each chunk
+  for (const std::size_t g : kGridSizes) {
+    const ReduceGrouping grouping = ReduceGrouping::make(g);
+    const std::vector<double> partials = chunk_partials(g, 11 * g + 5);
+    const std::vector<double> want = serial_fold(grouping, partials);
+    for (const int p : kRankCounts) {
+      ThreadTeam team(p);
+      for (const std::vector<std::size_t>& offsets : partitions_for(g, p)) {
+        for (const std::size_t block : {std::size_t{1}, std::size_t{3},
+                                        kRows}) {
+          std::vector<std::vector<double>> got(p);
+          team.run([&](ThreadComm& comm) {
+            la::Workspace ws;
+            RoundMessage msg(ws);
+            msg.set_grouping(grouping, offsets, comm.rank());
+            msg.layout(0, kRows, 0);
+            const std::size_t lo = offsets[comm.rank()];
+            msg.fold_owned_rows(
+                RoundSection::kDots1, block,
+                [&](std::span<const std::size_t> bounds, std::size_t r0,
+                    std::size_t r1, std::span<double> staged) {
+                  for (std::size_t c = 0; c + 1 < bounds.size(); ++c)
+                    for (std::size_t r = r0; r < r1; ++r)
+                      staged[c * (r1 - r0) + (r - r0)] =
+                          partials[(lo + bounds[c]) * kPayloadWords + r];
+                });
+            msg.reduce(comm);
+            const std::span<const double> sum =
+                msg.section(RoundSection::kDots1);
+            got[comm.rank()].assign(sum.begin(), sum.end());
+          });
+          for (int r = 0; r < p; ++r)
+            for (std::size_t i = 0; i < kRows; ++i)
+              EXPECT_TRUE(same_bits(got[r][i], want[i]))
+                  << "G=" << g << " P=" << p << " block " << block
+                  << " rank " << r << " word " << i;
         }
       }
     }

@@ -96,9 +96,9 @@ class Batch {
 /// The Gram kernel over the full range, unpacked to a symmetric matrix.
 DenseMatrix gram(const Batch& b) {
   const std::size_t k = b.size();
-  Workspace scratch;
+  const std::size_t whole[2] = {0, b.dim()};
   std::vector<double> packed(fused_buffer_size(k, 0));
-  sampled_gram_range(b.view(), 0, b.dim(), scratch, packed);
+  sampled_gram_range(b.view(), whole, packed);
   DenseMatrix g(k, k);
   for (std::size_t i = 0; i < k; ++i)
     for (std::size_t j = i; j < k; ++j)
@@ -108,10 +108,10 @@ DenseMatrix gram(const Batch& b) {
 
 /// The dot kernel over the full range: [v_0·x, …, v_{k-1}·x].
 std::vector<double> dots(const Batch& b, std::span<const double> x) {
-  Workspace scratch;
+  const std::size_t whole[2] = {0, b.dim()};
   std::vector<double> out(b.size());
   const std::array<std::span<const double>, 1> xs{x};
-  sampled_dots_range(b.view(), xs, 0, b.dim(), scratch, out);
+  sampled_dots_range(b.view(), xs, whole, out);
   return out;
 }
 

@@ -182,10 +182,9 @@ std::vector<double> run_kernels(const data::Dataset& d, Workspace& ws) {
   const std::size_t k = view.size();
   const std::size_t tri = k * (k + 1) / 2;
   std::vector<double> buffer(fused_buffer_size(k, xs.size()));
-  Workspace scratch;
-  sampled_gram_range(view, 0, view.dim(), scratch,
-                     std::span<double>(buffer.data(), tri));
-  sampled_dots_range(view, xs, 0, view.dim(), scratch,
+  const std::size_t whole[2] = {0, view.dim()};
+  sampled_gram_range(view, whole, std::span<double>(buffer.data(), tri));
+  sampled_dots_range(view, xs, whole,
                      std::span<double>(buffer.data() + tri, xs.size() * k));
   return buffer;
 }
