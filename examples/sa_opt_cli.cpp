@@ -28,7 +28,6 @@
 #include "core/trace_io.hpp"
 #include "data/libsvm_io.hpp"
 #include "data/scaling.hpp"
-#include "dist/fault.hpp"
 #include "dist/thread_comm.hpp"
 #include "io/snapshot.hpp"
 #include "la/simd/simd.hpp"
@@ -52,7 +51,6 @@ struct Args {
   std::string checkpoint;       // periodic snapshot file (rank 0 writes)
   std::size_t checkpoint_every = 1000;  // iterations between snapshots
   std::string resume;           // restore from this snapshot before solving
-  std::string inject_faults;    // --inject-faults "<seed>:<kind>@<idx>,..."
 };
 
 void print_registry() {
@@ -93,7 +91,7 @@ void print_registry() {
       "  --kernel-isa L  force the SIMD kernel table: scalar|sse2|avx2\n"
       "                  (default: best available; SA_KERNEL_ISA env is\n"
       "                  honored when the flag is absent)\n"
-      "  --lambdas N     path grid size (default 20)\n"
+      "  --lambdas N     path grid size, >= 2 (default 20)\n"
       "  --normalize     unit-norm columns before solving\n"
       "  --trace-csv F   write the solver trace to CSV file F\n"
       "  --checkpoint F  write a snapshot to F every --checkpoint-every\n"
@@ -101,19 +99,7 @@ void print_registry() {
       "  --checkpoint-every N  snapshot cadence (default 1000)\n"
       "  --resume F      restore solver state from snapshot F, then\n"
       "                  continue to -H (bitwise identical to an\n"
-      "                  uninterrupted run; pass the same solver flags)\n"
-      "  --inject-faults SPEC  deterministic fault schedule\n"
-      "                  \"<seed>:<kind>@<index>[/<rank>],...\" with kind\n"
-      "                  delay|stall|corrupt|drop|lost (see README)\n"
-      "  --max-retries N   replay a failed round up to N times from the\n"
-      "                  last checkpoint image (default 0: fail fast)\n"
-      "  --retry-backoff X seconds before the first replay, doubling per\n"
-      "                  consecutive failure (default 0)\n"
-      "  --round-deadline X  per-round reduce deadline in seconds; a\n"
-      "                  stall injected by --inject-faults raises a\n"
-      "                  timeout (only the fault-injection layer enforces\n"
-      "                  it: the thread-team barriers never time out;\n"
-      "                  default off)\n",
+      "                  uninterrupted run; pass the same solver flags)\n",
       defaults.lambda, defaults.block_size, defaults.max_iterations,
       defaults.loss == sa::core::SvmLoss::kL1 ? "l1" : "l2",
       static_cast<unsigned long long>(defaults.seed));
@@ -228,7 +214,7 @@ Args parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (flag == "--lambdas") {
-      args.num_lambdas = parse_count(flag, value(), 1);
+      args.num_lambdas = parse_count(flag, value(), 2);
     } else if (flag == "--normalize") {
       args.normalize = true;
     } else if (flag == "--trace-csv") {
@@ -239,14 +225,6 @@ Args parse(int argc, char** argv) {
       args.checkpoint_every = parse_count(flag, value(), 1);
     } else if (flag == "--resume") {
       args.resume = value();
-    } else if (flag == "--inject-faults") {
-      args.inject_faults = value();
-    } else if (flag == "--max-retries") {
-      args.spec.max_retries = parse_count(flag, value());
-    } else if (flag == "--retry-backoff") {
-      args.spec.retry_backoff = parse_nonnegative(flag, value());
-    } else if (flag == "--round-deadline") {
-      args.spec.round_deadline = parse_nonnegative(flag, value());
     } else if (!flag.empty() && flag[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage();
@@ -312,14 +290,8 @@ int run_solver(const Args& args, const sa::data::Dataset& dataset) {
                 static_cast<unsigned long long>(g[2]));
   }
 
-  sa::dist::FaultPlan plan;
-  if (!args.inject_faults.empty()) {
-    plan = sa::dist::FaultPlan::parse(args.inject_faults);
-    std::printf("injecting faults: %s\n", plan.format().c_str());
-  }
-  const sa::core::SolveResult result = sa::core::solve_on_ranks(
-      dataset, spec, args.ranks, args.resume,
-      plan.empty() ? nullptr : &plan);
+  const sa::core::SolveResult result =
+      sa::core::solve_on_ranks(dataset, spec, args.ranks, args.resume);
 
   const bool svm = spec.family() == sa::core::SolverFamily::kSvm;
   for (const auto& point : result.trace.points)
@@ -333,23 +305,16 @@ int run_solver(const Args& args, const sa::data::Dataset& dataset) {
   // Reduce-wait is the whole round collective (waiting for the slowest
   // rank, the combine, the copy-out); checkpoint covers serialization
   // plus the finish() drain — the disk write itself runs on the async
-  // writer's thread.
+  // writer's thread, and `skips` counts the checkpoints it refused while
+  // a previous write was still in flight.
   const sa::dist::CommStats& st = result.stats;
   std::printf("phase seconds: pack %.4f  reduce-wait %.4f  apply %.4f  "
-              "checkpoint %.4f  (kernels %s%s)\n",
+              "checkpoint %.4f  (kernels %s%s)  skips %zu\n",
               st.pack_seconds, st.wait_seconds, st.apply_seconds,
               st.checkpoint_seconds,
               sa::la::simd::to_cstring(
                   static_cast<sa::la::simd::Isa>(st.kernel_isa)),
-              grouping_note.c_str());
-  // Printed whenever the fault plane was armed, even when nothing fired —
-  // "retries 0" is the all-clear the chaos smoke greps for.
-  if (!args.inject_faults.empty() || spec.fault_detection()) {
-    std::printf("recovery: retries %zu (timeouts %zu, corruptions %zu, "
-                "rank-lost %zu), checkpoint skips %zu, recovery %.4fs\n",
-                st.retries, st.timeouts, st.corruptions, st.rank_losses,
-                st.checkpoint_skips, st.recovery_seconds);
-  }
+              grouping_note.c_str(), st.checkpoint_skips);
   if (svm) {
     std::printf("train accuracy: %.2f%%\n",
                 100.0 * sa::core::svm_accuracy(dataset.a, dataset.b,
@@ -365,11 +330,10 @@ int run_solver(const Args& args, const sa::data::Dataset& dataset) {
 }
 
 int run_path(const Args& args, const sa::data::Dataset& dataset) {
-  if (!args.checkpoint.empty() || !args.resume.empty() ||
-      !args.inject_faults.empty()) {
+  if (!args.checkpoint.empty() || !args.resume.empty()) {
     std::fprintf(stderr,
-                 "error: --checkpoint/--resume/--inject-faults apply to "
-                 "single solves; path mode does not support them\n");
+                 "error: --checkpoint/--resume apply to single solves; "
+                 "path mode does not support them\n");
     return 2;
   }
   sa::core::PathOptions options;

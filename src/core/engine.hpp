@@ -186,8 +186,6 @@ class EngineBase : public Solver {
   void run_round(std::size_t s_eff);
   void check_stops_after_round();
   void write_checkpoint();
-  void capture_recovery_image();
-  void recover_from(const dist::CommFailure& failure);
 
   // Rows per grouped_sum block: bounds its staging to G·kTraceRowBlock
   // words (a 64-chunk grid stages 1 MiB) whatever the vector's length.
@@ -223,26 +221,9 @@ class EngineBase : public Solver {
   std::string ckpt_tmp_path_;
   std::unique_ptr<io::AsyncCheckpointWriter> ckpt_async_;
 
-  // Fault tolerance (SolverSpec::{max_retries, retry_backoff,
-  // round_deadline}).  With detection armed, every round's collective is
-  // tagged and deadline-checked and its delivery digest-verified; on a
-  // dist::CommFailure the step loop rolls back to recovery_image_ — the
-  // in-memory snapshot refreshed at every checkpoint (round 0 before the
-  // first) — applies exponential backoff, and replays.  Replay reuses the
-  // snapshot restore path, so the recovered trajectory is bitwise
-  // identical to a fault-free one.  All of it is collective: injected
-  // failures throw on every rank together, so the ranks recover in
-  // lockstep.
-  bool fault_detection_ = false;
-  std::vector<std::uint8_t> recovery_image_;
-  std::size_t rounds_run_ = 0;  // collective tag + fault-plan index
-  // Consecutive failures without NEW progress.  Reset only when a round
-  // beyond furthest_round_ completes: replayed rounds always succeed
-  // after a rollback, so resetting on any success would let a fault that
-  // re-fires on the same round retry forever.  Both are recovery-local
-  // and deliberately not serialized.
-  std::size_t failure_streak_ = 0;
-  std::size_t furthest_round_ = 0;  // one past the furthest completed round
+  // Rounds completed since the solve began: the round index.  Rides in
+  // the snapshot (core/state_words), so a resumed solve continues it.
+  std::size_t rounds_run_ = 0;
 
   std::size_t iterations_done_ = 0;
   std::size_t since_trace_ = 0;

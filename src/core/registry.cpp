@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/grouping.hpp"
 #include "core/engine.hpp"
-#include "dist/fault.hpp"
 #include "dist/thread_comm.hpp"
 
 namespace sa::core {
@@ -112,19 +111,12 @@ data::Partition partition_for_ranks(const data::Dataset& dataset,
 }
 
 SolveResult solve(const data::Dataset& dataset, const SolverSpec& spec,
-                  const std::string& resume_from,
-                  const dist::FaultPlan* faults) {
+                  const std::string& resume_from) {
   const AlgorithmInfo& info =
       SolverRegistry::instance().require(spec.algorithm);
-  dist::SerialComm base_comm;
-  std::unique_ptr<dist::FaultyComm> faulty;
-  dist::Communicator* comm = &base_comm;
-  if (faults != nullptr && !faults->empty()) {
-    faulty = std::make_unique<dist::FaultyComm>(base_comm, *faults);
-    comm = faulty.get();
-  }
+  dist::SerialComm comm;
   const std::unique_ptr<Solver> solver =
-      info.factory(*comm, dataset, partition_for_ranks(dataset, spec, 1),
+      info.factory(comm, dataset, partition_for_ranks(dataset, spec, 1),
                    spec);
   if (!resume_from.empty()) solver->restore_from_file(resume_from);
   return solver->run();
@@ -132,10 +124,9 @@ SolveResult solve(const data::Dataset& dataset, const SolverSpec& spec,
 
 SolveResult solve_on_ranks(const data::Dataset& dataset,
                            const SolverSpec& spec, int ranks,
-                           const std::string& resume_from,
-                           const dist::FaultPlan* faults) {
+                           const std::string& resume_from) {
   SA_CHECK(ranks >= 1, "solve_on_ranks: ranks must be >= 1");
-  if (ranks == 1) return solve(dataset, spec, resume_from, faults);
+  if (ranks == 1) return solve(dataset, spec, resume_from);
   const AlgorithmInfo& info =
       SolverRegistry::instance().require(spec.algorithm);
   // Chunk-aligned boundaries: every global reduction chunk has a single
@@ -144,19 +135,11 @@ SolveResult solve_on_ranks(const data::Dataset& dataset,
   SolveResult result;
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    // Each rank wraps its own endpoint; the plans are copies of the same
-    // schedule, so the injection decisions stay in lockstep across ranks.
-    std::unique_ptr<dist::FaultyComm> faulty;
-    dist::Communicator* endpoint = &comm;
-    if (faults != nullptr && !faults->empty()) {
-      faulty = std::make_unique<dist::FaultyComm>(comm, *faults);
-      endpoint = faulty.get();
-    }
     const std::unique_ptr<Solver> solver =
-        info.factory(*endpoint, dataset, part, spec);
+        info.factory(comm, dataset, part, spec);
     if (!resume_from.empty()) solver->restore_from_file(resume_from);
     SolveResult r = solver->run();
-    if (endpoint->rank() == 0) {
+    if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
       result = std::move(r);
     }

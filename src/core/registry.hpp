@@ -22,10 +22,6 @@
 #include "core/solver.hpp"
 #include "data/partition.hpp"
 
-namespace sa::dist {
-struct FaultPlan;  // dist/fault.hpp — seeded fault-injection schedule
-}  // namespace sa::dist
-
 namespace sa::core {
 
 /// Which dataset dimension the solver's 1D partition splits: the Lasso
@@ -108,25 +104,18 @@ data::Partition partition_for_ranks(const data::Dataset& dataset,
 /// axis and runs to completion.  A non-empty `resume_from` restores the
 /// solver from that snapshot file before running (the continued solve is
 /// bitwise identical to an uninterrupted one — see io/snapshot.hpp).
-/// A non-null `faults` wraps the communicator in a dist::FaultyComm
-/// driven by that plan — the chaos path `sa_opt_cli --inject-faults`
-/// exercises (pair with SolverSpec::max_retries to survive them).
 SolveResult solve(const data::Dataset& dataset, const SolverSpec& spec,
-                  const std::string& resume_from = "",
-                  const dist::FaultPlan* faults = nullptr);
+                  const std::string& resume_from = "");
 
 /// Multi-rank convenience: runs `spec` on `ranks` thread-backed
 /// communicator ranks (block partition on the algorithm's axis) and
 /// returns rank 0's result (results are replicated across ranks).
 /// `ranks == 1` degenerates to solve().  A non-empty `resume_from`
 /// restores every rank from the snapshot (rank 0 reads, the bytes travel
-/// through the communicator) before running.  A non-null `faults` wraps
-/// EVERY rank's endpoint in a dist::FaultyComm built from the same plan,
-/// so injected failures strike all ranks in lockstep.
+/// through the communicator) before running.
 SolveResult solve_on_ranks(const data::Dataset& dataset,
                            const SolverSpec& spec, int ranks,
-                           const std::string& resume_from = "",
-                           const dist::FaultPlan* faults = nullptr);
+                           const std::string& resume_from = "");
 
 /// Sorted ids of every registered algorithm.
 std::vector<std::string> registered_algorithms();

@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "common/annotate.hpp"
@@ -106,18 +105,6 @@ SolverSpec& SolverSpec::with_reduction_chunk(std::size_t elements) {
   reduction_chunk = elements;
   return *this;
 }
-SolverSpec& SolverSpec::with_max_retries(std::size_t retries) {
-  max_retries = retries;
-  return *this;
-}
-SolverSpec& SolverSpec::with_retry_backoff(double seconds) {
-  retry_backoff = seconds;
-  return *this;
-}
-SolverSpec& SolverSpec::with_round_deadline(double seconds) {
-  round_deadline = seconds;
-  return *this;
-}
 
 bool SolverSpec::is_sa() const {
   // sa-lint: allow(alloc): string_view::substr returns a view, no heap
@@ -145,12 +132,6 @@ void SolverSpec::validate(const data::Dataset& dataset) const {
   SA_CHECK((checkpoint_every > 0) == !checkpoint_path.empty(),
            "SolverSpec: set checkpoint_path and checkpoint_every together "
            "(or neither)");
-  SA_CHECK(retry_backoff >= 0.0, "SolverSpec: retry_backoff must be >= 0");
-  SA_CHECK(round_deadline >= 0.0,
-           "SolverSpec: round_deadline must be >= 0");
-  SA_CHECK(retry_backoff == 0.0 || max_retries > 0,
-           "SolverSpec: retry_backoff without max_retries has no effect — "
-           "set max_retries > 0");
   if (is_sa()) SA_CHECK(s >= 1, "SolverSpec: s must be >= 1");
   SA_CHECK(gap_tolerance == 0.0 || fam == SolverFamily::kSvm,
            "SolverSpec: gap_tolerance applies to the SVM family only");
@@ -244,11 +225,8 @@ std::size_t EngineBase::step(std::size_t iterations) {
     piggyback_objective_ =
         spec_.objective_tolerance > 0.0 && has_round_objective();
     piggyback_wall_ = spec_.wall_clock_budget > 0.0;
-    fault_detection_ = spec_.fault_detection();
     msg_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
-                           piggyback_wall_ ? 1 : 0,
-                           fault_detection_ ? 1 : 0);
-    if (fault_detection_) comm_.enable_reduce_digest(true);
+                           piggyback_wall_ ? 1 : 0);
     if (spec_.trace_every > 0) {
       record_trace_point(0);
       // Seed the objective-tolerance reference; criteria never fire on the
@@ -257,38 +235,11 @@ std::size_t EngineBase::step(std::size_t iterations) {
       prev_objective_ = trace_.points.back().objective;
     }
   }
-  // Recovery needs somewhere to roll back TO before the first failure can
-  // happen: capture the round-0 image (or the resumed-from state) once.
-  // Checked every step so a restore_from_file + step sequence is covered,
-  // not just the fresh-solve path.
-  if (spec_.max_retries > 0 && recovery_image_.empty() && !finished())
-    capture_recovery_image();
-  const std::size_t iters_at_entry = iterations_done_;
   std::size_t advanced = 0;
   while (!finished() && advanced < iterations) {
     const std::size_t s_eff = std::min(spec_.unroll_depth(),
                                        spec_.max_iterations - iterations_done_);
-    try {
-      run_round(s_eff);
-    } catch (const dist::CommFailure& failure) {
-      // Detected failure: roll back to the recovery image, back off,
-      // replay.  recover_from rethrows when retries are off or exhausted.
-      // Every rank observed the same failure (injection and detection are
-      // coordinated), so the rollback is collective and the replayed
-      // rounds stay in lockstep.
-      recover_from(failure);
-      advanced = iterations_done_ > iters_at_entry
-                     ? iterations_done_ - iters_at_entry
-                     : 0;
-      continue;
-    }
-    // The streak resets only on NEW progress: after a rollback the
-    // replayed rounds always succeed, so any-success resetting would let
-    // a fault that re-fires on the same round retry forever.
-    if (rounds_run_ >= furthest_round_) {
-      failure_streak_ = 0;
-      furthest_round_ = rounds_run_ + 1;
-    }
+    run_round(s_eff);
     ++rounds_run_;
     iterations_done_ += s_eff;
     since_trace_ += s_eff;
@@ -332,14 +283,10 @@ void EngineBase::run_round(std::size_t s_eff) {
     // zero extra messages).
     msg_.section(dist::RoundSection::kStopFlags)[0] =
         comm_.rank() == 0 ? seconds_since(start_) : 0.0;
-  msg_.seal();  // checksum trailer word (fault detection only; no-op off)
   comm_.add_pack_seconds(seconds_since(t_pack));
 
-  // Tag the round's ONE collective so deadline/fault machinery applies to
-  // it and never to instrumentation traffic.  The wait meter brackets the
-  // whole collective: waiting for the slowest rank, the combine and the
-  // copy-out.
-  comm_.tag_round(rounds_run_, spec_.round_deadline);
+  // The wait meter brackets the round's ONE collective: waiting for the
+  // slowest rank, the combine and the copy-out.
   const EngineClock::time_point t_wait = EngineClock::now();
   msg_.reduce(comm_);
   comm_.add_wait_seconds(seconds_since(t_wait));
@@ -532,10 +479,9 @@ void EngineBase::save_state(io::SnapshotWriter& out) {
   out.push_u64(grouping_.chunk);
   out.push_u64(grouping_.extent);
 
-  // Round-loop and stopping-criterion progress.  rounds_run_ rides along
-  // so fault recovery replays rounds under their ORIGINAL indices — a
-  // seeded fault plan keyed by round number stays meaningful across a
-  // rollback, and consumed faults do not re-fire under a shifted index.
+  // Round-loop and stopping-criterion progress, including the round
+  // index (rounds_run_), so a resumed solve keeps counting rounds where
+  // the snapshot left off.
   out.begin_u64s("core/state_words", 9);
   out.push_u64(iterations_done_);
   out.push_u64(since_trace_);
@@ -681,11 +627,8 @@ void EngineBase::load_state(const io::SnapshotReader& in) {
     piggyback_objective_ =
         spec_.objective_tolerance > 0.0 && has_round_objective();
     piggyback_wall_ = spec_.wall_clock_budget > 0.0;
-    fault_detection_ = spec_.fault_detection();
     msg_.set_trailer_sizes(piggyback_objective_ ? 1 : 0,
-                           piggyback_wall_ ? 1 : 0,
-                           fault_detection_ ? 1 : 0);
-    if (fault_detection_) comm_.enable_reduce_digest(true);
+                           piggyback_wall_ ? 1 : 0);
   }
   since_checkpoint_ = 0;
   comm_.set_stats(stats_from_words(stats_words));
@@ -777,13 +720,6 @@ void EngineBase::write_checkpoint() {
   // asynchronous, which is why a skipped write needs no replication.
   const EngineClock::time_point t0 = EngineClock::now();
   save_state(ckpt_writer_);
-  // The freshest image is also the fault-recovery rollback point: refresh
-  // it on every rank (it has to be — recovery is collective).  The vector
-  // is grow-only, so steady-state checkpoints reallocate nothing.
-  if (spec_.max_retries > 0) {
-    const std::span<const std::uint8_t> image = ckpt_writer_.finalize();
-    recovery_image_.assign(image.begin(), image.end());
-  }
   if (comm_.rank() == 0) {
     if (ckpt_tmp_path_.empty()) {
       // Built once; later checkpoints reuse the string (zero-allocation
@@ -803,55 +739,6 @@ void EngineBase::write_checkpoint() {
     }
   }
   comm_.add_checkpoint_seconds(seconds_since(t0));
-}
-
-void EngineBase::capture_recovery_image() {
-  // Collective (save_state gathers partitioned iterates); the traffic is
-  // instrumentation and excluded from the metering, like any snapshot.
-  save_state(ckpt_writer_);
-  const std::span<const std::uint8_t> image = ckpt_writer_.finalize();
-  recovery_image_.assign(image.begin(), image.end());
-}
-
-void EngineBase::recover_from(const dist::CommFailure& failure) {
-  comm_.note_comm_failure(failure.kind());
-  if (spec_.max_retries == 0 || recovery_image_.empty() ||
-      failure_streak_ >= spec_.max_retries) {
-    throw;  // rethrows `failure` — recover_from runs inside the catch
-  }
-  ++failure_streak_;
-  comm_.note_retry();
-  const EngineClock::time_point t0 = EngineClock::now();
-  if (spec_.retry_backoff > 0.0) {
-    // Exponential backoff: attempt k sleeps backoff · 2^(k−1).  Every
-    // rank sleeps the same amount (replicated decision), so the team
-    // re-enters the round loop together.
-    const double seconds =
-        spec_.retry_backoff * std::ldexp(1.0, static_cast<int>(
-                                                  failure_streak_ - 1));
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-  // Roll back: restore() is communication-free (the image is local and
-  // load_engine_state copies replicated/gathered vectors), so no rank can
-  // be left waiting in a collective here.  load_state installs the
-  // image's CommStats — which deliberately exclude the measured timers
-  // and fault counters — so re-apply those from the pre-rollback reading:
-  // the failures, skips, and wall time really happened and must survive
-  // the replay.
-  const dist::CommStats measured = comm_.stats();
-  restore(recovery_image_);
-  dist::CommStats stats = comm_.stats();
-  stats.pack_seconds = measured.pack_seconds;
-  stats.wait_seconds = measured.wait_seconds;
-  stats.apply_seconds = measured.apply_seconds;
-  stats.checkpoint_seconds = measured.checkpoint_seconds;
-  stats.retries = measured.retries;
-  stats.timeouts = measured.timeouts;
-  stats.corruptions = measured.corruptions;
-  stats.rank_losses = measured.rank_losses;
-  stats.checkpoint_skips = measured.checkpoint_skips;
-  stats.recovery_seconds = measured.recovery_seconds + seconds_since(t0);
-  comm_.set_stats(stats);
 }
 
 }  // namespace detail

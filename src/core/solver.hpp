@@ -130,29 +130,6 @@ struct SolverSpec {
   std::size_t checkpoint_every = 0;  ///< iterations between snapshots
                                      ///< (0 = off; set both or neither)
 
-  // -- fault tolerance --------------------------------------------------
-  // The recovery loop (see README "Fault tolerance").  With max_retries
-  // > 0 the solver arms failure DETECTION — every round's message carries
-  // an FNV-1a checksum trailer word (one word, priced like any trailer
-  // section) and the communicator records delivery digests — and RECOVERY:
-  // on a dist::CommFailure (timeout, corruption, rank lost) the engine
-  // rolls back to its in-arena recovery image (the last checkpoint, or
-  // round 0), sleeps an exponential backoff, and replays.  Replay rides
-  // the snapshot restore path, so a solve that survives injected faults
-  // finishes bitwise identical to a fault-free run (trace, solution, stop
-  // reason, metered counters — pinned by tests/core/test_chaos.cpp).
-  // round_deadline > 0 arms timeout detection on each round's collective
-  // independently of retries (only the fault-injection decorator,
-  // dist::FaultyComm, enforces it: ThreadComm barriers never time out);
-  // after max_retries consecutive failures the CommFailure propagates to
-  // the caller.
-  std::size_t max_retries = 0;  ///< recovery attempts per failure streak
-                                ///< (0 = fault tolerance off)
-  double retry_backoff = 0.0;   ///< base backoff seconds; attempt k sleeps
-                                ///< retry_backoff · 2^(k-1)
-  double round_deadline = 0.0;  ///< seconds a round's collective may take
-                                ///< before CommFailure(kTimeout) (0 = none)
-
   // -- reduction grouping -----------------------------------------------
   // Chunk size of the fixed global reduction grouping
   // (common/grouping.hpp): every cross-rank sum accumulates per-global-
@@ -183,15 +160,6 @@ struct SolverSpec {
   SolverSpec& with_wall_clock_budget(double seconds);
   SolverSpec& with_checkpoint(std::string path, std::size_t every_n);
   SolverSpec& with_reduction_chunk(std::size_t elements);
-  SolverSpec& with_max_retries(std::size_t retries);
-  SolverSpec& with_retry_backoff(double seconds);
-  SolverSpec& with_round_deadline(double seconds);
-
-  /// True when any fault-detection machinery is armed (checksum trailer +
-  /// delivery digests): retries requested or a round deadline set.
-  bool fault_detection() const {
-    return max_retries > 0 || round_deadline > 0.0;
-  }
 
   /// True for the synchronization-avoiding ids ("sa-" prefix).
   bool is_sa() const;

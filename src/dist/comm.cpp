@@ -34,37 +34,6 @@ double digest_word(std::uint64_t digest) {
 
 }  // namespace
 
-const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kTimeout:
-      return "timeout";
-    case FailureKind::kCorruption:
-      return "corruption";
-    case FailureKind::kRankLost:
-      return "rank-lost";
-  }
-  return "unknown";
-}
-
-std::uint64_t payload_digest(std::span<const double> data) {
-  return fnv1a_accumulate(kFnvOffset, data.data(),
-                          data.size() * sizeof(double));
-}
-
-void Communicator::note_comm_failure(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kTimeout:
-      stats_.timeouts += 1;
-      break;
-    case FailureKind::kCorruption:
-      stats_.corruptions += 1;
-      break;
-    case FailureKind::kRankLost:
-      stats_.rank_losses += 1;
-      break;
-  }
-}
-
 std::size_t collective_rounds(int ranks) {
   std::size_t rounds = 0;
   int span = 1;
@@ -83,20 +52,7 @@ void Communicator::charge_collective(std::size_t payload_words) {
 }
 
 void Communicator::allreduce_sum(std::span<double> data) {
-  // The tag_round() arming belongs to this collective alone: clear it
-  // even when the backend throws (deadline missed, peer lost), so the
-  // recovery loop's next collective on this communicator is untagged
-  // unless the replay tags it again.
-  try {
-    do_allreduce_sum(data);
-  } catch (...) {
-    round_tagged_ = false;
-    round_deadline_ = 0.0;
-    throw;
-  }
-  round_tagged_ = false;
-  round_deadline_ = 0.0;
-  if (digest_on_) last_digest_ = payload_digest(data);
+  do_allreduce_sum(data);
   charge_collective(data.size());
 }
 
@@ -132,8 +88,7 @@ void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
   if (!(total_real >= 0.0 && total_real <= kMaxBroadcastBytes &&
         total_real == static_cast<double>(
                           static_cast<std::uint64_t>(total_real)))) {
-    throw CommFailure(FailureKind::kCorruption,
-                      "broadcast_bytes: received length header is not a "
+    throw CommFailure("broadcast_bytes: received length header is not a "
                       "valid byte count (corrupted broadcast)");
   }
   const auto total = static_cast<std::uint64_t>(total_real);
@@ -143,7 +98,7 @@ void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
     os << "broadcast_bytes: length header failed validation — received "
        << total << " bytes whose checksum does not match the root's "
        << "length word (corrupted broadcast)";
-    throw CommFailure(FailureKind::kCorruption, os.str());
+    throw CommFailure(os.str());
   }
   if (!is_root) bytes.assign(total, 0);
 
@@ -156,7 +111,7 @@ void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
       chunk[i] = is_root ? static_cast<double>(bytes[offset + i]) : 0.0;
     allreduce_sum(std::span<double>(chunk.data(), count));
     // Every rank — the root included — adopts the reduced chunk, so a
-    // payload fault desynchronizes nobody: all ranks reassemble the same
+    // damaged payload desynchronizes nobody: all ranks reassemble the same
     // (possibly wrong) bytes and fail the digest check below together.
     for (std::size_t i = 0; i < count; ++i)
       bytes[offset + i] = static_cast<std::uint8_t>(chunk[i]);
@@ -166,7 +121,7 @@ void Communicator::broadcast_bytes(std::vector<std::uint8_t>& bytes,
     os << "broadcast_bytes: payload of " << total << " bytes from root "
        << root << " failed checksum validation (dropped or corrupted "
        << "broadcast)";
-    throw CommFailure(FailureKind::kCorruption, os.str());
+    throw CommFailure(os.str());
   }
 }
 

@@ -37,50 +37,28 @@
 namespace sa::dist {
 
 /// Sections of the per-round message plane (see dist/round_message.hpp).
-/// kGram/kDots1/kDots2 carry the algorithm's fused payload; kObjective,
-/// kStopFlags, and kChecksum are the piggy-backed trailer sections that
-/// make the objective-tolerance / wall-budget criteria and corruption
-/// detection cost zero extra messages.
+/// kGram/kDots1/kDots2 carry the algorithm's fused payload; kObjective
+/// and kStopFlags are the piggy-backed trailer sections that make the
+/// objective-tolerance / wall-budget criteria cost zero extra messages.
+/// kChecksum is always 0 words; it stays so that the section count, and
+/// with it the snapshot's CommStats layout, does not change.
 enum class RoundSection : std::size_t {
   kGram = 0,   ///< packed upper triangle of the sampled Gram
   kDots1,      ///< first dot block (Yᵀỹ, or Yᵀr̃ / Yᵀx for one-rhs solvers)
   kDots2,      ///< second dot block (Yᵀz̃, accelerated Lasso only)
   kObjective,  ///< piggy-backed local objective partial (1 word when on)
   kStopFlags,  ///< piggy-backed stop flags (rank 0's clock, 1 word when on)
-  kChecksum,   ///< piggy-backed FNV-1a body checksum (1 word when fault
-               ///< detection is on; see RoundMessage::seal)
+  kChecksum,   ///< always empty (0 words)
 };
 inline constexpr std::size_t kRoundSectionCount = 6;
 
-/// What kind of communication failure was detected.
-enum class FailureKind {
-  kTimeout,     ///< a round's collective missed its deadline
-  kCorruption,  ///< the reduced payload failed checksum validation
-  kRankLost,    ///< a peer rank is gone (connection reset, process death)
-};
-
-const char* to_string(FailureKind kind);
-
-/// Typed error surface for detected communication failures.  Thrown by
-/// deadline-armed waits, checksum-validated RoundMessage reductions, and
-/// the hardened broadcast_bytes; caught by the EngineBase recovery loop
-/// (SolverSpec::max_retries), which rolls back to the last checkpoint and
-/// replays the round.
+/// A collective delivered data that failed validation — thrown by
+/// broadcast_bytes when the received length header or payload does not
+/// match the root's digest.
 class CommFailure : public std::runtime_error {
  public:
-  CommFailure(FailureKind kind, const std::string& what)
-      : std::runtime_error(what), kind_(kind) {}
-
-  FailureKind kind() const { return kind_; }
-
- private:
-  FailureKind kind_;
+  using std::runtime_error::runtime_error;
 };
-
-/// FNV-1a 64-bit hash of a double buffer's bytes — the transport-receipt
-/// digest fault detection compares against (see
-/// Communicator::last_reduce_digest).
-std::uint64_t payload_digest(std::span<const double> data);
 
 /// Traffic attributed to one RoundMessage section.
 struct SectionTraffic {
@@ -122,18 +100,10 @@ struct CommStats {
   double apply_seconds = 0.0;       ///< unpack + inner iterations
   double checkpoint_seconds = 0.0;  ///< serialize + hand off snapshots
 
-  // Fault-tolerance counters.  Like the wall timers, these are measured,
-  // not replayed: a rollback restores the metered counters above to the
-  // recovery point but carries these forward (the failures really
-  // happened), and snapshots exclude them — a fault-free run and a
-  // recovered one stay bitwise identical in everything the conformance
-  // suites compare.
-  std::size_t retries = 0;           ///< rounds replayed after a failure
-  std::size_t timeouts = 0;          ///< deadline-missed collectives
-  std::size_t corruptions = 0;       ///< checksum-rejected reductions
-  std::size_t rank_losses = 0;       ///< lost-peer failures observed
-  std::size_t checkpoint_skips = 0;  ///< async checkpoint submissions refused
-  double recovery_seconds = 0.0;     ///< backoff + rollback wall time
+  // Async checkpoint submissions refused because the previous write was
+  // still in flight.  Measured, like the wall timers: snapshots exclude
+  // it.
+  std::size_t checkpoint_skips = 0;
 
   // Which kernel table the solve executed with: the numeric value of
   // la::simd::Isa (0 scalar, 1 sse2, 2 avx2), stamped by the engine at
@@ -190,53 +160,10 @@ class Communicator {
   /// contribute zeros.  Non-root buffers are resized to the root's size.
   /// The root's header (length + its FNV-1a fold, plus a payload digest)
   /// is validated on EVERY rank — including the root, whose bytes are
-  /// rewritten from the reduced chunks — so a dropped or corrupted
-  /// transfer raises the same CommFailure(kCorruption) everywhere instead
-  /// of silently trusting whatever arrived.  Call on every rank with the
-  /// same `root`.  Virtual so fault-injecting decorators can intercept it.
-  virtual void broadcast_bytes(std::vector<std::uint8_t>& bytes,
-                               int root = 0);
-
-  // -- fault detection ------------------------------------------------
-  // The transport-receipt digest protocol: with the digest enabled, the
-  // base class hashes the reduced buffer the moment the backend delivers
-  // it (end of allreduce_sum).  A consumer that re-hashes
-  // its copy later — RoundMessage::reduce does, when the solve runs
-  // fault-tolerant — detects any corruption between delivery and use.
-  // Decorators that model in-transit corruption (dist::FaultyComm) forward
-  // these to the wrapped backend, so the receipt attests the CLEAN
-  // delivery and the injected flip is caught like a real one.
-
-  /// Turns the per-collective delivery digest on or off (off by default —
-  /// hashing every reduction is not free).
-  virtual void enable_reduce_digest(bool on) { digest_on_ = on; }
-
-  /// True when delivery digests are being recorded.
-  virtual bool reduce_digest_enabled() const { return digest_on_; }
-
-  /// Digest of the most recently delivered reduction (payload_digest of
-  /// the buffer as the backend handed it back); meaningful only while
-  /// enable_reduce_digest(true) is in effect.
-  virtual std::uint64_t last_reduce_digest() const { return last_digest_; }
-
-  /// Tags the NEXT allreduce_sum as round `round`'s collective and arms
-  /// it with `deadline_seconds` (0: none).  Fault injection keys on this
-  /// tag, so instrumentation traffic (snapshots, trace evaluation,
-  /// gathers) is never faulted — only the round plane.  A backend that
-  /// can tell the collective exceeded the deadline throws
-  /// CommFailure(kTimeout).  The tag and deadline apply to exactly one
-  /// collective: allreduce_sum clears them whether it returns or throws.
-  void tag_round(std::size_t round, double deadline_seconds = 0.0) {
-    round_tag_ = round;
-    round_tagged_ = true;
-    round_deadline_ = deadline_seconds;
-  }
-
-  // -- fault/recovery counters (see CommStats) ------------------------
-  void note_comm_failure(FailureKind kind);
-  void note_retry() { stats_.retries += 1; }
-  void note_checkpoint_skip() { stats_.checkpoint_skips += 1; }
-  void add_recovery_seconds(double s) { stats_.recovery_seconds += s; }
+  /// rewritten from the reduced chunks — so a damaged transfer raises the
+  /// same CommFailure everywhere instead of silently trusting whatever
+  /// arrived.  Call on every rank with the same `root`.
+  void broadcast_bytes(std::vector<std::uint8_t>& bytes, int root = 0);
 
   /// Metered counters accumulated so far on this rank.
   const CommStats& stats() const { return stats_; }
@@ -259,6 +186,7 @@ class Communicator {
   void add_wait_seconds(double s) { stats_.wait_seconds += s; }
   void add_apply_seconds(double s) { stats_.apply_seconds += s; }
   void add_checkpoint_seconds(double s) { stats_.checkpoint_seconds += s; }
+  void note_checkpoint_skip() { stats_.checkpoint_skips += 1; }
 
   /// Attributes `words` payload words of the current (or just-charged)
   /// collective to section `s`: the section's word counter grows by
@@ -270,29 +198,10 @@ class Communicator {
   /// Backend hook: performs the actual elementwise sum across ranks.
   virtual void do_allreduce_sum(std::span<double> data) = 0;
 
-  /// Deadline (seconds) the running collective was armed with via
-  /// tag_round(), 0 when none — readable from inside do_allreduce_sum by
-  /// backends/decorators that can detect a stall.
-  double round_deadline() const { return round_deadline_; }
-
-  /// True (and `*round` filled) when the running collective was tagged
-  /// as a solver round via tag_round().
-  bool tagged_round(std::size_t* round) const {
-    if (round_tagged_ && round != nullptr) *round = round_tag_;
-    return round_tagged_;
-  }
-
  private:
   void charge_collective(std::size_t payload_words);
 
   CommStats stats_;
-
-  // Delivery digest + round tagging (fault detection; see above).
-  bool digest_on_ = false;
-  std::uint64_t last_digest_ = 0;
-  std::size_t round_tag_ = 0;
-  bool round_tagged_ = false;
-  double round_deadline_ = 0.0;
 };
 
 }  // namespace sa::dist

@@ -1,7 +1,6 @@
 #include "dist/round_message.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "la/vector_ops.hpp"
 
@@ -39,16 +38,16 @@ std::span<double> RoundMessage::layout(std::size_t gram_words,
                                        std::size_t dots1_words,
                                        std::size_t dots2_words) {
   words_ = {gram_words, dots1_words, dots2_words, trailer_objective_,
-            trailer_flags_, trailer_checksum_};
+            trailer_flags_, 0};
   const std::size_t body = gram_words + dots1_words + dots2_words;
   offset_[0] = 0;
   for (std::size_t i = 1; i < kRoundSectionCount; ++i)
     offset_[i] = offset_[i - 1] + words_[i - 1];
-  const std::size_t trailer = trailer_flags_ + trailer_checksum_;
   const std::size_t slots =
       payload_wire_ ? 0 : grouping_.num_chunks() * payload_words();
-  wire_words_ = payload_wire_ ? payload_words() + trailer : trailer + slots;
-  buffer_ = ws_.doubles(slot_, payload_words() + trailer + slots);
+  wire_words_ = payload_wire_ ? payload_words() + trailer_flags_
+                              : trailer_flags_ + slots;
+  buffer_ = ws_.doubles(slot_, payload_words() + trailer_flags_ + slots);
   // The body is overwritten wholesale by the folds (or, on the slotted
   // wire, recomputed by reduce).  Everything past it is cleared: the
   // trailer is written field-by-field by the round skeleton (non-rank-0
@@ -56,16 +55,6 @@ std::span<double> RoundMessage::layout(std::size_t gram_words,
   // hold the PREVIOUS round's reduced values otherwise.
   la::fill(buffer_.subspan(body), 0.0);
   return buffer_.first(body);
-}
-
-void RoundMessage::seal() {
-  if (trailer_checksum_ == 0) return;
-  const std::span<double> w = wire();
-  const std::uint64_t digest = payload_digest(
-      payload_wire_ ? w.first(payload_words()) : w.subspan(trailer_flags_ +
-                                                           trailer_checksum_));
-  section(RoundSection::kChecksum)[0] =
-      static_cast<double>(digest & 0xffffffffull);
 }
 
 void RoundMessage::reduce(Communicator& comm) {
@@ -76,22 +65,6 @@ void RoundMessage::reduce(Communicator& comm) {
   for (std::size_t i = 0; i < kRoundSectionCount; ++i) {
     const std::size_t factor = i <= 3 ? g : 1;  // payload vs trailer
     comm.note_section(static_cast<RoundSection>(i), factor * words_[i]);
-  }
-  if (trailer_checksum_ != 0 && comm.reduce_digest_enabled()) {
-    // Re-hash the delivered wire against the communicator's delivery
-    // receipt: any bit that changed between the backend handing the sums
-    // back and this message consuming them is caught HERE, before
-    // apply_round touches solver state.
-    const std::uint64_t receipt = comm.last_reduce_digest();
-    const std::uint64_t delivered = payload_digest(wire());
-    if (receipt != delivered) {
-      // sa-lint: allow(alloc): corruption error path, formats then throws
-      std::ostringstream os;
-      os << "RoundMessage::reduce: reduced payload of " << wire_words_
-         << " words failed checksum validation (delivery "
-         << "digest " << receipt << ", buffer digest " << delivered << ")";
-      throw CommFailure(FailureKind::kCorruption, os.str());
-    }
   }
   if (payload_wire_) return;  // the binomial tree combined the upper levels
   // Slotted wire: fold the reduced leaf slots from the root into the

@@ -3,9 +3,9 @@
 // One outer round of every algorithm family exchanges exactly ONE
 // collective, whose payload is a schema'd, contiguous buffer:
 //
-//   [ upper(G) | Yᵀỹ | Yᵀz̃ | objective | stop-flags | checksum ]
-//    └─ kGram ─┴kDots1┴kDots2┴kObjective─┴─kStopFlags┴─kChecksum┘
-//    └────────── payload ───────────────┘└────── trailer ──────┘
+//   [ upper(G) | Yᵀỹ | Yᵀz̃ | objective | stop-flags ]
+//    └─ kGram ─┴kDots1┴kDots2┴kObjective─┴─kStopFlags┘
+//    └────────── payload ───────────────┘└─ trailer ┘
 //
 // section() always serves these offsets.  The payload sections are
 // cross-rank sums under the fixed reduction grouping (common/grouping.hpp):
@@ -25,8 +25,8 @@
 // Slotted wire (the fallback — any other partition): the buffer grows one
 // leaf slot per chunk past the trailer,
 //
-//   [ payload | stop-flags | checksum ][ slot 0 ] … [ slot G−1 ]
-//                          └──────────── wire ────────────────┘
+//   [ payload | stop-flags ][ slot 0 ] … [ slot G−1 ]
+//             └──────────── wire ───────────────┘
 //
 // each slot a payload-shaped [gram|dots1|dots2|objective] leaf partial;
 // foreign slots stay +0.0, so the allreduce adds exact zeros.  After the
@@ -37,9 +37,8 @@
 // partial (objective-tolerance stopping at round granularity, folded like
 // the Gram) and rank 0's wall clock (replicated wall-budget decisions), so
 // enabling those criteria costs zero extra messages — only trailing words
-// on the message the round pays for anyway.  Fault-tolerant solves reserve
-// one more trailer word, the FNV-1a body checksum (see seal()), the same
-// zero-extra-messages way.
+// on the message the round pays for anyway.  (kChecksum, the last
+// section, is always empty.)
 //
 // The buffer is arena-backed by a la::Workspace slot: it is laid out anew
 // every round but only ever grows, so steady-state rounds allocate
@@ -80,14 +79,10 @@ class RoundMessage {
 
   /// Declares the trailer (piggy-backed) section sizes for subsequent
   /// rounds.  Sticky: set once when the solve starts, before any layout().
-  /// `checksum_words` (0 or 1) reserves the kChecksum section fault
-  /// detection rides — see seal().
   void set_trailer_sizes(std::size_t objective_words,
-                         std::size_t stop_flag_words,
-                         std::size_t checksum_words = 0) {
+                         std::size_t stop_flag_words) {
     trailer_objective_ = objective_words;
     trailer_flags_ = stop_flag_words;
-    trailer_checksum_ = checksum_words;
   }
 
   /// Declares the reduction grouping and this rank's block of it:
@@ -168,25 +163,10 @@ class RoundMessage {
     }
   }
 
-  /// Writes the kChecksum trailer word (when reserved): the low 32 bits
-  /// of this rank's FNV-1a body digest as an exactly-representable
-  /// double.  The summed word is the in-band checksum channel a real
-  /// transport would carry — it rides the collective and is priced like
-  /// any trailer word (perf::costs.flag_words) — while verification uses
-  /// the communicator's out-of-band delivery digest (hashes do not
-  /// commute with summation).  Call after the body and other trailer
-  /// fields are final, before reduce().  No-op without the section.
-  void seal();
-
   /// Runs the round's ONE collective over the wire and attributes
   /// per-section wire traffic to the communicator's CommStats; afterwards
   /// every section holds the sum over ranks (on the slotted wire, after
-  /// folding the reduced leaf slots from the root).  A round tag and
-  /// deadline armed with Communicator::tag_round apply to this
-  /// collective.  When the checksum trailer is reserved and the delivery
-  /// digest enabled, the delivered wire is re-hashed against the
-  /// communicator's receipt — CommFailure(kCorruption) before any
-  /// reduced bit reaches the solver.
+  /// folding the reduced leaf slots from the root).
   void reduce(Communicator& comm);
 
  private:
@@ -227,7 +207,7 @@ class RoundMessage {
   }
   std::span<double> slot(std::size_t c) {
     const std::size_t p = payload_words();
-    return buffer_.subspan(p + trailer_flags_ + trailer_checksum_ + c * p, p);
+    return buffer_.subspan(p + trailer_flags_ + c * p, p);
   }
   std::span<double> fold_scratch(std::size_t depth, std::size_t words) {
     return ws_.doubles(fold_slot_, grouping_.fold_levels(depth) * words);
@@ -242,7 +222,6 @@ class RoundMessage {
   std::size_t wire_words_ = 0;  // what the collective carries
   std::size_t trailer_objective_ = 0;
   std::size_t trailer_flags_ = 0;
-  std::size_t trailer_checksum_ = 0;
 
   // Grouping: on the payload wire this rank's tree node (depth_, node_) —
   // the root for an undeclared one — and the chunks it owns: chunks

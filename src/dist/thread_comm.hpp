@@ -32,8 +32,8 @@
 // The collective is blocking: the entry barrier, the tree rounds and the
 // copy-out of acc[0] (followed by a barrier that keeps acc[0] stable until
 // every rank copied) all happen inside one allreduce_sum call.  No barrier
-// has a timeout: a round deadline (Communicator::tag_round) is enforced
-// only by the fault-injection decorator (dist/fault.hpp).
+// has a timeout: the ranks share one process, so a rank cannot die alone,
+// and recovering from process death means resuming the last checkpoint.
 //
 // Barriers block on a condition variable (no spinning), so oversubscribed
 // runs — more ranks than cores, the common case in tests — stay cheap.

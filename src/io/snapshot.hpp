@@ -54,7 +54,7 @@ class SnapshotError : public std::runtime_error {
 
 // Version history: 1 = initial format; 2 = wider core/stats +
 // core/state_words payload (the kChecksum round section and the round
-// counter fault recovery replays from); 3 = fixed reduction grouping
+// index); 3 = fixed reduction grouping
 // (the core/grouping section recording the global chunk grid every
 // cross-rank sum accumulates in — what makes resume rank-count
 // invariant).  Older snapshots predate that grouping, so their sums

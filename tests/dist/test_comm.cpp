@@ -1,8 +1,12 @@
 // Communicator-layer tests: the thread-backed allreduce must be
 // deterministic (the fixed binomial-tree pairing, bit for bit), the α-β-γ
-// counters must follow the tree-collective model exactly, and failures on
-// one rank must not hang the team.
+// counters must follow the tree-collective model exactly, failures on
+// one rank must not hang the team, and broadcast_bytes must reject a
+// damaged transfer on every rank.
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,6 +325,81 @@ TEST(TreeAllreduce, FailedCollectiveLeavesTheCommunicatorUsable) {
     comm.allreduce_sum(good);
     EXPECT_EQ(good[0], 2.0);
   });
+}
+
+// ---------------------------------------------------------------------
+// broadcast_bytes: the header and payload digests are checked on every
+// rank, so a damaged transfer is rejected, never trusted
+// ---------------------------------------------------------------------
+
+/// Decorator damaging the reduced data of the `target`-th collective it
+/// forwards (1-based), identically on every rank: `zero` clears the whole
+/// buffer, otherwise word 0 is bumped by one.  Inside broadcast_bytes,
+/// collective 1 is the length header and collective 2 the first payload
+/// chunk.
+class TamperComm final : public Communicator {
+ public:
+  TamperComm(Communicator& inner, int target, bool zero)
+      : inner_(inner), target_(target), zero_(zero) {}
+  int rank() const override { return inner_.rank(); }
+  int size() const override { return inner_.size(); }
+
+ protected:
+  void do_allreduce_sum(std::span<double> data) override {
+    inner_.allreduce_sum(data);
+    if (++calls_ != target_ || data.empty()) return;
+    if (zero_)
+      std::fill(data.begin(), data.end(), 0.0);
+    else
+      data[0] += 1.0;
+  }
+
+ private:
+  Communicator& inner_;
+  int target_;
+  bool zero_;
+  int calls_ = 0;
+};
+
+/// Broadcasts `bytes` from rank 0 through a TamperComm on `ranks` ranks;
+/// returns, per rank, whether broadcast_bytes threw a CommFailure whose
+/// message contains `expected`.  Every rank then runs a second, clean
+/// broadcast through the same communicator, which must deliver.
+std::vector<int> tampered_broadcast(int ranks, int target, bool zero,
+                                    const std::vector<std::uint8_t>& bytes,
+                                    const std::string& expected) {
+  std::vector<int> caught(static_cast<std::size_t>(ranks), 0);
+  run_distributed(ranks, [&](Communicator& comm) {
+    TamperComm tamper(comm, target, zero);
+    std::vector<std::uint8_t> received;
+    if (tamper.rank() == 0) received = bytes;
+    try {
+      tamper.broadcast_bytes(received, 0);
+    } catch (const CommFailure& failure) {
+      // Every rank adopts the same reduced words, so every rank fails the
+      // same check and the team stays barrier-aligned.
+      if (std::string(failure.what()).find(expected) != std::string::npos)
+        caught[static_cast<std::size_t>(tamper.rank())] = 1;
+    }
+    std::vector<std::uint8_t> again;
+    if (tamper.rank() == 0) again = {1, 2, 3};
+    tamper.broadcast_bytes(again, 0);
+    EXPECT_EQ(again, (std::vector<std::uint8_t>{1, 2, 3}));
+  });
+  return caught;
+}
+
+TEST(BroadcastBytes, TamperedLengthHeaderIsRejectedNotTrusted) {
+  for (int c : tampered_broadcast(2, 1, false, {9, 8, 7, 6}, "length"))
+    EXPECT_EQ(c, 1);
+}
+
+TEST(BroadcastBytes, ZeroedPayloadChunkFailsChecksumOnEveryRank) {
+  std::vector<std::uint8_t> bytes(257);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  for (int c : tampered_broadcast(4, 2, true, bytes, "checksum"))
+    EXPECT_EQ(c, 1);
 }
 
 // ---------------------------------------------------------------------

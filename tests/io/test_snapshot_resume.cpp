@@ -8,6 +8,9 @@
 // guarantee is RANK-COUNT INVARIANT: a snapshot taken on P ranks resumes
 // on Q ranks with the same bits for every (P, Q) in {1,2,4,8}², and
 // uninterrupted traces themselves match bitwise across rank counts.
+// Resuming the last checkpoint is the library's one recovery path, so a
+// small solve per id is checkpointed after EVERY round at P ∈ {1, 4} and
+// each checkpoint resumed at Q ∈ {1, 3, 4}.
 // Wall-clock readings and CommStats (whose message/word counts legitimately
 // scale with the rank count) are the measured — not replayed — quantities
 // excluded from cross-rank-count comparisons.
@@ -28,6 +31,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -430,6 +436,106 @@ TEST(SnapshotResume, CrossRankCountResumeIsBitwiseForEveryAlgorithm) {
         for (int r = 0; r < q; ++r)
           expect_equivalent_ignoring_stats(
               reference, resumed[r], tag + " rank " + std::to_string(r));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Every round boundary: resuming the last checkpoint is the one recovery
+// path, so a snapshot taken after ANY round — the first, the last, the
+// pre-first-round state — must resume bitwise, at the rank count that
+// took it and at others (Q = 3 is the slotted wire).
+// ---------------------------------------------------------------------
+
+/// Each rank's result of `task`, run on a SerialComm for one rank and on
+/// a persistent ThreadTeam otherwise (one team per rank count, reused
+/// across the hundreds of resumes below).  Every run starts from zeroed
+/// counters.
+class RankRunner {
+ public:
+  std::vector<SolveResult> run(
+      int ranks, const std::function<SolveResult(dist::Communicator&)>& task) {
+    std::vector<SolveResult> out(static_cast<std::size_t>(ranks));
+    if (ranks == 1) {
+      dist::SerialComm comm;
+      out[0] = task(comm);
+      return out;
+    }
+    std::unique_ptr<dist::ThreadTeam>& team = teams_[ranks];
+    if (!team) team = std::make_unique<dist::ThreadTeam>(ranks);
+    team->run([&](dist::ThreadComm& comm) {
+      comm.set_stats(dist::CommStats{});
+      out[static_cast<std::size_t>(comm.rank())] = task(comm);
+    });
+    return out;
+  }
+
+ private:
+  std::map<int, std::unique_ptr<dist::ThreadTeam>> teams_;
+};
+
+TEST(SnapshotResume, EveryRoundBoundaryResumesBitwiseAtAnyRankCount) {
+  RankRunner runner;
+  for (const std::string& id : registered_algorithms()) {
+    SCOPED_TRACE(id);
+    SolverSpec spec = conformance_spec(id);
+    spec.max_iterations = 32;  // 8 rounds at s = 4, 32 for classical ids
+    spec.trace_every = 8;
+    const data::Dataset& d = dataset_for(spec);
+    const auto uninterrupted = [&](dist::Communicator& comm) {
+      return fresh_solver(comm, spec, d)->run();
+    };
+    const SolveResult serial = runner.run(1, uninterrupted)[0];
+
+    for (int p : {1, 4}) {
+      const std::vector<SolveResult> reference = runner.run(p, uninterrupted);
+      // images[r][k]: rank r's snapshot after k rounds, k = 0 … rounds.
+      std::vector<std::vector<std::vector<std::uint8_t>>> images(
+          static_cast<std::size_t>(p));
+      const std::vector<SolveResult> source =
+          runner.run(p, [&](dist::Communicator& comm) {
+            const std::unique_ptr<Solver> solver =
+                fresh_solver(comm, spec, d);
+            auto& mine = images[static_cast<std::size_t>(comm.rank())];
+            mine.push_back(solver->snapshot());
+            while (solver->step(1) > 0) mine.push_back(solver->snapshot());
+            return solver->run();
+          });
+      const std::size_t boundaries =
+          spec.max_iterations / spec.unroll_depth() + 1;
+      for (int r = 0; r < p; ++r) {
+        ASSERT_EQ(images[static_cast<std::size_t>(r)].size(), boundaries);
+        // Snapshotting every round does not perturb the source run.
+        expect_results_identical(reference[r], source[r],
+                                 "source rank " + std::to_string(r));
+      }
+
+      for (std::size_t k = 0; k < boundaries; ++k) {
+        for (int q : {1, 3, 4}) {
+          // At Q = P every rank resumes its own image, so the per-rank
+          // counters must match too; otherwise every rank adopts rank
+          // 0's image, as restore_from_file does.
+          const std::vector<SolveResult> resumed =
+              runner.run(q, [&](dist::Communicator& comm) {
+                const std::unique_ptr<Solver> solver =
+                    fresh_solver(comm, spec, d);
+                solver->restore(
+                    images[q == p ? static_cast<std::size_t>(comm.rank())
+                                  : 0][k]);
+                return solver->run();
+              });
+          for (int r = 0; r < q; ++r) {
+            const std::string tag = id + " P=" + std::to_string(p) +
+                                    " round " + std::to_string(k) +
+                                    " -> Q=" + std::to_string(q) +
+                                    " rank " + std::to_string(r);
+            if (q == p)
+              expect_results_identical(reference[r], resumed[r], tag);
+            else
+              expect_equivalent_ignoring_stats(serial, resumed[r], tag);
+          }
+        }
       }
     }
   }
