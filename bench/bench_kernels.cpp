@@ -198,7 +198,13 @@ sa::data::Dataset pipeline_dataset(double density) {
 //   * BM_KernelGramDotsChunked_<isa>_<storage>/64 — one block of µ = 64
 //     columns over the reduction grid at the automatic policy's G = 64
 //     chunks: what the rank-count-invariant grid costs the fused kernels
-//     (its G = 1 reference is BM_KernelGramDots_<isa>_<storage>/1).
+//     (its G = 1 reference is BM_KernelGramDots_<isa>_<storage>/1), plus
+//     a news20-density (0.0013) sparse row.
+//
+// The sparse Gram runs through sampled_gram_range, the chunk-major staged
+// form of the support-intersection kernel, so each sparse row also pays
+// the +0.0 fill of G·k(k+1)/2 words that a round's entry path
+// (RoundMessage::fold_entries) skips.
 // ---------------------------------------------------------------------------
 
 void bench_kernel_isa_gram_dots(benchmark::State& state,
@@ -276,6 +282,15 @@ SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_sparse, kScalar, 0.02);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_sparse, kSse2, 0.02);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_sparse, kAvx2, 0.02);
+// news20's density: a column holds about 5 nonzeros of the 4096 rows, so
+// two columns share a row in well under 1% of (pair, chunk) triples —
+// the regime the sparse Gram's support intersection targets.
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_news20_sparse, kScalar,
+                        0.0013);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_news20_sparse, kSse2,
+                        0.0013);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_news20_sparse, kAvx2,
+                        0.0013);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_dense, kScalar, 0.5);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5);

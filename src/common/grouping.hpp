@@ -14,13 +14,26 @@
 //               = chunk partial + 0.0           (one chunk — a leaf)
 //               = value(left) + value(right)    (two or more chunks)
 //
-// fold_node() is the one routine that evaluates it.  Adding +0.0 to every
+// fold_node() evaluates it over a block of words.  Adding +0.0 to every
 // leaf canonicalises a -0.0 partial, so an empty node's +0.0 is an exact
 // identity wherever it joins a sum.  fold_node adds it once, to its
 // output: a raw sum is -0.0 only when every summand is, so that one pass
-// yields the same bits as canonicalising every leaf.  The tree depends
-// only on G — never on how chunks were distributed — and that gives two
-// ways to evaluate it with identical bits:
+// yields the same bits as canonicalising every leaf.
+//
+// fold_leaves() evaluates the same tree for ONE word whose chunk partials
+// are +0.0 except a listed few (the sparse Gram, where two members meet
+// in a handful of chunks): it skips every empty subtree and ends with the
+// same + 0.0.  That is bitwise fold_node's word.  A subtree of +0.0
+// leaves sums to a zero, and adding a zero to x returns x — or, when x is
+// itself a zero, a zero of possibly other sign; a node's raw value thus
+// differs between the two evaluations at most in the sign of a zero,
+// which the final + 0.0 erases.  Sums of two non-zeros are the same
+// operation in both, so this holds for infinite and NaN partials too.
+// It is another way to evaluate the same tree, not a new fold order, so
+// it leaves kReduceGroupingVersion alone.
+//
+// The tree depends only on G — never on how chunks were distributed —
+// and that gives two ways to evaluate it with identical bits:
 //
 //   * payload wire (the fast path): when P is a power of two and every
 //     rank block is exactly tree node (log₂P, rank) — what
@@ -42,12 +55,21 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace sa::common {
+
+/// One chunk's partial of one word, for ReduceGrouping::fold_leaves:
+/// `chunk` counts from the first chunk of the folded node.
+struct ChunkPartial {
+  std::size_t chunk = 0;
+  double value = 0.0;
+};
 
 /// Version of the grouping schema recorded in snapshots.  Bump when the
 /// chunk-grid policy or the fold order changes incompatibly (v1 folded
@@ -152,6 +174,47 @@ struct ReduceGrouping {
                  std::span<double> scratch, Leaf&& leaf) const {
     fold_raw(depth, r, out, scratch, leaf);
     for (double& v : out) v += 0.0;  // -0.0 → +0.0
+  }
+
+  /// fold_node for ONE word whose chunk partials are +0.0 except
+  /// `leaves` (ascending chunks, counted from node_first(depth, r), all
+  /// inside the node): the same tree with its empty subtrees skipped,
+  /// then the same + 0.0 — bitwise fold_node's word.
+  ///
+  /// Two neighbouring leaves join at their lowest common ancestor, so a
+  /// stack evaluates the pairing in one pass: a partial sum is added to
+  /// its left neighbour's while that pair joins lower than it joins its
+  /// right one.  Chunk c's leaf is node (D, code(c)) at D = tree_depth(),
+  /// and its ancestor at depth t is node (t, code(c) >> (D − t)) — the
+  /// nodes nest — so two chunks join bit_width(code ^ code') levels above
+  /// the leaves.  Exact while G·2^D fits a size_t, as for node_first.
+  double fold_leaves(std::size_t depth, std::size_t r,
+                     std::span<const ChunkPartial> leaves) const {
+    const std::size_t levels = tree_depth();
+    const std::size_t base = node_first(depth, r);
+    // Chunk base + c's depth-D node: the last whose first chunk is at or
+    // before it (the empty nodes in between start at the same chunk).
+    const auto code = [&](std::size_t c) {
+      return (((base + c + 1) << levels) - 1) / num_chunks();
+    };
+    constexpr unsigned kRoot = 65;  // above every join (levels ≤ 64)
+    std::array<double, 66> sum{};
+    std::array<unsigned, 66> up{};  // the level each stacked sum joins at
+    std::size_t top = 0;
+    std::size_t next = leaves.empty() ? 0 : code(leaves[0].chunk);
+    for (std::size_t t = 0; t < leaves.size(); ++t) {
+      double x = leaves[t].value;
+      const std::size_t here = next;
+      unsigned join = kRoot;
+      if (t + 1 < leaves.size()) {
+        next = code(leaves[t + 1].chunk);
+        join = static_cast<unsigned>(std::bit_width(here ^ next));
+      }
+      while (top > 0 && up[top - 1] < join) x = sum[--top] + x;
+      sum[top] = x;
+      up[top++] = join;
+    }
+    return (top == 0 ? 0.0 : sum[0]) + 0.0;
   }
 
  private:

@@ -40,6 +40,7 @@
 #include "dist/round_message.hpp"
 #include "io/async_writer.hpp"
 #include "io/snapshot.hpp"
+#include "la/batch_view.hpp"
 #include "la/workspace.hpp"
 
 namespace sa::core::detail {
@@ -138,6 +139,12 @@ class EngineBase : public Solver {
   /// the rank's block of the grouping's axis) — the rank-count-invariant
   /// replacement for allreduce_sum_scalar(nrm2²(v)).
   double grouped_norm_allreduce(std::span<const double> local);
+
+  /// Writes the kGram section of `msg` from the round's sampled batch
+  /// `y` and meters its flops.  Dense views stage every owned chunk's
+  /// Gram (fold_owned); sparse views hand over only the partials of the
+  /// chunks where two members share a row (fold_entries).
+  void fold_gram(dist::RoundMessage& msg, const la::BatchView& y);
 
   /// Writes the chunk partials of ||v||² (`local` as above) into the
   /// one-word `section` of `msg`: one nrm2² per owned chunk.

@@ -131,12 +131,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     //     row chunk folded through the grouping's tree
     //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(k), k, 0);
-    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::span<const std::size_t> bounds,
-                       std::span<double> staged) {
-                     la::sampled_gram_range(big_, bounds, staged);
-                   });
-    comm_.add_flops(big_.gram_flops());
+    fold_gram(msg, big_);
 
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(res_)};

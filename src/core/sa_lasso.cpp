@@ -155,12 +155,7 @@ class LassoEngine final : public detail::EngineBase {
     //     payload is too. ---
     const std::size_t k_dots = spec_.accelerated ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
-    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::span<const std::size_t> bounds,
-                       std::span<double> staged) {
-                     la::sampled_gram_range(big_, bounds, staged);
-                   });
-    comm_.add_flops(big_.gram_flops());
+    fold_gram(msg, big_);
 
     const std::size_t sections = spec_.accelerated ? 2 : 1;
     const std::array<std::span<const double>, 2> rhs{

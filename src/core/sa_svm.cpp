@@ -96,12 +96,7 @@ class SvmEngine final : public detail::EngineBase {
     //     column chunk folded through the grouping's tree
     //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
-    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
-                   [&](std::span<const std::size_t> bounds,
-                       std::span<double> staged) {
-                     la::sampled_gram_range(batch_, bounds, staged);
-                   });
-    comm_.add_flops(batch_.gram_flops());
+    fold_gram(msg, batch_);
 
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(x_loc_)};

@@ -660,6 +660,23 @@ std::span<const double> EngineBase::reduce_grouped_sum() {
   return trace_msg_.section(dist::RoundSection::kDots1);
 }
 
+void EngineBase::fold_gram(dist::RoundMessage& msg, const la::BatchView& y) {
+  if (y.is_dense()) {
+    msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
+                   [&](std::span<const std::size_t> bounds,
+                       std::span<double> staged) {
+                     la::sampled_gram_range(y, bounds, staged);
+                   });
+  } else {
+    msg.fold_entries(dist::RoundSection::kGram,
+                     [&](std::span<const std::size_t> bounds,
+                         const auto& emit) {
+                       la::sampled_gram_entries(y, bounds, la::EntrySink(emit));
+                     });
+  }
+  comm_.add_flops(y.gram_flops());
+}
+
 void EngineBase::fold_norm_squared(dist::RoundMessage& msg,
                                    dist::RoundSection section,
                                    std::span<const double> local) {

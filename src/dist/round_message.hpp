@@ -11,16 +11,21 @@
 // cross-rank sums under the fixed reduction grouping (common/grouping.hpp):
 // engines write them through fold_owned(), handing it one writer per
 // section group that stages every owned chunk's partial in one call; the
-// message decides how the staged partials reach the wire.
+// message decides how the staged partials reach the wire.  The sparse
+// Gram, whose words are mostly exact zeros, goes through fold_entries()
+// instead: its kernel hands over each word's few computed partials and
+// nothing is staged; leaving a partial out means +0.0.
 //
 // Payload wire (the fast path — the rank blocks are tree nodes, see
 // ReduceGrouping::is_tree_partition, or no grouping was declared): the
 // rank folds the subtree of chunk partials it owns straight into the
 // payload, through O(log G) payload-sized scratch levels in a second
-// workspace slot (which also holds the staged partials), and the
-// collective carries the payload plus the trailer.  The communicator's
-// binomial tree combines the upper levels, so nothing is left to do after
-// the collective.
+// workspace slot (which also holds the staged partials) — or, on the
+// entry path, one word at a time over the handed-over partials only
+// (ReduceGrouping::fold_leaves, the same tree with its empty subtrees
+// skipped, bitwise fold_node's result) — and the collective carries the
+// payload plus the trailer.  The communicator's binomial tree combines
+// the upper levels, so nothing is left to do after the collective.
 //
 // Slotted wire (the fallback — any other partition): the buffer grows one
 // leaf slot per chunk past the trailer,
@@ -29,9 +34,11 @@
 //             └──────────── wire ───────────────┘
 //
 // each slot a payload-shaped [gram|dots1|dots2|objective] leaf partial;
-// foreign slots stay +0.0, so the allreduce adds exact zeros.  After the
-// collective every rank folds the reduced slots from the root into the
-// payload with the same fold_node routine.
+// foreign slots stay +0.0, so the allreduce adds exact zeros (the entry
+// path writes only its handed-over partials; the rest of its own slots
+// keep the +0.0 layout() wrote).  After the collective every rank folds
+// the reduced slots from the root into the payload with the same
+// fold_node routine.
 //
 // The trailer sections piggy-back the stopping machinery: the objective
 // partial (objective-tolerance stopping at round granularity, folded like
@@ -161,6 +168,40 @@ class RoundMessage {
         leaves(std::span<const std::size_t>(bounds_), r, e, staged);
       });
     }
+  }
+
+  /// The entry path beside fold_owned, for a section whose words each
+  /// meet only a few chunks (the sparse Gram): `entries(bounds, emit)`
+  /// computes this rank's partials and hands each word's to
+  /// `emit(word, partials)` — at most once per word, possibly from
+  /// several threads for different words — as (chunk, value) pairs in
+  /// ascending chunk order, chunk c being [bounds[c], bounds[c + 1]) as
+  /// in fold_owned.  Every partial not handed over is +0.0.  On the
+  /// payload wire each word folds straight into the payload
+  /// (ReduceGrouping::fold_leaves — bitwise what fold_owned makes of the
+  /// same partials staged densely); on the slotted wire each partial is
+  /// written into its chunk's slot.  Nothing is staged.
+  template <typename Entries>
+  void fold_entries(RoundSection section, Entries&& entries) {
+    const std::size_t off = offset_[static_cast<std::size_t>(section)];
+    const std::size_t words = words_[static_cast<std::size_t>(section)];
+    const std::span<const std::size_t> bounds(bounds_);
+    if (payload_wire_) {
+      const std::span<double> out = buffer_.subspan(off, words);
+      std::fill(out.begin(), out.end(), 0.0);
+      if (bounds.size() < 2) return;
+      entries(bounds, [this, out](std::size_t word,
+                                  std::span<const common::ChunkPartial> p) {
+        out[word] = grouping_.fold_leaves(depth_, node_, p);
+      });
+      return;
+    }
+    if (bounds.size() < 2) return;
+    entries(bounds, [this, off](std::size_t word,
+                                std::span<const common::ChunkPartial> p) {
+      for (const common::ChunkPartial& leaf : p)
+        slot(first_chunk_ + leaf.chunk)[off + word] = leaf.value;
+    });
   }
 
   /// Runs the round's ONE collective over the wire and attributes

@@ -15,20 +15,37 @@
 //     pair is an independent work item of one OpenMP region
 //     (schedule(dynamic) above the work threshold); each output entry is
 //     written by exactly one item in a fixed order (deterministic).
-//   * Sparse Gram — accumulator kernel (SpGEMM row style).  Member i is
-//     scattered once over the whole range into a dense per-thread
-//     accumulator; every partner dot v_i·v_j gathers through v_j's
-//     nonzeros only, one gather per nonempty chunk segment of v_j.
+//   * Sparse Gram — support intersection.  On sparse data the chunk
+//     segments of a member are mostly nonempty but the PRODUCTS are
+//     mostly zero: two sampled columns share a row in well under 1% of
+//     (i, j, chunk) triples.  So before the OpenMP region the calling
+//     thread sets, in a row → member bit table, one bit per in-range
+//     nonzero.  Row pass i then scatters v_i into a dense accumulator (as
+//     an SpGEMM row would) and, chunk by chunk, ORs the table rows of v_i's
+//     nonzeros: the set bits j ≥ i are exactly the partners that share a
+//     row with v_i in that chunk.  Each such (i, j, chunk) partial is the
+//     kernel table's gather_dot2 over v_j's chunk segment, and every
+//     other partial is left at +0.0.  That is exact: every ISA's
+//     gather_dot / gather_dot2 starts from +0.0 and only adds products,
+//     so when every gathered x is ±0.0 and the values are finite the
+//     result is +0.0 (pinned by tests/la/test_simd_dispatch.cpp; the
+//     LIBSVM reader rejects non-finite values).  The computed partials
+//     go to an EntrySink, per packed entry in ascending chunk order;
+//     RoundMessage::fold_entries folds them straight into the payload,
+//     and sampled_gram_range stages them chunk-major.
 //   * Dots — one sequential dot (dense) or gather dot (sparse) per
 //     (chunk, member).
 //
 // A chunk's partial is therefore exactly the call a one-chunk range over
 // that chunk makes: the same kernel-table entry over the same values in
 // the same order.  Output is the *packed* row-major upper triangle and the
-// dot sections, written straight into the caller's staging block.
+// dot sections, written straight into the caller's staging block (or, for
+// the sparse Gram, handed to the caller's sink).
 #include "la/batch_view.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/annotate.hpp"
 #include "common/check.hpp"
@@ -48,16 +65,99 @@ constexpr std::size_t kGramTile = 32;  // tile edge, multiple of the 4×4 micro
 // reused allocation-free thereafter.
 // ---------------------------------------------------------------------------
 
-/// All-zero accumulator for the sparse Gram.  Each row pass restores the
-/// zeros it scatters, so the buffer stays all-zero between calls and only
-/// needs zero-filling when it grows — the Gram of ultra-sparse
-/// high-dimensional batches (the url/news20 twins) costs O(nnz) per call
-/// instead of O(dim).
-std::vector<double>& sparse_gram_workspace(std::size_t dim) {
-  thread_local std::vector<double> acc;
+constexpr std::size_t kMaskBits = 64;  // members per row-table word
+
+/// ⌈k / 64⌉: row-table words per row for k members.
+std::size_t mask_words(std::size_t k) {
+  return (k + kMaskBits - 1) / kMaskBits;
+}
+
+/// The sparse Gram's row → member bit table of the calling thread, for
+/// `words` words per row over rows [0, dim): bit j % 64 of word j / 64 of
+/// row r is set while member j has a nonzero at row r inside the call's
+/// range.  All-zero between calls — a call clears the rows it set before
+/// it returns — so it is zero-filled only when it grows, and a call costs
+/// O(nnz) however long the dimension is.  Built before the OpenMP region,
+/// read-only inside it.
+std::span<std::uint64_t> row_members(std::size_t dim, std::size_t words) {
+  thread_local std::vector<std::uint64_t> table;
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (acc.size() < dim) acc.resize(dim, 0.0);
-  return acc;
+  if (table.size() < dim * words) table.resize(dim * words, 0);
+  return {table.data(), dim * words};
+}
+
+/// The positions [first, last) of a sparse member's nonzeros inside the
+/// call's range [bounds.front(), bounds.back()) of a dimension-`dim`
+/// view; the common whole-range ends need no search.
+struct InRange {
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+InRange in_range(std::span<const std::size_t> idx,
+                 std::span<const std::size_t> bounds, std::size_t dim) {
+  const auto first =
+      bounds.front() == 0
+          ? idx.begin()
+          : std::lower_bound(idx.begin(), idx.end(), bounds.front());
+  const auto last = bounds.back() == dim
+                        ? idx.end()
+                        : std::lower_bound(first, idx.end(), bounds.back());
+  return {static_cast<std::size_t>(first - idx.begin()),
+          static_cast<std::size_t>(last - idx.begin())};
+}
+
+/// One sparse Gram row pass's scratch, per thread (each OpenMP worker and
+/// each rank thread has its own).  Every buffer is sized by the call's
+/// shape, not by its nonzeros, so steady-state rounds reuse it.
+struct RowPassScratch {
+  /// Member i scattered densely; all-zero between row passes (each pass
+  /// restores the zeros it scatters), so the Gram of ultra-sparse
+  /// high-dimensional batches (the url/news20 twins) costs O(nnz) per
+  /// call instead of O(dim).
+  std::vector<double> acc;
+  /// Partner j's computed partials of one pass, at most one per chunk, at
+  /// hits[j·n ..); count[j] of them (0 between passes).
+  std::vector<common::ChunkPartial> hits;
+  std::vector<std::size_t> count;
+  /// Partner j's current segment in MemberSegments: every hit for j
+  /// lies in a later chunk than the one before.
+  std::vector<std::size_t> cursor;
+  /// The partners of one chunk of v_i; all-zero between chunks.
+  std::vector<std::uint64_t> partners;
+};
+
+RowPassScratch& row_pass_scratch(std::size_t dim, std::size_t k,
+                                 std::size_t n) {
+  thread_local RowPassScratch s;
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (s.acc.size() < dim) s.acc.resize(dim, 0.0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (s.hits.size() < k * n) s.hits.resize(k * n);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (s.count.size() < k) s.count.resize(k, 0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (s.cursor.size() < k) s.cursor.resize(k, 0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (s.partners.size() < mask_words(k)) s.partners.resize(mask_words(k), 0);
+  return s;
+}
+
+/// Calls f(c, at, len) for every nonempty chunk segment of a sparse
+/// member with indices `idx` and in-range nonzeros `r` — its nonzeros
+/// [at, at + len) lie in chunk c — in chunk order.  One forward walk; the
+/// chunks between segments are skipped, not visited (their partials are
+/// +0.0).
+template <typename F>
+void for_each_segment(std::span<const std::size_t> idx, InRange r,
+                      std::span<const std::size_t> bounds, F&& f) {
+  std::size_t c = 0;
+  for (std::size_t p = r.first; p < r.last;) {
+    while (bounds[c + 1] <= idx[p]) ++c;
+    const std::size_t at = p;
+    while (p < r.last && idx[p] < bounds[c + 1]) ++p;
+    f(c, at, p - at);
+  }
 }
 
 /// One nonempty chunk segment of a sparse member: its nonzeros
@@ -68,11 +168,11 @@ struct Segment {
   std::size_t len;
 };
 
-/// The nonempty chunk segments of every sparse member, member-major:
-/// member i's are segments[starts[i] .. starts[i + 1]), in chunk order.
-/// Chunk boundaries are monotone, so one forward walk per member finds
-/// them; empty segments are not listed (their partials are +0.0).  Built
-/// by the calling thread before any parallel region, read-only inside it.
+/// The nonempty chunk segments of every member of a sparse view,
+/// member-major: member i's are segments[starts[i] .. starts[i + 1]), in
+/// chunk order.  Grow-only and thread-local (k·n entries at most), built
+/// by the calling thread before the OpenMP region and read-only inside
+/// it.
 struct MemberSegments {
   std::span<const Segment> segments;
   std::span<const std::size_t> starts;
@@ -92,13 +192,10 @@ MemberSegments member_segments(const BatchView& y,
   for (std::size_t i = 0; i < k; ++i) {
     starts[i] = count;
     const std::span<const std::size_t> idx = y.member_indices(i);
-    std::size_t p = static_cast<std::size_t>(
-        std::lower_bound(idx.begin(), idx.end(), bounds[0]) - idx.begin());
-    for (std::size_t c = 0; c < n && p < idx.size(); ++c) {
-      const std::size_t at = p;
-      while (p < idx.size() && idx[p] < bounds[c + 1]) ++p;
-      if (p > at) segments[count++] = Segment{c, at, p - at};
-    }
+    for_each_segment(idx, in_range(idx, bounds, y.dim()), bounds,
+                     [&](std::size_t c, std::size_t at, std::size_t len) {
+                       segments[count++] = Segment{c, at, len};
+                     });
   }
   starts[k] = count;
   return {{segments.data(), count}, {starts.data(), k + 1}};
@@ -106,7 +203,8 @@ MemberSegments member_segments(const BatchView& y,
 
 /// Dense member rows shifted to every chunk start: rows[c·k + i] =
 /// row_i + bounds[c], so chunk c is a dense view of depth
-/// bounds[c + 1] − bounds[c].  Same lifetime rules as member_segments.
+/// bounds[c + 1] − bounds[c].  Grow-only and thread-local, built by the
+/// calling thread before the OpenMP region and read-only inside it.
 std::span<const double* const> chunk_rows(
     const BatchView& y, std::span<const std::size_t> bounds) {
   thread_local std::vector<const double*> rows;
@@ -169,8 +267,10 @@ void BatchView::add_scaled_to(std::size_t i, double alpha,
 std::size_t BatchView::gram_flops() const {
   const std::size_t k = size();
   if (is_dense()) return k * (k + 1) * dim_;
-  // Accumulator kernel: the pair (i, j) gathers through v_j's nonzeros
-  // (one multiply + one add each), so the cost is Σ_j 2·(j+1)·nnz_j.
+  // Every pair (i, j ≥ i) gathering through all of v_j's nonzeros (one
+  // multiply + one add each): Σ_j 2·(j+1)·nnz_j.  The metered count stays
+  // this full sweep; the support-intersection kernel executes only the
+  // gathers whose rows meet, a small fraction on sparse data.
   std::size_t flops = 0;
   for (std::size_t j = 0; j < k; ++j) flops += 2 * (j + 1) * idx_[j].size();
   return flops;
@@ -237,54 +337,97 @@ void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
   (void)parallel;
 }
 
-/// Sparse Gram: member i is scattered once over the whole range; each
-/// nonempty chunk segment of a partner then gathers through the same
-/// gather_dot2 call a one-chunk view would make.  Empty segments are
-/// left at the +0.0 the output is filled with — exactly what gather_dot2
-/// returns for n = 0 at every ISA — which is most segments on
-/// ultra-sparse data.
+/// Sparse Gram by support intersection (see the file comment): hands
+/// every packed entry's computed partials to `sink`, in ascending chunk
+/// order; every (i, j, chunk) partial it does not hand over is +0.0.
 void sparse_gram(const BatchView& y, std::span<const std::size_t> bounds,
-                 std::span<double> out, const simd::KernelTable& kt) {
+                 const EntrySink& sink, const simd::KernelTable& kt) {
   const std::size_t k = y.size();
-  const std::size_t tri = fused_buffer_size(k, 0);
+  const std::size_t n = bounds.size() - 1;
+  const std::size_t words = mask_words(k);
   const MemberSegments ms = member_segments(y, bounds);
-  std::fill(out.begin(), out.end(), 0.0);
-  const auto row_pass = [&](std::size_t i, std::vector<double>& acc) {
-    const std::span<const std::size_t> vi_idx = y.member_indices(i);
-    const std::span<const double> vi_val = y.member_values(i);
+  const std::span<std::uint64_t> table = row_members(y.dim(), words);
+  // Sets (on == true) or clears every in-range nonzero's row-table bit.
+  const auto mark = [&](bool on) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t* idx = y.member_indices(j).data();
+      const std::uint64_t bit = std::uint64_t{1} << (j % kMaskBits);
+      for (std::size_t q = ms.starts[j]; q < ms.starts[j + 1]; ++q) {
+        const Segment& sg = ms.segments[q];
+        for (std::size_t p = sg.at; p < sg.at + sg.len; ++p) {
+          std::uint64_t& w = table[idx[p] * words + j / kMaskBits];
+          w = on ? w | bit : 0;
+        }
+      }
+    }
+  };
+  mark(true);
+  const auto row_pass = [&](std::size_t i, RowPassScratch& s) {
+    const std::size_t* vi_idx = y.member_indices(i).data();
+    const double* vi_val = y.member_values(i).data();
     const std::span<const Segment> vi_segs = ms.segments.subspan(
         ms.starts[i], ms.starts[i + 1] - ms.starts[i]);
     for (const Segment& sg : vi_segs)
       for (std::size_t p = sg.at; p < sg.at + sg.len; ++p)
-        acc[vi_idx[p]] = vi_val[p];
-    for (std::size_t j = i; j < k; ++j) {
-      const std::size_t* vj_idx = y.member_indices(j).data();
-      const double* vj_val = y.member_values(j).data();
-      double* entry = out.data() + packed_upper_index(i, j, k);
-      for (std::size_t q = ms.starts[j]; q < ms.starts[j + 1]; ++q) {
-        const Segment& sg = ms.segments[q];
-        entry[sg.chunk * tri] = kt.gather_dot2(
-            vj_val + sg.at, vj_idx + sg.at, sg.len, acc.data());
+        s.acc[vi_idx[p]] = vi_val[p];
+    const std::size_t w0 = i / kMaskBits;
+    for (const Segment& sg : vi_segs) {
+      // Partners j ≥ i with a nonzero on one of v_i's rows in this chunk.
+      for (std::size_t p = sg.at; p < sg.at + sg.len; ++p) {
+        const std::uint64_t* row = table.data() + vi_idx[p] * words;
+        for (std::size_t w = w0; w < words; ++w) s.partners[w] |= row[w];
+      }
+      s.partners[w0] &= ~std::uint64_t{0} << (i % kMaskBits);
+      for (std::size_t w = w0; w < words; ++w) {
+        for (std::uint64_t bits = s.partners[w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t j =
+              w * kMaskBits + static_cast<std::size_t>(std::countr_zero(bits));
+          // v_j's segments ascend by chunk, as its hits do, so its
+          // cursor only moves on.
+          std::size_t& at = s.cursor[j];
+          if (s.count[j] == 0) at = ms.starts[j];
+          while (ms.segments[at].chunk < sg.chunk) ++at;
+          const Segment& vj = ms.segments[at];
+          s.hits[j * n + s.count[j]++] = common::ChunkPartial{
+              sg.chunk,
+              kt.gather_dot2(y.member_values(j).data() + vj.at,
+                             y.member_indices(j).data() + vj.at, vj.len,
+                             s.acc.data())};
+        }
+        s.partners[w] = 0;
       }
     }
     for (const Segment& sg : vi_segs)
       for (std::size_t p = sg.at; p < sg.at + sg.len; ++p)
-        acc[vi_idx[p]] = 0.0;
+        s.acc[vi_idx[p]] = 0.0;
+    for (std::size_t j = i; j < k; ++j) {
+      if (s.count[j] == 0) continue;
+      sink(packed_upper_index(i, j, k),
+           std::span<const common::ChunkPartial>(s.hits.data() + j * n,
+                                                 s.count[j]));
+      s.count[j] = 0;
+    }
   };
-  const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
+  // Below the work threshold the passes run inline: even an inactive
+  // OpenMP region costs about as much as a small batch's whole Gram
+  // (about 0.5 µs with libgomp on a 4-core x86 VM).
 #ifdef _OPENMP
-#pragma omp parallel if (parallel)
-  {
-    std::vector<double>& acc = sparse_gram_workspace(y.dim());
+  if (k * y.nnz() >= kParallelFlopThreshold && k > 1) {
+#pragma omp parallel
+    {
+      RowPassScratch& s = row_pass_scratch(y.dim(), k, n);
 #pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i)
-      row_pass(static_cast<std::size_t>(i), acc);
+      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i)
+        row_pass(static_cast<std::size_t>(i), s);
+    }
+    mark(false);
+    return;
   }
-#else
-  (void)parallel;
-  std::vector<double>& acc = sparse_gram_workspace(y.dim());
-  for (std::size_t i = 0; i < k; ++i) row_pass(i, acc);
 #endif
+  RowPassScratch& s = row_pass_scratch(y.dim(), k, n);
+  for (std::size_t i = 0; i < k; ++i) row_pass(i, s);
+  mark(false);
 }
 
 }  // namespace
@@ -298,10 +441,30 @@ void sampled_gram_range(const BatchView& y,
            "sampled_gram_range: buffer size mismatch");
   if (out.empty()) return;
   const simd::KernelTable& kt = simd::active();
-  if (y.is_dense())
+  if (y.is_dense()) {
     dense_gram(y, bounds, out, kt);
-  else
-    sparse_gram(y, bounds, out, kt);
+    return;
+  }
+  // The sparse Gram staged chunk-major: every partial the kernel skips
+  // is the +0.0 of the fill.
+  std::fill(out.begin(), out.end(), 0.0);
+  const std::size_t tri = fused_buffer_size(y.size(), 0);
+  const auto stage = [out, tri](std::size_t entry,
+                                std::span<const common::ChunkPartial> p) {
+    for (const common::ChunkPartial& leaf : p)
+      out[leaf.chunk * tri + entry] = leaf.value;
+  };
+  sparse_gram(y, bounds, EntrySink(stage), kt);
+}
+
+void sampled_gram_entries(const BatchView& y,
+                          std::span<const std::size_t> bounds,
+                          const EntrySink& sink) {
+  SA_STEADY_STATE;
+  check_bounds(y, bounds, "sampled_gram_entries: invalid chunk bounds");
+  SA_CHECK(!y.is_dense(), "sampled_gram_entries: requires a sparse view");
+  if (y.size() == 0 || bounds.size() < 2) return;
+  sparse_gram(y, bounds, sink, simd::active());
 }
 
 void sampled_dots_range(const BatchView& y,
@@ -340,26 +503,28 @@ void sampled_dots_range(const BatchView& y,
     return;
   }
   // Sparse members keep absolute indices, which gather through the FULL
-  // right-hand sides; empty segments keep the +0.0 fill (as sparse_gram).
-  const MemberSegments ms = member_segments(y, bounds);
+  // right-hand sides; empty segments keep the +0.0 fill.
   std::fill(out.begin(), out.end(), 0.0);
-  const bool parallel =
-      2 * y.nnz() * xs.size() >= kParallelFlopThreshold && k > 1;
+  const auto member_dots = [&](std::size_t i) {
+    const std::span<const std::size_t> idx = y.member_indices(i);
+    const double* val = y.member_values(i).data();
+    for_each_segment(idx, in_range(idx, bounds, y.dim()), bounds,
+                     [&](std::size_t c, std::size_t at, std::size_t len) {
+                       for (std::size_t sct = 0; sct < xs.size(); ++sct)
+                         out[c * words + sct * k + i] = kt.gather_dot(
+                             val + at, idx.data() + at, len, xs[sct].data());
+                     });
+  };
+  // Inline below the work threshold, as in sparse_gram.
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (parallel)
-#endif
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-    const std::size_t* idx =
-        y.member_indices(static_cast<std::size_t>(i)).data();
-    const double* val = y.member_values(static_cast<std::size_t>(i)).data();
-    for (std::size_t q = ms.starts[i]; q < ms.starts[i + 1]; ++q) {
-      const Segment& sg = ms.segments[q];
-      for (std::size_t sct = 0; sct < xs.size(); ++sct)
-        out[sg.chunk * words + sct * k + i] =
-            kt.gather_dot(val + sg.at, idx + sg.at, sg.len, xs[sct].data());
-    }
+  if (2 * y.nnz() * xs.size() >= kParallelFlopThreshold && k > 1) {
+#pragma omp parallel for schedule(dynamic)
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i)
+      member_dots(static_cast<std::size_t>(i));
+    return;
   }
-  (void)parallel;
+#endif
+  for (std::size_t i = 0; i < k; ++i) member_dots(i);
 }
 
 }  // namespace sa::la

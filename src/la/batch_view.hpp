@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "common/grouping.hpp"
 #include "la/workspace.hpp"
 
 namespace sa::la {
@@ -76,8 +77,9 @@ class BatchView {
   void add_scaled_to(std::size_t i, double alpha,
                      std::span<double> target) const;
 
-  /// Flops of the packed Gram kernel on this view (dense k(k+1)·dim,
-  /// sparse Σ_j 2(j+1)·nnz_j).
+  /// Metered flops of the packed Gram on this view (dense k(k+1)·dim,
+  /// sparse Σ_j 2(j+1)·nnz_j — the full pairwise sweep, which the sparse
+  /// kernel's support intersection only bounds from above).
   std::size_t gram_flops() const;
 
   /// Flops of one dot section (2·nnz).
@@ -123,10 +125,49 @@ std::size_t fused_buffer_size(std::size_t k, std::size_t sections);
 // entry is produced by exactly one thread in a fixed accumulation order.
 
 /// Packed upper-triangular Gram of every chunk: out must have
-/// n·k(k+1)/2 entries (n·fused_buffer_size(size(), 0)).
+/// n·k(k+1)/2 entries (n·fused_buffer_size(size(), 0)).  For sparse views
+/// this is sampled_gram_entries staged chunk-major into a +0.0 fill.
 void sampled_gram_range(const BatchView& y,
                         std::span<const std::size_t> bounds,
                         std::span<double> out);
+
+/// Non-owning reference to a callable `f(entry, partials)` that receives
+/// the computed chunk partials of one packed Gram entry.  The callable
+/// must outlive the sink.
+class EntrySink {
+ public:
+  template <typename F>
+  explicit EntrySink(const F& f) : f_(&f), call_(&invoke<F>) {}
+
+  void operator()(std::size_t entry,
+                  std::span<const common::ChunkPartial> partials) const {
+    call_(f_, entry, partials);
+  }
+
+ private:
+  template <typename F>
+  static void invoke(const void* f, std::size_t entry,
+                     std::span<const common::ChunkPartial> partials) {
+    (*static_cast<const F*>(f))(entry, partials);
+  }
+
+  const void* f_;
+  void (*call_)(const void*, std::size_t,
+                std::span<const common::ChunkPartial>);
+};
+
+/// The sparse Gram (requires !y.is_dense()) by support intersection: only
+/// the (i, j, chunk) partials where v_i and v_j share a row in the chunk
+/// are computed — each the kernel table's gather_dot2 over v_j's chunk
+/// segment against v_i — and every other partial is +0.0 (exact for
+/// finite values, see batch_view.cpp).  `sink(entry, partials)` receives
+/// each packed entry (packed_upper_index) that has computed partials,
+/// once, as (chunk, value) pairs in ascending chunk order — chunk c is
+/// [bounds[c], bounds[c + 1]) — possibly from several OpenMP workers at
+/// once for different entries.  Entries without partials are not passed.
+void sampled_gram_entries(const BatchView& y,
+                          std::span<const std::size_t> bounds,
+                          const EntrySink& sink);
 
 /// Dot sections of every chunk: chunk c's block is
 /// [Yᵀxs[0] | Yᵀxs[1] | …] over the chunk, one length-k section per

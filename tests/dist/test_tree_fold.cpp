@@ -2,6 +2,7 @@
 // two RoundMessage wires built on it: every rank's folded sections must be
 // bit-identical to the serial fold at every grid size and rank count, and
 // the payload wire must engage exactly when the rank blocks are tree nodes.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -310,6 +311,127 @@ TEST(RoundMessageTree, RowBlocksFoldBitIdenticalToTheWholeSection) {
                   << "G=" << g << " P=" << p << " block " << block
                   << " rank " << r << " word " << i;
         }
+      }
+    }
+  }
+}
+
+// fold_leaves (the sparse Gram's entry path) evaluates one word whose
+// partials are +0.0 outside a listed few.  Over random leaf subsets —
+// empty, single, sparse and full, with ±0.0 and subnormal partials — it
+// must give fold_node's bits at every node of every grid.
+const std::size_t kSparseGridSizes[] = {1, 2, 3, 7, 63, 64, 65, 130};
+
+/// A random subset of chunks [lo, hi) with seeded values; density picks
+/// empty (0), single (1), sparse (2) or full (3).
+std::vector<common::ChunkPartial> random_leaves(std::size_t lo,
+                                                std::size_t hi, int density,
+                                                data::SplitMix64& rng) {
+  std::vector<common::ChunkPartial> leaves;
+  const std::vector<double> values = chunk_partials(1, rng.next_u64());
+  for (std::size_t c = lo; c < hi; ++c) {
+    const bool keep = density == 3 || (density == 2 && rng.next_below(5) == 0);
+    if (keep)
+      leaves.push_back({c - lo, values[rng.next_below(kPayloadWords)]});
+  }
+  if (density == 1 && hi > lo)
+    leaves.push_back({rng.next_below(hi - lo),
+                      values[rng.next_below(kPayloadWords)]});
+  return leaves;
+}
+
+TEST(ReduceGroupingTree, SparseLeafFoldIsBitwiseTheDenseFold) {
+  data::SplitMix64 rng(2024);
+  for (const std::size_t g : kSparseGridSizes) {
+    const ReduceGrouping grouping = ReduceGrouping::make(g, 1);
+    ASSERT_EQ(grouping.num_chunks(), g);
+    for (std::size_t d = 0; d <= grouping.tree_depth(); ++d) {
+      std::vector<double> scratch(grouping.fold_levels(d));
+      for (std::size_t r = 0; r < (std::size_t{1} << d); ++r) {
+        const std::size_t lo = grouping.node_first(d, r);
+        const std::size_t hi = grouping.node_first(d, r + 1);
+        for (int density = 0; density < 4; ++density) {
+          for (int trial = 0; trial < 4; ++trial) {
+            const std::vector<common::ChunkPartial> leaves =
+                random_leaves(lo, hi, density, rng);
+            std::vector<double> dense(g, 0.0);
+            for (const common::ChunkPartial& leaf : leaves)
+              dense[lo + leaf.chunk] = leaf.value;
+            double want = 0.0;
+            grouping.fold_node(d, r, std::span<double>(&want, 1), scratch,
+                               [&](std::size_t c, std::span<double> out) {
+                                 out[0] = dense[c];
+                               });
+            EXPECT_TRUE(same_bits(grouping.fold_leaves(d, r, leaves), want))
+                << "G=" << g << " node (" << d << ", " << r << ") with "
+                << leaves.size() << " leaves";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RoundMessageTree, EntryPathFoldsBitIdenticalToSerialOnBothWires) {
+  // Every word of a kGramWords section gets its own random chunk subset;
+  // each rank hands over the partials of the chunks it owns through
+  // fold_entries, and the reduced section must be the serial fold of the
+  // dense partials (+0.0 outside the subsets) on every rank.
+  data::SplitMix64 rng(77);
+  for (const std::size_t g : kSparseGridSizes) {
+    const ReduceGrouping grouping = ReduceGrouping::make(g, 1);
+    std::vector<std::vector<common::ChunkPartial>> word_leaves(kGramWords);
+    std::vector<double> dense(g * kPayloadWords, 0.0);
+    for (std::size_t w = 0; w < kGramWords; ++w) {
+      word_leaves[w] = random_leaves(0, g, static_cast<int>(w % 4), rng);
+      for (const common::ChunkPartial& leaf : word_leaves[w])
+        dense[leaf.chunk * kPayloadWords + w] = leaf.value;
+    }
+    const std::vector<double> want = serial_fold(grouping, dense);
+    for (const int p : kRankCounts) {
+      ThreadTeam team(p);
+      std::vector<std::vector<std::size_t>> partitions;
+      if (ReduceGrouping::rank_depth(static_cast<std::size_t>(p)) >= 0)
+        partitions.push_back(
+            grouping.tree_partition(static_cast<std::size_t>(p)));
+      std::vector<std::size_t> skewed(p + 1, 0);
+      skewed[p] = g;
+      if (p > 1) skewed[p - 1] = g / 3;
+      partitions.push_back(skewed);
+      for (const std::vector<std::size_t>& offsets : partitions) {
+        const bool tree = grouping.is_tree_partition(offsets);
+        std::vector<std::vector<double>> got(p);
+        team.run([&](ThreadComm& comm) {
+          la::Workspace ws;
+          RoundMessage msg(ws);
+          msg.set_grouping(grouping, offsets, comm.rank());
+          // Stale words from an earlier round must not leak through.
+          const std::span<double> body = msg.layout(kGramWords, 0, 0);
+          std::fill(body.begin(), body.end(), 5.0);
+          const std::size_t lo = offsets[comm.rank()];
+          msg.fold_entries(
+              RoundSection::kGram,
+              [&](std::span<const std::size_t> bounds, const auto& emit) {
+                std::vector<common::ChunkPartial> mine;
+                for (std::size_t w = 0; w < kGramWords; ++w) {
+                  mine.clear();
+                  for (std::size_t c = 0; c + 1 < bounds.size(); ++c)
+                    for (const common::ChunkPartial& leaf : word_leaves[w])
+                      if (leaf.chunk == lo + bounds[c])
+                        mine.push_back({c, leaf.value});
+                  if (!mine.empty()) emit(w, mine);
+                }
+              });
+          msg.reduce(comm);
+          const std::span<const double> sum = msg.section(RoundSection::kGram);
+          got[comm.rank()].assign(sum.begin(), sum.end());
+        });
+        for (int r = 0; r < p; ++r)
+          for (std::size_t w = 0; w < kGramWords; ++w)
+            EXPECT_TRUE(same_bits(got[r][w], want[w]))
+                << "G=" << g << " P=" << p << " rank " << r << " word " << w
+                << (tree ? " (tree partition)" : " (slotted)") << ": "
+                << got[r][w] << " vs " << want[w];
       }
     }
   }

@@ -5,7 +5,8 @@
 // modes (accelerated = two dot sections, plain = one), over the full
 // range and over the chunk grids the fixed reduction grouping uses — where
 // every chunk's partial must also be bitwise the one-chunk call on that
-// chunk, at every available ISA.
+// chunk, at every available ISA.  The sparse Gram's support intersection
+// must also be bitwise a naive per-(i, j, chunk) gather sweep.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -14,6 +15,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/detail.hpp"
 #include "core/local_data.hpp"
@@ -268,13 +273,6 @@ TEST_P(StoragePairSweep, RangeRestrictionMatchesNaivePartial) {
        {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
     if (!simd::isa_available(isa)) continue;
     ASSERT_TRUE(simd::set_kernel_isa(isa));
-    // The sparse kernels write an empty segment's +0.0 without a gather:
-    // exactly what both gather orders return for n = 0.
-    for (const auto gather :
-         {simd::active().gather_dot, simd::active().gather_dot2}) {
-      const double zero = gather(nullptr, nullptr, 0, rhs[0].data());
-      EXPECT_TRUE(same_bits(std::span(&zero, 1), std::array{0.0}));
-    }
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                     std::size_t{50}, m}) {
       SCOPED_TRACE(::testing::Message() << simd::to_cstring(isa)
@@ -364,6 +362,169 @@ TEST_P(StoragePairSweep, RangeRestrictionMatchesNaivePartial) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, StoragePairSweep,
                          ::testing::Values(0.05, 0.5));
+
+/// Sparse members for the differential Gram test, built to hit every
+/// special case of the support intersection inside the range [b, e):
+/// member 0 is empty, member 1 has nonzeros only outside [b, e), members
+/// 2 and 3 are the same column drawn twice (and 5 repeats 2 again),
+/// member 4 stores explicit zeros of both signs beside negative values,
+/// and the rest are random at `density`.
+class SparseMembers {
+ public:
+  SparseMembers(std::size_t k, std::size_t m, std::size_t b, std::size_t e,
+                double density, std::uint64_t seed)
+      : idx_(k), val_(k), idx_spans_(k), val_spans_(k) {
+    data::SplitMix64 rng(seed);
+    const auto threshold =
+        static_cast<std::uint64_t>(density * 1000.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i == 0 || i == 3 || i == 5) continue;  // empty or a duplicate
+      for (std::size_t r = 0; r < m; ++r) {
+        if (i == 1 && r >= b && r < e) continue;
+        if (rng.next_below(1000) >= threshold) continue;
+        idx_[i].push_back(r);
+        if (i == 4) {
+          const double pick[3] = {0.0, -0.0, -rng.next_double() - 0.5};
+          val_[i].push_back(pick[rng.next_below(3)]);
+        } else {
+          val_[i].push_back(rng.next_normal());
+        }
+      }
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t from = (i == 3 || i == 5) ? 2 : i;
+      idx_spans_[i] = idx_[from];
+      val_spans_[i] = val_[from];
+    }
+    view_ = BatchView::sparse(idx_spans_, val_spans_, m);
+  }
+  SparseMembers(const SparseMembers&) = delete;
+  SparseMembers& operator=(const SparseMembers&) = delete;
+
+  const BatchView& view() const { return view_; }
+
+ private:
+  std::vector<std::vector<std::size_t>> idx_;
+  std::vector<std::vector<double>> val_;
+  std::vector<std::span<const std::size_t>> idx_spans_;
+  std::vector<std::span<const double>> val_spans_;
+  BatchView view_;
+};
+
+/// The per-(i, j, chunk) reference the intersection kernel must match:
+/// v_i scattered over the call's range, then one gather_dot2 over v_j's
+/// nonzeros in the chunk — +0.0 for an empty segment — for every entry
+/// and every chunk.  Chunk-major, like sampled_gram_range.
+std::vector<double> naive_chunk_grams(const BatchView& y,
+                                      std::span<const std::size_t> bounds) {
+  const simd::KernelTable& kt = simd::active();
+  const std::size_t k = y.size();
+  const std::size_t n = bounds.size() - 1;
+  const std::size_t tri = core::detail::triangle_size(k);
+  // first[j·(n + 1) + c]: v_j's first nonzero at or past bounds[c].
+  std::vector<std::size_t> first(k * (n + 1));
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::span<const std::size_t> idx = y.member_indices(j);
+    for (std::size_t c = 0; c <= n; ++c)
+      first[j * (n + 1) + c] = static_cast<std::size_t>(
+          std::lower_bound(idx.begin(), idx.end(), bounds[c]) - idx.begin());
+  }
+  std::vector<double> out(n * tri, 0.0);
+  std::vector<double> acc(y.dim(), 0.0);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t p = first[i * (n + 1)]; p < first[i * (n + 1) + n]; ++p)
+      acc[y.member_indices(i)[p]] = y.member_values(i)[p];
+    for (std::size_t j = i; j < k; ++j) {
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t at = first[j * (n + 1) + c];
+        const std::size_t len = first[j * (n + 1) + c + 1] - at;
+        if (len == 0) continue;
+        out[c * tri + packed_upper_index(i, j, k)] =
+            kt.gather_dot2(y.member_values(j).data() + at,
+                           y.member_indices(j).data() + at, len, acc.data());
+      }
+    }
+    std::fill(acc.begin(), acc.end(), 0.0);
+  }
+  return out;
+}
+
+// The support-intersection sparse Gram against the per-chunk gather
+// reference, bitwise, at every ISA and at one and two OpenMP threads: the
+// staged form (sampled_gram_range) and the entry form
+// (sampled_gram_entries) must both reproduce every partial, the entry
+// form handing each entry over once, in ascending chunk order, and
+// leaving out only partials that are +0.0.  The k = 64 configuration is
+// above the kernel's OpenMP work threshold, so two threads split it.
+TEST(SparseGram, IntersectionMatchesPerChunkGatherReference) {
+  const simd::Isa entry_isa = simd::active_isa();
+#ifdef _OPENMP
+  const int entry_threads = omp_get_max_threads();
+#endif
+  struct Config {
+    std::size_t k, m, b, e;
+    double density;
+  };
+  const Config configs[] = {{8, 120, 0, 120, 0.2},
+                            {13, 120, 30, 90, 0.05},
+                            {64, 1000, 0, 1000, 0.2},
+                            {70, 400, 10, 390, 0.02}};
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    if (!simd::isa_available(isa)) continue;
+    ASSERT_TRUE(simd::set_kernel_isa(isa));
+    for (const int threads : {1, 2}) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      for (const Config& cfg : configs) {
+        const SparseMembers members(cfg.k, cfg.m, cfg.b, cfg.e, cfg.density,
+                                    cfg.k + cfg.m);
+        const BatchView& y = members.view();
+        const std::size_t tri = core::detail::triangle_size(cfg.k);
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{50}, cfg.m}) {
+          // Chunk size 1 on the big configuration would stage 16 MB.
+          if (chunk == 1 && cfg.k * cfg.m > 64'000) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << simd::to_cstring(isa) << " threads=" << threads
+                       << " k=" << cfg.k << " range [" << cfg.b << ", "
+                       << cfg.e << ") chunk=" << chunk);
+          std::vector<std::size_t> bounds{cfg.b};
+          while (bounds.back() < cfg.e)
+            bounds.push_back(std::min(cfg.e, bounds.back() + chunk));
+          const std::size_t n = bounds.size() - 1;
+          const std::vector<double> want = naive_chunk_grams(y, bounds);
+
+          std::vector<double> staged(n * tri, 7.0);
+          sampled_gram_range(y, bounds, staged);
+          EXPECT_TRUE(same_bits(staged, want)) << "staged form";
+
+          std::vector<double> emitted(n * tri, 0.0);
+          std::vector<int> calls(tri, 0);
+          bool ascending = true;
+          const auto sink = [&](std::size_t entry,
+                                std::span<const common::ChunkPartial> p) {
+            ++calls[entry];  // entries are distinct, so threads never share
+            for (std::size_t q = 0; q < p.size(); ++q) {
+              emitted[p[q].chunk * tri + entry] = p[q].value;
+              if (q > 0 && p[q - 1].chunk >= p[q].chunk) ascending = false;
+            }
+          };
+          sampled_gram_entries(y, bounds, EntrySink(sink));
+          EXPECT_TRUE(same_bits(emitted, want)) << "entry form";
+          EXPECT_TRUE(ascending);
+          for (std::size_t t = 0; t < tri; ++t)
+            EXPECT_LE(calls[t], 1) << "entry " << t;
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(entry_threads);
+#endif
+  simd::set_kernel_isa(entry_isa);
+}
 
 TEST(BatchView, ColBlockRowViewsMatchNaiveReference) {
   // SVM layout: sampled rows (with replacement, including repeats).

@@ -379,6 +379,47 @@ void expect_mass_relative(double got, double want, double mass,
       << " want " << want;
 }
 
+// The zero contract the sparse Gram's support intersection rests on
+// (la/batch_view.cpp): a partial whose gathers read only ±0.0 is skipped
+// and left at +0.0, which is exact only because every table's gather
+// dots return the +0.0 bit pattern then — whatever the stored values'
+// signs, stored zeros included, and at every length through both SIMD
+// tails (the widest table has 4 lanes and 2 accumulators).
+TEST(ZeroContract, GatherDotsOverZeroGathersArePositiveZero) {
+  IsaGuard guard;
+  constexpr std::size_t kWidest = 4;
+  constexpr std::size_t kSlots = 16;
+  std::vector<double> x(kSlots);
+  for (std::size_t i = 0; i < kSlots; ++i) x[i] = i % 3 == 0 ? -0.0 : 0.0;
+  data::SplitMix64 rng(91);
+  for (const Isa isa : available_isas()) {
+    ASSERT_TRUE(simd::set_kernel_isa(isa));
+    const simd::KernelTable& kt = simd::active();
+    for (std::size_t n = 0; n <= 2 * kWidest + 3; ++n) {
+      std::vector<std::size_t> idx(n);
+      for (std::size_t& q : idx) q = rng.next_below(kSlots);
+      // All negative, all -0.0, all stored +0.0, then a sign/magnitude mix.
+      std::vector<std::vector<double>> patterns(4, std::vector<double>(n));
+      for (std::size_t q = 0; q < n; ++q) {
+        patterns[0][q] = -std::ldexp(1.0 + rng.next_double(),
+                                     static_cast<int>(rng.next_below(40)) - 20);
+        patterns[1][q] = -0.0;
+        patterns[2][q] = 0.0;
+        const double pick[4] = {-3.5, -0.0, 0.0, 1e300};
+        patterns[3][q] = pick[rng.next_below(4)];
+      }
+      for (const std::vector<double>& vals : patterns) {
+        for (const auto gather : {kt.gather_dot, kt.gather_dot2}) {
+          const double got = gather(vals.data(), idx.data(), n, x.data());
+          const double zero = 0.0;
+          EXPECT_EQ(std::memcmp(&got, &zero, sizeof(double)), 0)
+              << simd::to_cstring(isa) << " n=" << n << " got " << got;
+        }
+      }
+    }
+  }
+}
+
 TEST(CrossIsa, KernelParityWithin1e12OfScalar) {
   IsaGuard guard;
   const std::size_t n = 1003;
