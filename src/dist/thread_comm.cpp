@@ -1,6 +1,7 @@
 #include "dist/thread_comm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -16,35 +17,45 @@ namespace internal {
 /// used to unwind the worker back to its loop, never surfaced to callers.
 struct TeamAborted {};
 
+/// Pauses a waiter polls the barrier generation before parking: about
+/// 5 µs at ~20 ns per x86 `pause`.  Enough to catch a partner a few cache
+/// misses behind; every pause beyond that is CPU time the solve's other
+/// threads (or an oversubscribed team's runnable ranks) do not get.
+constexpr int kSpinPauses = 256;
+
 struct TeamState {
-  TeamState(int rank_count, std::size_t chunk_threshold_)
+  explicit TeamState(int rank_count)
       : ranks(rank_count),
-        tree_chunk_threshold(chunk_threshold_),
+        levels(static_cast<int>(collective_rounds(rank_count))),
         slots(rank_count),
-        acc(rank_count),
+        scratch(rank_count,
+                std::vector<double>(static_cast<std::size_t>(levels) *
+                                    kAllreduceFoldBlock)),
         stats(rank_count) {}
 
   const int ranks;
-  const std::size_t tree_chunk_threshold;
+  const int levels;
 
-  std::mutex mu;
-  std::condition_variable cv;       // barrier + task dispatch
-  std::condition_variable done_cv;  // run() completion
+  // Spin-then-park barrier.  The generation only moves when a barrier
+  // completes or the team aborts, so a waiter that read it before
+  // arriving is released exactly by the next change.
+  std::atomic<int> arrived{0};
+  std::atomic<std::uint32_t> generation{0};
+  std::atomic<bool> aborted{false};
 
-  // Central sense-reversing barrier (blocking, not spinning: teams are
-  // routinely oversubscribed — P ranks on fewer cores).
-  int arrived = 0;
-  std::uint64_t generation = 0;
-  bool aborted = false;
-
-  // Allreduce workspace: per-rank input spans (for the length check) and
-  // the per-rank tree accumulators (grow-only, so steady-state
-  // collectives do not allocate).
+  // Allreduce workspace: the callers' published spans (read in place by
+  // every rank's fold), the shared result (grow-only, resized in barrier
+  // A's completion) and per-rank fold scratch (sized for the tree depth
+  // at construction).
   std::vector<std::span<double>> slots;
-  std::vector<std::vector<double>> acc;
+  std::vector<double> result;
+  std::vector<std::vector<double>> scratch;
   bool length_mismatch = false;
 
-  // Task dispatch.
+  // Task dispatch (once per run, so a mutex and condition variables).
+  std::mutex mu;
+  std::condition_variable cv;       // task dispatch + shutdown
+  std::condition_variable done_cv;  // run() completion
   std::uint64_t epoch = 0;
   bool shutdown = false;
   const std::function<void(ThreadComm&)>* task = nullptr;
@@ -55,27 +66,51 @@ struct TeamState {
 
 namespace {
 
-/// Waits until every rank arrives; the last arriver runs `completion`
-/// under the lock before releasing the team.  Throws TeamAborted if the
-/// team failed while this rank waited.
-template <typename Completion>
-void barrier(TeamState& s, Completion&& completion) {
-  std::unique_lock<std::mutex> lock(s.mu);
-  if (s.aborted) throw TeamAborted{};
-  if (++s.arrived == s.ranks) {
-    s.arrived = 0;
-    completion();
-    ++s.generation;
-    s.cv.notify_all();
-    return;
-  }
-  const std::uint64_t gen = s.generation;
-  s.cv.wait(lock, [&] { return s.generation != gen || s.aborted; });
-  if (s.aborted) throw TeamAborted{};
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
 }
 
-void barrier(TeamState& s) {
-  barrier(s, [] {});
+/// Waits until every rank arrives; the last arriver runs `completion`
+/// before releasing the team.  Throws TeamAborted if the team failed
+/// before or while this rank waited.
+template <typename Completion>
+void barrier(TeamState& s, Completion&& completion) {
+  // Read the generation before arriving: it cannot move until this rank
+  // has arrived, so any later change releases this barrier (or aborts).
+  const std::uint32_t gen = s.generation.load();
+  if (s.aborted.load()) throw TeamAborted{};
+  if (s.arrived.fetch_add(1) + 1 == s.ranks) {
+    s.arrived.store(0);
+    completion();
+    s.generation.fetch_add(1);
+    s.generation.notify_all();
+    return;
+  }
+  for (int i = 0; i < kSpinPauses && s.generation.load() == gen; ++i)
+    cpu_relax();
+  while (s.generation.load() == gen) s.generation.wait(gen);
+  if (s.aborted.load()) throw TeamAborted{};
+}
+
+/// Fills tree node (j, level) — the binomial-tree sum of inputs
+/// [j, j + 2^level) ∩ [0, P) — for elements [begin, begin + len), and
+/// returns a pointer to it: the input itself for a leaf, otherwise `dst`.
+/// A right subtree goes to `scratch` (one block per level below).
+const double* fold_node(const std::vector<std::span<double>>& inputs, int j,
+                        int level, std::size_t begin, std::size_t len,
+                        double* dst, double* scratch) {
+  if (level == 0) return inputs[j].data() + begin;
+  const int half = 1 << (level - 1);
+  if (j + half >= static_cast<int>(inputs.size()))
+    return fold_node(inputs, j, level - 1, begin, len, dst, scratch);
+  const double* left =
+      fold_node(inputs, j, level - 1, begin, len, dst, scratch);
+  const double* right = fold_node(inputs, j + half, level - 1, begin, len,
+                                  scratch, scratch + kAllreduceFoldBlock);
+  for (std::size_t i = 0; i < len; ++i) dst[i] = left[i] + right[i];
+  return dst;
 }
 
 }  // namespace
@@ -90,66 +125,35 @@ void ThreadComm::do_allreduce_sum(std::span<double> data) {
   const std::size_t p = static_cast<std::size_t>(size_);
   const std::size_t r = static_cast<std::size_t>(rank_);
 
-  // Stage this rank's contribution in its own accumulator (grow-only;
-  // writing own storage before the barrier is race-free).
-  s.slots[rank_] = data;
-  // Grow-only per-rank accumulator: sized by the first round at each
-  // length, allocation-free once warmed up.
-  // sa-lint: allow(alloc): grow-only accumulator, warm rounds never resize
-  if (s.acc[r].size() < n) s.acc[r].resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.acc[r][i] = data[i];
-  internal::barrier(s, [&] {
+  s.slots[r] = data;
+  internal::barrier(s, [&] {  // barrier A
     s.length_mismatch = false;
     for (const std::span<double>& slot : s.slots)
       if (slot.size() != n) s.length_mismatch = true;
+    // Every rank finished the previous copy-out before arriving here.
+    // sa-lint: allow(alloc): grow-only result, warm rounds never resize
+    if (!s.length_mismatch && s.result.size() < n) s.result.resize(n);
   });
   SA_CHECK(!s.length_mismatch,
            "ThreadComm::allreduce_sum: buffer length differs across ranks");
 
-  // Binomial-tree reduction: in round `step`, rank j ≡ 0 (mod 2·step)
-  // absorbs partner j + step.  The pairing (and hence the summation
-  // grouping) is fixed, so the result is bit-deterministic — every rank
-  // later reads the same acc[0].  At P = 2^k this is exactly the top k
-  // levels of the reduction grouping's fold tree (common/grouping.hpp):
-  // rank j holds tree node (k, j), and acc[j] += acc[j + step] forms
-  // their parent.
-  //
-  // For large payloads the within-pair element loop is chunked across the
-  // pair's subtree: every rank in [owner, owner + 2·step) has already
-  // contributed by round `step` and would otherwise idle, so each sums a
-  // disjoint chunk of the same acc[owner] += acc[owner+step] update.
-  // Every element is still combined exactly once, by the identical
-  // two-term addition — bit-for-bit the single-owner result.
-  const bool chunked = n >= s.tree_chunk_threshold;
-  for (std::size_t step = 1; step < p; step <<= 1) {
-    const std::size_t group = 2 * step;
-    const std::size_t owner = r - (r % group);
-    if (owner + step < p) {  // this subtree has an absorbing pair
-      const std::vector<double>& partner = s.acc[owner + step];
-      std::vector<double>& mine = s.acc[owner];
-      if (chunked) {
-        // Helpers = all subtree ranks present in the team.
-        const std::size_t helpers = std::min(group, p - owner);
-        const std::size_t lane = r - owner;
-        const std::size_t begin = n * lane / helpers;
-        const std::size_t end = n * (lane + 1) / helpers;
-        for (std::size_t i = begin; i < end; ++i) mine[i] += partner[i];
-      } else if (r == owner) {
-        for (std::size_t i = 0; i < n; ++i) mine[i] += partner[i];
-      }
-    }
-    internal::barrier(s);
+  // Reduce-scatter: fold this rank's slice of every input, block by block.
+  const std::size_t end = n * (r + 1) / p;
+  double* scratch = s.scratch[r].data();
+  for (std::size_t b = n * r / p; b < end; b += kAllreduceFoldBlock) {
+    const std::size_t len = std::min(kAllreduceFoldBlock, end - b);
+    internal::fold_node(s.slots, 0, s.levels, b, len, s.result.data() + b,
+                        scratch);
   }
-  for (std::size_t i = 0; i < n; ++i) data[i] = s.acc[0][i];
-  internal::barrier(s);  // keep acc[0] stable until every rank copied
+  internal::barrier(s, [] {});  // barrier B
+
+  // Allgather: every rank reads the whole result.
+  std::copy_n(s.result.begin(), n, data.begin());
 }
 
-ThreadTeam::ThreadTeam(int ranks, std::size_t tree_chunk_threshold)
-    : ranks_(ranks) {
+ThreadTeam::ThreadTeam(int ranks) : ranks_(ranks) {
   SA_CHECK(ranks >= 1, "ThreadTeam: need at least one rank");
-  SA_CHECK(tree_chunk_threshold >= 1,
-           "ThreadTeam: tree chunk threshold must be >= 1");
-  state_ = std::make_unique<internal::TeamState>(ranks, tree_chunk_threshold);
+  state_ = std::make_unique<internal::TeamState>(ranks);
   workers_.reserve(ranks);
   for (int r = 0; r < ranks; ++r)
     workers_.emplace_back([this, r] { worker_loop(r); });
@@ -170,8 +174,8 @@ std::vector<CommStats> ThreadTeam::run(
   std::unique_lock<std::mutex> lock(s.mu);
   s.task = &task;
   s.finished = 0;
-  s.arrived = 0;
-  s.aborted = false;
+  s.arrived.store(0);
+  s.aborted.store(false);
   s.first_error = nullptr;
   s.stats.assign(ranks_, CommStats{});
   ++s.epoch;
@@ -202,8 +206,10 @@ void ThreadTeam::worker_loop(int rank) {
     } catch (...) {
       std::lock_guard<std::mutex> lock(s.mu);
       if (!s.first_error) s.first_error = std::current_exception();
-      s.aborted = true;
-      s.cv.notify_all();
+      // Wake every parked rank; each sees the flag and unwinds.
+      s.aborted.store(true);
+      s.generation.fetch_add(1);
+      s.generation.notify_all();
     }
     {
       std::lock_guard<std::mutex> lock(s.mu);

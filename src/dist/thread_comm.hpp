@@ -1,47 +1,58 @@
 // Thread-team communicator: P ranks as P threads of one process.
 //
 // ThreadTeam owns a pool of P persistent worker threads; run(task) executes
-// `task(comm)` once on every rank and blocks until all ranks return.  The
-// collective is a barrier-synchronised shared-memory allreduce over a
-// binomial reduction tree: each rank copies its buffer into a per-rank
-// accumulator, then ceil(log2 P) barrier-separated rounds combine pairs
-// with the fixed pairing of a binomial tree — in round r (step 2^r), rank
-// j with j mod 2^(r+1) == 0 accumulates partner j + 2^r.  The pairing is
-// fixed, so results are bit-deterministic run-to-run and identical on
-// every rank; every rank's read fan-in is bounded to 2 buffers per round,
-// and the round count matches the ceil(log2 P) the metering charges.
+// `task(comm)` once on every rank and blocks until all ranks return.
 //
-// At P = 2^k the pairing IS the upper k levels of the reduction
-// grouping's fold tree (common/grouping.hpp): when rank j sends tree node
-// (k, j), acc[j] += acc[j + 2^r] builds exactly the node's parent, which
-// is what lets a round message put one payload on the wire and still
-// match the serial fold bit for bit.  Every other caller's data is
-// exclusive-slot (one nonzero contributor per element, the rest +0.0) or
-// integer-exact, so the grouping of its summands cannot show in the bits.
+// The collective is a zero-copy reduce-scatter + allgather with two
+// barriers at every P:
 //
-// Chunked within-pair combine: for payloads of at least
-// tree_chunk_threshold words, the element loop of each absorbing pair is
-// split across every rank of the pair's 2^(r+1)-wide subtree — those ranks
-// are otherwise idle in round r, having already contributed their data.
-// Each helper sums a disjoint element chunk of the same acc[j] += acc[j+s]
-// update, so the summation grouping (and hence every output bit) is
-// identical to the single-owner loop; only the wall-clock of large-payload
-// rounds changes.  Small payloads stay on the single-owner loop — the
-// index arithmetic isn't worth it below the threshold.
+//   1. each rank publishes its caller's span in a per-rank slot (no copy);
+//   2. barrier A — the last arriver checks that every slot has the same
+//      length and grows the one shared result buffer (grow-only);
+//   3. rank r folds its contiguous slice [n·r/P, n·(r+1)/P) of all P
+//      inputs into the result, reading the other ranks' buffers in place;
+//   4. barrier B — every rank copies the whole result into its buffer.
 //
-// The collective is blocking: the entry barrier, the tree rounds and the
-// copy-out of acc[0] (followed by a barrier that keeps acc[0] stable until
-// every rank copied) all happen inside one allreduce_sum call.  No barrier
-// has a timeout: the ranks share one process, so a rank cannot die alone,
-// and recovering from process death means resuming the last checkpoint.
+// Every element is summed with the fixed pairing of a binomial tree — in
+// round `step`, input j ≡ 0 (mod 2·step) absorbs j + step — so results are
+// bit-deterministic run-to-run and identical on every rank, whichever rank
+// folds the element.  At P = 2^k the pairing IS the upper k levels of the
+// reduction grouping's fold tree (common/grouping.hpp): when rank j sends
+// tree node (k, j), input j + input j+step builds exactly the node's
+// parent, which is what lets a round message put one payload on the wire
+// and still match the serial fold bit for bit.  Every other caller's data
+// is exclusive-slot (one nonzero contributor per element, the rest +0.0)
+// or integer-exact, so the grouping of its summands cannot show in the
+// bits.
 //
-// Barriers block on a condition variable (no spinning), so oversubscribed
-// runs — more ranks than cores, the common case in tests — stay cheap.
+// There is no exit barrier.  A rank rewrites its slot, its own buffer or
+// the shared result only after a barrier that every reader of the
+// previous collective has passed:
+//   * slot r and rank r's buffer are read by the other ranks' folds
+//     between A and B; rank r writes its buffer (the copy-out) only after
+//     B, and republishes its slot only after returning from B;
+//   * the result is read by every rank's copy-out after B; it is resized
+//     in the completion of the NEXT collective's barrier A and written by
+//     the next folds after that A, and a rank arrives at A only once its
+//     copy-out has finished.
+//
+// Metering is unchanged: Communicator charges ceil(log2 P) rounds per
+// collective because it models the paper's MPI tree, not this backend.
+//
+// Barriers spin, then park: a waiter polls the barrier's generation word
+// for a short fixed budget (~5 µs — long enough to catch a partner that
+// is a few cache misses behind, short enough that oversubscribed teams,
+// more ranks than cores, yield the core quickly), then blocks in
+// std::atomic::wait.  The last arriver runs the completion, resets the
+// arrival count, bumps the generation and wakes every parked rank.  No
+// barrier has a timeout: the ranks share one process, so a rank cannot
+// die alone, and recovering from process death means resuming the last
+// checkpoint.
 //
 // Thread-safety contract: each ThreadComm belongs to exactly one worker
 // thread; ThreadTeam::run may be called repeatedly but not concurrently.
 // If a rank throws, the team aborts the remaining ranks at their next
-// barrier and run() rethrows the first exception.
+// barrier (parked ranks are woken) and run() rethrows the first exception.
 #pragma once
 
 #include <cstddef>
@@ -74,26 +85,20 @@ class ThreadComm final : public Communicator {
   ThreadComm(internal::TeamState& state, int rank, int size)
       : state_(state), rank_(rank), size_(size) {}
 
-
   internal::TeamState& state_;
   int rank_ = 0;
   int size_ = 1;
 };
 
-/// Payload size (words) at and above which the tree allreduce chunks each
-/// pair's element loop across the pair's idle subtree ranks.
-inline constexpr std::size_t kDefaultTreeChunkWords = 4096;
+/// Elements a rank folds per block of its slice: the fold keeps at most
+/// ceil(log2 P) blocks of partial sums in per-rank scratch.
+inline constexpr std::size_t kAllreduceFoldBlock = 512;
 
 /// A pool of P worker threads acting as P communicator ranks.
 class ThreadTeam {
  public:
   /// Spawns `ranks` persistent workers (ranks >= 1).
-  /// `tree_chunk_threshold` is the payload size (words) from which the
-  /// tree's within-pair combine is chunked across idle subtree ranks (pass
-  /// 1 to force chunking, or a huge value to pin the single-owner loop;
-  /// bit-identical either way).
-  explicit ThreadTeam(int ranks,
-                      std::size_t tree_chunk_threshold = kDefaultTreeChunkWords);
+  explicit ThreadTeam(int ranks);
   ~ThreadTeam();
 
   ThreadTeam(const ThreadTeam&) = delete;

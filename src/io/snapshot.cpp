@@ -281,13 +281,17 @@ SnapshotReader SnapshotReader::parse(std::span<const std::uint8_t> bytes) {
       fail(os.str());
     }
     cur.need(count * 8, "section data");
+    // An empty section's vector has a null data(), and memcpy with a null
+    // pointer is undefined even for zero bytes.
     if (kind == 0) {
       section.is_reals = true;
       section.reals.resize(count);
-      std::memcpy(section.reals.data(), bytes.data() + cur.pos, count * 8);
+      if (count > 0)
+        std::memcpy(section.reals.data(), bytes.data() + cur.pos, count * 8);
     } else if (kind == 1) {
       section.words.resize(count);
-      std::memcpy(section.words.data(), bytes.data() + cur.pos, count * 8);
+      if (count > 0)
+        std::memcpy(section.words.data(), bytes.data() + cur.pos, count * 8);
     } else {
       std::ostringstream os;
       os << "section '" << section.name << "' has unknown kind "

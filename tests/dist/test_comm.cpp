@@ -4,9 +4,12 @@
 // one rank must not hang the team, and broadcast_bytes must reject a
 // damaged transfer on every rank.
 #include <algorithm>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +180,27 @@ TEST(ThreadTeam, ExceptionOnOneRankPropagatesWithoutHanging) {
   EXPECT_EQ(stats.size(), 4u);
 }
 
+TEST(ThreadTeam, AbortWakesRanksParkedInTheCollective) {
+  // Rank 0 throws only after its siblings have waited far past the spin
+  // budget, so they are parked in atomic::wait: the abort must wake them.
+  ThreadTeam team(4);
+  EXPECT_THROW(team.run([](ThreadComm& comm) {
+                 std::vector<double> buf(8, 1.0);
+                 if (comm.rank() == 0) {
+                   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                   throw std::runtime_error("rank 0 failed");
+                 }
+                 comm.allreduce_sum(buf);
+               }),
+               std::runtime_error);
+  const auto stats = team.run([](ThreadComm& comm) {
+    std::vector<double> buf(3, 1.0);
+    comm.allreduce_sum(buf);
+    EXPECT_EQ(buf[2], 4.0);
+  });
+  EXPECT_EQ(stats.size(), 4u);
+}
+
 TEST(ThreadTeam, MismatchedLengthsThrowInsteadOfCorrupting) {
   ThreadTeam team(2);
   EXPECT_THROW(team.run([](ThreadComm& comm) {
@@ -192,12 +216,12 @@ TEST(ThreadTeam, RejectsZeroRanks) {
 
 class TreeAllreduceSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndChunkingIsBitIdentical) {
+TEST_P(TreeAllreduceSweep, TreeIsDeterministicAcrossRunsAndRanks) {
   const int p = GetParam();
   const std::size_t n = 257;
 
-  auto reduce = [&](std::size_t chunk_threshold) {
-    ThreadTeam team(p, chunk_threshold);
+  auto reduce = [&] {
+    ThreadTeam team(p);
     std::vector<std::vector<double>> got(p);
     team.run([&](ThreadComm& comm) {
       std::vector<double> mine = rank_contribution(comm.rank(), n);
@@ -207,11 +231,8 @@ TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndChunkingIsBitIdentical) {
     return got;
   };
 
-  // Run the tree single-owner (huge chunk threshold) twice and chunked
-  // across idle ranks (chunk threshold 1).
-  const auto tree_a = reduce(std::size_t{1} << 30);
-  const auto tree_b = reduce(std::size_t{1} << 30);
-  const auto chunked = reduce(1);
+  const auto tree_a = reduce();
+  const auto tree_b = reduce();
   const std::vector<double> want = binomial_reference(p, n);
 
   for (int r = 0; r < p; ++r) {
@@ -220,9 +241,6 @@ TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndChunkingIsBitIdentical) {
       // Bit-deterministic across runs and identical on every rank.
       EXPECT_EQ(tree_a[r][i], tree_b[r][i]);
       EXPECT_EQ(tree_a[r][i], tree_a[0][i]);
-      // Chunking only splits the element loop across helpers; every
-      // element is still the same two-term addition — bit-identical.
-      EXPECT_EQ(chunked[r][i], tree_a[r][i]);
       // And it is exactly the binomial pairing.
       EXPECT_EQ(tree_a[r][i], want[i]);
     }
@@ -232,64 +250,93 @@ TEST_P(TreeAllreduceSweep, TreeIsDeterministicAndChunkingIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, TreeAllreduceSweep,
                          ::testing::Values(2, 3, 4, 8));
 
-TEST(TreeAllreduce, ChunkedPathEngagesAtDefaultThresholdPayloads) {
-  // A payload at the default chunk threshold on an odd rank count: exact
-  // integer sums survive the chunked combine.
-  const int p = 5;
-  const std::size_t n = kDefaultTreeChunkWords;
-  ThreadTeam team(p);
-  team.run([&](ThreadComm& comm) {
-    std::vector<double> buf(n, static_cast<double>(comm.rank() + 1));
-    comm.allreduce_sum(buf);
-    for (const double v : buf) ASSERT_EQ(v, 15.0);  // Σ 1..5
-  });
-}
+class SliceBoundarySweep : public ::testing::TestWithParam<int> {};
 
-class TreeChunkStraddleSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(TreeChunkStraddleSweep, ChunkedPairLoopIsExactOnNonPowerOfTwoRanks) {
-  // Regression for the chunked within-pair loop on non-power-of-two rank
-  // counts: the binomial tree pairs a shrinking active set (odd survivors
-  // get a bye), and the chunk split across idle helpers must cover exactly
-  // [0, n) for every absorbing pair.  Payloads straddling the chunk
-  // threshold probe the off-by-one edges of that split.
+TEST_P(SliceBoundarySweep, EverySliceAndBlockEdgeMatchesBinomialPairing) {
+  // Each rank folds elements [n·r/P, n·(r+1)/P) in blocks of
+  // kAllreduceFoldBlock; lengths around P and around the block size put
+  // empty slices, one-element slices and partial blocks at every edge.
+  // One team runs every length back to back, so the grow-only result
+  // buffer is also reused at shorter lengths.
   const int p = GetParam();
-  const std::size_t threshold = 64;
-
-  auto reduce = [&](std::size_t chunk_threshold, std::size_t n) {
-    ThreadTeam team(p, chunk_threshold);
-    std::vector<std::vector<double>> got(p);
-    team.run([&](ThreadComm& comm) {
-      std::vector<double> mine = rank_contribution(comm.rank(), n);
+  const std::size_t ps = static_cast<std::size_t>(p);
+  const std::size_t block = kAllreduceFoldBlock;
+  const std::vector<std::size_t> lengths = {
+      0,         1,         ps - 1,         ps,    ps + 1, block - 1,
+      block,     block + 1, ps * block - 1, 4097,  1,      ps * block + 1};
+  ThreadTeam team(p);
+  std::vector<std::vector<std::vector<double>>> got(
+      lengths.size(), std::vector<std::vector<double>>(ps));
+  team.run([&](ThreadComm& comm) {
+    for (std::size_t k = 0; k < lengths.size(); ++k) {
+      std::vector<double> mine = rank_contribution(comm.rank(), lengths[k]);
       comm.allreduce_sum(mine);
-      got[comm.rank()] = std::move(mine);
-    });
-    return got;
-  };
-
-  for (const std::size_t n :
-       {threshold - 1, threshold, threshold + 1, 2 * threshold + 1}) {
-    // The single-owner tree (huge chunk threshold) is the bit reference:
-    // chunking only splits each pair's element loop across helpers, so
-    // the chunked result must agree bit-for-bit, on every rank, across
-    // repeated runs.
-    const auto whole = reduce(std::size_t{1} << 30, n);
-    const auto chunked_a = reduce(threshold, n);
-    const auto chunked_b = reduce(threshold, n);
-    for (int r = 0; r < p; ++r) {
-      ASSERT_EQ(chunked_a[r].size(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(chunked_a[r][i], chunked_b[r][i])
+      got[k][static_cast<std::size_t>(comm.rank())] = std::move(mine);
+    }
+  });
+  for (std::size_t k = 0; k < lengths.size(); ++k) {
+    const std::size_t n = lengths[k];
+    const std::vector<double> want = binomial_reference(p, n);
+    for (std::size_t r = 0; r < ps; ++r) {
+      ASSERT_EQ(got[k][r].size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[k][r][i], want[i])
             << "p=" << p << " n=" << n << " rank " << r << " elt " << i;
-        EXPECT_EQ(chunked_a[r][i], whole[r][i])
-            << "p=" << p << " n=" << n << " rank " << r << " elt " << i;
-      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(NonPowerOfTwoRanks, TreeChunkStraddleSweep,
-                         ::testing::Values(3, 5, 6, 7));
+INSTANTIATE_TEST_SUITE_P(RankCounts, SliceBoundarySweep,
+                         ::testing::Values(2, 3, 4, 5, 6, 7, 8, 16));
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kThreadSanitizer = true;
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+TEST(TreeAllreduce, BackToBackCollectivesSpinAndParkBitExactly) {
+  // Thousands of collectives of varying length through one team.  Every
+  // 16th round one rank sleeps far past the barrier's spin budget before
+  // arriving, so its siblings park in atomic::wait; on the other rounds
+  // they are released while still spinning.  Under TSan the count is cut
+  // so the instrumented run stays short.
+  const int p = 4;
+  const int rounds = kThreadSanitizer ? 400 : 2400;
+  auto length = [](int round) {
+    return static_cast<std::size_t>((round * 37) % 301);
+  };
+  std::vector<std::vector<double>> want(301);
+  for (std::size_t n = 0; n < want.size(); ++n)
+    want[n] = binomial_reference(p, n);
+
+  ThreadTeam team(p);
+  std::vector<int> mismatches(p, 0);
+  team.run([&](ThreadComm& comm) {
+    const std::size_t n_max = want.size() - 1;
+    const std::vector<double> contribution =
+        rank_contribution(comm.rank(), n_max);
+    std::vector<double> buf;
+    buf.reserve(n_max);
+    for (int round = 0; round < rounds; ++round) {
+      const std::size_t n = length(round);
+      buf.assign(contribution.begin(),
+                 contribution.begin() + static_cast<std::ptrdiff_t>(n));
+      if (round % 16 == 0 && comm.rank() == (round / 16) % p)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      comm.allreduce_sum(buf);
+      if (!std::equal(buf.begin(), buf.end(), want[n].begin()))
+        ++mismatches[comm.rank()];
+    }
+  });
+  for (int r = 0; r < p; ++r) EXPECT_EQ(mismatches[r], 0) << "rank " << r;
+}
 
 TEST(TreeAllreduce, SixteenRanksSumExactlyOnRepeatedCollectives) {
   // Exact-in-any-order payload sums come out right through a four-level
