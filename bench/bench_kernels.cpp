@@ -9,6 +9,7 @@
 
 #include <array>
 #include <span>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -26,6 +27,7 @@
 #include "la/csc.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
+#include "la/eigen.hpp"
 #include "la/simd/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
@@ -296,6 +298,76 @@ SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5);
 
 #undef SA_KERNEL_CHUNKED_BENCH
+
+// ---------------------------------------------------------------------------
+// Step-size eigensolve: la::largest_eigenvalue_psd on the µ×µ diagonal
+// Gram blocks the lasso solvers pass it every inner step, µ ∈ {4, 8, 16,
+// 32}.  Each row cycles over 100 blocks sampled the way a solve samples
+// them (CoordinateSampler + view_columns + sampled_gram_range over the
+// whole row range), from two paper twins:
+//
+//   * BM_LargestEigenvalue_sparse — the news20 twin (0.13 % dense, the
+//     lasso-sparse-p2 data): near-diagonal blocks;
+//   * BM_LargestEigenvalue_dense — the epsilon twin at shrink 20 (the
+//     lasso-dense-p1 data): full blocks.
+//
+// Blocks whose diagonal is all zero are not drawn (the solvers skip them
+// without an eigensolve).  Time per call is 1 / items_per_second.
+// ---------------------------------------------------------------------------
+
+std::vector<sa::la::DenseMatrix> sampled_gram_blocks(
+    const sa::data::Dataset& d, std::size_t mu) {
+  const sa::core::RowBlock block(
+      d, sa::data::Partition::block(d.num_points(), 1), 0);
+  sa::data::CoordinateSampler sampler(d.num_features(), mu, 5);
+  sa::la::Workspace ws;
+  const std::size_t whole[2] = {0, block.local_rows()};
+  std::vector<double> packed(sa::la::fused_buffer_size(mu, 0));
+  std::vector<sa::la::DenseMatrix> blocks;
+  while (blocks.size() < 100) {
+    const std::span<std::size_t> idx = ws.indices(0, mu);
+    sampler.next_into(idx);
+    sa::la::sampled_gram_range(block.view_columns(idx, ws), whole, packed);
+    sa::la::DenseMatrix g(mu, mu);
+    bool empty = true;
+    for (std::size_t i = 0; i < mu; ++i) {
+      for (std::size_t j = i; j < mu; ++j)
+        g(i, j) = g(j, i) = packed[sa::la::packed_upper_index(i, j, mu)];
+      empty = empty && g(i, i) == 0.0;
+    }
+    if (!empty) blocks.push_back(std::move(g));
+  }
+  return blocks;
+}
+
+void bench_largest_eigenvalue(benchmark::State& state,
+                              const sa::data::Dataset& d) {
+  const std::size_t mu = state.range(0);
+  const std::vector<sa::la::DenseMatrix> blocks = sampled_gram_blocks(d, mu);
+  sa::la::DenseMatrix gjj(mu, mu);
+  for (auto _ : state) {
+    for (const sa::la::DenseMatrix& g : blocks) {
+      sa::la::copy(g.data(), gjj.data());
+      double v = sa::la::largest_eigenvalue_psd(gjj);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * blocks.size());
+}
+
+void BM_LargestEigenvalue_sparse(benchmark::State& state) {
+  static const sa::data::Dataset d =
+      sa::data::make_paper_twin(sa::data::PaperDataset::kNews20, 1.0, 1000);
+  bench_largest_eigenvalue(state, d);
+}
+BENCHMARK(BM_LargestEigenvalue_sparse)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_LargestEigenvalue_dense(benchmark::State& state) {
+  static const sa::data::Dataset d =
+      sa::data::make_paper_twin(sa::data::PaperDataset::kEpsilon, 20.0, 1000);
+  bench_largest_eigenvalue(state, d);
+}
+BENCHMARK(BM_LargestEigenvalue_dense)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 /// Thread-team allreduce cost vs rank count and payload.
 void BM_Allreduce(benchmark::State& state) {

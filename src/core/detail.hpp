@@ -14,9 +14,11 @@
 namespace sa::core::detail {
 
 /// Flop estimate for one largest-eigenvalue computation on a k×k Gram
-/// matrix (power iteration, ~16 sweeps of 2k² flops — deterministic
-/// metering constant, not a measurement).
-inline std::size_t eig_flops(std::size_t k) { return 32 * k * k; }
+/// matrix: cyclic Jacobi, charged as 4 sweeps of k(k−1)/2 rotations at
+/// ~12k flops each, rounded up to 24k³ (sampled blocks take 0.2–7 sweeps).
+/// A deterministic metering constant, the same on every rank, not a
+/// measurement.
+inline std::size_t eig_flops(std::size_t k) { return 24 * k * k * k; }
 
 /// Serialized size of the upper triangle of a k×k symmetric matrix.
 inline std::size_t triangle_size(std::size_t k) { return k * (k + 1) / 2; }

@@ -43,7 +43,6 @@ class GroupLassoEngine final : public detail::EngineBase {
     u_.resize(max_group);
     base_state_.resize(max_group);
     gjj_.reshape(max_group, max_group);
-    eig_scratch_.reserve(max_group);
     group_of_.resize(spec_.unroll_depth());
     offset_.resize(spec_.unroll_depth() + 1);
     detail::presize_round_workspace(round_ws_, kSlotIdx,
@@ -176,7 +175,7 @@ class GroupLassoEngine final : public detail::EngineBase {
       for (std::size_t a = 0; a < size; ++a)
         for (std::size_t b = 0; b < size; ++b)
           gjj_(a, b) = gram(offset_[j] + a, offset_[j] + b);
-      const double v = la::largest_eigenvalue_psd(gjj_, eig_scratch_);
+      const double v = la::largest_eigenvalue_psd(gjj_);
       comm_.add_replicated_flops(detail::eig_flops(size));
       if (v == 0.0) continue;  // all-zero group block: no update
       const double eta = 1.0 / v;
@@ -267,7 +266,6 @@ class GroupLassoEngine final : public detail::EngineBase {
   std::vector<double> u_;
   std::vector<double> base_state_;
   la::DenseMatrix gjj_;
-  la::EigenScratch eig_scratch_;
 
   // Pack-to-apply round state: the sampled groups, their batch offsets,
   // and the zero-copy view over the stacked indices (indices and view

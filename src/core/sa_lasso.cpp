@@ -59,7 +59,6 @@ class LassoEngine final : public detail::EngineBase {
         z_img_[i] = -block_.labels()[i];
     }
     init_grouping(rows_);
-    eig_scratch_.reserve(mu_);
     // Flat pending-update table + touched list (replaces a per-iteration
     // map): pending[coord] accumulates this round's deferred updates and
     // is restored to all-zero via `touched` at the end, so the O(n) table
@@ -208,11 +207,12 @@ class LassoEngine final : public detail::EngineBase {
       if (empty_block) continue;  // Δz_j stays 0, no eigensolve needed
 
       // Diagonal µ×µ block of G is A_jᵀA_j; its largest eigenvalue is the
-      // block Lipschitz constant (Algorithm 2 line 14).
+      // block Lipschitz constant (Algorithm 2 line 14).  The eigensolve
+      // rotates gjj_ in place, so it is refilled before every call.
       for (std::size_t a = 0; a < mu_; ++a)
         for (std::size_t b = 0; b < mu_; ++b)
           gjj_(a, b) = gram(j * mu_ + a, j * mu_ + b);
-      const double v = la::largest_eigenvalue_psd(gjj_, eig_scratch_);
+      const double v = la::largest_eigenvalue_psd(gjj_);
       comm_.add_replicated_flops(detail::eig_flops(mu_));
       if (v == 0.0) continue;  // empty block: Δz_j stays 0
 
@@ -364,7 +364,6 @@ class LassoEngine final : public detail::EngineBase {
   std::vector<double> theta_in_;
   std::vector<double> r_;
   la::DenseMatrix gjj_;
-  la::EigenScratch eig_scratch_;
   std::span<double> pending_;
   std::vector<std::size_t> touched_;
 

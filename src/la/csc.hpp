@@ -48,9 +48,6 @@ class CscMatrix {
     return csr_t_.row_norms_squared();
   }
 
-  /// Access to the underlying transpose (cols × rows CSR).
-  const CsrMatrix& transpose_csr() const { return csr_t_; }
-
  private:
   CsrMatrix csr_t_;
 };

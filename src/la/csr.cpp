@@ -265,10 +265,4 @@ std::vector<double> CsrMatrix::row_norms_squared() const {
   return out;
 }
 
-std::vector<std::size_t> CsrMatrix::row_nnz_histogram() const {
-  std::vector<std::size_t> out(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) out[i] = row_nnz(i);
-  return out;
-}
-
 }  // namespace sa::la

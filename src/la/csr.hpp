@@ -97,9 +97,6 @@ class CsrMatrix {
   /// Squared Euclidean norm of every row (the SVM η_h = ||A_i||² + γ terms).
   std::vector<double> row_norms_squared() const;
 
-  /// Per-row nonzero counts, used for load-balance diagnostics.
-  std::vector<std::size_t> row_nnz_histogram() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

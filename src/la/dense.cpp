@@ -18,8 +18,6 @@ DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols,
            "DenseMatrix: data size does not match rows*cols");
 }
 
-void DenseMatrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 void DenseMatrix::reshape(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
@@ -67,17 +65,6 @@ void gemv(double alpha, const DenseMatrix& a, std::span<const double> x,
   }
 }
 
-void gemv_transpose(double alpha, const DenseMatrix& a,
-                    std::span<const double> x, double beta,
-                    std::span<double> y) {
-  SA_CHECK(x.size() == a.rows() && y.size() == a.cols(),
-           "gemv_transpose: dimension mismatch");
-  if (beta != 1.0) scale(beta, y);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    axpy(alpha * x[i], a.row(i), y);
-  }
-}
-
 DenseMatrix gemm(const DenseMatrix& a, const DenseMatrix& b) {
   SA_CHECK(a.cols() == b.rows(), "gemm: inner dimension mismatch");
   DenseMatrix c(a.rows(), b.cols());
@@ -89,23 +76,6 @@ DenseMatrix gemm(const DenseMatrix& a, const DenseMatrix& b) {
       const double aik = a(i, k);
       if (aik == 0.0) continue;
       axpy(aik, b.row(k), ci);
-    }
-  }
-  return c;
-}
-
-DenseMatrix gemm_at_b(const DenseMatrix& a, const DenseMatrix& b) {
-  SA_CHECK(a.rows() == b.rows(), "gemm_at_b: shared dimension mismatch");
-  DenseMatrix c(a.cols(), b.cols());
-  // Accumulate rank-1 updates row by row of the shared dimension: a single
-  // streaming pass over A and B regardless of output size.
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    std::span<const double> ak = a.row(k);
-    std::span<const double> bk = b.row(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = ak[i];
-      if (aki == 0.0) continue;
-      axpy(aki, bk, c.row(i));
     }
   }
   return c;

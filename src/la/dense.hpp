@@ -47,9 +47,6 @@ class DenseMatrix {
   std::span<double> data() { return data_; }
   std::span<const double> data() const { return data_; }
 
-  /// Sets every entry to zero.
-  void set_zero();
-
   /// Reshapes to rows×cols in place, reusing the existing storage
   /// (grow-only capacity: shrinking never frees, regrowing within the
   /// high-water mark never allocates).  Contents are unspecified after a
@@ -82,20 +79,8 @@ class DenseMatrix {
 void gemv(double alpha, const DenseMatrix& a, std::span<const double> x,
           double beta, std::span<double> y);
 
-/// y := alpha * A' * x + beta * y         (A: m×n, x: m, y: n)
-void gemv_transpose(double alpha, const DenseMatrix& a,
-                    std::span<const double> x, double beta,
-                    std::span<double> y);
-
 /// C := A * B                              (A: m×k, B: k×n, C: m×n)
 DenseMatrix gemm(const DenseMatrix& a, const DenseMatrix& b);
-
-/// C := A' * B                             (A: k×m, B: k×n, C: m×n)
-///
-/// This is the kernel that forms Gram matrices G = Y'Y; it is blocked over
-/// the shared k dimension for cache reuse (the BLAS-3 effect the paper
-/// credits for SA computation speedups).
-DenseMatrix gemm_at_b(const DenseMatrix& a, const DenseMatrix& b);
 
 /// Returns the upper-triangular Gram matrix G = A' * A symmetrised into a
 /// full matrix.  Only the upper triangle is computed (n(n+1)/2 dot

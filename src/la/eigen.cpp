@@ -4,23 +4,13 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "la/vector_ops.hpp"
 
 namespace sa::la {
 
 namespace {
 
-/// Deterministic quasi-random start vector: varies per index so it is not
-/// orthogonal to the leading eigenvector for any matrix we encounter.
-void fill_start_vector(std::span<double> v) {
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = 1.0 + 0.37 * std::sin(static_cast<double>(i + 1));
-  const double norm = nrm2(v);
-  scale(1.0 / norm, v);
-}
-
-/// Defaults of jacobi_eigenvalues, shared with the scratch-based fallback
-/// so both entry points perform identical rotations.
+/// Defaults of jacobi_eigenvalues, shared with largest_eigenvalue_psd so
+/// both entry points perform identical rotations.
 constexpr double kJacobiTolerance = 1e-14;
 constexpr std::size_t kJacobiMaxSweeps = 64;
 
@@ -29,7 +19,11 @@ constexpr std::size_t kJacobiMaxSweeps = 64;
 void jacobi_sweeps(DenseMatrix& a, double tolerance,
                    std::size_t max_sweeps) {
   const std::size_t n = a.rows();
-  const double scale_ref = std::max(a.frobenius_norm(), 1e-300);
+  // Frobenius norm as a plain scalar loop (not the ISA-dispatched nrm2),
+  // so the stop and skip thresholds — and the result — match at every ISA.
+  double frob_sq = 0.0;
+  for (const double x : a.data()) frob_sq += x * x;
+  const double scale_ref = std::max(std::sqrt(frob_sq), 1e-300);
   for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p < n; ++p)
@@ -68,52 +62,14 @@ void jacobi_sweeps(DenseMatrix& a, double tolerance,
 
 }  // namespace
 
-// sa-lint: allow(alloc): scratch assign()s keep capacity after first call
-double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch,
-                              const PowerIterationOptions& options) {
+double largest_eigenvalue_psd(DenseMatrix& a) {
   SA_CHECK(a.rows() == a.cols(), "largest_eigenvalue_psd: matrix not square");
   const std::size_t n = a.rows();
   if (n == 0) return 0.0;
-  if (n == 1) return a(0, 0);
-
-  // assign() keeps capacity: after the first (largest) call the scratch
-  // vectors never reallocate.
-  scratch.v.assign(n, 0.0);
-  scratch.w.assign(n, 0.0);
-  scratch.aw.assign(n, 0.0);
-  std::vector<double>& v = scratch.v;
-  std::vector<double>& w = scratch.w;
-  fill_start_vector(v);
-  double lambda = 0.0;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    gemv(1.0, a, v, 0.0, w);
-    const double norm = nrm2(w);
-    if (norm == 0.0) return 0.0;  // a == 0 (or v in null space of PSD a)
-    scale(1.0 / norm, w);
-    gemv(1.0, a, w, 0.0, scratch.aw);
-    const double next = dot(w, scratch.aw);
-    std::swap(v, w);
-    if (std::abs(next - lambda) <=
-        options.tolerance * std::max(1.0, std::abs(next))) {
-      return next;
-    }
-    lambda = next;
-  }
-  // Slow convergence (clustered leading eigenvalues): fall back to Jacobi,
-  // rotating inside the scratch matrix (allocation-free in steady state).
-  scratch.jacobi_a.reshape(n, n);
-  copy(a.data(), scratch.jacobi_a.data());
-  jacobi_sweeps(scratch.jacobi_a, kJacobiTolerance, kJacobiMaxSweeps);
-  double largest = scratch.jacobi_a(0, 0);
-  for (std::size_t i = 1; i < n; ++i)
-    largest = std::max(largest, scratch.jacobi_a(i, i));
+  jacobi_sweeps(a, kJacobiTolerance, kJacobiMaxSweeps);
+  double largest = a(0, 0);
+  for (std::size_t i = 1; i < n; ++i) largest = std::max(largest, a(i, i));
   return largest;
-}
-
-double largest_eigenvalue_psd(const DenseMatrix& a,
-                              const PowerIterationOptions& options) {
-  EigenScratch scratch;
-  return largest_eigenvalue_psd(a, scratch, options);
 }
 
 std::vector<double> jacobi_eigenvalues(DenseMatrix a, double tolerance,
@@ -126,15 +82,6 @@ std::vector<double> jacobi_eigenvalues(DenseMatrix a, double tolerance,
   for (std::size_t i = 0; i < n; ++i) eig[i] = a(i, i);
   std::sort(eig.begin(), eig.end());
   return eig;
-}
-
-double largest_singular_value(const DenseMatrix& a) {
-  if (a.rows() == 0 || a.cols() == 0) return 0.0;
-  // Work with the smaller of AᵀA and AAᵀ.
-  const DenseMatrix g = (a.cols() <= a.rows())
-                            ? gram_upper(a)
-                            : gram_upper(a.transposed());
-  return std::sqrt(std::max(0.0, largest_eigenvalue_psd(g)));
 }
 
 double smallest_nonzero_singular_value(const DenseMatrix& a,

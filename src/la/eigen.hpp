@@ -1,13 +1,11 @@
-// Small symmetric eigensolvers.
+// Small symmetric eigensolver: cyclic Jacobi.
 //
 // The BCD solvers need the largest eigenvalue of the µ×µ sampled Gram
 // matrix every iteration (the optimal block Lipschitz constant, line 10 of
-// the paper's Algorithm 1).  µ is small (1–32 in the paper), so simple
-// dense methods are appropriate:
-//   * power iteration with a deterministic start for the largest
-//     eigenvalue (fast path used inside solvers), and
-//   * cyclic Jacobi for the full spectrum (used by tests, by λ-selection
-//     helpers, and as a fallback when power iteration stalls).
+// the paper's Algorithm 1).  µ is small (1–32 in the paper), so one dense
+// method serves every use: cyclic Jacobi rotations, for the step sizes
+// inside the solvers, for tests and for λ-selection helpers.  The sweep is
+// plain scalar code, so its result does not depend on the kernel ISA.
 #pragma once
 
 #include <cstddef>
@@ -17,55 +15,19 @@
 
 namespace sa::la {
 
-/// Options for power iteration.
-struct PowerIterationOptions {
-  std::size_t max_iterations = 500;
-  double tolerance = 1e-12;  ///< Relative change in the Rayleigh quotient.
-};
-
 /// Returns the largest eigenvalue of a symmetric positive semi-definite
-/// matrix via power iteration with a deterministic starting vector.
-///
-/// Falls back to cyclic Jacobi if the iteration has not converged within
-/// max_iterations (e.g. when the two leading eigenvalues are nearly equal),
-/// so the result is always reliable.
-double largest_eigenvalue_psd(const DenseMatrix& a,
-                              const PowerIterationOptions& options = {});
-
-/// Grow-only work storage for the allocation-free eigensolver entry point
-/// below.  One instance per solver, reused across every µ×µ solve.
-struct EigenScratch {
-  std::vector<double> v;
-  std::vector<double> w;
-  std::vector<double> aw;
-  DenseMatrix jacobi_a;  ///< rotation workspace of the Jacobi fallback
-
-  /// Pre-sizes every buffer for matrices up to n×n, so even a first
-  /// fallback in a late iteration allocates nothing.
-  void reserve(std::size_t n) {
-    v.reserve(n);
-    w.reserve(n);
-    aw.reserve(n);
-    jacobi_a.reshape(n, n);
-  }
-};
-
-/// Identical arithmetic to largest_eigenvalue_psd(a, options) — same start
-/// vector, same iteration, same Jacobi fallback rotations — but all work
-/// storage comes from `scratch`, so steady-state calls perform no heap
-/// allocation.
-double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch,
-                              const PowerIterationOptions& options = {});
+/// matrix.  Runs the Jacobi sweeps in place: on return `a` is overwritten
+/// (its diagonal holds the unsorted spectrum).  Performs no allocation.
+/// An empty matrix gives 0.0, and so (exactly) does a zero matrix.  The
+/// result is bitwise `jacobi_eigenvalues(a).back()` (default tolerances)
+/// on the original `a`.
+double largest_eigenvalue_psd(DenseMatrix& a);
 
 /// Returns all eigenvalues of a symmetric matrix in ascending order using
 /// the cyclic Jacobi method (no eigenvectors).
 std::vector<double> jacobi_eigenvalues(DenseMatrix a,
                                        double tolerance = 1e-14,
                                        std::size_t max_sweeps = 64);
-
-/// Returns the largest singular value of an arbitrary dense matrix
-/// (sqrt of the largest eigenvalue of AᵀA or AAᵀ, whichever is smaller).
-double largest_singular_value(const DenseMatrix& a);
 
 /// Returns the smallest *nonzero* singular value of a dense matrix —
 /// used by λ-selection (the paper sets λ = 100·σ_min).  Values below

@@ -95,16 +95,6 @@ TEST(Gemv, AppliesAlphaAndBeta) {
   EXPECT_DOUBLE_EQ(y[1], 11.0);  // 0.5·10 + 3·2
 }
 
-TEST(GemvTranspose, MatchesExplicitTranspose) {
-  const DenseMatrix a = make_counting(3, 2);
-  const std::vector<double> x{1.0, -1.0, 2.0};
-  std::vector<double> y1(2, 0.0), y2(2, 0.0);
-  gemv_transpose(1.0, a, x, 0.0, y1);
-  gemv(1.0, a.transposed(), x, 0.0, y2);
-  EXPECT_DOUBLE_EQ(y1[0], y2[0]);
-  EXPECT_DOUBLE_EQ(y1[1], y2[1]);
-}
-
 TEST(Gemm, IdentityIsNeutral) {
   const DenseMatrix a = make_counting(3, 3);
   const DenseMatrix c = gemm(a, DenseMatrix::identity(3));
@@ -125,14 +115,6 @@ TEST(Gemm, RejectsInnerDimensionMismatch) {
   const DenseMatrix a(2, 3);
   const DenseMatrix b(2, 2);
   EXPECT_THROW(gemm(a, b), PreconditionError);
-}
-
-TEST(GemmAtB, MatchesExplicitTransposeProduct) {
-  const DenseMatrix a = make_counting(4, 2);
-  const DenseMatrix b = make_counting(4, 3);
-  const DenseMatrix c1 = gemm_at_b(a, b);
-  const DenseMatrix c2 = gemm(a.transposed(), b);
-  EXPECT_LT(c1.max_abs_diff(c2), 1e-12);
 }
 
 TEST(GramUpper, EqualsAtTimesA) {
