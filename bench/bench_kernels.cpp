@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/eigen.hpp"
+#include "la/simd/kernels.hpp"
 #include "la/simd/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
@@ -203,6 +205,18 @@ sa::data::Dataset pipeline_dataset(double density) {
 //     (its G = 1 reference is BM_KernelGramDots_<isa>_<storage>/1), plus
 //     a news20-density (0.0013) sparse row.
 //
+// The dense rows also sweep the OpenMP team size: their last argument
+// (1, 2 or 4) goes to omp_set_num_threads, so OMP_NUM_THREADS does not
+// matter for them.  Every row times wall clock (UseRealTime):
+// google-benchmark's default rate divides by the main thread's CPU time,
+// which leaves out the time it sleeps in the OpenMP barrier waiting for
+// the other threads, so at 2+ threads GFLOP/s read high whenever the
+// team was unbalanced — the "superlinear" 1→2 thread scaling once
+// recorded here.
+// The zmm_gram counter is 1 when the Gram ran the avx2 table's 512-bit
+// gram_tile (kernels_avx512.cpp); 0 for the ymm or narrower tiles and for
+// the sparse rows, whose Gram never calls gram_tile.
+//
 // The sparse Gram runs through sampled_gram_range, the chunk-major staged
 // form of the support-intersection kernel, so each sparse row also pays
 // the +0.0 fill of G·k(k+1)/2 words that a round's entry path
@@ -211,13 +225,20 @@ sa::data::Dataset pipeline_dataset(double density) {
 
 void bench_kernel_isa_gram_dots(benchmark::State& state,
                                 sa::la::simd::Isa isa, double density,
-                                std::size_t s, std::size_t chunks) {
+                                std::size_t s, std::size_t chunks,
+                                int threads) {
   if (!sa::la::simd::isa_available(isa)) {
     state.SkipWithError("ISA level not available on this build/machine");
     return;
   }
   const sa::la::simd::Isa entry = sa::la::simd::active_isa();
   sa::la::simd::set_kernel_isa(isa);
+#ifdef _OPENMP
+  const int entry_threads = omp_get_max_threads();
+  if (threads > 0) omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
 
   const std::size_t mu = 64;
   const sa::data::Dataset d = pipeline_dataset(density);
@@ -239,11 +260,13 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   const std::size_t k = s * mu;
   const std::size_t tri = n * sa::la::fused_buffer_size(k, 0);
   double flops = 0.0;
+  bool dense = false;
   for (auto _ : state) {
     const std::span<std::size_t> idx = ws.indices(0, k);
     for (std::size_t t = 0; t < s; ++t)
       sampler.next_into(idx.subspan(t * mu, mu));
     const sa::la::BatchView big = block.view_columns(idx, ws);
+    dense = big.is_dense();
     const std::span<double> buffer = ws.doubles(0, tri + n * k);
     sa::la::sampled_gram_range(big, bounds, buffer.first(tri));
     sa::la::sampled_dots_range(big, rhs, bounds, buffer.subspan(tri));
@@ -254,48 +277,71 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   state.counters["GFLOP/s"] =
       benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsRate);
   state.SetItemsProcessed(state.iterations() * s * mu);
+  const sa::la::simd::KernelTable* zmm = sa::la::simd::avx2_zmm_table();
+  state.counters["zmm_gram"] =
+      dense && zmm != nullptr &&
+      sa::la::simd::active().gram_tile == zmm->gram_tile;
 
+#ifdef _OPENMP
+  omp_set_num_threads(entry_threads);
+#endif
   sa::la::simd::set_kernel_isa(entry);
 }
 
-#define SA_KERNEL_ISA_BENCH(name, isa, density)                      \
-  void name(benchmark::State& state) {                               \
-    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,        \
-                               density, state.range(0), 1);          \
-  }                                                                  \
-  BENCHMARK(name)->Arg(1)->Arg(4)->Arg(16)
+// Sparse rows take the team size from the environment (threads 0); dense
+// rows sweep it as their second argument.
+std::vector<std::vector<std::int64_t>> with_threads(
+    std::vector<std::int64_t> first, bool sweep) {
+  if (!sweep) return {std::move(first)};
+  return {std::move(first), {1, 2, 4}};
+}
 
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_scalar_sparse, kScalar, 0.02);
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_sparse, kSse2, 0.02);
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_sparse, kAvx2, 0.02);
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_scalar_dense, kScalar, 0.5);
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_dense, kSse2, 0.5);
-SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5);
+int threads_arg(const benchmark::State& state, bool sweep) {
+  return sweep ? static_cast<int>(state.range(1)) : 0;
+}
+
+#define SA_KERNEL_ISA_BENCH(name, isa, density, sweep)                    \
+  void name(benchmark::State& state) {                                    \
+    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa, density,    \
+                               state.range(0), 1, threads_arg(state, sweep)); \
+  }                                                                       \
+  BENCHMARK(name)->ArgsProduct(with_threads({1, 4, 16}, sweep))->UseRealTime()
+
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_scalar_sparse, kScalar, 0.02, false);
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_sparse, kSse2, 0.02, false);
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_sparse, kAvx2, 0.02, false);
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_scalar_dense, kScalar, 0.5, true);
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_dense, kSse2, 0.5, true);
+SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5, true);
 
 #undef SA_KERNEL_ISA_BENCH
 
-#define SA_KERNEL_CHUNKED_BENCH(name, isa, density)                  \
-  void name(benchmark::State& state) {                               \
-    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,        \
-                               density, 1, state.range(0));          \
-  }                                                                  \
-  BENCHMARK(name)->Arg(64)
+#define SA_KERNEL_CHUNKED_BENCH(name, isa, density, sweep)                \
+  void name(benchmark::State& state) {                                    \
+    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa, density, 1, \
+                               state.range(0), threads_arg(state, sweep)); \
+  }                                                                       \
+  BENCHMARK(name)->ArgsProduct(with_threads({64}, sweep))->UseRealTime()
 
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_sparse, kScalar, 0.02);
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_sparse, kSse2, 0.02);
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_sparse, kAvx2, 0.02);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_sparse, kScalar, 0.02,
+                        false);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_sparse, kSse2, 0.02,
+                        false);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_sparse, kAvx2, 0.02,
+                        false);
 // news20's density: a column holds about 5 nonzeros of the 4096 rows, so
 // two columns share a row in well under 1% of (pair, chunk) triples —
 // the regime the sparse Gram's support intersection targets.
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_news20_sparse, kScalar,
-                        0.0013);
+                        0.0013, false);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_news20_sparse, kSse2,
-                        0.0013);
+                        0.0013, false);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_news20_sparse, kAvx2,
-                        0.0013);
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_dense, kScalar, 0.5);
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5);
-SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5);
+                        0.0013, false);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_scalar_dense, kScalar, 0.5,
+                        true);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5, true);
+SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5, true);
 
 #undef SA_KERNEL_CHUNKED_BENCH
 

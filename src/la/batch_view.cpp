@@ -11,7 +11,10 @@
 //     into 32×32 tiles, upper triangle only; the tile walker and its
 //     register micro-kernel live in the runtime-dispatched kernel table
 //     (la/simd), the shared dimension sliced into 512-double depth chunks
-//     so the active row segments stay L1-resident.  Every (chunk, tile)
+//     so the active row segments stay L1-resident.  On AVX-512F hosts the
+//     avx2 table's micro-kernel runs 4×8 blocks on zmm registers, two
+//     AVX2 accumulators per register, with the ymm kernel's bits
+//     (la/simd/kernels_avx512.cpp).  Every (chunk, tile)
 //     pair is an independent work item of one OpenMP region
 //     (schedule(dynamic) above the work threshold); each output entry is
 //     written by exactly one item in a fixed order (deterministic).

@@ -28,6 +28,17 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
+/// libgcc (and compiler-rt) report avx512f only when XCR0 also shows the
+/// OS saving the opmask and ZMM state (the 0xe6 mask in gcc 12's
+/// get_available_features), so this one test covers CPU and OS.
+bool cpu_has_avx512f() {
+#if SA_SIMD_X86 && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 const KernelTable* table_for(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
@@ -35,6 +46,9 @@ const KernelTable* table_for(Isa isa) {
     case Isa::kSse2:
       return sse2_table();
     case Isa::kAvx2:
+      // Same bits either way; the zmm gram_tile is the faster one.
+      if (cpu_has_avx512f() && avx2_zmm_table() != nullptr)
+        return avx2_zmm_table();
       return avx2_table();
   }
   return nullptr;

@@ -22,4 +22,9 @@ const KernelTable* sse2_table();
 /// compile them.  Callers must still check CPUID before executing.
 const KernelTable* avx2_table();
 
+/// avx2_table() with gram_tile on 512-bit registers, bitwise the same
+/// results; nullptr when the toolchain could not compile it.  Callers
+/// must check that the CPU and the OS support AVX-512F.
+const KernelTable* avx2_zmm_table();
+
 }  // namespace sa::la::simd

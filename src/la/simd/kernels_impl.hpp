@@ -1,7 +1,13 @@
-// Width-generic kernel bodies shared by the SSE2 and AVX2 translation
-// units.  Each TU instantiates these templates with exactly one vector
-// wrapper (VecSse2 / VecAvx2), so no specialization is ever emitted
-// from two TUs with different ISA flags (no ODR hazard).
+// Width-generic kernel bodies shared by the SSE2, AVX2 and AVX-512
+// translation units.  Each TU instantiates these templates with its own
+// vector wrapper (VecSse2 / VecAvx2 / the AVX-512 TU's VecAvx2Of over a
+// tag in an anonymous namespace), and every template here is keyed on
+// that wrapper, so no specialization is ever emitted from two TUs with
+// different ISA flags (no ODR hazard: the linker could otherwise keep an
+// EVEX- or VEX-encoded copy and hand it to a host without that ISA).
+// The one non-template helper, packed_index, is scalar integer code.
+// gram_tile is also keyed on its full-block kernel (Block4x4 by
+// default); the AVX-512 TU passes its own zmm block kernel.
 //
 // Accumulation-order rules (the per-ISA determinism contract):
 //   * reductions run kWidth·4 lanes in flight, combine the four vector
@@ -194,15 +200,42 @@ void micro_gram_4x4(const double* const ri[4], const double* const rj[4],
   }
 }
 
+/// The gram_tile walker's default full-block kernel: micro_gram_4x4<V>
+/// on one 4×4 block.  A kernel with kPairs = true also has a 4×8 form,
+/// vgram4x8, that computes two horizontally adjacent full 4×4 blocks in
+/// one pass, each entry in the same order as vgram4x4.
+template <class V>
+struct Block4x4 {
+  static constexpr bool kPairs = false;
+  static void vgram4x4(const double* const ri[4], const double* const rj[4],
+                       std::size_t d, double out[4][4]) {
+    micro_gram_4x4<V>(ri, rj, d, out);
+  }
+};
+
+/// Adds the upper-triangle entries of a 4×kCols block at (i0, j0) into
+/// the packed triangle.  Keyed on V like every kernel here, so each
+/// ISA's TU emits its own copy.
+template <class V, std::size_t kCols>
+void scatter_block(const double block[4][kCols], std::size_t i0,
+                   std::size_t j0, std::size_t k, double* g) {
+  for (std::size_t a = 0; a < 4; ++a)
+    for (std::size_t b = 0; b < kCols; ++b)
+      if (j0 + b >= i0 + a) g[packed_index(i0 + a, j0 + b, k)] += block[a][b];
+}
+
 /// SIMD Gram tile: the scalar walker widened to an 8×8 FMA tile.  Within
 /// each depth chunk the tile range is cut into 8×8 blocks, and each
-/// block runs the 4×4 register micro-kernel on its (up to) four
-/// sub-blocks back to back — the eight ri / eight rj row segments a
-/// block touches stay L1-resident across all four micro-kernel passes,
-/// halving the row-load traffic of a flat 4×4 walk.  Diagonal-straddling
-/// full blocks waste a few lower-triangle FMAs (cheaper than masking);
-/// ragged edges fall back to chunked dots in this ISA's own order.
-template <class V>
+/// block runs the full-block kernel on its (up to) four 4×4 sub-blocks
+/// back to back — the eight ri / eight rj row segments a block touches
+/// stay L1-resident across all four passes, halving the row-load traffic
+/// of a flat 4×4 walk.  Diagonal-straddling full blocks waste a few
+/// lower-triangle FMAs (cheaper than masking); ragged edges fall back to
+/// chunked dots in this ISA's own order.  A 4×8 kernel (Block::kPairs)
+/// takes the two sub-blocks of a row strip in one pass when both are
+/// full; the full / edge / below-diagonal classification of every
+/// sub-block is the same either way, so each entry's order is too.
+template <class V, class Block = Block4x4<V>>
 void gram_tile(const double* const* rows, std::size_t dim, std::size_t k,
                double* g, std::size_t ib, std::size_t ie, std::size_t jb,
                std::size_t je) {
@@ -216,20 +249,29 @@ void gram_tile(const double* const* rows, std::size_t dim, std::size_t k,
         if (j8e <= i8) continue;  // 8×8 block fully below the diagonal
         for (std::size_t i0 = i8; i0 < i8e; i0 += 4) {
           const std::size_t mi = i8e - i0 < 4 ? i8e - i0 : 4;
+          const double* ri[4] = {};
+          if (mi == 4)
+            for (std::size_t a = 0; a < 4; ++a) ri[a] = rows[i0 + a] + pb;
+          if constexpr (Block::kPairs) {
+            // Both sub-blocks full, the left one not below the diagonal.
+            if (mi == 4 && j8e - j8 == 8 && j8 + 4 > i0) {
+              const double* rj[8];
+              for (std::size_t b = 0; b < 8; ++b) rj[b] = rows[j8 + b] + pb;
+              double block[4][8];
+              Block::vgram4x8(ri, rj, pc, block);
+              scatter_block<V, 8>(block, i0, j8, k, g);
+              continue;
+            }
+          }
           for (std::size_t j0 = j8; j0 < j8e; j0 += 4) {
             const std::size_t mj = j8e - j0 < 4 ? j8e - j0 : 4;
             if (j0 + mj <= i0) continue;  // below the diagonal
             if (mi == 4 && mj == 4) {
-              const double* ri[4] = {rows[i0] + pb, rows[i0 + 1] + pb,
-                                     rows[i0 + 2] + pb, rows[i0 + 3] + pb};
               const double* rj[4] = {rows[j0] + pb, rows[j0 + 1] + pb,
                                      rows[j0 + 2] + pb, rows[j0 + 3] + pb};
               double block[4][4];
-              micro_gram_4x4<V>(ri, rj, pc, block);
-              for (std::size_t a = 0; a < 4; ++a)
-                for (std::size_t b = 0; b < 4; ++b)
-                  if (j0 + b >= i0 + a)
-                    g[packed_index(i0 + a, j0 + b, k)] += block[a][b];
+              Block::vgram4x4(ri, rj, pc, block);
+              scatter_block<V, 4>(block, i0, j0, k, g);
             } else {
               for (std::size_t a = 0; a < mi; ++a)
                 for (std::size_t b = 0; b < mj; ++b)

@@ -15,6 +15,9 @@
 //     so every bitwise conformance suite holds at this level unchanged.
 //   * sse2   — 128-bit (2-lane) kernels built on the wrappers below.
 //   * avx2   — 256-bit (4-lane) FMA kernels, hardware-gated via CPUID.
+//     On AVX-512F hosts its gram_tile runs on 512-bit registers, two
+//     4-lane accumulators per register, with the same bits (see
+//     kernels_avx512.cpp); the level and its name stay avx2.
 //
 // Determinism contract: every table entry uses a fixed, compile-time
 // accumulation order — vector lanes are combined pairwise left-to-right
@@ -99,8 +102,12 @@ struct VecSse2 {
 #if defined(__AVX2__) && defined(__FMA__)
 
 /// 256-bit AVX2 quad lane with true FMA.  Only defined in TUs compiled
-/// with -mavx2 -mfma (kernels_avx2.cpp); callers gate on CPUID.
-struct VecAvx2 {
+/// with -mavx2 -mfma (kernels_avx2.cpp, kernels_avx512.cpp); callers gate
+/// on CPUID.  `Tag` only names distinct types: the AVX-512 TU instantiates
+/// this same wrapper with a TU-local tag, so none of its EVEX-encoded
+/// copies can be merged with the AVX2 TU's (see kernels_impl.hpp).
+template <class Tag>
+struct VecAvx2Of {
   using Reg = __m256d;
   static constexpr std::size_t kWidth = 4;
   static Reg vzero() { return _mm256_setzero_pd(); }
@@ -133,6 +140,8 @@ struct VecAvx2 {
     return l01 + l23;
   }
 };
+
+using VecAvx2 = VecAvx2Of<void>;
 
 #endif  // __AVX2__ && __FMA__
 #endif  // SA_SIMD_X86

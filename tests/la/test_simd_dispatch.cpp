@@ -10,6 +10,9 @@
 //      bitwise identical.
 //   3. Cross-ISA parity — SIMD tables agree with scalar to 1e-12
 //      (mass-relative), and axpy is bit-identical across ALL levels.
+//   4. Wide Gram tile — on AVX-512F hosts the avx2 level's gram_tile runs
+//      on zmm registers and must be bitwise the ymm gram_tile<VecAvx2>.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
@@ -26,6 +29,7 @@
 #include "data/synthetic.hpp"
 #include "la/batch_view.hpp"
 #include "la/csr.hpp"
+#include "la/simd/kernels.hpp"
 #include "la/simd/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
@@ -521,6 +525,120 @@ TEST(CrossIsa, AxpyBitIdenticalAcrossAllIsas) {
       EXPECT_TRUE(bitwise_equal(got, want))
           << "n " << n << " isa " << simd::to_cstring(isa);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Wide Gram tile: the avx2 table's 512-bit gram_tile (kernels_avx512.cpp)
+// against the ymm gram_tile<VecAvx2> it replaces, bit for bit.
+// ---------------------------------------------------------------------
+
+using GramTileFn = decltype(simd::KernelTable::gram_tile);
+
+bool wide_gram_tile_usable() {
+#if SA_SIMD_X86 && defined(__GNUC__)
+  return simd::isa_available(Isa::kAvx2) &&
+         simd::avx2_zmm_table() != nullptr &&
+         __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+/// k random rows of length dim, and their pointers.
+struct Rows {
+  Rows(std::size_t k, std::size_t dim, std::uint64_t seed)
+      : data(random_vector(k * dim, seed)), ptrs(k) {
+    for (std::size_t i = 0; i < k; ++i) ptrs[i] = data.data() + i * dim;
+  }
+  std::vector<double> data;
+  std::vector<const double*> ptrs;
+};
+
+/// One tile [ib, ie) × [jb, je) of the packed Gram through `tile`, into a
+/// triangle pre-filled with `seed`'s values (the tile accumulates).
+std::vector<double> run_tile(GramTileFn tile, const Rows& rows,
+                             std::size_t dim, std::size_t k, std::size_t ib,
+                             std::size_t ie, std::size_t jb, std::size_t je) {
+  std::vector<double> g = random_vector(k * (k + 1) / 2, 7);
+  tile(rows.ptrs.data(), dim, k, g.data(), ib, ie, jb, je);
+  return g;
+}
+
+TEST(WideGramTile, BitwiseEqualsAvx2GramTile) {
+  if (!wide_gram_tile_usable())
+    GTEST_SKIP() << "AVX-512F is not usable on this CPU/OS, or the "
+                    "toolchain could not build the 512-bit gram_tile";
+  const GramTileFn ymm = simd::avx2_table()->gram_tile;
+  const GramTileFn zmm = simd::avx2_zmm_table()->gram_tile;
+  ASSERT_NE(ymm, zmm);
+  {
+    // Dispatch hands out the 512-bit tile under the avx2 level, whose
+    // name and number do not change.
+    IsaGuard guard;
+    ASSERT_TRUE(simd::set_kernel_isa(Isa::kAvx2));
+    EXPECT_EQ(simd::active_isa(), Isa::kAvx2);
+    EXPECT_EQ(simd::active().gram_tile, zmm);
+  }
+
+  // Depths with d % 4 != 0, and above the 512-double depth slice.
+  const std::size_t dims[] = {1, 3, 4, 7, 13, 64, 78, 313, 512, 515, 1029,
+                              1600};
+  std::vector<std::size_t> ks;
+  for (std::size_t k = 1; k <= 13; ++k) ks.push_back(k);
+  for (const std::size_t k : {31, 32, 33, 61, 64, 67}) ks.push_back(k);
+  for (const std::size_t k : ks) {
+    for (const std::size_t dim : dims) {
+      const Rows rows(k, dim, 1000 * k + dim);
+      // The whole triangle, the 32×32 tiles dense_gram walks (diagonal
+      // and off-diagonal), and tiles whose edges straddle the diagonal
+      // off the 8-grid.
+      std::vector<std::array<std::size_t, 4>> tiles = {{0, k, 0, k}};
+      for (std::size_t ib = 0; ib < k; ib += 32)
+        for (std::size_t jb = ib; jb < k; jb += 32)
+          tiles.push_back(
+              {ib, std::min(ib + 32, k), jb, std::min(jb + 32, k)});
+      if (k > 5) tiles.push_back({3, k, 1, k});
+      if (k > 9) tiles.push_back({2, k - 1, 6, k});
+      for (const auto& t : tiles) {
+        const std::vector<double> want =
+            run_tile(ymm, rows, dim, k, t[0], t[1], t[2], t[3]);
+        const std::vector<double> got =
+            run_tile(zmm, rows, dim, k, t[0], t[1], t[2], t[3]);
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << "k " << k << " dim " << dim << " tile [" << t[0] << ", "
+            << t[1] << ") x [" << t[2] << ", " << t[3] << ")";
+      }
+    }
+  }
+
+  // A full 64-chunk sampled_gram_range on the active (512-bit) avx2
+  // table, against the ymm tile walked chunk by chunk as dense_gram
+  // walks it.
+  IsaGuard guard;
+  ASSERT_TRUE(simd::set_kernel_isa(Isa::kAvx2));
+  const std::size_t m = 20000;
+  const std::size_t chunks = 64;
+  for (const std::size_t k : {37, 61, 64}) {
+    const Rows rows(k, m, 500 + k);
+    const BatchView view = BatchView::dense(rows.ptrs, m);
+    std::vector<std::size_t> bounds(chunks + 1);
+    for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = c * m / chunks;
+    const std::size_t tri = k * (k + 1) / 2;
+    std::vector<double> got(chunks * tri);
+    sampled_gram_range(view, bounds, got);
+    std::vector<double> want(chunks * tri, 0.0);
+    std::vector<const double*> chunk_rows(k);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      for (std::size_t i = 0; i < k; ++i)
+        chunk_rows[i] = rows.ptrs[i] + bounds[c];
+      for (std::size_t ib = 0; ib < k; ib += 32)
+        for (std::size_t jb = ib; jb < k; jb += 32)
+          ymm(chunk_rows.data(), bounds[c + 1] - bounds[c], k,
+              want.data() + c * tri, ib, std::min(ib + 32, k), jb,
+              std::min(jb + 32, k));
+    }
+    EXPECT_TRUE(bitwise_equal(got, want)) << "k " << k;
   }
 }
 

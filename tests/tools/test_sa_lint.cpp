@@ -48,6 +48,18 @@ TEST(SaLint, AllocHiddenBehindTwoCalls) {
   EXPECT_NE(r.diagnostics[0].message.find("stage_two"), std::string::npos);
 }
 
+TEST(SaLint, SizedConstructionInSteadyState) {
+  // A nested mini-repo, so the bad_alloc case above keeps its one finding.
+  const LintResult r = lint_fixture("bad_alloc/sized_construction");
+  // `std::vector<double> junk(n);` one call below the region, a brace-
+  // initialised string and a nested-template map in the region itself.
+  EXPECT_TRUE(has(r, "src/la/sized.cpp", 11, "alloc")) << dump(r);
+  EXPECT_TRUE(has(r, "src/la/sized.cpp", 21, "alloc")) << dump(r);
+  EXPECT_TRUE(has(r, "src/la/sized.cpp", 22, "alloc")) << dump(r);
+  // Default construction and empty braces allocate nothing.
+  EXPECT_EQ(r.diagnostics.size(), 3u) << dump(r);
+}
+
 TEST(SaLint, CollectiveOutsideRoundPlane) {
   const LintResult r = lint_fixture("bad_collective");
   EXPECT_TRUE(has(r, "src/core/engine_x.cpp", 13, "collective")) << dump(r);

@@ -57,6 +57,18 @@ const std::set<std::string>& banned_alloc_types() {
   return k;
 }
 
+/// Heap-backed containers whose sized construction allocates: a
+/// declaration passing constructor arguments or a non-empty brace
+/// initializer is banned in steady regions like the sized calls above
+/// (`std::vector<double> v(n);` is `v.resize(n)` in disguise).
+const std::set<std::string>& sized_alloc_containers() {
+  static const std::set<std::string> k = {
+      "vector", "string", "deque", "map",      "set",
+      "list",   "multimap", "multiset", "forward_list",
+  };
+  return k;
+}
+
 const std::set<std::string>& collective_calls() {
   static const std::set<std::string> k = {
       "allreduce_sum", "allreduce_sum_scalar", "broadcast_bytes",
@@ -163,6 +175,17 @@ std::size_t match_group(const Tokens& t, std::size_t open) {
   return t.size();
 }
 
+/// Index of the '>' closing the template argument list opened at `open`,
+/// or `end` when unbalanced before it.
+std::size_t match_angle(const Tokens& t, std::size_t open, std::size_t end) {
+  int depth = 0;
+  for (std::size_t i = open; i < end; ++i) {
+    if (is_punct(t[i], "<")) ++depth;
+    else if (is_punct(t[i], ">") && --depth == 0) return i;
+  }
+  return end;
+}
+
 /// Collects the names of variables declared with an unordered container
 /// type anywhere in the file (token pattern: unordered_* < ... > name).
 std::set<std::string> unordered_variables(const Tokens& t) {
@@ -170,12 +193,7 @@ std::set<std::string> unordered_variables(const Tokens& t) {
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (!is_ident(t[i]) || unordered_types().count(t[i].text) == 0) continue;
     if (!is_punct(t[i + 1], "<")) continue;
-    int depth = 0;
-    std::size_t j = i + 1;
-    for (; j < t.size(); ++j) {
-      if (is_punct(t[j], "<")) ++depth;
-      else if (is_punct(t[j], ">") && --depth == 0) break;
-    }
+    const std::size_t j = match_angle(t, i + 1, t.size());
     if (j + 1 < t.size() && is_ident(t[j + 1]) &&
         (j + 2 >= t.size() || !is_punct(t[j + 2], "(")))
       vars.insert(t[j + 1].text);
@@ -239,6 +257,17 @@ void scan_body(const Tokens& t, std::size_t begin, std::size_t end,
       if (typeish)
         fn.alloc_uses.push_back({"allocating type 'std::" + tok.text + "'",
                                  tok.line});
+    }
+    // `container<...> name(args)` / `name{args}`: a sized declaration.
+    // Default construction (no arguments, empty braces) allocates nothing.
+    if (sized_alloc_containers().count(tok.text) > 0 && !in_throw) {
+      std::size_t j = i + 1;
+      if (j < end && is_punct(t[j], "<")) j = match_angle(t, j, end) + 1;
+      if (j + 2 < end && is_ident(t[j]) &&
+          (is_punct(t[j + 1], "(") || is_punct(t[j + 1], "{")) &&
+          match_group(t, j + 1) > j + 2)
+        fn.alloc_uses.push_back(
+            {"sized construction of 'std::" + tok.text + "'", tok.line});
     }
     if (nondeterministic_types().count(tok.text) > 0)
       det.push_back({"non-SplitMix64 RNG / entropy source 'std::" +
