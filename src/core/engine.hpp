@@ -2,11 +2,12 @@
 // Not part of the public API — include core/solver.hpp + core/registry.hpp
 // instead.
 //
-// Each algorithm family has ONE engine class implementing the shared
-// sample → pack → allreduce → apply skeleton on the zero-copy
-// la::BatchView + la::Workspace pipeline; the classical and
-// synchronization-avoiding variants of a family are the same engine at
-// unrolling depth 1 vs s (SolverSpec::unroll_depth()).  EngineBase owns
+// Two engine classes implement the shared sample → pack → allreduce →
+// apply skeleton on the zero-copy la::BatchView + la::Workspace pipeline:
+// ONE proximal least-squares engine (Lasso, elastic net and Group Lasso,
+// core/sa_lasso.cpp) and ONE SVM engine (core/sa_svm.cpp).  The classical
+// and synchronization-avoiding variants of a family are the same engine
+// at unrolling depth 1 vs s (SolverSpec::unroll_depth()).  EngineBase owns
 // everything the skeleton shares: the outer-round loop, the per-round
 // dist::RoundMessage (the ONE collective per round, with the piggy-backed
 // objective / stop-flag trailer sections), trace cadence, stopping
@@ -246,15 +247,13 @@ class EngineBase : public Solver {
 };
 
 // Engine factories (validate the spec, then construct).  The registry
-// binds each algorithm id to one of these.
+// binds each algorithm id to one of these: the four least-squares ids to
+// make_lasso_engine (which picks its mode from spec.family()), the two
+// SVM ids to make_svm_engine.
 std::unique_ptr<Solver> make_lasso_engine(dist::Communicator& comm,
                                           const data::Dataset& dataset,
                                           const data::Partition& rows,
                                           const SolverSpec& spec);
-std::unique_ptr<Solver> make_group_lasso_engine(dist::Communicator& comm,
-                                                const data::Dataset& dataset,
-                                                const data::Partition& rows,
-                                                const SolverSpec& spec);
 std::unique_ptr<Solver> make_svm_engine(dist::Communicator& comm,
                                         const data::Dataset& dataset,
                                         const data::Partition& cols,

@@ -23,10 +23,10 @@ SolverRegistry::SolverRegistry() {
   add({"group-lasso",
        "randomized block coordinate descent with the group soft-threshold "
        "prox",
-       PartitionAxis::kRows, detail::make_group_lasso_engine});
+       PartitionAxis::kRows, detail::make_lasso_engine});
   add({"sa-group-lasso",
        "synchronization-avoiding s-step variant of `group-lasso`",
-       PartitionAxis::kRows, detail::make_group_lasso_engine});
+       PartitionAxis::kRows, detail::make_lasso_engine});
   add({"svm",
        "dual coordinate descent for linear SVM, L1/L2 hinge (paper Alg. 3)",
        PartitionAxis::kCols, detail::make_svm_engine});

@@ -7,10 +7,12 @@
 //   auto solver = make_solver(comm, dataset, partition,
 //                             SolverSpec::make("sa-svm"));
 //
-// The six built-in ids:
-//   lasso, sa-lasso            Lasso/elastic-net (Algorithms 1 / 2)
+// The six built-in ids run on two engines:
+//   lasso, sa-lasso               Lasso/elastic-net (Algorithms 1 / 2)
 //   group-lasso, sa-group-lasso   Group Lasso BCD and its s-step variant
-//   svm, sa-svm                dual CD SVM (Algorithms 3 / 4)
+//                                 (the same least-squares engine, with
+//                                 the group soft-threshold as its prox)
+//   svm, sa-svm                   dual CD SVM (Algorithms 3 / 4)
 #pragma once
 
 #include <functional>

@@ -1,12 +1,24 @@
-// The Lasso/elastic-net family engine (paper Algorithms 1 and 2).
+// The proximal least-squares engine: Lasso/elastic net (paper Algorithms
+// 1 and 2) and Group Lasso.
 //
-// One class implements CD/BCD/accCD/accBCD *and* their
-// synchronization-avoiding variants: a communication round samples
-// s_eff·µ coordinates, packs the ONE fused RoundMessage
+// One class implements CD/BCD/accCD/accBCD, randomized group BCD, *and*
+// their synchronization-avoiding variants: a communication round samples
+// s_eff blocks, packs the ONE fused RoundMessage
 // [upper(G) | Yᵀỹ | Yᵀz̃ | trailer], and replays s_eff redundant inner
 // iterations — with s_eff == 1 this is exactly Algorithm 1, so the
 // classical solvers are this engine at unrolling depth 1 (and inherit the
 // zero-copy la::BatchView + la::Workspace pipeline for free).
+//
+// The family (SolverSpec::family()) fixes three things, once:
+//   block draw  Lasso: µ distinct coordinates from CoordinateSampler;
+//               Group Lasso: one whole group, drawn with replacement.
+//   prox        Lasso: the elementwise ProxSpec; Group Lasso: the
+//               non-separable group soft-threshold over the block.
+//   penalty     λ‖x‖₁ / elastic net, or λ·Σ_g ‖x_g‖₂.
+// Group Lasso is plain (unaccelerated) and ignores `penalty` and
+// `block_size`; everything else — Gram corrections, deferred state,
+// batch updates, metering — is shared.
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -25,18 +37,32 @@ namespace sa::core {
 
 namespace {
 
+/// Widest block a round can draw: µ, or the largest group.
+std::size_t max_block_width(const SolverSpec& spec) {
+  if (spec.family() != SolverFamily::kGroupLasso) return spec.block_size;
+  const GroupStructure& groups = spec.groups;
+  std::size_t width = 0;
+  for (std::size_t g = 0; g < groups.num_groups(); ++g)
+    width = std::max(width, groups.offsets[g + 1] - groups.offsets[g]);
+  return width;
+}
+
 class LassoEngine final : public detail::EngineBase {
  public:
   LassoEngine(dist::Communicator& comm, const data::Dataset& dataset,
               const data::Partition& rows, const SolverSpec& spec)
       : EngineBase(comm, spec),
         n_(dataset.num_features()),
-        mu_(spec.block_size),
+        grouped_(spec.family() == SolverFamily::kGroupLasso),
+        accelerated_(spec.accelerated && !grouped_),
+        mu_(grouped_ ? 1 : spec.block_size),
+        width_(max_block_width(spec)),
         prox_(detail::ProxSpec{spec.penalty, spec.lambda,
                                spec.elastic_net_l1, spec.elastic_net_l2}),
         block_(dataset, rows, comm.rank()),
         rows_(rows),
         sampler_(n_, mu_, spec.seed),
+        group_rng_(spec.seed),
         z_(n_, 0.0),
         y_(n_, 0.0),
         z_img_(block_.local_rows()),
@@ -44,8 +70,10 @@ class LassoEngine final : public detail::EngineBase {
         q_(std::ceil(static_cast<double>(n_) / static_cast<double>(mu_))),
         theta_(static_cast<double>(mu_) / static_cast<double>(n_)),
         theta_in_(spec.unroll_depth() + 1),
-        r_(mu_),
-        gjj_(mu_, mu_),
+        offset_(spec.unroll_depth() + 1),
+        r_(width_),
+        u_(grouped_ ? width_ : 0),
+        gjj_(width_, width_),
         x_scratch_(n_),
         res_scratch_(block_.local_rows()) {
     // Warm start: z = x0, y = 0 (so x = θ²·y + z = x0), z̃ = A·x0 − b.
@@ -65,9 +93,10 @@ class LassoEngine final : public detail::EngineBase {
     // is paid once, not per round.  The slot never grows past n, so the
     // span stays valid for the engine's lifetime.
     pending_ = ws_.doubles(kSlotPending, n_);
-    touched_.reserve(spec_.unroll_depth() * mu_);
-    detail::presize_round_workspace(round_ws_, kSlotIdx,
-                                    spec_.unroll_depth() * mu_);
+    const std::size_t k_max = spec_.unroll_depth() * width_;
+    ws_.doubles(kSlotDelta, k_max);
+    touched_.reserve(k_max);
+    detail::presize_round_workspace(round_ws_, kSlotIdx, k_max);
   }
 
  private:
@@ -76,7 +105,7 @@ class LassoEngine final : public detail::EngineBase {
   enum : std::size_t { kSlotDelta = 0, kSlotPending = 1 };
 
   void write_current_x(std::span<double> out) const {
-    if (!spec_.accelerated) {
+    if (!accelerated_) {
       la::copy(z_, out);
       return;
     }
@@ -85,6 +114,15 @@ class LassoEngine final : public detail::EngineBase {
   }
 
   double penalty_value(std::span<const double> x) const {
+    if (grouped_) {
+      const GroupStructure& groups = spec_.groups;
+      double penalty = 0.0;
+      for (std::size_t g = 0; g < groups.num_groups(); ++g) {
+        const std::size_t begin = groups.offsets[g];
+        penalty += la::nrm2(x.subspan(begin, groups.offsets[g + 1] - begin));
+      }
+      return spec_.lambda * penalty;
+    }
     switch (spec_.penalty) {
       case Penalty::kLasso:
         return spec_.lambda * la::asum(x);
@@ -101,7 +139,7 @@ class LassoEngine final : public detail::EngineBase {
     const double t2 = theta_ * theta_;
     for (std::size_t i = 0; i < res_scratch_.size(); ++i)
       res_scratch_[i] =
-          spec_.accelerated ? t2 * y_img_[i] + z_img_[i] : z_img_[i];
+          accelerated_ ? t2 * y_img_[i] + z_img_[i] : z_img_[i];
   }
 
   void record_trace_point(std::size_t iteration) override {
@@ -136,14 +174,37 @@ class LassoEngine final : public detail::EngineBase {
     return 0.5 * reduced_partial + pending_penalty_;
   }
 
-  void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
-    const std::size_t k = s_eff * mu_;  // members of the sampled batch
+  /// Draws the round's s_eff blocks (seed-replicated) into idx_, block t
+  /// at [offset_[t], offset_[t + 1]).
+  void draw_blocks(std::size_t s_eff) {
+    offset_[0] = 0;
+    if (!grouped_) {
+      for (std::size_t t = 0; t < s_eff; ++t) offset_[t + 1] = (t + 1) * mu_;
+      idx_ = round_ws_.indices(kSlotIdx, s_eff * mu_);
+      for (std::size_t t = 0; t < s_eff; ++t)
+        sampler_.next_into(idx_.subspan(t * mu_, mu_));
+      return;
+    }
+    // Group Lasso: one whole group per block, drawn with replacement.
+    // Groups vary in size, so the batch is trimmed to its drawn length.
+    const GroupStructure& groups = spec_.groups;
+    idx_ = round_ws_.indices(kSlotIdx, s_eff * width_);
+    for (std::size_t t = 0; t < s_eff; ++t) {
+      const auto g =
+          static_cast<std::size_t>(group_rng_.next_below(groups.num_groups()));
+      const std::size_t begin = groups.offsets[g];
+      offset_[t + 1] = offset_[t] + (groups.offsets[g + 1] - begin);
+      for (std::size_t c = offset_[t]; c < offset_[t + 1]; ++c)
+        idx_[c] = begin + (c - offset_[t]);
+    }
+    idx_ = idx_.first(offset_[s_eff]);
+  }
 
-    // --- Sampling: s_eff blocks of µ coordinates (seed-replicated),
-    //     viewed zero-copy in the resident CSC storage. ---
-    idx_ = round_ws_.indices(kSlotIdx, k);
-    for (std::size_t t = 0; t < s_eff; ++t)
-      sampler_.next_into(idx_.subspan(t * mu_, mu_));
+  void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
+    // --- Sampling: s_eff blocks, viewed zero-copy in the resident CSC
+    //     storage. ---
+    draw_blocks(s_eff);
+    const std::size_t k = offset_[s_eff];  // members of the sampled batch
     big_ = block_.view_columns(idx_, round_ws_);
 
     // --- The ONE message of this outer round:
@@ -152,15 +213,15 @@ class LassoEngine final : public detail::EngineBase {
     //     global row chunk, folded through the grouping's tree — the
     //     per-chunk sums are identical on every rank count, so the folded
     //     payload is too. ---
-    const std::size_t k_dots = spec_.accelerated ? k : 0;
+    const std::size_t k_dots = accelerated_ ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
     fold_gram(msg, big_);
 
-    const std::size_t sections = spec_.accelerated ? 2 : 1;
+    const std::size_t sections = accelerated_ ? 2 : 1;
     const std::array<std::span<const double>, 2> rhs{
         std::span<const double>(y_img_), std::span<const double>(z_img_)};
     const std::span<const std::span<const double>> rhs_span(
-        rhs.data() + (spec_.accelerated ? 0 : 1), sections);
+        rhs.data() + (accelerated_ ? 0 : 1), sections);
     msg.fold_owned(dist::RoundSection::kDots1, dist::RoundSection::kDots2,
                    [&](std::span<const std::size_t> bounds,
                        std::span<double> staged) {
@@ -177,7 +238,7 @@ class LassoEngine final : public detail::EngineBase {
     for (std::size_t t = 0; t < s_eff; ++t)
       theta_in_[t + 1] = detail::theta_next(theta_in_[t]);
 
-    const std::size_t k = s_eff * mu_;
+    const std::size_t k = offset_[s_eff];
     const detail::PackedUpper gram(
         msg.section(dist::RoundSection::kGram).data(), k);
     const std::span<const double> dots1 =
@@ -186,76 +247,92 @@ class LassoEngine final : public detail::EngineBase {
         msg.section(dist::RoundSection::kDots2);
 
     // --- Redundant inner iterations (equations (3)–(5)), replicated. ---
-    // Deferred per-iteration solution updates Δz (µ each, flat).
+    // Deferred per-iteration solution updates Δz (one block each, flat).
     const std::span<double> delta = ws_.doubles(kSlotDelta, k);
     la::fill(delta, 0.0);
     touched_.clear();
 
     for (std::size_t j = 0; j < s_eff; ++j) {
+      const std::size_t oj = offset_[j];
+      const std::size_t size = offset_[j + 1] - oj;
+
       // Cheap v == 0 pre-check: a PSD block is zero iff its diagonal is
       // zero, and the allreduced Gram diagonal holds the *global* squared
       // column norms, so every rank takes the same branch.  (The per-rank
       // RowBlock::col_norms_squared() partials cannot decide this:
       // a locally empty column may be nonzero on a sibling rank.)
       bool empty_block = true;
-      for (std::size_t a = 0; a < mu_; ++a) {
-        if (gram(j * mu_ + a, j * mu_ + a) != 0.0) {
+      for (std::size_t a = 0; a < size; ++a) {
+        if (gram(oj + a, oj + a) != 0.0) {
           empty_block = false;
           break;
         }
       }
       if (empty_block) continue;  // Δz_j stays 0, no eigensolve needed
 
-      // Diagonal µ×µ block of G is A_jᵀA_j; its largest eigenvalue is the
+      // Diagonal block of G is A_jᵀA_j; its largest eigenvalue is the
       // block Lipschitz constant (Algorithm 2 line 14).  The eigensolve
       // rotates gjj_ in place, so it is refilled before every call.
-      for (std::size_t a = 0; a < mu_; ++a)
-        for (std::size_t b = 0; b < mu_; ++b)
-          gjj_(a, b) = gram(j * mu_ + a, j * mu_ + b);
+      gjj_.reshape(size, size);
+      for (std::size_t a = 0; a < size; ++a)
+        for (std::size_t b = 0; b < size; ++b)
+          gjj_(a, b) = gram(oj + a, oj + b);
       const double v = la::largest_eigenvalue_psd(gjj_);
-      comm_.add_replicated_flops(detail::eig_flops(mu_));
+      comm_.add_replicated_flops(detail::eig_flops(size));
       if (v == 0.0) continue;  // empty block: Δz_j stays 0
 
       const double theta_prev = theta_in_[j];
       const double eta =
-          spec_.accelerated ? 1.0 / (q_ * theta_prev * v) : 1.0 / v;
+          accelerated_ ? 1.0 / (q_ * theta_prev * v) : 1.0 / v;
       const double t2 = theta_prev * theta_prev;
 
       // r_j per equation (3) (accelerated) or its plain analogue.
-      for (std::size_t a = 0; a < mu_; ++a) {
-        r_[a] = spec_.accelerated
-                    ? t2 * dots1[j * mu_ + a] + dots2[j * mu_ + a]
-                    : dots1[j * mu_ + a];
+      for (std::size_t a = 0; a < size; ++a) {
+        r_[a] = accelerated_ ? t2 * dots1[oj + a] + dots2[oj + a]
+                             : dots1[oj + a];
       }
       for (std::size_t t = 0; t < j; ++t) {
         // Coefficient of the G_{jt}·Δz_t correction:
         //   accelerated: −(θ²_{sk+j−1}·(1−qθ_{sk+t−1})/θ²_{sk+t−1} − 1)
         //   plain:       +1   (residual accumulates the raw updates)
         double c = 1.0;
-        if (spec_.accelerated) {
+        if (accelerated_) {
           const double coeff_t =
               detail::acceleration_coefficient(theta_in_[t], q_);
           c = -(t2 * coeff_t - 1.0);
         }
-        for (std::size_t a = 0; a < mu_; ++a) {
+        const std::size_t ot = offset_[t];
+        const std::size_t tsize = offset_[t + 1] - ot;
+        for (std::size_t a = 0; a < size; ++a) {
           double acc = 0.0;
-          for (std::size_t b = 0; b < mu_; ++b)
-            acc += gram(j * mu_ + a, t * mu_ + b) * delta[t * mu_ + b];
+          for (std::size_t b = 0; b < tsize; ++b)
+            acc += gram(oj + a, ot + b) * delta[ot + b];
           r_[a] += c * acc;
         }
-        comm_.add_replicated_flops(2 * mu_ * mu_);
+        comm_.add_replicated_flops(2 * size * tsize);
       }
 
-      // Equations (4)–(5): proximal step against the deferred state.
-      for (std::size_t a = 0; a < mu_; ++a) {
-        const std::size_t coord = idx_[j * mu_ + a];
+      // Equations (4)–(5): proximal step against the deferred state
+      // z + pending.  Group Lasso's prox is joint over the block:
+      // u := GST(base − η·r, λη), formed before the per-coordinate pass.
+      if (grouped_) {
+        for (std::size_t a = 0; a < size; ++a) {
+          const std::size_t coord = idx_[oj + a];
+          u_[a] = z_[coord] + pending_[coord] - eta * r_[a];
+        }
+        group_soft_threshold(std::span<double>(u_.data(), size),
+                             spec_.lambda * eta);
+      }
+      for (std::size_t a = 0; a < size; ++a) {
+        const std::size_t coord = idx_[oj + a];
         const double base_value = z_[coord] + pending_[coord];
-        const double g = base_value - eta * r_[a];
-        const double d = prox_.apply(g, eta) - base_value;
-        delta[j * mu_ + a] = d;
+        const double d =
+            grouped_ ? u_[a] - base_value
+                     : prox_.apply(base_value - eta * r_[a], eta) - base_value;
+        delta[oj + a] = d;
         if (d != 0.0) {
           pending_[coord] += d;
-          // sa-lint: allow(alloc): reserved to unroll_depth*mu at setup
+          // sa-lint: allow(alloc): reserved to unroll_depth*width at setup
           touched_.push_back(coord);
         }
       }
@@ -264,20 +341,20 @@ class LassoEngine final : public detail::EngineBase {
     // --- Deferred batch updates (equations (6)–(9)). ---
     for (std::size_t t = 0; t < s_eff; ++t) {
       const double coeff_t =
-          spec_.accelerated
+          accelerated_
               ? detail::acceleration_coefficient(theta_in_[t], q_)
               : 0.0;
-      for (std::size_t a = 0; a < mu_; ++a) {
-        const double d = delta[t * mu_ + a];
+      for (std::size_t m = offset_[t]; m < offset_[t + 1]; ++m) {
+        const double d = delta[m];
         if (d == 0.0) continue;
-        const std::size_t coord = idx_[t * mu_ + a];
+        const std::size_t coord = idx_[m];
         z_[coord] += d;
-        big_.add_scaled_to(t * mu_ + a, d, z_img_);
-        comm_.add_flops(2 * big_.member_nnz(t * mu_ + a));
-        if (spec_.accelerated) {
+        big_.add_scaled_to(m, d, z_img_);
+        comm_.add_flops(2 * big_.member_nnz(m));
+        if (accelerated_) {
           y_[coord] -= coeff_t * d;
-          big_.add_scaled_to(t * mu_ + a, -coeff_t * d, y_img_);
-          comm_.add_flops(2 * big_.member_nnz(t * mu_ + a));
+          big_.add_scaled_to(m, -coeff_t * d, y_img_);
+          comm_.add_flops(2 * big_.member_nnz(m));
         }
       }
     }
@@ -297,8 +374,17 @@ class LassoEngine final : public detail::EngineBase {
   // them from z on restore would round differently than the incremental
   // updates — bitwise resume requires the accumulated bits), the pending
   // table (all-zero between rounds by invariant, serialized for
-  // robustness), and the sampler position. ---
+  // robustness), and the sampler position.  Group Lasso's whole state is
+  // plain mode's (z, z̃) plus the group generator, under its own names. ---
   void save_engine_state(io::SnapshotWriter& out) override {
+    if (grouped_) {
+      out.add_doubles("group-lasso/x", z_);
+      out.add_doubles("group-lasso/res",
+                      gather_full(z_img_, rows_.begin(comm_.rank()),
+                                  rows_.total()));
+      out.add_u64("group-lasso/rng", group_rng_.state());
+      return;
+    }
     out.add_doubles("lasso/z", z_);
     out.add_doubles("lasso/y", y_);
     out.add_double("lasso/theta", theta_);
@@ -315,6 +401,17 @@ class LassoEngine final : public detail::EngineBase {
   }
 
   void load_engine_state(const io::SnapshotReader& in) override {
+    const std::size_t begin = rows_.begin(comm_.rank());
+    if (grouped_) {
+      const std::span<const double> x = in.doubles("group-lasso/x", n_);
+      const std::span<const double> res =
+          in.doubles("group-lasso/res", rows_.total());
+      const std::uint64_t rng = in.word("group-lasso/rng");
+      la::copy(x, z_);
+      la::copy(res.subspan(begin, z_img_.size()), z_img_);
+      group_rng_.set_state(rng);
+      return;
+    }
     const std::span<const double> z = in.doubles("lasso/z", n_);
     const std::span<const double> y = in.doubles("lasso/y", n_);
     const double theta = in.real("lasso/theta");
@@ -332,18 +429,21 @@ class LassoEngine final : public detail::EngineBase {
     la::copy(z, z_);
     la::copy(y, y_);
     theta_ = theta;
-    const std::size_t begin = rows_.begin(comm_.rank());
     la::copy(z_img.subspan(begin, z_img_.size()), z_img_);
     la::copy(y_img.subspan(begin, y_img_.size()), y_img_);
     la::copy(pending, pending_);
   }
 
   const std::size_t n_;
-  const std::size_t mu_;
+  const bool grouped_;      // Group Lasso family (else Lasso/elastic net)
+  const bool accelerated_;  // spec.accelerated, never for Group Lasso
+  const std::size_t mu_;    // coordinates per Lasso block (1 when grouped)
+  const std::size_t width_;  // widest block: µ, or the largest group
   const detail::ProxSpec prox_;
   RowBlock block_;
   const data::Partition rows_;
-  data::CoordinateSampler sampler_;
+  data::CoordinateSampler sampler_;  // Lasso block draws
+  data::SplitMix64 group_rng_;       // Group Lasso block draws
 
   // Replicated / partitioned state exactly as in Algorithm 1: x_h =
   // θ_h²·y_h + z_h with partitioned images ỹ = A·y, z̃ = A·z − b.  Plain
@@ -357,12 +457,14 @@ class LassoEngine final : public detail::EngineBase {
 
   // s-step workspace.  The arena slots (sampled indices, deferred deltas,
   // the pending-update table) and the fixed-size scratch below are sized
-  // by the first (largest) round and reused verbatim afterwards; the
-  // round message itself lives in EngineBase's arena.  The steady-state
-  // loop performs no heap allocation.
+  // at setup for s blocks of the widest width and reused verbatim
+  // afterwards; the round message itself lives in EngineBase's arena.
+  // The steady-state loop performs no heap allocation.
   la::Workspace ws_;
   std::vector<double> theta_in_;
+  std::vector<std::size_t> offset_;  // block t is [offset_[t], offset_[t+1])
   std::vector<double> r_;
+  std::vector<double> u_;  // Group Lasso's joint prox argument
   la::DenseMatrix gjj_;
   std::span<double> pending_;
   std::vector<std::size_t> touched_;

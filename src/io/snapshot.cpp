@@ -318,17 +318,6 @@ bool SnapshotReader::has(std::string_view name) const {
   return false;
 }
 
-std::vector<std::string> SnapshotReader::section_names() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const Section& section : sections_) names.push_back(section.name);
-  return names;
-}
-
-bool SnapshotReader::section_is_reals(std::string_view name) const {
-  return require(name).is_reals;
-}
-
 const SnapshotReader::Section& SnapshotReader::require(
     std::string_view name) const {
   for (const Section& section : sections_)

@@ -124,14 +124,6 @@ class SnapshotReader {
 
   bool has(std::string_view name) const;
 
-  /// Names of all sections in file order — lets tools and tests diff two
-  /// snapshots structurally (e.g. everything except wall-clock sections).
-  std::vector<std::string> section_names() const;
-
-  /// True when the section holds doubles, false for u64 words; throws
-  /// SnapshotError when the section is missing.
-  bool section_is_reals(std::string_view name) const;
-
   /// Section accessors throw SnapshotError when the section is missing or
   /// has the wrong type; the sized overloads also verify the element
   /// count.

@@ -1,5 +1,8 @@
 // Tests for the Group Lasso BCD solver.
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +104,44 @@ TEST(GroupLasso, RejectsNonCoveringGroups) {
   SolverSpec opt = base_spec(d);
   opt.groups = GroupStructure::uniform(d.num_features() - 1, 4);
   EXPECT_THROW(solve(d, opt), sa::PreconditionError);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Group ids ignore the Lasso-only knobs: acceleration and the
+/// elementwise penalty must never reach the group soft-threshold path.
+TEST(GroupLasso, IgnoresAccelerationAndElementwisePenalty) {
+  const data::Dataset d = small_problem();
+  for (const char* id : {"group-lasso", "sa-group-lasso"}) {
+    SolverSpec plain = base_spec(d);
+    plain.algorithm = id;
+    plain.s = 8;
+    SolverSpec accelerated = plain;
+    accelerated.accelerated = true;
+    SolverSpec elastic = plain;
+    elastic.with_penalty(Penalty::kElasticNet, 0.5, 0.5);
+    for (const int ranks : {1, 3}) {
+      SCOPED_TRACE(std::string(id) + " P=" + std::to_string(ranks));
+      const SolveResult ref = solve_on_ranks(d, plain, ranks);
+      for (const SolverSpec& variant : {accelerated, elastic}) {
+        const SolveResult got = solve_on_ranks(d, variant, ranks);
+        EXPECT_TRUE(same_bits(ref.x, got.x));
+        ASSERT_EQ(ref.trace.points.size(), got.trace.points.size());
+        for (std::size_t i = 0; i < ref.trace.points.size(); ++i) {
+          const TracePoint& a = ref.trace.points[i];
+          const TracePoint& b = got.trace.points[i];
+          EXPECT_EQ(a.iteration, b.iteration);
+          EXPECT_TRUE(same_bits({a.objective}, {b.objective}));
+          EXPECT_EQ(a.stats.flops, b.stats.flops);
+          EXPECT_EQ(a.stats.replicated_flops, b.stats.replicated_flops);
+          EXPECT_EQ(a.stats.words, b.stats.words);
+        }
+      }
+    }
+  }
 }
 
 /// Group-size sweep: descent and objective consistency for every layout.
