@@ -215,7 +215,16 @@ sa::data::Dataset pipeline_dataset(double density) {
 // recorded here.
 // The zmm_gram counter is 1 when the Gram ran the avx2 table's 512-bit
 // gram_tile (kernels_avx512.cpp); 0 for the ymm or narrower tiles and for
-// the sparse rows, whose Gram never calls gram_tile.
+// the sparse rows, whose Gram never calls gram_tile.  The distinct
+// counter is the mean number of distinct columns per batch; GFLOP/s
+// always counts the metered k-member flops, so a batch with repeats
+// (whose dense Gram computes each distinct pair once) reads high.
+//
+// BM_KernelGramDotsDrawn_avx2_dense/threads is the lasso-dense-p1 round:
+// s = 8 blocks of µ = 8 columns drawn as the engine draws them (each
+// block distinct, the blocks independent) from the epsilon twin's
+// n = 100 columns (shrink 20, 20,000 rows), over the automatic 64-chunk
+// grid — about 49 of its 64 members are distinct.
 //
 // The sparse Gram runs through sampled_gram_range, the chunk-major staged
 // form of the support-intersection kernel, so each sparse row also pays
@@ -224,7 +233,8 @@ sa::data::Dataset pipeline_dataset(double density) {
 // ---------------------------------------------------------------------------
 
 void bench_kernel_isa_gram_dots(benchmark::State& state,
-                                sa::la::simd::Isa isa, double density,
+                                sa::la::simd::Isa isa,
+                                const sa::data::Dataset& d, std::size_t mu,
                                 std::size_t s, std::size_t chunks,
                                 int threads) {
   if (!sa::la::simd::isa_available(isa)) {
@@ -240,8 +250,6 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   (void)threads;
 #endif
 
-  const std::size_t mu = 64;
-  const sa::data::Dataset d = pipeline_dataset(density);
   const sa::core::RowBlock block(
       d, sa::data::Partition::block(d.num_points(), 1), 0);
   sa::data::CoordinateSampler sampler(d.num_features(), mu, 3);
@@ -260,11 +268,18 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   const std::size_t k = s * mu;
   const std::size_t tri = n * sa::la::fused_buffer_size(k, 0);
   double flops = 0.0;
+  double distinct = 0.0;
+  std::vector<char> seen(d.num_features(), 0);
   bool dense = false;
   for (auto _ : state) {
     const std::span<std::size_t> idx = ws.indices(0, k);
     for (std::size_t t = 0; t < s; ++t)
       sampler.next_into(idx.subspan(t * mu, mu));
+    for (const std::size_t c : idx) {
+      distinct += seen[c] == 0 ? 1.0 : 0.0;
+      seen[c] = 1;
+    }
+    for (const std::size_t c : idx) seen[c] = 0;
     const sa::la::BatchView big = block.view_columns(idx, ws);
     dense = big.is_dense();
     const std::span<double> buffer = ws.doubles(0, tri + n * k);
@@ -277,6 +292,8 @@ void bench_kernel_isa_gram_dots(benchmark::State& state,
   state.counters["GFLOP/s"] =
       benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsRate);
   state.SetItemsProcessed(state.iterations() * s * mu);
+  state.counters["distinct"] =
+      distinct / static_cast<double>(state.iterations());
   const sa::la::simd::KernelTable* zmm = sa::la::simd::avx2_zmm_table();
   state.counters["zmm_gram"] =
       dense && zmm != nullptr &&
@@ -302,7 +319,8 @@ int threads_arg(const benchmark::State& state, bool sweep) {
 
 #define SA_KERNEL_ISA_BENCH(name, isa, density, sweep)                    \
   void name(benchmark::State& state) {                                    \
-    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa, density,    \
+    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,             \
+                               pipeline_dataset(density), 64,             \
                                state.range(0), 1, threads_arg(state, sweep)); \
   }                                                                       \
   BENCHMARK(name)->ArgsProduct(with_threads({1, 4, 16}, sweep))->UseRealTime()
@@ -318,7 +336,8 @@ SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5, true);
 
 #define SA_KERNEL_CHUNKED_BENCH(name, isa, density, sweep)                \
   void name(benchmark::State& state) {                                    \
-    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa, density, 1, \
+    bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::isa,             \
+                               pipeline_dataset(density), 64, 1,          \
                                state.range(0), threads_arg(state, sweep)); \
   }                                                                       \
   BENCHMARK(name)->ArgsProduct(with_threads({64}, sweep))->UseRealTime()
@@ -344,6 +363,88 @@ SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_sse2_dense, kSse2, 0.5, true);
 SA_KERNEL_CHUNKED_BENCH(BM_KernelGramDotsChunked_avx2_dense, kAvx2, 0.5, true);
 
 #undef SA_KERNEL_CHUNKED_BENCH
+
+/// The epsilon twin the lasso-dense-p1 workload solves (instance 0).
+const sa::data::Dataset& epsilon_twin() {
+  static const sa::data::Dataset d =
+      sa::data::make_paper_twin(sa::data::PaperDataset::kEpsilon, 20.0, 1000);
+  return d;
+}
+
+void BM_KernelGramDotsDrawn_avx2_dense(benchmark::State& state) {
+  bench_kernel_isa_gram_dots(state, sa::la::simd::Isa::kAvx2, epsilon_twin(),
+                             8, 8, 64, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_KernelGramDotsDrawn_avx2_dense)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// The deferred batch update of a dense round: 64 members' steps onto one
+// residual image (the epsilon twin's 20,000 rows), as one
+// BatchView::add_combination_to call (row blocks, one OpenMP region) or
+// as the per-member add_scaled_to loop it replaces — the same bits.  The
+// argument is the OpenMP team size; items are member steps.
+// ---------------------------------------------------------------------------
+
+void bench_batch_update(benchmark::State& state, bool combination) {
+#ifdef _OPENMP
+  const int entry_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  const sa::data::Dataset& d = epsilon_twin();
+  const sa::core::RowBlock block(
+      d, sa::data::Partition::block(d.num_points(), 1), 0);
+  sa::data::CoordinateSampler sampler(d.num_features(), 8, 3);
+  const std::size_t k = 64;
+  std::vector<std::size_t> cols(k);
+  for (std::size_t t = 0; t < k; t += 8)
+    sampler.next_into(std::span<std::size_t>(cols).subspan(t, 8));
+  sa::la::Workspace ws;
+  const sa::la::BatchView big = block.view_columns(cols, ws);
+  std::vector<std::size_t> members(k);
+  std::vector<double> steps(k);
+  sa::data::SplitMix64 rng(4);
+  for (std::size_t q = 0; q < k; ++q) {
+    members[q] = q;
+    steps[q] = 1e-3 * rng.next_normal();
+  }
+  std::vector<double> target(block.local_rows(), 0.0);
+  for (auto _ : state) {
+    if (combination) {
+      big.add_combination_to(members, steps, target);
+    } else {
+      for (std::size_t q = 0; q < k; ++q)
+        big.add_scaled_to(members[q], steps[q], target);
+    }
+    benchmark::DoNotOptimize(target.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+#ifdef _OPENMP
+  omp_set_num_threads(entry_threads);
+#endif
+}
+
+void BM_BatchUpdate_combination_dense(benchmark::State& state) {
+  bench_batch_update(state, true);
+}
+BENCHMARK(BM_BatchUpdate_combination_dense)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
+
+void BM_BatchUpdate_per_member_dense(benchmark::State& state) {
+  bench_batch_update(state, false);
+}
+BENCHMARK(BM_BatchUpdate_per_member_dense)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Step-size eigensolve: la::largest_eigenvalue_psd on the µ×µ diagonal
@@ -409,9 +510,7 @@ void BM_LargestEigenvalue_sparse(benchmark::State& state) {
 BENCHMARK(BM_LargestEigenvalue_sparse)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_LargestEigenvalue_dense(benchmark::State& state) {
-  static const sa::data::Dataset d =
-      sa::data::make_paper_twin(sa::data::PaperDataset::kEpsilon, 20.0, 1000);
-  bench_largest_eigenvalue(state, d);
+  bench_largest_eigenvalue(state, epsilon_twin());
 }
 BENCHMARK(BM_LargestEigenvalue_dense)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 

@@ -64,9 +64,9 @@ class LassoEngine final : public detail::EngineBase {
         sampler_(n_, mu_, spec.seed),
         group_rng_(spec.seed),
         z_(n_, 0.0),
-        y_(n_, 0.0),
+        y_(accelerated_ ? n_ : 0, 0.0),
         z_img_(block_.local_rows()),
-        y_img_(block_.local_rows(), 0.0),
+        y_img_(accelerated_ ? block_.local_rows() : 0, 0.0),
         q_(std::ceil(static_cast<double>(n_) / static_cast<double>(mu_))),
         theta_(static_cast<double>(mu_) / static_cast<double>(n_)),
         theta_in_(spec.unroll_depth() + 1),
@@ -96,6 +96,9 @@ class LassoEngine final : public detail::EngineBase {
     const std::size_t k_max = spec_.unroll_depth() * width_;
     ws_.doubles(kSlotDelta, k_max);
     touched_.reserve(k_max);
+    step_members_.resize(k_max);
+    z_steps_.resize(k_max);
+    y_steps_.resize(accelerated_ ? k_max : 0);
     detail::presize_round_workspace(round_ws_, kSlotIdx, k_max);
   }
 
@@ -339,6 +342,11 @@ class LassoEngine final : public detail::EngineBase {
     }
 
     // --- Deferred batch updates (equations (6)–(9)). ---
+    // The replicated coordinates member by member; each image then takes
+    // the round's steps in one batch update, in member order.  A member
+    // is listed iff its d ≠ 0, so a y-image step −coeff_t·d that rounds
+    // to ±0.0 is still applied, as a per-member update would.
+    std::size_t steps = 0;
     for (std::size_t t = 0; t < s_eff; ++t) {
       const double coeff_t =
           accelerated_
@@ -348,16 +356,25 @@ class LassoEngine final : public detail::EngineBase {
         const double d = delta[m];
         if (d == 0.0) continue;
         const std::size_t coord = idx_[m];
+        step_members_[steps] = m;
         z_[coord] += d;
-        big_.add_scaled_to(m, d, z_img_);
+        z_steps_[steps] = d;
         comm_.add_flops(2 * big_.member_nnz(m));
         if (accelerated_) {
           y_[coord] -= coeff_t * d;
-          big_.add_scaled_to(m, -coeff_t * d, y_img_);
+          y_steps_[steps] = -coeff_t * d;
           comm_.add_flops(2 * big_.member_nnz(m));
         }
+        ++steps;
       }
     }
+    const std::span<const std::size_t> members(step_members_.data(), steps);
+    big_.add_combination_to(members,
+                            std::span<const double>(z_steps_.data(), steps),
+                            z_img_);
+    if (accelerated_)
+      big_.add_combination_to(
+          members, std::span<const double>(y_steps_.data(), steps), y_img_);
     // Restore the pending table to all-zero for the next round.
     for (const std::size_t coord : touched_) pending_[coord] = 0.0;
 
@@ -374,8 +391,10 @@ class LassoEngine final : public detail::EngineBase {
   // them from z on restore would round differently than the incremental
   // updates — bitwise resume requires the accumulated bits), the pending
   // table (all-zero between rounds by invariant, serialized for
-  // robustness), and the sampler position.  Group Lasso's whole state is
-  // plain mode's (z, z̃) plus the group generator, under its own names. ---
+  // robustness), and the sampler position.  Plain mode has no (y, ỹ) and
+  // writes no lasso/y or lasso/y_img section.  Group Lasso's whole state
+  // is plain mode's (z, z̃) plus the group generator, under its own
+  // names. ---
   void save_engine_state(io::SnapshotWriter& out) override {
     if (grouped_) {
       out.add_doubles("group-lasso/x", z_);
@@ -386,14 +405,15 @@ class LassoEngine final : public detail::EngineBase {
       return;
     }
     out.add_doubles("lasso/z", z_);
-    out.add_doubles("lasso/y", y_);
+    if (accelerated_) out.add_doubles("lasso/y", y_);
     out.add_double("lasso/theta", theta_);
     out.add_doubles("lasso/z_img",
                     gather_full(z_img_, rows_.begin(comm_.rank()),
                                 rows_.total()));
-    out.add_doubles("lasso/y_img",
-                    gather_full(y_img_, rows_.begin(comm_.rank()),
-                                rows_.total()));
+    if (accelerated_)
+      out.add_doubles("lasso/y_img",
+                      gather_full(y_img_, rows_.begin(comm_.rank()),
+                                  rows_.total()));
     out.add_doubles("lasso/pending", pending_);
     out.add_u64("lasso/sampler_rng", sampler_.rng_state());
     out.begin_u64s("lasso/sampler_perm", n_);
@@ -413,12 +433,14 @@ class LassoEngine final : public detail::EngineBase {
       return;
     }
     const std::span<const double> z = in.doubles("lasso/z", n_);
-    const std::span<const double> y = in.doubles("lasso/y", n_);
+    const std::span<const double> y =
+        accelerated_ ? in.doubles("lasso/y", n_) : std::span<const double>();
     const double theta = in.real("lasso/theta");
     const std::span<const double> z_img =
         in.doubles("lasso/z_img", rows_.total());
     const std::span<const double> y_img =
-        in.doubles("lasso/y_img", rows_.total());
+        accelerated_ ? in.doubles("lasso/y_img", rows_.total())
+                     : std::span<const double>();
     const std::span<const double> pending =
         in.doubles("lasso/pending", n_);
     const std::uint64_t rng = in.word("lasso/sampler_rng");
@@ -430,7 +452,7 @@ class LassoEngine final : public detail::EngineBase {
     la::copy(y, y_);
     theta_ = theta;
     la::copy(z_img.subspan(begin, z_img_.size()), z_img_);
-    la::copy(y_img.subspan(begin, y_img_.size()), y_img_);
+    if (accelerated_) la::copy(y_img.subspan(begin, y_img_.size()), y_img_);
     la::copy(pending, pending_);
   }
 
@@ -447,7 +469,7 @@ class LassoEngine final : public detail::EngineBase {
 
   // Replicated / partitioned state exactly as in Algorithm 1: x_h =
   // θ_h²·y_h + z_h with partitioned images ỹ = A·y, z̃ = A·z − b.  Plain
-  // mode uses (z, z̃) as (x, r̃) and ignores (y, ỹ).
+  // mode uses (z, z̃) as (x, r̃) and leaves (y, ỹ) empty.
   std::vector<double> z_;
   std::vector<double> y_;
   std::vector<double> z_img_;
@@ -468,6 +490,11 @@ class LassoEngine final : public detail::EngineBase {
   la::DenseMatrix gjj_;
   std::span<double> pending_;
   std::vector<std::size_t> touched_;
+  // The round's batch update: the members with d ≠ 0 and their steps on
+  // z̃ and (accelerated) ỹ.
+  std::vector<std::size_t> step_members_;
+  std::vector<double> z_steps_;
+  std::vector<double> y_steps_;
 
   // Pack-to-apply round state: the sampled indices and the zero-copy view
   // over them, backed by round_ws_ (the view descriptors live in its

@@ -45,7 +45,9 @@ class SvmEngine final : public detail::EngineBase {
         rng_(spec.seed),
         alpha_(m_, 0.0),
         x_loc_(block_.local_cols(), 0.0),
-        theta_(spec.unroll_depth()) {
+        theta_(spec.unroll_depth()),
+        step_members_(spec.unroll_depth()),
+        x_steps_(spec.unroll_depth()) {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
     init_grouping(cols_);
@@ -145,12 +147,19 @@ class SvmEngine final : public detail::EngineBase {
     }
 
     // --- Deferred batch updates:  α += Σ θ_t e_{i_t},  x += Σ θ_t b_t A_tᵀ.
+    // α member by member; x in one batch update over the members with
+    // θ_t ≠ 0, in member order.
+    std::size_t steps = 0;
     for (std::size_t t = 0; t < s_eff; ++t) {
       if (theta_[t] == 0.0) continue;
       alpha_[idx_[t]] += theta_[t];
-      batch_.add_scaled_to(t, theta_[t] * b[idx_[t]], x_loc_);
+      step_members_[steps] = t;
+      x_steps_[steps++] = theta_[t] * b[idx_[t]];
       comm_.add_flops(2 * batch_.member_nnz(t));
     }
+    batch_.add_combination_to(
+        std::span<const std::size_t>(step_members_.data(), steps),
+        std::span<const double>(x_steps_.data(), steps), x_loc_);
   }
 
   void assemble(SolveResult& out) override {
@@ -202,6 +211,9 @@ class SvmEngine final : public detail::EngineBase {
   // reused — the steady-state loop performs no heap allocation.  The
   // round message lives in EngineBase's arena.
   std::vector<double> theta_;
+  // The round's batch update: the members with θ_t ≠ 0 and their steps.
+  std::vector<std::size_t> step_members_;
+  std::vector<double> x_steps_;
 
   // Pack-to-apply round state: the sampled indices and the zero-copy row
   // view over them (descriptors live in round_ws_'s named pools).

@@ -228,6 +228,11 @@ SnapshotReader SnapshotReader::parse(std::span<const std::uint8_t> bytes) {
          "per-rank and cannot be continued bitwise; re-checkpoint with "
          "this build");
   }
+  if (version == 3) {
+    fail("format version 3 predates format version 4, whose plain-mode "
+         "lasso snapshots carry no lasso/y or lasso/y_img section; "
+         "re-checkpoint with this build");
+  }
   if (version != kSnapshotVersion) {
     std::ostringstream os;
     os << "unsupported format version " << version << " (this build reads "

@@ -59,8 +59,10 @@ class SnapshotError : public std::runtime_error {
 // cross-rank sum accumulates in — what makes resume rank-count
 // invariant).  Older snapshots predate that grouping, so their sums
 // cannot be continued bitwise; version 3 readers reject them with a
-// message saying so.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// message saying so.  4 = plain (unaccelerated) lasso snapshots drop the
+// always-zero lasso/y and lasso/y_img sections; version 4 readers reject
+// version 3 files with a message saying so.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 inline constexpr char kSnapshotMagic[8] = {'S', 'A', 'O', 'P',
                                            'T', 'S', 'N', 'P'};

@@ -18,6 +18,22 @@
 //     pair is an independent work item of one OpenMP region
 //     (schedule(dynamic) above the work threshold); each output entry is
 //     written by exactly one item in a fixed order (deterministic).
+//   * Distinct members — the s blocks of a round are drawn independently,
+//     so a dense batch can hold the same column twice, and in a dense
+//     view equal row pointers mean the same column.  When the distinct
+//     rows, padded to a multiple of 4 by repeating the first, are fewer
+//     than k, the walker runs over them alone and each chunk's distinct
+//     triangle is expanded in place into the k-member layout (the pair
+//     (i, j) reads the distinct pair of its rows).  A
+//     full-block entry is a symmetric function of its two rows (its
+//     products commute and every accumulator runs the same lane order),
+//     and padding keeps every distinct entry on the full-block kernel, so
+//     when k % 4 == 0 — every entry of the k-member walk full-block too —
+//     the result is bitwise the k-member walk.  Otherwise the k-member
+//     walk's ragged-edge dots summed in another order, and those entries
+//     may differ in their last bits.  Dots of a repeated member are
+//     computed once per chunk and copied (bitwise always).  The message
+//     layout and the metered flops stay the k-member ones.
 //   * Sparse Gram — support intersection.  On sparse data the chunk
 //     segments of a member are mostly nonempty but the PRODUCTS are
 //     mostly zero: two sampled columns share a row in well under 1% of
@@ -38,6 +54,12 @@
 //     and sampled_gram_range stages them chunk-major.
 //   * Dots — one sequential dot (dense) or gather dot (sparse) per
 //     (chunk, member).
+//   * Batch update (BatchView::add_combination_to) — a dense batch's
+//     deferred updates run as one pass over row blocks of the target,
+//     the blocks split across one OpenMP region; within a block the
+//     members' axpys run in member order, and axpy is elementwise
+//     multiply-then-add on every ISA, so each element sees exactly the
+//     per-member add_scaled_to sequence.
 //
 // A chunk's partial is therefore exactly the call a one-chunk range over
 // that chunk makes: the same kernel-table entry over the same values in
@@ -60,6 +82,13 @@ namespace sa::la {
 namespace {
 
 constexpr std::size_t kGramTile = 32;  // tile edge, multiple of the 4×4 micro
+// Chunks from which a dense Gram with repeated members makes each chunk
+// one work item (walk and expansion together): eight keeps two to four
+// threads busy under schedule(dynamic).
+constexpr std::size_t kWholeChunkItems = 8;
+// Target rows per batch-update block: 8 KiB of the target stays in L1
+// while every member's step sweeps it.
+constexpr std::size_t kUpdateBlock = 1024;
 // kParallelFlopThreshold (vector_ops.hpp) gates OpenMP use throughout.
 
 // ---------------------------------------------------------------------------
@@ -204,21 +233,70 @@ MemberSegments member_segments(const BatchView& y,
   return {{segments.data(), count}, {starts.data(), k + 1}};
 }
 
-/// Dense member rows shifted to every chunk start: rows[c·k + i] =
-/// row_i + bounds[c], so chunk c is a dense view of depth
-/// bounds[c + 1] − bounds[c].  Grow-only and thread-local, built by the
-/// calling thread before the OpenMP region and read-only inside it.
+/// Dense rows shifted to every chunk start: rows[c·k + i] =
+/// members[i] + bounds[c] for the k = members.size() rows, so chunk c is
+/// a dense view of depth bounds[c + 1] − bounds[c].  Grow-only and
+/// thread-local, sized for n·`capacity` rows (capacity ≥ k: the view's
+/// member count, so a call over its distinct rows sizes what a later call
+/// over all of them needs), built by the calling thread before the
+/// OpenMP region and read-only inside it.
 std::span<const double* const> chunk_rows(
-    const BatchView& y, std::span<const std::size_t> bounds) {
+    std::span<const double* const> members,
+    std::span<const std::size_t> bounds, std::size_t capacity) {
   thread_local std::vector<const double*> rows;
-  const std::size_t k = y.size();
+  const std::size_t k = members.size();
   const std::size_t n = bounds.size() - 1;
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (rows.size() < n * k) rows.resize(n * k);
+  if (rows.size() < n * capacity) rows.resize(n * capacity);
   for (std::size_t c = 0; c < n; ++c)
     for (std::size_t i = 0; i < k; ++i)
-      rows[c * k + i] = y.row_pointers()[i] + bounds[c];
+      rows[c * k + i] = members[i] + bounds[c];
   return {rows.data(), n * k};
+}
+
+/// The distinct members of a dense view, keyed by row pointer: member i
+/// is distinct row slot[i]; distinct row u is rows[u] and first appears
+/// as member first[u].  rows is padded past the `count` distinct rows to
+/// `width` (a multiple of 4) with copies of rows[0].
+struct DistinctRows {
+  std::size_t count = 0;
+  std::size_t width = 0;
+  std::span<const std::size_t> slot;
+  std::span<const std::size_t> first;
+  std::span<const double* const> rows;
+};
+
+/// Builds the calling thread's DistinctRows of a dense view (grow-only and
+/// thread-local, sized by k whatever the distinct count, so a round with
+/// more distinct members than the last never grows it).  One scan of the
+/// distinct rows so far per member: O(k·count), a few thousand pointer
+/// compares for a 64-member batch.
+DistinctRows distinct_rows(const BatchView& y) {
+  thread_local std::vector<std::size_t> slot;
+  thread_local std::vector<std::size_t> first;
+  thread_local std::vector<const double*> rows;
+  const std::size_t k = y.size();
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (slot.size() < k) slot.resize(k);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (first.size() < k) first.resize(k);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (rows.size() < k + 3) rows.resize(k + 3);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double* row = y.row_pointers()[i];
+    std::size_t u = 0;
+    while (u < count && rows[u] != row) ++u;
+    if (u == count) {
+      first[count] = i;
+      rows[count++] = row;
+    }
+    slot[i] = u;
+  }
+  std::size_t width = count;
+  while (width % 4 != 0) rows[width++] = rows[0];
+  return {count, width, {slot.data(), k}, {first.data(), count},
+          {rows.data(), width}};
 }
 
 }  // namespace
@@ -267,6 +345,40 @@ void BatchView::add_scaled_to(std::size_t i, double alpha,
     target[idx[p]] += alpha * val[p];
 }
 
+void BatchView::add_combination_to(std::span<const std::size_t> members,
+                                   std::span<const double> coeffs,
+                                   std::span<double> target) const {
+  SA_CHECK(members.size() == coeffs.size(),
+           "BatchView::add_combination_to: members/coeffs length mismatch");
+  SA_CHECK(target.size() == dim_,
+           "BatchView::add_combination_to: length mismatch");
+  for (const std::size_t i : members)
+    SA_CHECK(i < size(), "BatchView::add_combination_to: index out of range");
+  if (!is_dense()) {
+    for (std::size_t q = 0; q < members.size(); ++q) {
+      const std::span<const std::size_t> idx = idx_[members[q]];
+      const std::span<const double> val = val_[members[q]];
+      for (std::size_t p = 0; p < idx.size(); ++p)
+        target[idx[p]] += coeffs[q] * val[p];
+    }
+    return;
+  }
+  const simd::KernelTable& kt = simd::active();
+  const std::size_t blocks = (dim_ + kUpdateBlock - 1) / kUpdateBlock;
+  const bool parallel =
+      2 * members.size() * dim_ >= kParallelFlopThreshold && blocks > 1;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (parallel)
+#endif
+  for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(blocks); ++b) {
+    const std::size_t r0 = static_cast<std::size_t>(b) * kUpdateBlock;
+    const std::size_t len = std::min(kUpdateBlock, dim_ - r0);
+    for (std::size_t q = 0; q < members.size(); ++q)
+      kt.axpy(coeffs[q], rows_[members[q]] + r0, target.data() + r0, len);
+  }
+  (void)parallel;
+}
+
 std::size_t BatchView::gram_flops() const {
   const std::size_t k = size();
   if (is_dense()) return k * (k + 1) * dim_;
@@ -308,34 +420,92 @@ void tile_pair(std::size_t t, std::size_t tiles, std::size_t& ti,
   tj = ti + (t - row_start);
 }
 
+/// The k-member packed triangle's source entries in the distinct
+/// triangle of `d`: entry (i, j) reads distinct entry (slot[i], slot[j]),
+/// ordered.  Grow-only and thread-local, sized k(k+1)/2 on every call
+/// (`fill` or not), so a round without repeats has already sized what a
+/// later one with repeats fills; built by the calling thread before the
+/// OpenMP region and read-only inside it.
+std::span<const std::size_t> entry_map(const DistinctRows& d, bool fill) {
+  thread_local std::vector<std::size_t> entry;
+  const std::size_t k = d.slot.size();
+  const std::size_t tri = fused_buffer_size(k, 0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (entry.size() < tri) entry.resize(tri);
+  for (std::size_t i = 0, e = 0; fill && i < k; ++i)
+    for (std::size_t j = i; j < k; ++j, ++e)
+      entry[e] = packed_upper_index(std::min(d.slot[i], d.slot[j]),
+                                    std::max(d.slot[i], d.slot[j]), d.width);
+  return {entry.data(), tri};
+}
+
 /// Dense Gram: every (chunk, tile pair) is an independent work item of
 /// one OpenMP region — each packed entry of each chunk belongs to exactly
 /// one item, so the visiting order does not affect any output value.
+/// With repeated members the walk covers the w padded distinct rows, each
+/// chunk's distinct triangle packed at the start of its own block, and
+/// the block is then expanded in place.  That is safe walking the entries
+/// downwards: entry (i, j) reads distinct entry (u, v) with u ≤ i and
+/// v ≤ j (slot[i] ≤ i, as slots number rows by first occurrence) and
+/// w < k, so its source index is at most its own — a position not yet
+/// overwritten.  On a grid of kWholeChunkItems chunks or more an item is
+/// then a whole chunk, walked and expanded back to back while its block
+/// is hot; on a coarser grid a second work-shared loop expands the blocks.
 void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
                 std::span<double> out, const simd::KernelTable& kt) {
   const std::size_t k = y.size();
   const std::size_t n = bounds.size() - 1;
   const std::size_t tri = fused_buffer_size(k, 0);
-  const std::span<const double* const> rows = chunk_rows(y, bounds);
+  const DistinctRows d = distinct_rows(y);
+  const bool expand = d.width < k;
+  const std::size_t w = expand ? d.width : k;  // rows the walker sees
+  const std::span<const double* const> rows =
+      chunk_rows(expand ? d.rows : y.row_pointers(), bounds, k);
+  const std::span<const std::size_t> entry = entry_map(d, expand);
   std::fill(out.begin(), out.end(), 0.0);
-  const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
+  const std::size_t tiles = (w + kGramTile - 1) / kGramTile;
   const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
+  const bool whole_chunks = expand && n >= kWholeChunkItems;
+  const std::size_t items = whole_chunks ? n : n * tile_pairs;
   const bool parallel =
-      k * (k + 1) * (bounds[n] - bounds[0]) / 2 >= kParallelFlopThreshold;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (parallel)
-#endif
-  for (std::ptrdiff_t t = 0;
-       t < static_cast<std::ptrdiff_t>(n * tile_pairs); ++t) {
-    const std::size_t c = static_cast<std::size_t>(t) / tile_pairs;
+      w * (w + 1) * (bounds[n] - bounds[0]) / 2 >= kParallelFlopThreshold;
+  const auto walk = [&](std::size_t c, std::size_t t) {
     std::size_t ti = 0;
     std::size_t tj = 0;
-    tile_pair(static_cast<std::size_t>(t) % tile_pairs, tiles, ti, tj);
+    tile_pair(t, tiles, ti, tj);
     const std::size_t ib = ti * kGramTile;
     const std::size_t jb = tj * kGramTile;
-    kt.gram_tile(rows.data() + c * k, bounds[c + 1] - bounds[c], k,
-                 out.data() + c * tri, ib, std::min(ib + kGramTile, k), jb,
-                 std::min(jb + kGramTile, k));
+    kt.gram_tile(rows.data() + c * w, bounds[c + 1] - bounds[c], w,
+                 out.data() + c * tri, ib, std::min(ib + kGramTile, w), jb,
+                 std::min(jb + kGramTile, w));
+  };
+  const auto expand_block = [&](std::size_t c) {
+    double* block = out.data() + c * tri;
+    for (std::size_t e = tri; e-- > 0;) block[e] = block[entry[e]];
+  };
+#ifdef _OPENMP
+#pragma omp parallel if (parallel)
+#endif
+  {
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic)
+#endif
+    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(items); ++t) {
+      const auto item = static_cast<std::size_t>(t);
+      if (!whole_chunks) {
+        walk(item / tile_pairs, item % tile_pairs);
+        continue;
+      }
+      for (std::size_t p = 0; p < tile_pairs; ++p) walk(item, p);
+      expand_block(item);
+    }
+    if (expand && !whole_chunks) {
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n); ++c)
+        expand_block(static_cast<std::size_t>(c));
+    }
   }
   (void)parallel;
 }
@@ -485,24 +655,34 @@ void sampled_dots_range(const BatchView& y,
     SA_CHECK(x.size() == y.dim(), "sampled_dots_range: rhs length mismatch");
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    // One work item per (chunk, member); each writes its own entries.
-    const std::size_t items = n * k;
-    const bool parallel = 2 * k * (bounds[n] - bounds[0]) * xs.size() >=
+    // One work item per (chunk, distinct member), written at the
+    // member's first occurrence, then copied to the repeats.
+    const DistinctRows d = distinct_rows(y);
+    const std::size_t items = n * d.count;
+    const bool parallel = 2 * d.count * (bounds[n] - bounds[0]) *
+                                  xs.size() >=
                               kParallelFlopThreshold &&
                           items > 1;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (parallel)
 #endif
     for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(items); ++t) {
-      const std::size_t c = static_cast<std::size_t>(t) / k;
-      const std::size_t i = static_cast<std::size_t>(t) % k;
+      const std::size_t c = static_cast<std::size_t>(t) / d.count;
+      const std::size_t u = static_cast<std::size_t>(t) % d.count;
       const std::size_t b = bounds[c];
-      const double* row = y.row_pointers()[i] + b;
+      const double* row = d.rows[u] + b;
       for (std::size_t sct = 0; sct < xs.size(); ++sct)
-        out[c * words + sct * k + i] =
+        out[c * words + sct * k + d.first[u]] =
             kt.dot(row, xs[sct].data() + b, bounds[c + 1] - b);
     }
     (void)parallel;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t from = d.first[d.slot[i]];
+      if (from == i) continue;
+      for (std::size_t c = 0; c < n; ++c)
+        for (std::size_t sct = 0; sct < xs.size(); ++sct)
+          out[c * words + sct * k + i] = out[c * words + sct * k + from];
+    }
     return;
   }
   // Sparse members keep absolute indices, which gather through the FULL

@@ -77,6 +77,16 @@ class BatchView {
   void add_scaled_to(std::size_t i, double alpha,
                      std::span<double> target) const;
 
+  /// target := target + Σ_q coeffs[q] · v_{members[q]}, bitwise the
+  /// add_scaled_to(members[q], coeffs[q], target) calls in q order (every
+  /// listed member is applied, a ±0.0 coefficient too).  Dense views run
+  /// the whole batch in row blocks, one OpenMP region above the work
+  /// threshold; each element still sees the members' multiply-then-add
+  /// steps in q order.  Sparse views scatter member by member.
+  void add_combination_to(std::span<const std::size_t> members,
+                          std::span<const double> coeffs,
+                          std::span<double> target) const;
+
   /// Metered flops of the packed Gram on this view (dense k(k+1)·dim,
   /// sparse Σ_j 2(j+1)·nnz_j — the full pairwise sweep, which the sparse
   /// kernel's support intersection only bounds from above).
@@ -126,7 +136,11 @@ std::size_t fused_buffer_size(std::size_t k, std::size_t sections);
 
 /// Packed upper-triangular Gram of every chunk: out must have
 /// n·k(k+1)/2 entries (n·fused_buffer_size(size(), 0)).  For sparse views
-/// this is sampled_gram_entries staged chunk-major into a +0.0 fill.
+/// this is sampled_gram_entries staged chunk-major into a +0.0 fill.  A
+/// dense view that repeats a member (equal row pointers) has each
+/// distinct pair computed once and copied: bitwise the same batch with
+/// every repeat in its own buffer when k % 4 == 0, within a few ulps
+/// otherwise (see batch_view.cpp).
 void sampled_gram_range(const BatchView& y,
                         std::span<const std::size_t> bounds,
                         std::span<double> out);

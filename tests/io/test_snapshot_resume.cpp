@@ -441,6 +441,57 @@ TEST(SnapshotResume, CrossRankCountResumeIsBitwiseForEveryAlgorithm) {
   }
 }
 
+// Plain (unaccelerated) lasso keeps no (y, ỹ): since format version 4
+// its snapshot carries no lasso/y or lasso/y_img section, while the
+// accelerated mode's does, and both resume bitwise — serially and from
+// P = 4 to Q ∈ {1, 3}.
+TEST(SnapshotResume, PlainLassoSnapshotOmitsTheAcceleratedState) {
+  const std::string path = ::testing::TempDir() + "sa_snapshot_plain.snap";
+  for (const bool accelerated : {false, true}) {
+    SCOPED_TRACE(accelerated ? "accelerated" : "plain");
+    SolverSpec spec = conformance_spec("sa-lasso");
+    spec.accelerated = accelerated;
+    const data::Dataset& d = dataset_for(spec);
+    dist::SerialComm ref_comm;
+    const SolveResult reference = fresh_solver(ref_comm, spec, d)->run();
+
+    dist::SerialComm comm_a;
+    const std::unique_ptr<Solver> interrupted = fresh_solver(comm_a, spec, d);
+    interrupted->step(spec.max_iterations / 3);
+    const std::vector<std::uint8_t> image = interrupted->snapshot();
+    const io::SnapshotReader reader = io::SnapshotReader::parse(image);
+    EXPECT_EQ(reader.has("lasso/y"), accelerated);
+    EXPECT_EQ(reader.has("lasso/y_img"), accelerated);
+    EXPECT_TRUE(reader.has("lasso/z_img"));
+
+    dist::SerialComm comm_b;
+    const std::unique_ptr<Solver> resumed = fresh_solver(comm_b, spec, d);
+    resumed->restore(image);
+    expect_results_identical(reference, resumed->run(), "serial resume");
+
+    dist::run_distributed(4, [&](dist::Communicator& comm) {
+      const std::unique_ptr<Solver> solver = fresh_solver(comm, spec, d);
+      solver->step(spec.max_iterations / 3);
+      solver->snapshot_to_file(path);
+    });
+    for (const int q : {1, 3}) {
+      std::vector<SolveResult> out(static_cast<std::size_t>(q));
+      std::mutex lock;
+      dist::run_distributed(q, [&](dist::Communicator& comm) {
+        const std::unique_ptr<Solver> solver = fresh_solver(comm, spec, d);
+        solver->restore_from_file(path);
+        SolveResult r = solver->run();
+        std::scoped_lock guard(lock);
+        out[static_cast<std::size_t>(comm.rank())] = std::move(r);
+      });
+      for (int r = 0; r < q; ++r)
+        expect_equivalent_ignoring_stats(
+            reference, out[static_cast<std::size_t>(r)],
+            "P=4 -> Q=" + std::to_string(q) + " rank " + std::to_string(r));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Every round boundary: resuming the last checkpoint is the one recovery
 // path, so a snapshot taken after ANY round — the first, the last, the
@@ -660,6 +711,15 @@ TEST_F(SnapshotNegative, PreGroupingVersionIsRejectedDescriptively) {
   std::vector<std::uint8_t> old = image_;
   old[8] = 2;
   expect_rejected(old, "predates the fixed reduction grouping");
+}
+
+TEST_F(SnapshotNegative, VersionThreeIsRejectedDescriptively) {
+  // A format-3 snapshot of plain lasso still carries the always-zero
+  // lasso/y and lasso/y_img sections; version 4 readers refuse the old
+  // format by name rather than with a generic unsupported-version line.
+  std::vector<std::uint8_t> old = image_;
+  old[8] = 3;
+  expect_rejected(old, "format version 3 predates format version 4");
 }
 
 TEST_F(SnapshotNegative, DoctoredGroupingVersionIsRejected) {

@@ -6,12 +6,15 @@
 // range and over the chunk grids the fixed reduction grouping uses — where
 // every chunk's partial must also be bitwise the one-chunk call on that
 // chunk, at every available ISA.  The sparse Gram's support intersection
-// must also be bitwise a naive per-(i, j, chunk) gather sweep.
+// must also be bitwise a naive per-(i, j, chunk) gather sweep.  Dense
+// batches that repeat a member (DistinctMembers.*) and the batch update
+// (BatchUpdate.*) are pinned bitwise against the kernels' plain forms.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -633,6 +636,262 @@ TEST(BatchView, EmptyRankBlockProducesZeroSections) {
   sampled_gram_range(view, empty, std::span<double>(out.data(), tri));
   sampled_dots_range(view, xs, empty, std::span<double>(out.data() + tri, 3));
   for (const double v : out) EXPECT_EQ(v, 0.0);
+}
+
+/// Dense members over a pool of distinct rows of length m: member i is
+/// pool row cols[i], viewed either through the pool's own rows (so
+/// repeated columns share a row pointer, as RowBlock::view_columns
+/// builds them) or through a private copy per member (every pointer
+/// distinct, so no member repeats as far as the kernels can tell).
+class PoolMembers {
+ public:
+  PoolMembers(const DenseMatrix& pool, std::span<const std::size_t> cols)
+      : shared_(cols.size()), copies_(cols.size()), copied_(cols.size()) {
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      shared_[i] = pool.row(cols[i]).data();
+      copies_[i].assign(pool.row(cols[i]).begin(), pool.row(cols[i]).end());
+      copied_[i] = copies_[i].data();
+    }
+    shared_view_ = BatchView::dense(shared_, pool.cols());
+    copied_view_ = BatchView::dense(copied_, pool.cols());
+  }
+  PoolMembers(const PoolMembers&) = delete;
+  PoolMembers& operator=(const PoolMembers&) = delete;
+
+  const BatchView& shared() const { return shared_view_; }
+  const BatchView& copied() const { return copied_view_; }
+
+ private:
+  std::vector<const double*> shared_;
+  std::vector<std::vector<double>> copies_;
+  std::vector<const double*> copied_;
+  BatchView shared_view_;
+  BatchView copied_view_;
+};
+
+DenseMatrix random_pool(std::size_t rows, std::size_t m, std::uint64_t seed) {
+  data::SplitMix64 rng(seed);
+  DenseMatrix pool(rows, m);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t p = 0; p < m; ++p) pool(r, p) = rng.next_normal();
+  return pool;
+}
+
+/// The member → pool-row patterns of the distinct-member tests.
+std::vector<std::size_t> repeat_pattern(const char* name, std::size_t k) {
+  std::vector<std::size_t> cols(k);
+  const std::string_view p(name);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (p == "absent") cols[i] = i;
+    if (p == "adjacent") cols[i] = i % 3 == 1 ? i - 1 : i;
+    if (p == "far") cols[i] = i >= k - k / 4 ? k - 1 - i : i;
+    if (p == "same") cols[i] = 5;
+  }
+  if (p == "engine") {
+    // The engine's draw on the epsilon twin: s blocks of µ = 8 distinct
+    // coordinates out of n = 100, the blocks independent (the last block
+    // cut short when 8 ∤ k).
+    data::CoordinateSampler sampler(100, 8, k);
+    std::vector<std::size_t> block(8);
+    for (std::size_t t = 0; t < k; t += 8) {
+      sampler.next_into(block);
+      for (std::size_t a = 0; a < 8 && t + a < k; ++a) cols[t + a] = block[a];
+    }
+  }
+  return cols;
+}
+
+/// ‖v‖₂: Gram entry (i, j)'s tolerance in the k % 4 ≠ 0 case scales
+/// with its Cauchy–Schwarz bound ‖v_i‖·‖v_j‖.
+double norm_of(std::span<const double> v) {
+  double s = 0.0;
+  for (const double x : v) s += x * x;
+  return std::sqrt(s);
+}
+
+// A dense batch that repeats a member has each distinct pair's Gram entry
+// and each distinct dot computed once and copied.  Against the same batch
+// with every repeat in its own buffer (no repeats visible), the result
+// must be bitwise equal whenever k % 4 == 0 — at every kernel table, at
+// one and two OpenMP threads, on grids of 1, 7 and 64 chunks (the last
+// fine enough for whole-chunk work items) — and within
+// 1e-13 of the Cauchy–Schwarz scale otherwise (the k-member walk sums
+// its ragged-edge entries in another order).  The depth, 1100, spans
+// three 512-deep slices with a ragged tail.
+TEST(DistinctMembers, GramAndDotsMatchTheBatchWithRepeatsCopied) {
+  const simd::Isa entry_isa = simd::active_isa();
+#ifdef _OPENMP
+  const int entry_threads = omp_get_max_threads();
+#endif
+  const std::size_t m = 1100;
+  const DenseMatrix pool = random_pool(100, m, 77);
+  std::vector<double> norms(pool.rows());
+  for (std::size_t r = 0; r < pool.rows(); ++r) norms[r] = norm_of(pool.row(r));
+  const std::array<std::vector<double>, 2> rhs{random_vector(m, 78),
+                                               random_vector(m, 79)};
+  const std::vector<std::span<const double>> xs(rhs.begin(), rhs.end());
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    if (!simd::isa_available(isa)) continue;
+    ASSERT_TRUE(simd::set_kernel_isa(isa));
+    for (const int threads : {1, 2}) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      for (const std::size_t k : {std::size_t{8}, std::size_t{36},
+                                  std::size_t{64}, std::size_t{67}}) {
+        for (const char* pattern :
+             {"absent", "adjacent", "far", "same", "engine"}) {
+          const std::vector<std::size_t> cols = repeat_pattern(pattern, k);
+          const PoolMembers members(pool, cols);
+          for (const std::size_t g :
+               {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << simd::to_cstring(isa) << " threads=" << threads
+                         << " k=" << k << " " << pattern << " G=" << g);
+            std::vector<std::size_t> bounds(g + 1);
+            for (std::size_t c = 0; c <= g; ++c) bounds[c] = c * m / g;
+            const std::size_t tri = core::detail::triangle_size(k);
+            std::vector<double> gram(g * tri, 7.0);
+            std::vector<double> want_gram(g * tri, 7.0);
+            sampled_gram_range(members.shared(), bounds, gram);
+            sampled_gram_range(members.copied(), bounds, want_gram);
+            std::vector<double> dots(g * 2 * k, 7.0);
+            std::vector<double> want_dots(g * 2 * k, 7.0);
+            sampled_dots_range(members.shared(), xs, bounds, dots);
+            sampled_dots_range(members.copied(), xs, bounds, want_dots);
+            EXPECT_TRUE(same_bits(dots, want_dots)) << "dots";
+            if (k % 4 == 0) {
+              EXPECT_TRUE(same_bits(gram, want_gram)) << "Gram";
+              continue;
+            }
+            for (std::size_t c = 0; c < g; ++c)
+              for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t j = i; j < k; ++j) {
+                  const std::size_t e = c * tri + packed_upper_index(i, j, k);
+                  const double scale = norms[cols[i]] * norms[cols[j]];
+                  EXPECT_NEAR(gram[e], want_gram[e], 1e-13 * scale)
+                      << "chunk " << c << " entry (" << i << ", " << j << ")";
+                }
+          }
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(entry_threads);
+#endif
+  simd::set_kernel_isa(entry_isa);
+}
+
+// A rank that owns zero rows views every column at the same (empty)
+// stage position, so every member pointer is equal: the distinct path
+// must still write a fully +0.0 buffer on every chunk.
+TEST(DistinctMembers, ZeroRowRankBlockWithEqualPointersWritesZeros) {
+  const data::Dataset d = make_dataset(0.5, 45);
+  const data::Partition rows({0, d.num_points(), d.num_points()});
+  const core::RowBlock block(d, rows, 1);  // rank 1 owns nothing
+  ASSERT_EQ(block.local_rows(), 0u);
+  Workspace ws;
+  const std::vector<std::size_t> cols{0, 1, 2, 3, 4, 5, 6, 7, 8};
+  const BatchView view = block.view_columns(cols, ws);
+  ASSERT_TRUE(view.is_dense());
+  for (std::size_t i = 1; i < cols.size(); ++i)
+    ASSERT_EQ(view.row_pointers()[i], view.row_pointers()[0]);
+  const std::vector<double> empty_rhs;
+  const std::array<std::span<const double>, 1> xs{
+      std::span<const double>(empty_rhs)};
+  for (const std::size_t k : {std::size_t{8}, std::size_t{9}}) {
+    const BatchView batch = BatchView::dense(view.row_pointers().first(k), 0);
+    const std::size_t grid[4] = {0, 0, 0, 0};
+    std::vector<double> gram(3 * core::detail::triangle_size(k), 99.0);
+    std::vector<double> dots(3 * k, 99.0);
+    sampled_gram_range(batch, grid, gram);
+    sampled_dots_range(batch, xs, grid, dots);
+    for (const double v : gram) EXPECT_TRUE(v == 0.0 && !std::signbit(v));
+    for (const double v : dots) EXPECT_TRUE(v == 0.0 && !std::signbit(v));
+  }
+}
+
+/// The per-member oracle of the batch update: add_scaled_to per listed
+/// member, in list order.
+std::vector<double> per_member_update(const BatchView& view,
+                                      std::span<const std::size_t> members,
+                                      std::span<const double> coeffs,
+                                      std::vector<double> target) {
+  for (std::size_t q = 0; q < members.size(); ++q)
+    view.add_scaled_to(members[q], coeffs[q], target);
+  return target;
+}
+
+// The batch update must be bitwise the per-member add_scaled_to sequence
+// at OpenMP team sizes 1, 2 and 4 and at every kernel table: members
+// listed out of order and twice, +0.0 and −0.0 coefficients (both applied:
+// a ±0.0 step still turns a −0.0 target element into +0.0 or keeps it),
+// and a target seeded with −0.0 elements.  The dense depth 5000 puts 64
+// members above the work threshold and leaves a ragged last row block;
+// the 4-member case stays below it.
+TEST(BatchUpdate, MatchesPerMemberAddScaledTo) {
+  const simd::Isa entry_isa = simd::active_isa();
+#ifdef _OPENMP
+  const int entry_threads = omp_get_max_threads();
+#endif
+  const std::size_t m = 5000;
+  const DenseMatrix pool = random_pool(70, m, 91);
+  std::vector<std::size_t> cols(70);
+  for (std::size_t i = 0; i < cols.size(); ++i) cols[i] = i;
+  const PoolMembers dense(pool, cols);
+  Members sparse(70, m, false, 93);
+  std::vector<double> target = random_vector(m, 95);
+  for (std::size_t r = 0; r < m; r += 3) target[r] = -0.0;
+  data::SplitMix64 rng(97);
+  for (const std::size_t count : {std::size_t{4}, std::size_t{64}}) {
+    std::vector<std::size_t> members(count);
+    std::vector<double> coeffs(count);
+    for (std::size_t q = 0; q < count; ++q) {
+      members[q] = static_cast<std::size_t>(rng.next_below(70));
+      coeffs[q] = rng.next_normal();
+    }
+    members[1] = members[0];  // one member listed twice
+    coeffs[0] = 0.0;          // zero step
+    coeffs[2] = -0.0;         // −0.0 step on a listed member
+    for (const simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+      if (!simd::isa_available(isa)) continue;
+      ASSERT_TRUE(simd::set_kernel_isa(isa));
+      for (const int threads : {1, 2, 4}) {
+#ifdef _OPENMP
+        omp_set_num_threads(threads);
+#endif
+        for (const BatchView* view : {&dense.shared(), &sparse.view()}) {
+          SCOPED_TRACE(::testing::Message()
+                       << simd::to_cstring(isa) << " threads=" << threads
+                       << " members=" << count
+                       << (view->is_dense() ? " dense" : " sparse"));
+          const std::vector<double> want =
+              per_member_update(*view, members, coeffs, target);
+          std::vector<double> got = target;
+          view->add_combination_to(members, coeffs, got);
+          EXPECT_TRUE(same_bits(got, want));
+        }
+      }
+    }
+  }
+  // The −0.0 targets are live: a +0.0 step on a nonnegative element
+  // flips them, so skipping a ±0.0 coefficient would change the bits.
+  std::vector<double> flipped(m, -0.0);
+  const std::size_t first = 0;
+  const double zero = 0.0;
+  dense.shared().add_combination_to({&first, 1}, {&zero, 1}, flipped);
+  std::size_t positive_zeros = 0;
+  for (std::size_t r = 0; r < m; ++r)
+    if (pool(0, r) >= 0.0 && flipped[r] == 0.0 && !std::signbit(flipped[r]))
+      ++positive_zeros;
+  EXPECT_GT(positive_zeros, 0u);
+#ifdef _OPENMP
+  omp_set_num_threads(entry_threads);
+#endif
+  simd::set_kernel_isa(entry_isa);
 }
 
 TEST(Workspace, SteadyStateReservationIsStable) {
