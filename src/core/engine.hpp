@@ -59,14 +59,6 @@ inline double seconds_since(EngineClock::time_point start) {
 /// step()/run()/finish() plumbing — lives here so the six algorithms
 /// cannot drift apart.
 class EngineBase : public Solver {
-  // Declared first, so destroyed last — after the derived engine's and
-  // every other member's buffers are freed — it returns the solve's freed
-  // heap pages to the OS (see solver.cpp).
-  struct HeapTrim {
-    ~HeapTrim();
-  };
-  HeapTrim heap_trim_;
-
  public:
   std::size_t step(std::size_t iterations = 1) final;
   bool finished() const final {

@@ -15,10 +15,6 @@
 #include "la/simd/simd.hpp"
 #include "la/vector_ops.hpp"
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 namespace sa::core {
 
 const char* to_string(StopReason reason) {
@@ -218,20 +214,6 @@ bool objective_plateaued(double prev, double objective, double tolerance) {
 
 EngineBase::EngineBase(dist::Communicator& comm, const SolverSpec& spec)
     : comm_(comm), spec_(spec) {}
-
-// Runs as an engine's last member is destroyed, when its buffers (the
-// local rows, a dense stage, the round message) are freed — usually into
-// the rank thread's malloc arena, where glibc keeps them resident once
-// its dynamic mmap threshold has risen past their size.  A later solver
-// reuses them only if its thread lands on the same arena, so a process
-// that builds solver after solver would peak at one RSS level or another
-// from run to run.  Trimming every arena gives the pages back and makes
-// the peak one level.
-EngineBase::HeapTrim::~HeapTrim() {
-#ifdef __GLIBC__
-  malloc_trim(0);
-#endif
-}
 
 std::size_t EngineBase::step(std::size_t iterations) {
   if (finished()) return 0;

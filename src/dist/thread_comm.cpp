@@ -9,6 +9,10 @@
 #include "common/annotate.hpp"
 #include "common/check.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace sa::dist {
 
 namespace internal {
@@ -182,6 +186,17 @@ std::vector<CommStats> ThreadTeam::run(
   s.cv.notify_all();
   s.done_cv.wait(lock, [&] { return s.finished == s.ranks; });
   s.task = nullptr;
+  lock.unlock();
+  // What the ranks freed (a solver's local rows, dense stage and round
+  // message) sits in their threads' malloc arenas, resident once glibc's
+  // dynamic mmap threshold has risen past it.  A later task reuses it
+  // only if its thread lands on the same arena, so a process that runs
+  // solve after solve would peak at one RSS level or another from run to
+  // run.  One trim of every arena, after the last rank is done, gives the
+  // pages back and keeps the peak on one level.
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   if (s.first_error) std::rethrow_exception(s.first_error);
   return s.stats;
 }

@@ -108,7 +108,8 @@ class ThreadTeam {
 
   /// Runs `task` once per rank, blocks until every rank returns, and
   /// returns the per-rank metered counters (index == rank).  Rethrows the
-  /// first exception any rank raised.
+  /// first exception any rank raised.  On glibc it then returns the heap
+  /// pages the ranks freed to the OS (one `malloc_trim`).
   std::vector<CommStats> run(const std::function<void(ThreadComm&)>& task);
 
  private:

@@ -82,10 +82,6 @@ namespace sa::la {
 namespace {
 
 constexpr std::size_t kGramTile = 32;  // tile edge, multiple of the 4×4 micro
-// Chunks from which a dense Gram with repeated members makes each chunk
-// one work item (walk and expansion together): eight keeps two to four
-// threads busy under schedule(dynamic).
-constexpr std::size_t kWholeChunkItems = 8;
 // Target rows per batch-update block: 8 KiB of the target stays in L1
 // while every member's step sweeps it.
 constexpr std::size_t kUpdateBlock = 1024;
@@ -355,12 +351,8 @@ void BatchView::add_combination_to(std::span<const std::size_t> members,
   for (const std::size_t i : members)
     SA_CHECK(i < size(), "BatchView::add_combination_to: index out of range");
   if (!is_dense()) {
-    for (std::size_t q = 0; q < members.size(); ++q) {
-      const std::span<const std::size_t> idx = idx_[members[q]];
-      const std::span<const double> val = val_[members[q]];
-      for (std::size_t p = 0; p < idx.size(); ++p)
-        target[idx[p]] += coeffs[q] * val[p];
-    }
+    for (std::size_t q = 0; q < members.size(); ++q)
+      add_scaled_to(members[q], coeffs[q], target);
     return;
   }
   const simd::KernelTable& kt = simd::active();
@@ -448,9 +440,8 @@ std::span<const std::size_t> entry_map(const DistinctRows& d, bool fill) {
 /// downwards: entry (i, j) reads distinct entry (u, v) with u ≤ i and
 /// v ≤ j (slot[i] ≤ i, as slots number rows by first occurrence) and
 /// w < k, so its source index is at most its own — a position not yet
-/// overwritten.  On a grid of kWholeChunkItems chunks or more an item is
-/// then a whole chunk, walked and expanded back to back while its block
-/// is hot; on a coarser grid a second work-shared loop expands the blocks.
+/// overwritten.  A second work-shared loop of the same region expands the
+/// blocks, one chunk per item.
 void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
                 std::span<double> out, const simd::KernelTable& kt) {
   const std::size_t k = y.size();
@@ -465,24 +456,9 @@ void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
   std::fill(out.begin(), out.end(), 0.0);
   const std::size_t tiles = (w + kGramTile - 1) / kGramTile;
   const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
-  const bool whole_chunks = expand && n >= kWholeChunkItems;
-  const std::size_t items = whole_chunks ? n : n * tile_pairs;
+  const std::size_t items = n * tile_pairs;
   const bool parallel =
       w * (w + 1) * (bounds[n] - bounds[0]) / 2 >= kParallelFlopThreshold;
-  const auto walk = [&](std::size_t c, std::size_t t) {
-    std::size_t ti = 0;
-    std::size_t tj = 0;
-    tile_pair(t, tiles, ti, tj);
-    const std::size_t ib = ti * kGramTile;
-    const std::size_t jb = tj * kGramTile;
-    kt.gram_tile(rows.data() + c * w, bounds[c + 1] - bounds[c], w,
-                 out.data() + c * tri, ib, std::min(ib + kGramTile, w), jb,
-                 std::min(jb + kGramTile, w));
-  };
-  const auto expand_block = [&](std::size_t c) {
-    double* block = out.data() + c * tri;
-    for (std::size_t e = tri; e-- > 0;) block[e] = block[entry[e]];
-  };
 #ifdef _OPENMP
 #pragma omp parallel if (parallel)
 #endif
@@ -491,20 +467,24 @@ void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
 #pragma omp for schedule(dynamic)
 #endif
     for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(items); ++t) {
-      const auto item = static_cast<std::size_t>(t);
-      if (!whole_chunks) {
-        walk(item / tile_pairs, item % tile_pairs);
-        continue;
-      }
-      for (std::size_t p = 0; p < tile_pairs; ++p) walk(item, p);
-      expand_block(item);
+      const std::size_t c = static_cast<std::size_t>(t) / tile_pairs;
+      std::size_t ti = 0;
+      std::size_t tj = 0;
+      tile_pair(static_cast<std::size_t>(t) % tile_pairs, tiles, ti, tj);
+      const std::size_t ib = ti * kGramTile;
+      const std::size_t jb = tj * kGramTile;
+      kt.gram_tile(rows.data() + c * w, bounds[c + 1] - bounds[c], w,
+                   out.data() + c * tri, ib, std::min(ib + kGramTile, w), jb,
+                   std::min(jb + kGramTile, w));
     }
-    if (expand && !whole_chunks) {
+    if (expand) {
 #ifdef _OPENMP
 #pragma omp for schedule(static)
 #endif
-      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n); ++c)
-        expand_block(static_cast<std::size_t>(c));
+      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n); ++c) {
+        double* block = out.data() + static_cast<std::size_t>(c) * tri;
+        for (std::size_t e = tri; e-- > 0;) block[e] = block[entry[e]];
+      }
     }
   }
   (void)parallel;

@@ -713,9 +713,8 @@ double norm_of(std::span<const double> v) {
 // and each distinct dot computed once and copied.  Against the same batch
 // with every repeat in its own buffer (no repeats visible), the result
 // must be bitwise equal whenever k % 4 == 0 — at every kernel table, at
-// one and two OpenMP threads, on grids of 1, 7 and 64 chunks (the last
-// fine enough for whole-chunk work items) — and within
-// 1e-13 of the Cauchy–Schwarz scale otherwise (the k-member walk sums
+// one and two OpenMP threads, on grids of 1, 7 and 64 chunks — and
+// within 1e-13 of the Cauchy–Schwarz scale otherwise (the k-member walk sums
 // its ragged-edge entries in another order).  The depth, 1100, spans
 // three 512-deep slices with a ragged tail.
 TEST(DistinctMembers, GramAndDotsMatchTheBatchWithRepeatsCopied) {
