@@ -25,7 +25,6 @@
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/batch_view.hpp"
-#include "la/csc.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/eigen.hpp"
@@ -157,13 +156,13 @@ void BM_SparseColumnGram(benchmark::State& state) {
   cfg.density = 0.01;
   cfg.support_size = 16;
   const sa::data::Dataset d = sa::data::make_regression(cfg).dataset;
-  const sa::la::CscMatrix csc(d.a);
+  const sa::la::CsrMatrix columns = d.a.transposed();
   std::vector<std::span<const std::size_t>> idx;
   std::vector<std::span<const double>> val;
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t col = (j * 37) % d.num_features();
-    idx.push_back(csc.col_indices(col));
-    val.push_back(csc.col_values(col));
+    idx.push_back(columns.row_indices(col));
+    val.push_back(columns.row_values(col));
   }
   const sa::la::BatchView batch =
       sa::la::BatchView::sparse(idx, val, d.num_points());

@@ -2,9 +2,10 @@
 //
 // RowBlock is the Lasso layout (Figure 1 of the paper): A is 1D-row
 // partitioned, ℝ^m vectors (residuals) are partitioned alike, ℝ^n vectors
-// (solutions) are replicated.  Solvers sample *columns*, so a sparse block
-// keeps a CSC mirror for O(nnz(column)) gathers; a dense block keeps a
-// column-major staged copy instead.
+// (solutions) are replicated.  Solvers sample *columns*, so a rank holds
+// its rows in exactly one column-oriented layout, built straight from the
+// dataset: one CSR row per feature column (sparse mode, O(nnz(column))
+// gathers) or a column-major staged copy (dense mode).
 //
 // ColBlock is the SVM layout (paper §V): A is 1D-column partitioned, the
 // primal iterate x ∈ ℝ^n is partitioned, the dual iterate α ∈ ℝ^m and the
@@ -12,9 +13,9 @@
 // directly.
 //
 // Each block offers the sampled coordinates as zero-copy la::BatchView
-// descriptors (view_*) over the resident CSC/CSR arrays (sparse mode) or
-// over a staged dense copy (dense mode) — the allocation-free path every
-// engine runs.
+// descriptors (view_*) over its resident CSR arrays (sparse mode) or over
+// its staged dense copy (dense mode) — the allocation-free path every
+// engine runs.  Both blocks share one member-view routine.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +25,6 @@
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
 #include "la/batch_view.hpp"
-#include "la/csc.hpp"
 #include "la/csr.hpp"
 #include "la/workspace.hpp"
 
@@ -40,23 +40,13 @@ class RowBlock {
   RowBlock(const data::Dataset& dataset, const data::Partition& rows,
            int rank);
 
-  std::size_t local_rows() const { return a_.rows(); }
-  std::size_t num_features() const { return a_.cols(); }
-  const la::CsrMatrix& matrix() const { return a_; }
+  std::size_t local_rows() const { return local_rows_; }
+  std::size_t num_features() const { return num_features_; }
   const std::vector<double>& labels() const { return b_; }
-
-  /// Squared Euclidean norms of the *local* column slices, precomputed
-  /// once at construction (one O(nnz) pass) for load-balance diagnostics
-  /// and λ-selection helpers.  Note these are per-rank partials: a column
-  /// empty on this rank may be nonzero globally, so replicated decisions —
-  /// in particular the solvers' empty-block eigensolve skip — must use the
-  /// allreduced Gram diagonal (which is exactly the sum of these partials
-  /// over ranks), not the local values.
-  const std::vector<double>& col_norms_squared() const { return col_norms_; }
 
   /// Views the given global columns (restricted to local rows) as a batch
   /// of dim local_rows(); storage (dense vs sparse) follows the matrix
-  /// density.  Sparse members alias the resident CSC arrays directly; in
+  /// density.  Sparse members alias the resident column CSR directly; in
   /// dense-batch mode the members point into a column-major staged copy
   /// of the whole local block, densified ONCE at construction and kept
   /// alive across iterations — sampled views then cost only k pointer
@@ -66,13 +56,15 @@ class RowBlock {
                              la::Workspace& ws) const;
 
  private:
-  la::CsrMatrix a_;   // m_loc × n
-  la::CscMatrix csc_; // column mirror of a_ (sparse-batch mode only)
+  std::size_t local_rows_ = 0;
+  std::size_t num_features_ = 0;
+  // One CSR row per feature column over the local rows (n × m_loc),
+  // sparse-batch mode only.
+  la::CsrMatrix columns_;
   std::vector<double> b_;
-  std::vector<double> col_norms_;  // ‖local slice of column j‖² for all j
   bool dense_batches_ = false;
   // Column-major dense copy (n × m_loc, one column per run) backing
-  // dense-mode views, in place of csc_; built at construction in
+  // dense-mode views, in place of columns_; built at construction in
   // dense-batch mode only (so solves on the sparse path never pay for
   // it) — allocating it before the solve's small round buffers keeps the
   // large block's placement, and so the peak RSS, independent of them.

@@ -79,7 +79,10 @@ class LassoEngine final : public detail::EngineBase {
     // Warm start: z = x0, y = 0 (so x = θ²·y + z = x0), z̃ = A·x0 − b.
     if (!spec_.x0.empty()) {
       z_ = spec_.x0;
-      block_.matrix().spmv(z_, z_img_);
+      // The local rows' CSR kernel, read from the dataset's rows: only
+      // warm-started solves pay for the temporary slice.
+      dataset.a.row_slice(rows.begin(comm.rank()), rows.end(comm.rank()))
+          .spmv(z_, z_img_);
       for (std::size_t i = 0; i < z_img_.size(); ++i)
         z_img_[i] -= block_.labels()[i];
     } else {
@@ -204,8 +207,8 @@ class LassoEngine final : public detail::EngineBase {
   }
 
   void pack_round(std::size_t s_eff, dist::RoundMessage& msg) override {
-    // --- Sampling: s_eff blocks, viewed zero-copy in the resident CSC
-    //     storage. ---
+    // --- Sampling: s_eff blocks, viewed zero-copy in the block's
+    //     resident column store. ---
     draw_blocks(s_eff);
     const std::size_t k = offset_[s_eff];  // members of the sampled batch
     big_ = block_.view_columns(idx_, round_ws_);
@@ -261,9 +264,9 @@ class LassoEngine final : public detail::EngineBase {
 
       // Cheap v == 0 pre-check: a PSD block is zero iff its diagonal is
       // zero, and the allreduced Gram diagonal holds the *global* squared
-      // column norms, so every rank takes the same branch.  (The per-rank
-      // RowBlock::col_norms_squared() partials cannot decide this:
-      // a locally empty column may be nonzero on a sibling rank.)
+      // column norms, so every rank takes the same branch.  (A rank's
+      // local column norms cannot decide this: a locally empty column may
+      // be nonzero on a sibling rank.)
       bool empty_block = true;
       for (std::size_t a = 0; a < size; ++a) {
         if (gram(oj + a, oj + a) != 0.0) {

@@ -135,6 +135,11 @@ void SolverSpec::validate(const data::Dataset& dataset) const {
   if (is_sa()) SA_CHECK(s >= 1, "SolverSpec: s must be >= 1");
   SA_CHECK(gap_tolerance == 0.0 || fam == SolverFamily::kSvm,
            "SolverSpec: gap_tolerance applies to the SVM family only");
+  SA_CHECK(fam != SolverFamily::kSvm || trace_every > 0 ||
+               (gap_tolerance == 0.0 && objective_tolerance == 0.0),
+           "SolverSpec: SVM gap/objective tolerances are checked at trace "
+           "points only (the duality gap needs a full margins reduction), "
+           "so they need trace_every > 0");
   switch (fam) {
     case SolverFamily::kLasso:
       SA_CHECK(block_size >= 1 && block_size <= dataset.num_features(),

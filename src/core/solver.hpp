@@ -101,8 +101,9 @@ struct SolverSpec {
   // evaluated at round granularity even with tracing off (successive
   // samples are spaced at least trace_every iterations apart when a trace
   // cadence is set).  The SVM duality gap needs a full margins reduction,
-  // so the SVM gap/objective criteria are evaluated at trace points only
-  // and require trace_every > 0 to ever fire.
+  // so the SVM gap/objective criteria are evaluated at trace points only:
+  // validate() rejects an SVM tolerance with trace_every == 0, which
+  // could never fire.
   double objective_tolerance = 0.0;  ///< stop when successive objective
                                      ///< samples differ by ≤ tol·max(1,|f|)
   double gap_tolerance = 0.0;        ///< SVM: stop when gap ≤ tol

@@ -16,7 +16,7 @@ namespace sa::data {
 namespace {
 
 /// Largest accepted feature count: every ℝ^n vector must be addressable
-/// in bytes, and the n + 1 CSC/CSR offsets must not wrap.
+/// in bytes, and the n + 1 offsets of the transposed CSR must not wrap.
 constexpr std::size_t kMaxFeatures =
     std::numeric_limits<std::size_t>::max() / sizeof(double);
 

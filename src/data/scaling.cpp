@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "la/csc.hpp"
 
 namespace sa::data {
 
@@ -19,10 +18,9 @@ std::vector<double> ColumnScaling::unscale_solution(
 
 std::pair<Dataset, ColumnScaling> normalize_columns(const Dataset& dataset) {
   dataset.validate();
-  const la::CscMatrix csc(dataset.a);
   ColumnScaling scaling;
   scaling.factors.assign(dataset.num_features(), 1.0);
-  std::vector<double> norms = csc.col_norms_squared();
+  const std::vector<double> norms = dataset.a.transposed().row_norms_squared();
   for (std::size_t j = 0; j < norms.size(); ++j) {
     if (norms[j] > 0.0) scaling.factors[j] = 1.0 / std::sqrt(norms[j]);
   }

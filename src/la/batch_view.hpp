@@ -2,11 +2,11 @@
 //
 // Instead of gathering the s·µ sampled columns into freshly allocated
 // storage every outer iteration, a view describes the members in place —
-// sparse members as (indices, values) span pairs aliasing the
-// already-materialised CSC/CSR arrays, dense members as row pointers
-// (into a block's persistent staged copy).  The descriptor arrays
-// themselves live in a la::Workspace, so building a view performs no heap
-// allocation in steady state.
+// sparse members as (indices, values) span pairs aliasing a block's
+// already-materialised CSR arrays, dense members as row pointers (into a
+// block's persistent staged copy).  The descriptor arrays themselves live
+// in a la::Workspace, so building a view performs no heap allocation in
+// steady state.
 //
 // A round's allreduce buffer is laid out as
 //

@@ -231,22 +231,29 @@ SparseVector CsrMatrix::gather_row(std::size_t i) const {
   return v;
 }
 
-CsrMatrix CsrMatrix::transposed() const {
+CsrMatrix CsrMatrix::transposed() const { return transposed(0, rows_); }
+
+CsrMatrix CsrMatrix::transposed(std::size_t row_begin,
+                                std::size_t row_end) const {
+  SA_CHECK(row_begin <= row_end && row_end <= rows_,
+           "transposed: invalid row range");
+  const std::size_t first = indptr_[row_begin];
+  const std::size_t last = indptr_[row_end];
   std::vector<std::size_t> indptr(cols_ + 1, 0);
-  for (std::size_t k = 0; k < indices_.size(); ++k) ++indptr[indices_[k] + 1];
+  for (std::size_t k = first; k < last; ++k) ++indptr[indices_[k] + 1];
   for (std::size_t j = 0; j < cols_; ++j) indptr[j + 1] += indptr[j];
-  std::vector<std::size_t> indices(nnz());
-  std::vector<double> values(nnz());
+  std::vector<std::size_t> indices(last - first);
+  std::vector<double> values(last - first);
   std::vector<std::size_t> next(indptr.begin(), indptr.end() - 1);
-  for (std::size_t i = 0; i < rows_; ++i) {
+  for (std::size_t i = row_begin; i < row_end; ++i) {
     for (std::size_t k = indptr_[i]; k < indptr_[i + 1]; ++k) {
       const std::size_t pos = next[indices_[k]]++;
-      indices[pos] = i;
+      indices[pos] = i - row_begin;
       values[pos] = values_[k];
     }
   }
-  return CsrMatrix(cols_, rows_, std::move(indptr), std::move(indices),
-                   std::move(values));
+  return CsrMatrix(cols_, row_end - row_begin, std::move(indptr),
+                   std::move(indices), std::move(values));
 }
 
 DenseMatrix CsrMatrix::to_dense() const {

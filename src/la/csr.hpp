@@ -91,6 +91,12 @@ class CsrMatrix {
   /// Returns the explicit transpose (i.e. the CSC view materialised as CSR).
   CsrMatrix transposed() const;
 
+  /// Returns the transpose of the row block [row_begin, row_end) — one row
+  /// per column of this matrix, indexed by local row (i − row_begin) —
+  /// without materialising the slice: bitwise
+  /// row_slice(row_begin, row_end).transposed().
+  CsrMatrix transposed(std::size_t row_begin, std::size_t row_end) const;
+
   /// Densifies (intended for tests and small matrices).
   DenseMatrix to_dense() const;
 

@@ -12,7 +12,6 @@
 #include "core/registry.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
-#include "la/csc.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::core {
@@ -68,8 +67,7 @@ void check_lasso_kkt(const data::Dataset& d, const std::vector<double>& x,
 double prox_gradient_residual(const data::Dataset& d,
                               const std::vector<double>& x, double lambda) {
   const std::vector<double> g = ls_gradient(d, x);
-  const la::CscMatrix csc(d.a);
-  const std::vector<double> col_norms = csc.col_norms_squared();
+  const std::vector<double> col_norms = d.a.transposed().row_norms_squared();
   double worst = 0.0;
   for (std::size_t j = 0; j < x.size(); ++j) {
     const double lj = col_norms[j] > 0.0 ? col_norms[j] : 1.0;

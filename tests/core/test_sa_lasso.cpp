@@ -1,7 +1,10 @@
 // The central invariant of the paper: SA variants (Algorithm 2) produce
 // the SAME iterate sequence as the standard methods (Algorithm 1) up to
 // floating-point rearrangement error (paper §III and Table III).
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
+#include "io/snapshot.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::core {
@@ -207,6 +211,45 @@ TEST(SaLasso, RejectsZeroS) {
   const data::Dataset d = make_problem(20, 10, 0.5, 1);
   EXPECT_THROW(solve(d, SolverSpec::make("sa-lasso").with_s(0)),
                sa::PreconditionError);
+}
+
+TEST(SaLasso, WarmStartResidualIsTheRowKernelBitwise) {
+  // Each rank computes z̃ = A·x0 − b over its rows with the CSR row
+  // kernel.  Rows are independent, so every entry must be bitwise the
+  // whole matrix's spmv, at any rank count; z̃ is read back from the
+  // snapshot taken before the first round (sparse and dense blocks).
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const double density : {0.1, 0.5}) {
+    const data::Dataset d = make_problem(45, 20, density, 9);
+    std::vector<double> x0(d.num_features());
+    for (std::size_t j = 0; j < x0.size(); ++j)
+      x0[j] = 0.3 * std::sin(1.0 + static_cast<double>(j));
+    std::vector<double> want(d.num_points());
+    d.a.spmv(x0, want);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      want[i] = (want[i] - d.b[i]) + 0.0;  // gather_full's +0.0
+    const SolverSpec spec = SolverSpec::make("sa-lasso")
+                                .with_lambda(0.05)
+                                .with_block_size(2)
+                                .with_acceleration(true)
+                                .with_warm_start(x0);
+    for (const int ranks : {1, 3}) {
+      const data::Partition rows = partition_for_ranks(d, spec, ranks);
+      std::vector<std::uint8_t> image;
+      dist::run_distributed(ranks, [&](dist::Communicator& comm) {
+        const std::unique_ptr<Solver> solver =
+            make_solver(comm, d, rows, spec);
+        std::vector<std::uint8_t> mine = solver->snapshot();
+        if (comm.rank() == 0) image = std::move(mine);
+      });
+      const io::SnapshotReader snap = io::SnapshotReader::parse(image);
+      const std::span<const double> got =
+          snap.doubles("lasso/z_img", d.num_points());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(bits(got[i]), bits(want[i]))
+            << "density " << density << " P " << ranks << " row " << i;
+    }
+  }
 }
 
 TEST(SaLasso, TraceAlignsToOuterBoundaries) {

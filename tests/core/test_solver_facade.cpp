@@ -92,6 +92,31 @@ TEST(SolverRegistry, SpecValidationRejectsContradictions) {
   EXPECT_THROW(make_solver(comm, d, rows, bad), PreconditionError);
   bad = SolverSpec::make("svm");  // non-binary labels
   EXPECT_THROW(make_solver(comm, d, rows, bad), PreconditionError);
+
+  // The SVM tolerances are checked at trace points only, so with tracing
+  // off they could never fire: rejected with the reason, not ignored.
+  const data::Dataset labelled = classification_problem();
+  const data::Partition cols =
+      data::Partition::block(labelled.num_features(), 1);
+  for (const char* id : {"svm", "sa-svm"}) {
+    for (const bool gap : {true, false}) {
+      SolverSpec spec = SolverSpec::make(id).with_lambda(1.0);
+      if (gap)
+        spec.with_gap_tolerance(1e-4);
+      else
+        spec.with_objective_tolerance(1e-4);
+      try {
+        make_solver(comm, labelled, cols, spec);
+        ADD_FAILURE() << id << ": expected PreconditionError";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("trace_every > 0"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_NO_THROW(
+          make_solver(comm, labelled, cols, spec.with_trace_every(10)));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "data/synthetic.hpp"
-#include "la/csc.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::data {
@@ -26,8 +25,7 @@ Dataset make_problem() {
 TEST(NormalizeColumns, ProducesUnitColumns) {
   const Dataset d = make_problem();
   const auto [scaled, scaling] = normalize_columns(d);
-  const la::CscMatrix csc(scaled.a);
-  const auto norms = csc.col_norms_squared();
+  const auto norms = scaled.a.transposed().row_norms_squared();
   for (std::size_t j = 0; j < norms.size(); ++j) {
     if (norms[j] > 0.0) {
       EXPECT_NEAR(norms[j], 1.0, 1e-12) << "column " << j;

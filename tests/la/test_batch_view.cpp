@@ -1,7 +1,7 @@
 // Zero-copy view tests: the Gram and dot kernels over views built by
 // RowBlock::view_columns / ColBlock::view_rows must match a naive
 // Gram/dots computed from the dataset's dense matrix, on both storage
-// kinds (sparse CSC/CSR views and densified staging), for both solver
+// kinds (sparse column-CSR/CSR views and densified staging), for both solver
 // modes (accelerated = two dot sections, plain = one), over the full
 // range and over the chunk grids the fixed reduction grouping uses — where
 // every chunk's partial must also be bitwise the one-chunk call on that
@@ -9,8 +9,11 @@
 // must also be bitwise a naive per-(i, j, chunk) gather sweep.  Dense
 // batches that repeat a member (DistinctMembers.*) and the batch update
 // (BatchUpdate.*) are pinned bitwise against the kernels' plain forms.
+// RowBlock's views are pinned bitwise against its former row-slice
+// layouts.
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +26,7 @@
 #include <omp.h>
 #endif
 
+#include "common/check.hpp"
 #include "core/detail.hpp"
 #include "core/local_data.hpp"
 #include "data/rng.hpp"
@@ -116,7 +120,7 @@ void expect_near_all(const std::vector<double>& got,
 class StoragePairSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(StoragePairSweep, FullRangeKernelsMatchNaiveReference) {
-  // density 0.05 → sparse CSC views; 0.5 → densified staging views.
+  // density 0.05 → sparse column-CSR views; 0.5 → densified staging views.
   const data::Dataset d = make_dataset(GetParam(), 31);
   const DenseMatrix a = d.a.to_dense();
   const core::RowBlock block(
@@ -255,9 +259,10 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
 // a single-range call computes, whichever chunks share the call) and
 // near the naive partial over the chunk.  The goldens pin the scalar
 // table only, so this is where SIMD bits meet an independent oracle.
-// The engines' own views (CSC spans or the dense stage, with a duplicated
-// column) run the regular grids the grouping builds, one chunked call per
-// grid, against the naive partial and the one-chunk call per chunk.
+// The engines' own views (column-CSR spans or the dense stage, with a
+// duplicated column) run the regular grids the grouping builds, one
+// chunked call per grid, against the naive partial and the one-chunk call
+// per chunk.
 TEST_P(StoragePairSweep, RangeRestrictionMatchesNaivePartial) {
   const bool dense = GetParam() > 0.1;
   const std::size_t m = 120;
@@ -916,18 +921,72 @@ TEST(Workspace, SteadyStateReservationIsStable) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], first[i]);
 }
 
-TEST(RowBlock, ColumnNormsPrecomputedAndCorrect) {
+TEST(RowBlock, ViewsAreBitwiseTheRowSliceLayouts) {
+  // A rank keeps one column layout built straight from the dataset; its
+  // views must be bitwise the ones over the rank's CSR row slice: the
+  // slice's transpose (sparse mode) and the column-major staging
+  // scattered from the slice (dense mode).  P = 1, and P = 3 with an
+  // empty middle rank; repeated members included.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::vector<std::size_t> cols{0, 7, 7, 63, 31, 2};
+  for (const double density : {0.05, 0.5}) {
+    const data::Dataset d = make_dataset(density, 47);
+    const std::size_t m = d.num_points();
+    const bool dense = d.a.density() > core::kDenseBatchThreshold;
+    ASSERT_EQ(dense, density > 0.25);
+    for (const data::Partition& part :
+         {data::Partition::block(m, 1), data::Partition({0, 50, 50, m})}) {
+      for (int rank = 0; rank < part.num_ranks(); ++rank) {
+        SCOPED_TRACE(testing::Message() << "density " << density << " P "
+                                        << part.num_ranks() << " rank "
+                                        << rank);
+        const CsrMatrix slice = d.a.row_slice(part.begin(rank),
+                                              part.end(rank));
+        const std::size_t m_loc = slice.rows();
+        const core::RowBlock block(d, part, rank);
+        ASSERT_EQ(block.local_rows(), m_loc);
+        Workspace ws;
+        const BatchView view = block.view_columns(cols, ws);
+        ASSERT_EQ(view.is_dense(), dense);
+        ASSERT_EQ(view.dim(), m_loc);
+        ASSERT_EQ(view.size(), cols.size());
+        if (dense) {
+          std::vector<double> stage(d.num_features() * m_loc, 0.0);
+          for (std::size_t i = 0; i < m_loc; ++i) {
+            const auto idx = slice.row_indices(i);
+            const auto val = slice.row_values(i);
+            for (std::size_t p = 0; p < idx.size(); ++p)
+              stage[idx[p] * m_loc + i] = val[p];
+          }
+          for (std::size_t q = 0; q < cols.size(); ++q)
+            for (std::size_t i = 0; i < m_loc; ++i)
+              EXPECT_EQ(bits(view.dense_row(q)[i]),
+                        bits(stage[cols[q] * m_loc + i]))
+                  << "member " << q << " row " << i;
+        } else {
+          const CsrMatrix columns = slice.transposed();
+          for (std::size_t q = 0; q < cols.size(); ++q) {
+            const auto idx = columns.row_indices(cols[q]);
+            const auto val = columns.row_values(cols[q]);
+            ASSERT_EQ(view.member_nnz(q), idx.size()) << "member " << q;
+            for (std::size_t p = 0; p < idx.size(); ++p) {
+              EXPECT_EQ(view.member_indices(q)[p], idx[p]);
+              EXPECT_EQ(bits(view.member_values(q)[p]), bits(val[p]));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowBlock, ViewRejectsAColumnOutOfRange) {
   const data::Dataset d = make_dataset(0.05, 43);
-  const DenseMatrix a = d.a.to_dense();
   const core::RowBlock block(
       d, data::Partition::block(d.num_points(), 1), 0);
-  const std::vector<double>& norms = block.col_norms_squared();
-  ASSERT_EQ(norms.size(), d.num_features());
-  for (std::size_t j = 0; j < d.num_features(); ++j) {
-    double want = 0.0;
-    for (std::size_t r = 0; r < d.num_points(); ++r) want += a(r, j) * a(r, j);
-    EXPECT_NEAR(norms[j], want, 1e-12);
-  }
+  Workspace ws;
+  const std::vector<std::size_t> cols{0, d.num_features()};
+  EXPECT_THROW(block.view_columns(cols, ws), PreconditionError);
 }
 
 }  // namespace

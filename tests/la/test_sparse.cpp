@@ -1,11 +1,12 @@
-// Unit tests for SparseVector, CsrMatrix, and CscMatrix.
+// Unit tests for SparseVector and CsrMatrix (including its transposes).
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "la/csc.hpp"
 #include "la/csr.hpp"
 #include "la/sparse_vector.hpp"
 #include "la/vector_ops.hpp"
@@ -192,12 +193,11 @@ TEST(CsrMatrix, EmptyRowsAtTailHaveValidIndptr) {
   EXPECT_DOUBLE_EQ(y[3], 0.0);
 }
 
-// ---------------------------------------------------------------- CSC
+// ------------------------------------------------------------ transpose
 
-TEST(CscMatrix, GatherColumnMatchesDenseColumn) {
-  const CsrMatrix a = make_example();
-  const CscMatrix csc(a);
-  const SparseVector c0 = csc.gather_column(0);
+TEST(Transposed, RowIsTheDenseColumn) {
+  const CsrMatrix at = make_example().transposed();
+  const SparseVector c0 = at.gather_row(0);
   EXPECT_EQ(c0.dim, 3u);
   EXPECT_EQ(c0.nnz(), 2u);
   const std::vector<double> dense = to_dense(c0);
@@ -205,23 +205,67 @@ TEST(CscMatrix, GatherColumnMatchesDenseColumn) {
   EXPECT_DOUBLE_EQ(dense[2], 3.0);
 }
 
-TEST(CscMatrix, ShapeMirrorsOriginal) {
+TEST(Transposed, ShapeMirrorsOriginal) {
   const CsrMatrix a = CsrMatrix::from_triplets(2, 5, {{1, 4, 1.0}});
-  const CscMatrix csc(a);
-  EXPECT_EQ(csc.rows(), 2u);
-  EXPECT_EQ(csc.cols(), 5u);
-  EXPECT_EQ(csc.nnz(), 1u);
-  EXPECT_EQ(csc.col_nnz(4), 1u);
-  EXPECT_EQ(csc.col_nnz(0), 0u);
+  const CsrMatrix at = a.transposed();
+  EXPECT_EQ(at.rows(), 5u);
+  EXPECT_EQ(at.cols(), 2u);
+  EXPECT_EQ(at.nnz(), 1u);
+  EXPECT_EQ(at.row_nnz(4), 1u);
+  EXPECT_EQ(at.row_nnz(0), 0u);
 }
 
-TEST(CscMatrix, ColNormsMatchColumnwiseComputation) {
-  const CsrMatrix a = make_example();
-  const CscMatrix csc(a);
-  const std::vector<double> norms = csc.col_norms_squared();
+TEST(Transposed, RowNormsAreColumnNorms) {
+  const std::vector<double> norms =
+      make_example().transposed().row_norms_squared();
   EXPECT_DOUBLE_EQ(norms[0], 10.0);  // 1² + 3²
   EXPECT_DOUBLE_EQ(norms[1], 16.0);
   EXPECT_DOUBLE_EQ(norms[2], 4.0);
+}
+
+/// Exact equality of two CSR matrices: shape, structure and value bits.
+void expect_bitwise_equal(const CsrMatrix& got, const CsrMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  ASSERT_EQ(got.nnz(), want.nnz());
+  for (std::size_t i = 0; i <= want.rows(); ++i)
+    EXPECT_EQ(got.indptr()[i], want.indptr()[i]) << "indptr " << i;
+  for (std::size_t k = 0; k < want.nnz(); ++k) {
+    EXPECT_EQ(got.indices()[k], want.indices()[k]) << "index " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.values()[k]),
+              std::bit_cast<std::uint64_t>(want.values()[k]))
+        << "value " << k;
+  }
+}
+
+TEST(Transposed, RowRangeIsBitwiseTheSliceTranspose) {
+  // 9 × 7 with empty rows (0, 4, 8), a column (5) whose only entry is an
+  // explicit zero, and inexact values.
+  std::vector<Triplet> t;
+  for (std::size_t i = 1; i < 8; ++i) {
+    if (i == 4) continue;
+    for (std::size_t j = 0; j < 7; ++j)
+      if (j != 5 && (i * 3 + j * 5) % 4 != 0)
+        t.push_back({i, j, 0.1 * static_cast<double>(i) - 1.0 / (j + 3.0)});
+  }
+  t.push_back({2, 5, 0.0});
+  const CsrMatrix a = CsrMatrix::from_triplets(9, 7, t);
+  const std::size_t ranges[][2] = {{0, 0}, {4, 4}, {9, 9}, {0, 1},
+                                   {2, 6}, {3, 5}, {4, 5}, {5, 9},
+                                   {0, 9}};
+  for (const auto& r : ranges) {
+    SCOPED_TRACE(testing::Message() << "rows [" << r[0] << ", " << r[1]
+                                    << ")");
+    expect_bitwise_equal(a.transposed(r[0], r[1]),
+                         a.row_slice(r[0], r[1]).transposed());
+  }
+  expect_bitwise_equal(a.transposed(0, a.rows()), a.transposed());
+}
+
+TEST(Transposed, RowRangeRejectsInvalidRange) {
+  const CsrMatrix a = make_example();
+  EXPECT_THROW(a.transposed(2, 1), PreconditionError);
+  EXPECT_THROW(a.transposed(0, 4), PreconditionError);
 }
 
 /// Property sweep: SpMV against densified reference on random-ish shapes.
