@@ -34,6 +34,9 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/grouping.hpp"
 #include "core/solver.hpp"
@@ -51,6 +54,74 @@ using EngineClock = std::chrono::steady_clock;
 inline double seconds_since(EngineClock::time_point start) {
   return std::chrono::duration<double>(EngineClock::now() - start).count();
 }
+
+/// The dense Gram cache.  A round's Gram holds entries of one fixed
+/// matrix: the Gram of the rank's whole block over every member (AᵀA for
+/// the regression families, AAᵀ for SVM).  On a narrow dense block
+/// that matrix is small, so the cache builds it once and writes every
+/// round's kGram section by gathering entry (slot[i], slot[j]) from it —
+/// no Gram kernel and no Gram fold per round, the wire unchanged (the
+/// "covariance updates" of glmnet, Friedman, Hastie & Tibshirani 2010).
+///
+/// Bits: the block view is padded with copies of member 0 to a multiple
+/// of 4 members, so every table entry comes from the full-block kernel,
+/// and a full-block entry is a symmetric function of its two rows; the
+/// table folds through the grouping's tree entry by entry.  So a round
+/// with k % 4 == 0, whose walk is full-block too, gets the bits its own
+/// Gram kernel and fold would give; a round with k % 4 ≠ 0 may differ in
+/// the last bits of its ragged-edge entries — the same at every P and on
+/// resume, since the rule below depends only on the input's shape.
+class GramCache {
+ public:
+  /// The build costs at most this many rounds' Gram flops and the table
+  /// holds at most this many rounds' Gram words (per block).
+  static constexpr std::size_t kMaxRounds = 4;
+
+  /// The rule: cache a block of `members` members whose rounds draw at
+  /// most `k_max` when tri(N₄) ≤ kMaxRounds · tri(k_max), N₄ being
+  /// `members` rounded up to a multiple of 4.
+  static bool fits(std::size_t members, std::size_t k_max) {
+    const std::size_t width = padded(members);
+    return width * (width + 1) / 2 <= kMaxRounds * k_max * (k_max + 1) / 2;
+  }
+
+  /// Arms the cache for a block of `members` members whose rounds write
+  /// into `msg` (its grouping already set).  `view(ids, ws)` is the
+  /// block's view routine (RowBlock::view_columns, ColBlock::view_rows),
+  /// called once here over every member padded with copies of member 0.
+  /// Sparse blocks stay unarmed.  The table is sized for msg's wire now
+  /// and built at the first write().
+  template <typename View>
+  void arm(std::size_t members, const dist::RoundMessage& msg, View&& view) {
+    const std::size_t width = padded(members);
+    const std::span<std::size_t> ids = ws_.indices(0, width);
+    for (std::size_t i = 0; i < width; ++i) ids[i] = i < members ? i : 0;
+    all_ = view(std::span<const std::size_t>(ids), ws_);
+    if (!all_.is_dense()) return;
+    width_ = width;
+    table_.assign(msg.table_words(width * (width + 1) / 2), 0.0);
+  }
+
+  bool armed() const { return width_ > 0; }
+
+  /// Flops the table's build computes (the padded block's Gram).
+  std::size_t build_flops() const { return all_.gram_flops(); }
+
+  /// Writes msg's kGram section for the sampled member ids `members`,
+  /// building the table first if this is its first write.
+  void write(dist::RoundMessage& msg, std::span<const std::size_t> members);
+
+ private:
+  static std::size_t padded(std::size_t members) {
+    return (members + 3) / 4 * 4;
+  }
+
+  std::size_t width_ = 0;  // N₄ once armed
+  bool built_ = false;
+  la::Workspace ws_;  // the padded ids and the block view's descriptors
+  la::BatchView all_;
+  std::vector<double> table_;
+};
 
 /// Shared outer-round skeleton.  Derived engines implement the round
 /// phases (pack_round / apply_round), trace-point
@@ -141,11 +212,24 @@ class EngineBase : public Solver {
   /// replacement for allreduce_sum_scalar(nrm2²(v)).
   double grouped_norm_allreduce(std::span<const double> local);
 
+  /// Arms the dense Gram cache when GramCache::fits(members, k_max) and
+  /// the block is dense.  Derived constructors call it after
+  /// init_grouping, with the block's member count, the widest round
+  /// (unroll depth × widest block) and the block's view routine.
+  template <typename View>
+  void init_gram_cache(std::size_t members, std::size_t k_max, View&& view) {
+    if (GramCache::fits(members, k_max))
+      gram_cache_.arm(members, msg_, std::forward<View>(view));
+  }
+
   /// Writes the kGram section of `msg` from the round's sampled batch
-  /// `y` and meters its flops.  Dense views stage every owned chunk's
-  /// Gram (fold_owned); sparse views hand over only the partials of the
-  /// chunks where two members share a row (fold_entries).
-  void fold_gram(dist::RoundMessage& msg, const la::BatchView& y);
+  /// `y`, whose member ids are `members`, and meters its flops.  With the
+  /// Gram cache armed the section is gathered from it; otherwise dense
+  /// views stage every owned chunk's Gram (fold_owned) and sparse views
+  /// hand over only the partials of the chunks where two members share a
+  /// row (fold_entries).
+  void fold_gram(dist::RoundMessage& msg, const la::BatchView& y,
+                 std::span<const std::size_t> members);
 
   /// Writes the chunk partials of ||v||² (`local` as above) into the
   /// one-word `section` of `msg`: one nrm2² per owned chunk.
@@ -212,6 +296,7 @@ class EngineBase : public Solver {
     kFoldSlot = 3
   };
   common::ReduceGrouping grouping_;
+  GramCache gram_cache_;
   la::Workspace msg_ws_;
   dist::RoundMessage msg_{msg_ws_, kMsgSlot, kFoldSlot};
   dist::RoundMessage trace_msg_{msg_ws_, kTraceSlot, kFoldSlot};

@@ -1,5 +1,7 @@
 #include "core/local_data.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace sa::core {
@@ -74,25 +76,63 @@ ColBlock::ColBlock(const data::Dataset& dataset, const data::Partition& cols,
   SA_CHECK(cols.total() == dataset.num_features(),
            "ColBlock: partition does not cover the dataset columns");
   SA_CHECK(rank >= 0 && rank < cols.num_ranks(), "ColBlock: bad rank");
-  a_ = dataset.a.col_slice(cols.begin(rank), cols.end(rank));
+  const std::size_t begin = cols.begin(rank);
+  const std::size_t end = cols.end(rank);
+  num_points_ = dataset.num_points();
+  local_cols_ = end - begin;
   b_ = dataset.b;  // labels replicated
   dense_batches_ = dataset.a.density() > kDenseBatchThreshold;
-  if (dense_batches_) {
-    const std::size_t n_loc = local_cols();
-    stage_.assign(num_points() * n_loc, 0.0);
-    for (std::size_t r = 0; r < num_points(); ++r) {
-      double* run = stage_.data() + r * n_loc;
-      const auto idx = a_.row_indices(r);
-      const auto val = a_.row_values(r);
-      for (std::size_t p = 0; p < idx.size(); ++p) run[idx[p]] = val[p];
-    }
+  if (!dense_batches_) {
+    a_ = dataset.a.col_slice(begin, end);
+    return;
+  }
+  // One densification pass, straight from the dataset's rows: each row's
+  // in-block nonzeros scattered into its own contiguous run.
+  stage_.assign(num_points_ * local_cols_, 0.0);
+  for (std::size_t r = 0; r < num_points_; ++r) {
+    double* run = stage_.data() + r * local_cols_;
+    const auto idx = dataset.a.row_indices(r);
+    const auto val = dataset.a.row_values(r);
+    for (std::size_t p = static_cast<std::size_t>(
+             std::lower_bound(idx.begin(), idx.end(), begin) - idx.begin());
+         p < idx.size() && idx[p] < end; ++p)
+      run[idx[p] - begin] = val[p];
   }
 }
 
 la::BatchView ColBlock::view_rows(std::span<const std::size_t> rows,
                                   la::Workspace& ws) const {
-  return view_members(rows, num_points(), local_cols(), dense_batches_, a_,
+  return view_members(rows, num_points_, local_cols_, dense_batches_, a_,
                       stage_, ws);
+}
+
+void ColBlock::margin_chunks(std::span<const double> x,
+                             std::span<const std::size_t> bounds,
+                             std::size_t row_begin, std::size_t row_end,
+                             std::span<double> out) const {
+  if (!dense_batches_) {
+    a_.spmv_col_chunks(x, bounds, row_begin, row_end, out);
+    return;
+  }
+  SA_CHECK(row_begin <= row_end && row_end <= num_points_,
+           "margin_chunks: invalid row range");
+  const std::size_t rows = row_end - row_begin;
+  const std::size_t n = bounds.size() - 1;
+  SA_CHECK(!bounds.empty() && x.size() == local_cols_ &&
+               out.size() == n * rows,
+           "margin_chunks: dimension mismatch");
+  SA_CHECK(bounds.back() <= local_cols_ &&
+               std::is_sorted(bounds.begin(), bounds.end()),
+           "margin_chunks: invalid chunk bounds");
+  for (std::size_t i = row_begin; i < row_end; ++i) {
+    const double* run = stage_.data() + i * local_cols_;
+    for (std::size_t c = 0; c < n; ++c) {
+      double acc = 0.0;
+      for (std::size_t j = bounds[c]; j < bounds[c + 1]; ++j)
+        acc += run[j] * x[j];
+      out[c * rows + (i - row_begin)] = acc;
+    }
+  }
 }
 
 }  // namespace sa::core

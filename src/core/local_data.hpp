@@ -9,8 +9,9 @@
 //
 // ColBlock is the SVM layout (paper §V): A is 1D-column partitioned, the
 // primal iterate x ∈ ℝ^n is partitioned, the dual iterate α ∈ ℝ^m and the
-// labels are replicated.  Solvers sample *rows*, which CSR gathers
-// directly.
+// labels are replicated.  Solvers sample *rows*, so a rank holds its
+// columns in one row-oriented layout: the CSR column slice (sparse mode)
+// or a row-major staged copy (dense mode).
 //
 // Each block offers the sampled coordinates as zero-copy la::BatchView
 // descriptors (view_*) over its resident CSR arrays (sparse mode) or over
@@ -77,9 +78,8 @@ class ColBlock {
   ColBlock(const data::Dataset& dataset, const data::Partition& cols,
            int rank);
 
-  std::size_t num_points() const { return a_.rows(); }
-  std::size_t local_cols() const { return a_.cols(); }
-  const la::CsrMatrix& matrix() const { return a_; }
+  std::size_t num_points() const { return num_points_; }
+  std::size_t local_cols() const { return local_cols_; }
   /// Labels are replicated on every rank.
   const std::vector<double>& labels() const { return b_; }
 
@@ -92,12 +92,27 @@ class ColBlock {
   la::BatchView view_rows(std::span<const std::size_t> rows,
                           la::Workspace& ws) const;
 
+  /// The chunk partials of the margins A·x over rows [row_begin, row_end)
+  /// for the local slice `x`: la::CsrMatrix::spmv_col_chunks' contract,
+  /// with the same bits in both modes.  Dense mode walks the stage and
+  /// adds every product of a chunk in column order; the products of the
+  /// zeros the CSR slice skips are ±0.0, and adding them to a partial
+  /// that starts at +0.0 leaves it unchanged (such a partial is never
+  /// −0.0), so the sums match while x is finite.
+  void margin_chunks(std::span<const double> x,
+                     std::span<const std::size_t> bounds,
+                     std::size_t row_begin, std::size_t row_end,
+                     std::span<double> out) const;
+
  private:
-  la::CsrMatrix a_;  // m × n_loc
+  std::size_t num_points_ = 0;
+  std::size_t local_cols_ = 0;
+  la::CsrMatrix a_;  // m × n_loc, sparse-batch mode only
   std::vector<double> b_;
   bool dense_batches_ = false;
-  // Dense copy (m × n_loc) backing dense-mode views; built at construction
-  // in dense-batch mode only (see RowBlock::stage_).
+  // Dense copy (m × n_loc) backing dense-mode views and margins, in place
+  // of a_; built at construction in dense-batch mode only (see
+  // RowBlock::stage_).
   std::vector<double> stage_;
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "la/eigen.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::core {
@@ -29,14 +28,6 @@ double lasso_objective(const la::CsrMatrix& a, std::span<const double> b,
   return 0.5 * la::nrm2_squared(r) + lambda * la::asum(x);
 }
 
-double elastic_net_objective(const la::CsrMatrix& a, std::span<const double> b,
-                             std::span<const double> x, double lambda,
-                             double l1_weight, double l2_weight) {
-  const std::vector<double> r = residual(a, b, x);
-  return 0.5 * la::nrm2_squared(r) + lambda * (l1_weight * la::asum(x) +
-                                               l2_weight * la::nrm2_squared(x));
-}
-
 double group_lasso_objective(const la::CsrMatrix& a, std::span<const double> b,
                              std::span<const double> x, double lambda,
                              const GroupStructure& groups) {
@@ -49,12 +40,6 @@ double group_lasso_objective(const la::CsrMatrix& a, std::span<const double> b,
     penalty += la::nrm2(x.subspan(begin, groups.offsets[g + 1] - begin));
   }
   return 0.5 * la::nrm2_squared(r) + lambda * penalty;
-}
-
-double lasso_objective_from_residual(std::span<const double> residual,
-                                     std::span<const double> x,
-                                     double lambda) {
-  return 0.5 * la::nrm2_squared(residual) + lambda * la::asum(x);
 }
 
 double relative_objective_error(double reference, double other) {
@@ -103,12 +88,6 @@ double svm_duality_gap(const la::CsrMatrix& a, std::span<const double> b,
   const SvmConstants c = SvmConstants::make(loss, lambda);
   return svm_primal_objective(a, b, x, lambda, loss) -
          svm_dual_objective(alpha, x, c.gamma);
-}
-
-double lambda_from_sigma_min(const la::CsrMatrix& a, double multiple) {
-  const double sigma_min =
-      la::smallest_nonzero_singular_value(a.to_dense());
-  return multiple * sigma_min;
 }
 
 double lasso_lambda_max(const la::CsrMatrix& a, std::span<const double> b) {

@@ -18,21 +18,10 @@ namespace sa::core {
 double lasso_objective(const la::CsrMatrix& a, std::span<const double> b,
                        std::span<const double> x, double lambda);
 
-/// ½||Ax − b||² + λ(l1_weight·||x||₁ + l2_weight·||x||₂²).
-double elastic_net_objective(const la::CsrMatrix& a, std::span<const double> b,
-                             std::span<const double> x, double lambda,
-                             double l1_weight, double l2_weight);
-
 /// ½||Ax − b||² + λ·Σ_g ||x_g||₂ over the given disjoint groups.
 double group_lasso_objective(const la::CsrMatrix& a, std::span<const double> b,
                              std::span<const double> x, double lambda,
                              const GroupStructure& groups);
-
-/// ½||r||² + λ||x||₁ from a precomputed residual r = Ax − b; this is the
-/// form the distributed solvers use (they maintain r locally).
-double lasso_objective_from_residual(std::span<const double> residual,
-                                     std::span<const double> x,
-                                     double lambda);
 
 /// Relative difference |a − b| / |a| used for Table III
 /// (paper: |f_non-SA − f_SA| / f_non-SA).
@@ -65,10 +54,6 @@ double svm_dual_objective(std::span<const double> alpha,
 double svm_duality_gap(const la::CsrMatrix& a, std::span<const double> b,
                        std::span<const double> alpha,
                        std::span<const double> x, double lambda, SvmLoss loss);
-
-/// λ = multiple · σ_min(A), the paper's Lasso regularization choice
-/// (λ = 100·σ_min).  Densifies A, so intended for small/test datasets.
-double lambda_from_sigma_min(const la::CsrMatrix& a, double multiple = 100.0);
 
 /// λ_max = ||Aᵀb||_∞: smallest λ for which the Lasso solution is exactly 0.
 /// Useful for regularization paths (examples/lasso_path).

@@ -90,6 +90,10 @@ class LassoEngine final : public detail::EngineBase {
         z_img_[i] = -block_.labels()[i];
     }
     init_grouping(rows_);
+    init_gram_cache(n_, spec_.unroll_depth() * width_,
+                    [&](std::span<const std::size_t> cols, la::Workspace& ws) {
+                      return block_.view_columns(cols, ws);
+                    });
     // Flat pending-update table + touched list (replaces a per-iteration
     // map): pending[coord] accumulates this round's deferred updates and
     // is restored to all-zero via `touched` at the end, so the O(n) table
@@ -221,7 +225,7 @@ class LassoEngine final : public detail::EngineBase {
     //     payload is too. ---
     const std::size_t k_dots = accelerated_ ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
-    fold_gram(msg, big_);
+    fold_gram(msg, big_, idx_);
 
     const std::size_t sections = accelerated_ ? 2 : 1;
     const std::array<std::span<const double>, 2> rhs{

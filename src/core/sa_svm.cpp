@@ -51,6 +51,10 @@ class SvmEngine final : public detail::EngineBase {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
     init_grouping(cols_);
+    init_gram_cache(m_, spec_.unroll_depth(),
+                    [&](std::span<const std::size_t> rows, la::Workspace& ws) {
+                      return block_.view_rows(rows, ws);
+                    });
     detail::presize_round_workspace(round_ws_, kSlotIdx,
                                     spec_.unroll_depth());
   }
@@ -63,8 +67,8 @@ class SvmEngine final : public detail::EngineBase {
     const dist::CommStats snapshot = comm_.stats();
     // Duality gap evaluation (instrumentation only): margins need the full
     // A·x.  Each rank contributes per-global-column-chunk partial
-    // products — one CSR row walk emits every owned chunk's — folded
-    // through the grouping's tree like a round payload (the
+    // products — one row walk of its block emits every owned chunk's —
+    // folded through the grouping's tree like a round payload (the
     // rank-count-invariant replacement for summing whole per-rank
     // partials).  The norm goes first: the margins span is valid only
     // until the next grouped sum.
@@ -72,8 +76,7 @@ class SvmEngine final : public detail::EngineBase {
     const std::span<const double> margins = grouped_sum(
         m_, [&](std::span<const std::size_t> bounds, std::size_t row_begin,
                 std::size_t row_end, std::span<double> staged) {
-          block_.matrix().spmv_col_chunks(x_loc_, bounds, row_begin, row_end,
-                                          staged);
+          block_.margin_chunks(x_loc_, bounds, row_begin, row_end, staged);
         });
     double hinge_sum = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
@@ -98,7 +101,7 @@ class SvmEngine final : public detail::EngineBase {
     //     column chunk folded through the grouping's tree
     //     (rank-count-invariant reduction grouping). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
-    fold_gram(msg, batch_);
+    fold_gram(msg, batch_, idx_);
 
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(x_loc_)};

@@ -665,7 +665,39 @@ std::span<const double> EngineBase::reduce_grouped_sum() {
   return trace_msg_.section(dist::RoundSection::kDots1);
 }
 
-void EngineBase::fold_gram(dist::RoundMessage& msg, const la::BatchView& y) {
+void GramCache::write(dist::RoundMessage& msg,
+                      std::span<const std::size_t> members) {
+  const std::size_t words = width_ * (width_ + 1) / 2;
+  if (!built_) {
+    // One chunk per leaf call, each the one-chunk Gram of the padded
+    // block: bitwise that chunk's partial by the chunk bit contract.
+    msg.fold_table(table_, words,
+                   [&](std::size_t begin, std::size_t end,
+                       std::span<double> out) {
+                     const std::size_t bounds[2] = {begin, end};
+                     la::sampled_gram_range(all_, bounds, out);
+                   });
+    built_ = true;
+  }
+  msg.gather_table(dist::RoundSection::kGram,
+                   [&](std::size_t block, std::span<double> out) {
+                     la::gather_packed_upper(
+                         std::span<const double>(table_).subspan(
+                             block * words, words),
+                         width_, members, out);
+                   });
+}
+
+void EngineBase::fold_gram(dist::RoundMessage& msg, const la::BatchView& y,
+                           std::span<const std::size_t> members) {
+  if (gram_cache_.armed()) {
+    gram_cache_.write(msg, members);
+    // The build is metered once per solve, in its first round, not where
+    // the table is built: a resumed solve rebuilds it unmetered, so its
+    // counters match the uninterrupted solve's.
+    if (rounds_run_ == 0) comm_.add_flops(gram_cache_.build_flops());
+    return;
+  }
   if (y.is_dense()) {
     msg.fold_owned(dist::RoundSection::kGram, dist::RoundSection::kGram,
                    [&](std::span<const std::size_t> bounds,

@@ -15,13 +15,4 @@ void Dataset::validate() const {
   SA_CHECK(b.size() == a.rows(), "Dataset: label count must equal row count");
 }
 
-DatasetSummary summarize(const Dataset& d) {
-  DatasetSummary s;
-  s.name = d.name;
-  s.features = d.num_features();
-  s.points = d.num_points();
-  s.nnz_percent = 100.0 * d.density();
-  return s;
-}
-
 }  // namespace sa::data

@@ -28,15 +28,4 @@ struct Dataset {
   void validate() const;
 };
 
-/// Summary statistics printed by benchmarks (mirrors the paper's Table II /
-/// Table IV columns).
-struct DatasetSummary {
-  std::string name;
-  std::size_t features = 0;
-  std::size_t points = 0;
-  double nnz_percent = 0.0;
-};
-
-DatasetSummary summarize(const Dataset& d);
-
 }  // namespace sa::data

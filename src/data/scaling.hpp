@@ -1,9 +1,8 @@
 // Feature scaling / preprocessing.
 //
 // Coordinate-descent step sizes depend on column norms, so badly scaled
-// features slow convergence.  These helpers provide the two standard
-// normalizations used with LIBSVM data: unit-norm columns (common for
-// Lasso) and unit-norm rows (common for SVM), plus label standardization.
+// features slow convergence.  normalize_columns provides the standard
+// unit-norm column scaling used with LIBSVM data (the CLI's --normalize).
 #pragma once
 
 #include <utility>
@@ -27,21 +26,5 @@ struct ColumnScaling {
 /// Returns a copy of `dataset` with every column scaled to unit 2-norm
 /// (empty columns untouched), plus the scaling used.
 std::pair<Dataset, ColumnScaling> normalize_columns(const Dataset& dataset);
-
-/// Returns a copy of `dataset` with every row scaled to unit 2-norm
-/// (empty rows untouched).  Labels are unchanged — for SVM the margin
-/// b_i·A_i·x is simply rescaled per point.
-Dataset normalize_rows(const Dataset& dataset);
-
-/// Statistics of the label vector.
-struct LabelStats {
-  double mean = 0.0;
-  double stddev = 0.0;
-};
-
-/// Centers and scales regression targets to zero mean / unit variance;
-/// returns the statistics needed to undo the transform.  Constant labels
-/// are centered only.
-LabelStats standardize_labels(Dataset& dataset);
 
 }  // namespace sa::data

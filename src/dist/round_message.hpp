@@ -204,6 +204,55 @@ class RoundMessage {
     });
   }
 
+  /// Words of a table that fold_table builds from `words`-word chunk
+  /// partials: one block (the rank's folded subtree) plus the fold's
+  /// scratch levels on the payload wire, one block per owned chunk on the
+  /// slotted wire.
+  std::size_t table_words(std::size_t words) const {
+    return payload_wire_ ? (1 + grouping_.fold_levels(depth_)) * words
+                         : (bounds_.size() - 1) * words;
+  }
+
+  /// Builds a table whose blocks later rounds gather a section from (the
+  /// dense Gram cache, core/engine.hpp).  `leaf(begin, end, out)`
+  /// overwrites `out` (`words` words) with the partial of the owned chunk
+  /// [begin, end) (rank-local elements, as in fold_owned).  On the payload
+  /// wire the chunks fold one at a time through the rank's subtree into
+  /// block 0, so the scratch is the fold's levels, not a staged partial
+  /// per chunk; on the slotted wire block c holds owned chunk c's partial.
+  template <typename Leaf>
+  void fold_table(std::span<double> table, std::size_t words,
+                  Leaf&& leaf) const {
+    const auto chunk = [&](std::size_t c, std::span<double> out) {
+      leaf(bounds_[c - first_chunk_], bounds_[c - first_chunk_ + 1], out);
+    };
+    if (payload_wire_) {
+      grouping_.fold_node(depth_, node_, table.first(words),
+                          table.subspan(words), chunk);
+      return;
+    }
+    for (std::size_t c = 0; c + 1 < bounds_.size(); ++c)
+      chunk(first_chunk_ + c, table.subspan(c * words, words));
+  }
+
+  /// Writes this rank's share of `section` from a fold_table table:
+  /// `gather(b, out)` fills `out` (the section's words) from block b — the
+  /// payload section from block 0 on the payload wire, owned chunk c's
+  /// slot from block c on the slotted wire.  Bitwise what fold_owned makes
+  /// of chunk partials that are the same gather of each chunk's table
+  /// partial, since the fold works word by word.
+  template <typename Gather>
+  void gather_table(RoundSection section, Gather&& gather) {
+    const std::size_t off = offset_[static_cast<std::size_t>(section)];
+    const std::size_t words = words_[static_cast<std::size_t>(section)];
+    if (payload_wire_) {
+      gather(std::size_t{0}, buffer_.subspan(off, words));
+      return;
+    }
+    for (std::size_t c = 0; c + 1 < bounds_.size(); ++c)
+      gather(c, slot(first_chunk_ + c).subspan(off, words));
+  }
+
   /// Runs the round's ONE collective over the wire and attributes
   /// per-section wire traffic to the communicator's CommStats; afterwards
   /// every section holds the sum over ranks (on the slotted wire, after

@@ -389,6 +389,25 @@ std::size_t fused_buffer_size(std::size_t k, std::size_t sections) {
   return k * (k + 1) / 2 + sections * k;
 }
 
+void gather_packed_upper(std::span<const double> table, std::size_t width,
+                         std::span<const std::size_t> members,
+                         std::span<double> out) {
+  const std::size_t k = members.size();
+  SA_CHECK(table.size() == fused_buffer_size(width, 0) &&
+               out.size() == fused_buffer_size(k, 0),
+           "gather_packed_upper: buffer size mismatch");
+  for (const std::size_t a : members)
+    SA_CHECK(a < width, "gather_packed_upper: member out of range");
+  for (std::size_t i = 0, e = 0; i < k; ++i) {
+    const std::size_t a = members[i];
+    for (std::size_t j = i; j < k; ++j, ++e) {
+      const std::size_t b = members[j];
+      out[e] = table[a <= b ? packed_upper_index(a, b, width)
+                            : packed_upper_index(b, a, width)];
+    }
+  }
+}
+
 namespace {
 
 void check_bounds(const BatchView& y, std::span<const std::size_t> bounds,

@@ -118,6 +118,14 @@ inline std::size_t packed_upper_index(std::size_t i, std::size_t j,
 /// sides: k(k+1)/2 packed Gram entries plus sections·k dot entries.
 std::size_t fused_buffer_size(std::size_t k, std::size_t sections);
 
+/// The packed upper triangle of the k = members.size() members of a
+/// `width`-member batch whose own triangle is `table`: entry (i, j) is
+/// table entry (min, max) of (members[i], members[j]), the one gather the
+/// dense Gram cache (core/engine.hpp) writes each round's Gram with.
+void gather_packed_upper(std::span<const double> table, std::size_t width,
+                         std::span<const std::size_t> members,
+                         std::span<double> out);
+
 // Chunked entry points, one per buffer section.  `bounds` holds the
 // n + 1 monotone boundaries of n chunks of the shared dimension (chunk c
 // is [bounds[c], bounds[c + 1]), possibly empty; bounds.back() ≤ dim());

@@ -45,8 +45,6 @@ std::vector<double> DenseMatrix::diagonal() const {
   return d;
 }
 
-double DenseMatrix::frobenius_norm() const { return nrm2(data_); }
-
 double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
   SA_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
            "max_abs_diff: shape mismatch");

@@ -63,9 +63,6 @@ class DenseMatrix {
   /// Extracts the square diagonal as a vector (requires rows == cols).
   std::vector<double> diagonal() const;
 
-  /// Frobenius norm of the whole matrix.
-  double frobenius_norm() const;
-
   /// Maximum absolute entrywise difference to another matrix of equal shape.
   double max_abs_diff(const DenseMatrix& other) const;
 

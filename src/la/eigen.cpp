@@ -84,19 +84,4 @@ std::vector<double> jacobi_eigenvalues(DenseMatrix a, double tolerance,
   return eig;
 }
 
-double smallest_nonzero_singular_value(const DenseMatrix& a,
-                                       double rank_tol) {
-  if (a.rows() == 0 || a.cols() == 0) return 0.0;
-  const DenseMatrix g = (a.cols() <= a.rows())
-                            ? gram_upper(a)
-                            : gram_upper(a.transposed());
-  std::vector<double> eig = jacobi_eigenvalues(g);
-  const double sigma_max_sq = std::max(0.0, eig.back());
-  const double cutoff = rank_tol * rank_tol * sigma_max_sq;
-  for (double e : eig) {
-    if (e > cutoff) return std::sqrt(e);
-  }
-  return 0.0;
-}
-
 }  // namespace sa::la

@@ -4,7 +4,7 @@
 // matrix every iteration (the optimal block Lipschitz constant, line 10 of
 // the paper's Algorithm 1).  µ is small (1–32 in the paper), so one dense
 // method serves every use: cyclic Jacobi rotations, for the step sizes
-// inside the solvers, for tests and for λ-selection helpers.  The sweep is
+// inside the solvers and for tests.  The sweep is
 // plain scalar code, so its result does not depend on the kernel ISA.
 #pragma once
 
@@ -28,11 +28,5 @@ double largest_eigenvalue_psd(DenseMatrix& a);
 std::vector<double> jacobi_eigenvalues(DenseMatrix a,
                                        double tolerance = 1e-14,
                                        std::size_t max_sweeps = 64);
-
-/// Returns the smallest *nonzero* singular value of a dense matrix —
-/// used by λ-selection (the paper sets λ = 100·σ_min).  Values below
-/// rank_tol · σ_max are treated as zero.
-double smallest_nonzero_singular_value(const DenseMatrix& a,
-                                       double rank_tol = 1e-10);
 
 }  // namespace sa::la

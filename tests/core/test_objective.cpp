@@ -31,34 +31,6 @@ TEST(LassoObjective, ExactSolutionLeavesOnlyPenalty) {
   EXPECT_DOUBLE_EQ(lasso_objective(a, b, x, 0.5), 0.5 * 3.0);
 }
 
-TEST(LassoObjective, FromResidualMatchesFromScratch) {
-  const la::CsrMatrix a = la::CsrMatrix::from_triplets(
-      3, 2, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 0, -1.0}, {2, 1, 0.5}});
-  const std::vector<double> b{1.0, 2.0, 3.0};
-  const std::vector<double> x{0.4, -0.7};
-  std::vector<double> r(3);
-  a.spmv(x, r);
-  for (std::size_t i = 0; i < 3; ++i) r[i] -= b[i];
-  EXPECT_NEAR(lasso_objective(a, b, x, 0.3),
-              lasso_objective_from_residual(r, x, 0.3), 1e-14);
-}
-
-TEST(ElasticNetObjective, ReducesToLassoWithoutL2) {
-  const la::CsrMatrix a = identity2();
-  const std::vector<double> b{1.0, 1.0};
-  const std::vector<double> x{0.5, -0.25};
-  EXPECT_DOUBLE_EQ(elastic_net_objective(a, b, x, 0.7, 1.0, 0.0),
-                   lasso_objective(a, b, x, 0.7));
-}
-
-TEST(ElasticNetObjective, AddsSquaredPenalty) {
-  const la::CsrMatrix a = identity2();
-  const std::vector<double> b{0.0, 0.0};
-  const std::vector<double> x{2.0, 0.0};
-  // ½·4 + λ(0·|x|₁ + 1·||x||²) = 2 + 0.5·4 = 4.
-  EXPECT_DOUBLE_EQ(elastic_net_objective(a, b, x, 0.5, 0.0, 1.0), 4.0);
-}
-
 TEST(GroupLassoObjective, SumsGroupNorms) {
   const la::CsrMatrix a = identity2();
   const std::vector<double> b{0.0, 0.0};
@@ -144,10 +116,6 @@ TEST(SvmDualityGap, NonNegativeForFeasiblePairs) {
   }
   EXPECT_GE(svm_duality_gap(a, b, alpha, x, 1.0, SvmLoss::kL1), -1e-12);
   EXPECT_GE(svm_duality_gap(a, b, alpha, x, 1.0, SvmLoss::kL2), -1e-12);
-}
-
-TEST(LambdaFromSigmaMin, IdentityHasUnitSigma) {
-  EXPECT_NEAR(lambda_from_sigma_min(identity2(), 100.0), 100.0, 1e-8);
 }
 
 TEST(LassoLambdaMax, MatchesInfinityNormOfAtb) {

@@ -85,6 +85,33 @@ TEST(SteadyState, SaLassoAllocatesOnlyInTheFirstOuterIteration) {
   }
 }
 
+// A narrow dense block (12 columns, k_max = 8) runs on the Gram cache: its
+// table is sized at construction and built in the first round, so later
+// rounds, which only gather from it, allocate nothing.
+TEST(SteadyState, CachedDenseSaLassoAllocatesOnlyInTheFirstOuterIteration) {
+  data::RegressionConfig cfg;
+  cfg.num_points = 80;
+  cfg.num_features = 12;
+  cfg.density = 1.0;
+  cfg.support_size = 4;
+  cfg.seed = 19;
+  const data::Dataset d = data::make_regression(cfg).dataset;
+  const auto run = [&](std::size_t iterations) {
+    SolverSpec sa = SolverSpec::make("sa-lasso");
+    sa.lambda = 0.05;
+    sa.block_size = 2;
+    sa.accelerated = true;
+    sa.max_iterations = iterations;
+    sa.trace_every = 0;
+    sa.s = 4;
+    return allocations_during([&] { solve(d, sa); });
+  };
+  run(4);  // warm thread-local kernel scratch
+  const std::size_t one_iteration = run(4);
+  const std::size_t many_iterations = run(84);
+  EXPECT_EQ(many_iterations, one_iteration);
+}
+
 TEST(SteadyState, SaSvmAllocatesOnlyInTheFirstOuterIteration) {
   data::ClassificationConfig cfg;
   cfg.num_points = 60;

@@ -75,60 +75,5 @@ TEST(NormalizeColumns, UnscaleRejectsWrongLength) {
                sa::PreconditionError);
 }
 
-TEST(NormalizeRows, ProducesUnitRows) {
-  const Dataset d = make_problem();
-  const Dataset scaled = normalize_rows(d);
-  const auto norms = scaled.a.row_norms_squared();
-  for (std::size_t i = 0; i < norms.size(); ++i) {
-    if (norms[i] > 0.0) {
-      EXPECT_NEAR(norms[i], 1.0, 1e-12) << "row " << i;
-    }
-  }
-  EXPECT_EQ(scaled.b, d.b);
-}
-
-TEST(NormalizeRows, EmptyRowsUntouched) {
-  Dataset d;
-  d.name = "gap";
-  d.a = la::CsrMatrix::from_triplets(3, 2, {{0, 0, 3.0}});
-  d.b = {1.0, -1.0, 1.0};
-  const Dataset scaled = normalize_rows(d);
-  EXPECT_EQ(scaled.a.row_nnz(1), 0u);
-  EXPECT_DOUBLE_EQ(scaled.a.row_values(0)[0], 1.0);
-}
-
-TEST(StandardizeLabels, ZeroMeanUnitVariance) {
-  Dataset d = make_problem();
-  const LabelStats stats = standardize_labels(d);
-  EXPECT_GT(stats.stddev, 0.0);
-  double mean = 0.0;
-  for (double v : d.b) mean += v;
-  mean /= static_cast<double>(d.b.size());
-  EXPECT_NEAR(mean, 0.0, 1e-12);
-  double var = 0.0;
-  for (double v : d.b) var += v * v;
-  var /= static_cast<double>(d.b.size());
-  EXPECT_NEAR(var, 1.0, 1e-12);
-}
-
-TEST(StandardizeLabels, ConstantLabelsCenteredOnly) {
-  Dataset d;
-  d.name = "const";
-  d.a = la::CsrMatrix::from_triplets(3, 1, {{0, 0, 1.0}});
-  d.b = {5.0, 5.0, 5.0};
-  const LabelStats stats = standardize_labels(d);
-  EXPECT_DOUBLE_EQ(stats.mean, 5.0);
-  EXPECT_DOUBLE_EQ(stats.stddev, 0.0);
-  for (double v : d.b) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(StandardizeLabels, RoundTripRecoversOriginal) {
-  Dataset d = make_problem();
-  const std::vector<double> original = d.b;
-  const LabelStats stats = standardize_labels(d);
-  for (std::size_t i = 0; i < d.b.size(); ++i)
-    EXPECT_NEAR(d.b[i] * stats.stddev + stats.mean, original[i], 1e-12);
-}
-
 }  // namespace
 }  // namespace sa::data

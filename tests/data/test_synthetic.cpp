@@ -202,17 +202,5 @@ TEST(PaperTwin, DatasetListsCoverTables) {
   EXPECT_EQ(svm_paper_datasets().size(), 6u);     // Table IV
 }
 
-TEST(DatasetSummary, ReportsNnzPercent) {
-  RegressionConfig cfg;
-  cfg.num_points = 100;
-  cfg.num_features = 50;
-  cfg.density = 0.2;
-  const Dataset d = make_regression(cfg).dataset;
-  const DatasetSummary s = summarize(d);
-  EXPECT_EQ(s.points, 100u);
-  EXPECT_EQ(s.features, 50u);
-  EXPECT_NEAR(s.nnz_percent, 20.0, 5.0);
-}
-
 }  // namespace
 }  // namespace sa::data

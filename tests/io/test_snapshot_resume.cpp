@@ -381,14 +381,49 @@ SolveResult run_on_ranks(const SolverSpec& spec, const data::Dataset& d,
   return out;
 }
 
+/// One cross-rank sweep case: a spec and the dataset it runs on.
+struct CrossRankCase {
+  std::string name;
+  SolverSpec spec;
+  const data::Dataset* data;
+};
+
+/// Every registered id on its fixture, plus a narrow dense block that runs
+/// on the Gram cache with k % 4 ≠ 0: sa-lasso at µ = 3, s = 3 (k = 9) on
+/// 16 dense columns (tri(16) = 136 ≤ 4·tri(9) = 180).  (The sa-group-lasso
+/// fixture, k = 16 over 28 columns, runs on the cache too.)
+std::vector<CrossRankCase> cross_rank_cases() {
+  std::vector<CrossRankCase> cases;
+  for (const std::string& id : registered_algorithms()) {
+    const SolverSpec spec = cross_rank_spec(id);
+    cases.push_back({id, spec, &dataset_for(spec)});
+  }
+  static const data::Dataset narrow = [] {
+    data::RegressionConfig cfg;
+    cfg.num_points = 64;
+    cfg.num_features = 16;
+    cfg.density = 0.5;
+    cfg.support_size = 4;
+    cfg.noise_sigma = 0.02;
+    cfg.seed = 93;
+    return data::make_regression(cfg).dataset;
+  }();
+  SolverSpec spec = cross_rank_spec("sa-lasso");
+  spec.block_size = 3;
+  spec.s = 3;
+  cases.push_back({"sa-lasso narrow dense, k = 9", spec, &narrow});
+  return cases;
+}
+
 TEST(SnapshotResume, TracesAreBitwiseIdenticalAcrossRankCounts) {
   // Serial, 2-, 3-, 4-, and 8-rank uninterrupted solves produce the SAME
   // bits for every algorithm: solution, duals, every traced objective.
   // (3 exercises the non-power-of-two tree-allreduce path end to end.)
-  for (const std::string& id : registered_algorithms()) {
+  for (const CrossRankCase& c : cross_rank_cases()) {
+    const std::string& id = c.name;
     SCOPED_TRACE(id);
-    const SolverSpec spec = cross_rank_spec(id);
-    const data::Dataset& d = dataset_for(spec);
+    const SolverSpec& spec = c.spec;
+    const data::Dataset& d = *c.data;
 
     dist::SerialComm ref_comm;
     const SolveResult reference = fresh_solver(ref_comm, spec, d)->run();
@@ -403,13 +438,15 @@ TEST(SnapshotResume, TracesAreBitwiseIdenticalAcrossRankCounts) {
 TEST(SnapshotResume, CrossRankCountResumeIsBitwiseForEveryAlgorithm) {
   // Elastic resume: checkpoint at P ranks, resume at Q ranks, for every
   // (P, Q) in {1,2,4,8}² — the continued run lands on the uninterrupted
-  // serial reference bitwise (solution, duals, stop reason, trace).
+  // serial reference bitwise (solution, duals, stop reason, trace), for
+  // every id and the narrow Gram-cache case.
   const std::string path =
       ::testing::TempDir() + "sa_snapshot_cross_rank.snap";
-  for (const std::string& id : registered_algorithms()) {
+  for (const CrossRankCase& c : cross_rank_cases()) {
+    const std::string& id = c.name;
     SCOPED_TRACE(id);
-    const SolverSpec spec = cross_rank_spec(id);
-    const data::Dataset& d = dataset_for(spec);
+    const SolverSpec& spec = c.spec;
+    const data::Dataset& d = *c.data;
 
     dist::SerialComm ref_comm;
     const SolveResult reference = fresh_solver(ref_comm, spec, d)->run();

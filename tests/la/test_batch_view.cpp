@@ -553,6 +553,46 @@ TEST(BatchView, ColBlockRowViewsMatchNaiveReference) {
   }
 }
 
+// A dense ColBlock keeps no CSR slice: its margin chunk partials come from
+// the stage and must be bitwise the CSR slice's spmv_col_chunks, at every
+// rank of P ∈ {1, 2, 3} on a 7-chunk grid, over whole and partial row
+// ranges, with zero, −0.0 and negative entries in x.
+TEST(ColBlock, DenseMarginsAreBitwiseTheCsrMargins) {
+  const data::Dataset d = make_dataset(0.5, 37);
+  const common::ReduceGrouping grouping =
+      common::ReduceGrouping::make(d.num_features(), 10);
+  for (const int ranks : {1, 2, 3}) {
+    const data::Partition cols =
+        data::Partition::block(d.num_features(), ranks);
+    for (int r = 0; r < ranks; ++r) {
+      SCOPED_TRACE(::testing::Message() << "P=" << ranks << " rank " << r);
+      const core::ColBlock block(d, cols, r);
+      const std::size_t lo = cols.begin(r);
+      const std::size_t hi = cols.end(r);
+      const la::CsrMatrix slice = d.a.col_slice(lo, hi);
+      // The owned chunks' rank-local bounds, as the slotted wire clips them.
+      std::vector<std::size_t> bounds{0};
+      for (std::size_t c = 0; c < grouping.num_chunks(); ++c)
+        if (grouping.end(c) > lo && grouping.begin(c) < hi)
+          bounds.push_back(std::min(grouping.end(c), hi) - lo);
+      std::vector<double> x = random_vector(block.local_cols(), 38 + r);
+      for (std::size_t j = 0; j < x.size(); j += 5) x[j] = 0.0;
+      for (std::size_t j = 2; j < x.size(); j += 7) x[j] = -0.0;
+      const std::size_t n = bounds.size() - 1;
+      for (const auto& [row_begin, row_end] :
+           {std::pair<std::size_t, std::size_t>{0, d.num_points()},
+            std::pair<std::size_t, std::size_t>{17, 64}}) {
+        const std::size_t rows = row_end - row_begin;
+        std::vector<double> got(n * rows, 7.0);
+        std::vector<double> want(n * rows, 7.0);
+        block.margin_chunks(x, bounds, row_begin, row_end, got);
+        slice.spmv_col_chunks(x, bounds, row_begin, row_end, want);
+        EXPECT_TRUE(same_bits(got, want)) << "rows " << row_begin;
+      }
+    }
+  }
+}
+
 TEST(BatchView, AddScaledToMatchesNaiveUpdate) {
   for (const double density : {0.05, 0.5}) {
     const data::Dataset d = make_dataset(density, 35);

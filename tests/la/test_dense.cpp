@@ -66,10 +66,6 @@ TEST(DenseMatrix, DiagonalRejectsNonSquare) {
   EXPECT_THROW(a.diagonal(), PreconditionError);
 }
 
-TEST(DenseMatrix, FrobeniusNormOfIdentity) {
-  EXPECT_NEAR(DenseMatrix::identity(4).frobenius_norm(), 2.0, 1e-15);
-}
-
 TEST(DenseMatrix, MaxAbsDiffDetectsSingleEntryChange) {
   DenseMatrix a = make_counting(2, 2);
   DenseMatrix b = a;

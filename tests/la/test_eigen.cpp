@@ -175,25 +175,6 @@ TEST(Jacobi, EmptyMatrixGivesEmptySpectrum) {
   EXPECT_TRUE(jacobi_eigenvalues(DenseMatrix()).empty());
 }
 
-TEST(SingularValues, DiagonalRectangular) {
-  DenseMatrix a(3, 2);
-  a(0, 0) = 2.0;
-  a(1, 1) = 5.0;
-  EXPECT_NEAR(smallest_nonzero_singular_value(a), 2.0, 1e-10);
-}
-
-TEST(SingularValues, RankDeficientIgnoresZeros) {
-  // Rank-1 matrix: single nonzero singular value ||u||·||v||.
-  DenseMatrix a(3, 3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = 2.0;
-  EXPECT_NEAR(smallest_nonzero_singular_value(a), 6.0, 1e-9);
-}
-
-TEST(SingularValues, EmptyMatrixIsZero) {
-  EXPECT_DOUBLE_EQ(smallest_nonzero_singular_value(DenseMatrix()), 0.0);
-}
-
 /// The in-place entry point is bitwise the top of jacobi_eigenvalues'
 /// sorted spectrum across a sweep of PSD matrices G = BᵀB.
 class EigenAgreementSweep : public ::testing::TestWithParam<std::size_t> {};
