@@ -83,8 +83,10 @@ void print_registry() {
       "  --loss l1|l2    SVM hinge variant (default %s)\n"
       "  --gap-tol X     SVM duality-gap stop (default off); checked at\n"
       "                  trace points, so it needs --trace-every > 0\n"
-      "  --obj-tol X     stop when successive trace objectives agree\n"
-      "                  (SVM ids: also needs --trace-every > 0)\n"
+      "  --obj-tol X     stop when two round objectives spaced\n"
+      "                  --trace-every iterations apart agree (every\n"
+      "                  round when tracing is off; SVM ids compare\n"
+      "                  trace objectives, so need --trace-every > 0)\n"
       "  --time-budget X wall-clock budget in seconds (default off)\n"
       "  --seed N        sampler seed (default %llu)\n"
       "  --group-size N  uniform group size for group-lasso ids "

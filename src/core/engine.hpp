@@ -177,7 +177,9 @@ class EngineBase : public Solver {
   virtual bool has_round_objective() const { return false; }
   /// Writes this rank's share of the kObjective section through
   /// msg.fold_owned (every owned chunk's partial in one call, folded like
-  /// the Gram), evaluated at the CURRENT iterate (pack time).
+  /// the Gram), evaluated at the CURRENT iterate (pack time).  Called
+  /// only in the rounds whose objective the plateau rule reads (one per
+  /// trace_every iterations); the other rounds leave the word +0.0.
   virtual void write_round_objective(dist::RoundMessage& msg) { (void)msg; }
   /// Full replicated objective from the tree-folded reduced partial.
   virtual double objective_from_partial(double reduced_partial) {

@@ -74,8 +74,8 @@ class LassoEngine final : public detail::EngineBase {
         r_(width_),
         u_(grouped_ ? width_ : 0),
         gjj_(width_, width_),
-        x_scratch_(n_),
-        res_scratch_(block_.local_rows()) {
+        x_scratch_(accelerated_ ? n_ : 0),
+        res_scratch_(accelerated_ ? block_.local_rows() : 0) {
     // Warm start: z = x0, y = 0 (so x = θ²·y + z = x0), z̃ = A·x0 − b.
     if (!spec_.x0.empty()) {
       z_ = spec_.x0;
@@ -114,13 +114,13 @@ class LassoEngine final : public detail::EngineBase {
   enum : std::size_t { kSlotIdx = 0 };
   enum : std::size_t { kSlotDelta = 0, kSlotPending = 1 };
 
-  void write_current_x(std::span<double> out) const {
-    if (!accelerated_) {
-      la::copy(z_, out);
-      return;
-    }
+  /// The current iterate x: z itself in plain mode, else θ²·y + z formed
+  /// in x_scratch_.
+  std::span<const double> current_x() {
+    if (!accelerated_) return z_;
     const double t2 = theta_ * theta_;
-    for (std::size_t j = 0; j < n_; ++j) out[j] = t2 * y_[j] + z_[j];
+    for (std::size_t j = 0; j < n_; ++j) x_scratch_[j] = t2 * y_[j] + z_[j];
+    return x_scratch_;
   }
 
   double penalty_value(std::span<const double> x) const {
@@ -143,23 +143,22 @@ class LassoEngine final : public detail::EngineBase {
     return 0.0;
   }
 
-  /// Writes the current residual image (θ²·ỹ + z̃, or z̃ in plain mode)
-  /// into res_scratch_.
-  void write_current_residual() {
+  /// The current residual image: z̃ itself in plain mode, else
+  /// θ²·ỹ + z̃ formed in res_scratch_.
+  std::span<const double> current_residual() {
+    if (!accelerated_) return z_img_;
     const double t2 = theta_ * theta_;
     for (std::size_t i = 0; i < res_scratch_.size(); ++i)
-      res_scratch_[i] =
-          accelerated_ ? t2 * y_img_[i] + z_img_[i] : z_img_[i];
+      res_scratch_[i] = t2 * y_img_[i] + z_img_[i];
+    return res_scratch_;
   }
 
   void record_trace_point(std::size_t iteration) override {
     const dist::CommStats snapshot = comm_.stats();
-    write_current_x(x_scratch_);
-    write_current_residual();
     // Trace instrumentation: runs only at user-requested trace points,
     // outside the round plane, and restores the comm stats it perturbs.
-    const double total_sq = grouped_norm_allreduce(res_scratch_);
-    const double penalty = penalty_value(x_scratch_);
+    const double total_sq = grouped_norm_allreduce(current_residual());
+    const double penalty = penalty_value(current_x());
     comm_.set_stats(snapshot);
     push_trace_point(iteration, 0.5 * total_sq + penalty, snapshot);
   }
@@ -172,12 +171,11 @@ class LassoEngine final : public detail::EngineBase {
   bool has_round_objective() const override { return true; }
 
   void write_round_objective(dist::RoundMessage& msg) override {
-    write_current_x(x_scratch_);
-    pending_penalty_ = penalty_value(x_scratch_);
-    write_current_residual();
-    comm_.add_flops(2 * res_scratch_.size());
+    pending_penalty_ = penalty_value(current_x());
+    comm_.add_flops(2 * z_img_.size());
     comm_.add_replicated_flops(2 * n_);
-    fold_norm_squared(msg, dist::RoundSection::kObjective, res_scratch_);
+    fold_norm_squared(msg, dist::RoundSection::kObjective,
+                      current_residual());
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -389,8 +387,8 @@ class LassoEngine final : public detail::EngineBase {
   }
 
   void assemble(SolveResult& out) override {
-    out.x.resize(n_);
-    write_current_x(out.x);
+    const std::span<const double> x = current_x();
+    out.x.assign(x.begin(), x.end());
   }
 
   // --- Snapshot/resume: the replicated iterates (z, y, θ), the
@@ -511,7 +509,9 @@ class LassoEngine final : public detail::EngineBase {
   la::BatchView big_;
   double pending_penalty_ = 0.0;
 
-  // Trace scratch, reused across every trace point (no fresh vectors).
+  // The accelerated iterate and residual for the objective, reused across
+  // every evaluation (no fresh vectors); plain mode reads z and z̃ in
+  // place and leaves both empty.
   std::vector<double> x_scratch_;
   std::vector<double> res_scratch_;
 };

@@ -273,9 +273,22 @@ void EngineBase::run_round(std::size_t s_eff) {
   // the iterate ENTERING this round (pack time), so the criterion it
   // feeds lags the iterate by one round — the price of zero extra
   // messages.
+  //
+  // The plateau rule compares samples spaced at least trace_every
+  // iterations apart (round granularity when tracing is off): single-round
+  // plateaus — one unlucky zero-update block — must not stop a classical
+  // (s = 1) solve.  So it reads the objective only in the rounds decided
+  // here, from state every rank holds identically (and the snapshot
+  // carries); every other round leaves the kObjective word +0.0 and skips
+  // the partial's O(n) work.
+  const bool read_objective =
+      piggyback_objective_ &&
+      (!have_prev_round_objective_ ||
+       iterations_done_ - prev_round_objective_iter_ >=
+           std::max<std::size_t>(spec_.trace_every, 1));
   const EngineClock::time_point t_pack = EngineClock::now();
   pack_round(s_eff, msg_);
-  if (piggyback_objective_)
+  if (read_objective)
     // Per-chunk objective partials, folded through the grouping's tree
     // like the Gram, so the summed partial is rank-count invariant.
     write_round_objective(msg_);
@@ -300,28 +313,18 @@ void EngineBase::run_round(std::size_t s_eff) {
   comm_.add_apply_seconds(seconds_since(t_apply));
 
   // Trailer sections → stopping criteria, zero extra collectives.
-  if (piggyback_objective_ && !done_) {
+  if (read_objective) {
     const double objective = objective_from_partial(
         msg_.section(dist::RoundSection::kObjective)[0]);
-    // Compare samples spaced at least trace_every iterations apart (round
-    // granularity when tracing is off): single-round plateaus — one
-    // unlucky zero-update block — must not stop a classical (s = 1)
-    // solve.
-    const std::size_t cadence = std::max<std::size_t>(spec_.trace_every, 1);
     if (have_prev_round_objective_ &&
-        iterations_done_ - prev_round_objective_iter_ >= cadence) {
-      if (objective_plateaued(prev_round_objective_, objective,
-                              spec_.objective_tolerance)) {
-        done_ = true;
-        reason_ = StopReason::kObjectiveTolerance;
-      }
-      prev_round_objective_ = objective;
-      prev_round_objective_iter_ = iterations_done_;
-    } else if (!have_prev_round_objective_) {
-      have_prev_round_objective_ = true;
-      prev_round_objective_ = objective;
-      prev_round_objective_iter_ = iterations_done_;
+        objective_plateaued(prev_round_objective_, objective,
+                            spec_.objective_tolerance)) {
+      done_ = true;
+      reason_ = StopReason::kObjectiveTolerance;
     }
+    have_prev_round_objective_ = true;
+    prev_round_objective_ = objective;
+    prev_round_objective_iter_ = iterations_done_;
   }
   if (piggyback_wall_ && !done_ &&
       msg_.section(dist::RoundSection::kStopFlags)[0] >=

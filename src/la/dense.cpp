@@ -38,13 +38,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return id;
 }
 
-std::vector<double> DenseMatrix::diagonal() const {
-  SA_CHECK(rows_ == cols_, "diagonal: matrix must be square");
-  std::vector<double> d(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) d[i] = (*this)(i, i);
-  return d;
-}
-
 double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
   SA_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
            "max_abs_diff: shape mismatch");

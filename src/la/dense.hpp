@@ -60,9 +60,6 @@ class DenseMatrix {
   /// Returns an n×n identity matrix.
   static DenseMatrix identity(std::size_t n);
 
-  /// Extracts the square diagonal as a vector (requires rows == cols).
-  std::vector<double> diagonal() const;
-
   /// Maximum absolute entrywise difference to another matrix of equal shape.
   double max_abs_diff(const DenseMatrix& other) const;
 

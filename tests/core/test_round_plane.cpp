@@ -5,7 +5,10 @@
 // enabling the piggy-backed trailer sections must not perturb a single
 // bit of the iterates or the traced objectives.  The reduce-wait meter
 // must cover the whole round collective, the wait for the slowest rank
-// included.
+// included.  The piggy-backed objective is computed only in the rounds
+// the plateau rule reads, and the rule stops where a replay of an
+// every-round trace says it must.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -296,6 +299,122 @@ TEST(RoundPlane, WaitMeterCoversTheWaitForTheSlowestRank) {
         while (!solver->finished()) solver->step(1);
       });
   EXPECT_GE(stats[0].wait_seconds, 0.9 * kLateRounds * kLateSeconds);
+}
+
+/// Drives `spec` on a P-rank team over `d`'s rows; one MeteredRun per rank.
+std::vector<MeteredRun> drive_ranks(int p, const data::Dataset& d,
+                                    const SolverSpec& spec) {
+  const data::Partition part = data::Partition::block(d.num_points(), p);
+  std::vector<MeteredRun> runs(p);
+  std::mutex lock;
+  dist::run_distributed(p, [&](dist::Communicator& comm) {
+    MeteredRun r = drive(comm, d, part, spec);
+    std::scoped_lock guard(lock);
+    runs[comm.rank()] = std::move(r);
+  });
+  return runs;
+}
+
+SolverSpec plateau_spec(bool accelerated, std::size_t s, std::size_t h,
+                        std::size_t trace_every) {
+  return SolverSpec::make("sa-lasso")
+      .with_lambda(0.05)
+      .with_block_size(3)
+      .with_acceleration(accelerated)
+      .with_s(s)
+      .with_seed(7)
+      .with_max_iterations(h)
+      .with_trace_every(trace_every);
+}
+
+// The plateau rule reads the piggy-backed objective once per trace_every
+// iterations, so only those rounds compute its partial: a tolerance that
+// never fires must cost exactly one residual norm (2·m_loc flops) and one
+// penalty (2·n replicated flops) per read round on top of the
+// criterion-free solve, not one per round.
+TEST(RoundPlane, RoundObjectiveIsComputedOnlyInReadRounds) {
+  const data::Dataset d = regression_problem();
+  constexpr std::size_t kS = 4;
+  constexpr std::size_t kT = 4 * kS;
+  constexpr std::size_t kH = 102;  // the last round runs 2 iterations
+  // The pre-round iterations the rule reads: 0, T, 2T, … below H.
+  std::size_t reads = 0;
+  for (std::size_t i = 0; i < kH; i += kT) ++reads;
+  ASSERT_EQ(reads, 7u);
+  for (const bool accelerated : {false, true}) {
+    for (const int p : {1, 2}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "accelerated " << accelerated << " P " << p);
+      const SolverSpec base = plateau_spec(accelerated, kS, kH, kT);
+      SolverSpec with_tol = base;
+      with_tol.with_objective_tolerance(1e-300);
+      const std::vector<MeteredRun> plain = drive_ranks(p, d, base);
+      const std::vector<MeteredRun> tol = drive_ranks(p, d, with_tol);
+      const data::Partition part = data::Partition::block(d.num_points(), p);
+      for (int r = 0; r < p; ++r) {
+        ASSERT_EQ(tol[r].result.stop_reason, StopReason::kMaxIterations);
+        EXPECT_EQ(tol[r].result.x, plain[r].result.x) << "rank " << r;
+        const std::size_t m_loc = part.end(r) - part.begin(r);
+        EXPECT_EQ(tol[r].pre_finish_stats.flops -
+                      plain[r].pre_finish_stats.flops,
+                  reads * 2 * m_loc)
+            << "rank " << r;
+        EXPECT_EQ(tol[r].pre_finish_stats.replicated_flops -
+                      plain[r].pre_finish_stats.replicated_flops,
+                  reads * 2 * d.num_features())
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+// An oracle for the plateau stop.  Solve B traces every round boundary
+// (trace_every = s) without a tolerance; a trace point's objective is the
+// iterate entering the next round, folded through the same grouping as
+// the round's partial.  Replaying the plateau rule over B's trace — a
+// sample at pre-round iterations 0, T, 2T, …, the solve stopping after
+// the round whose sample plateaus — must give solve A's stop iteration,
+// and A's x must be bitwise B's iterate there.
+TEST(RoundPlane, PlateauStopMatchesAReplayOfTheTrace) {
+  const data::Dataset d = regression_problem();
+  constexpr std::size_t kS = 4;
+  constexpr std::size_t kT = 3 * kS;
+  constexpr std::size_t kH = 4000;
+  constexpr double kTol = 1e-7;
+  for (const bool accelerated : {false, true}) {
+    for (const int p : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "accelerated " << accelerated << " P " << p);
+      const std::vector<MeteredRun> b =
+          drive_ranks(p, d, plateau_spec(accelerated, kS, kH, kS));
+      const std::vector<TracePoint>& points = b[0].result.trace.points;
+      std::size_t stop = 0;
+      double prev = points[0].objective;
+      for (std::size_t i = kT; i < kH && stop == 0; i += kT) {
+        ASSERT_LT(i / kS, points.size());
+        ASSERT_EQ(points[i / kS].iteration, i);
+        const double objective = points[i / kS].objective;
+        if (std::abs(prev - objective) <=
+            kTol * std::max(1.0, std::abs(objective)))
+          stop = i + kS;
+        prev = objective;
+      }
+      // The tolerance must fire, and not at the first comparison.
+      ASSERT_GT(stop, 2 * kT);
+
+      SolverSpec spec_a = plateau_spec(accelerated, kS, kH, kT);
+      spec_a.with_objective_tolerance(kTol);
+      const std::vector<MeteredRun> a = drive_ranks(p, d, spec_a);
+      const std::vector<MeteredRun> b_at_stop =
+          drive_ranks(p, d, plateau_spec(accelerated, kS, stop, kS));
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(a[r].result.stop_reason, StopReason::kObjectiveTolerance)
+            << "rank " << r;
+        EXPECT_EQ(a[r].result.trace.iterations_run, stop) << "rank " << r;
+        EXPECT_EQ(a[r].result.x, b_at_stop[r].result.x) << "rank " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

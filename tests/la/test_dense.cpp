@@ -55,17 +55,6 @@ TEST(DenseMatrix, IdentityHasUnitDiagonal) {
       EXPECT_DOUBLE_EQ(id(i, j), i == j ? 1.0 : 0.0);
 }
 
-TEST(DenseMatrix, DiagonalExtractsSquareDiagonal) {
-  DenseMatrix a = make_counting(3, 3);
-  const std::vector<double> d = a.diagonal();
-  EXPECT_EQ(d, (std::vector<double>{1.0, 5.0, 9.0}));
-}
-
-TEST(DenseMatrix, DiagonalRejectsNonSquare) {
-  const DenseMatrix a(2, 3);
-  EXPECT_THROW(a.diagonal(), PreconditionError);
-}
-
 TEST(DenseMatrix, MaxAbsDiffDetectsSingleEntryChange) {
   DenseMatrix a = make_counting(2, 2);
   DenseMatrix b = a;
