@@ -218,9 +218,10 @@ sa::data::Dataset pipeline_dataset(double density) {
 // The zmm_gram counter is 1 when the Gram ran the avx2 table's 512-bit
 // gram_tile (kernels_avx512.cpp); 0 for the ymm or narrower tiles and for
 // the sparse rows, whose Gram never calls gram_tile.  The distinct
-// counter is the mean number of distinct columns per batch; GFLOP/s
-// always counts the metered k-member flops, so a batch with repeats
-// (whose dense Gram computes each distinct pair once) reads high.
+// counter is the mean number of distinct columns per batch.  The dense
+// Gram walks every member, repeats too, so GFLOP/s (the metered
+// k-member flops) is what the Gram ran; only the dense dots compute a
+// repeated member once.
 //
 // BM_KernelGramDotsDrawn_avx2_dense/threads is the lasso-dense-p1 round:
 // s = 8 blocks of µ = 8 columns drawn as the engine draws them (each

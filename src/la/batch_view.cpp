@@ -18,22 +18,6 @@
 //     pair is an independent work item of one OpenMP region
 //     (schedule(dynamic) above the work threshold); each output entry is
 //     written by exactly one item in a fixed order (deterministic).
-//   * Distinct members — the s blocks of a round are drawn independently,
-//     so a dense batch can hold the same column twice, and in a dense
-//     view equal row pointers mean the same column.  When the distinct
-//     rows, padded to a multiple of 4 by repeating the first, are fewer
-//     than k, the walker runs over them alone and each chunk's distinct
-//     triangle is expanded in place into the k-member layout (the pair
-//     (i, j) reads the distinct pair of its rows).  A
-//     full-block entry is a symmetric function of its two rows (its
-//     products commute and every accumulator runs the same lane order),
-//     and padding keeps every distinct entry on the full-block kernel, so
-//     when k % 4 == 0 — every entry of the k-member walk full-block too —
-//     the result is bitwise the k-member walk.  Otherwise the k-member
-//     walk's ragged-edge dots summed in another order, and those entries
-//     may differ in their last bits.  Dots of a repeated member are
-//     computed once per chunk and copied (bitwise always).  The message
-//     layout and the metered flops stay the k-member ones.
 //   * Sparse Gram — support intersection.  On sparse data the chunk
 //     segments of a member are mostly nonempty but the PRODUCTS are
 //     mostly zero: two sampled columns share a row in well under 1% of
@@ -62,7 +46,10 @@
 //     ascending chunk order; RoundMessage::fold_entries folds them
 //     straight into the payload, and sampled_gram_range stages them
 //     chunk-major.
-//   * Dots — one sequential dot (dense) per (chunk, member).  A sparse
+//   * Dots — one sequential dot (dense) per (chunk, member).  The s
+//     blocks of a round are drawn independently, so a dense batch can
+//     hold the same column twice (equal row pointers); a repeated dense
+//     member's dots are computed once per chunk and copied.  A sparse
 //     member makes one gather_dot_segments call per right-hand side over
 //     its chunk segments, and its partials go to an EntrySink as the
 //     sparse Gram's do (sampled_dots_entries; sampled_dots_range stages
@@ -236,18 +223,16 @@ DotScratch& dot_scratch(std::size_t n) {
 /// Dense rows shifted to every chunk start: rows[c·k + i] =
 /// members[i] + bounds[c] for the k = members.size() rows, so chunk c is
 /// a dense view of depth bounds[c + 1] − bounds[c].  Grow-only and
-/// thread-local, sized for n·`capacity` rows (capacity ≥ k: the view's
-/// member count, so a call over its distinct rows sizes what a later call
-/// over all of them needs), built by the calling thread before the
-/// OpenMP region and read-only inside it.
+/// thread-local, built by the calling thread before the OpenMP region and
+/// read-only inside it.
 std::span<const double* const> chunk_rows(
     std::span<const double* const> members,
-    std::span<const std::size_t> bounds, std::size_t capacity) {
+    std::span<const std::size_t> bounds) {
   thread_local std::vector<const double*> rows;
   const std::size_t k = members.size();
   const std::size_t n = bounds.size() - 1;
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (rows.size() < n * capacity) rows.resize(n * capacity);
+  if (rows.size() < n * k) rows.resize(n * k);
   for (std::size_t c = 0; c < n; ++c)
     for (std::size_t i = 0; i < k; ++i)
       rows[c * k + i] = members[i] + bounds[c];
@@ -256,11 +241,9 @@ std::span<const double* const> chunk_rows(
 
 /// The distinct members of a dense view, keyed by row pointer: member i
 /// is distinct row slot[i]; distinct row u is rows[u] and first appears
-/// as member first[u].  rows is padded past the `count` distinct rows to
-/// `width` (a multiple of 4) with copies of rows[0].
+/// as member first[u].
 struct DistinctRows {
   std::size_t count = 0;
-  std::size_t width = 0;
   std::span<const std::size_t> slot;
   std::span<const std::size_t> first;
   std::span<const double* const> rows;
@@ -281,7 +264,7 @@ DistinctRows distinct_rows(const BatchView& y) {
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
   if (first.size() < k) first.resize(k);
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (rows.size() < k + 3) rows.resize(k + 3);
+  if (rows.size() < k) rows.resize(k);
   std::size_t count = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const double* row = y.row_pointers()[i];
@@ -293,10 +276,8 @@ DistinctRows distinct_rows(const BatchView& y) {
     }
     slot[i] = u;
   }
-  std::size_t width = count;
-  while (width % 4 != 0) rows[width++] = rows[0];
-  return {count, width, {slot.data(), k}, {first.data(), count},
-          {rows.data(), width}};
+  return {count, {slot.data(), k}, {first.data(), count},
+          {rows.data(), count}};
 }
 
 }  // namespace
@@ -472,80 +453,35 @@ void tile_pair(std::size_t t, std::size_t tiles, std::size_t& ti,
   tj = ti + (t - row_start);
 }
 
-/// The k-member packed triangle's source entries in the distinct
-/// triangle of `d`: entry (i, j) reads distinct entry (slot[i], slot[j]),
-/// ordered.  Grow-only and thread-local, sized k(k+1)/2 on every call
-/// (`fill` or not), so a round without repeats has already sized what a
-/// later one with repeats fills; built by the calling thread before the
-/// OpenMP region and read-only inside it.
-std::span<const std::size_t> entry_map(const DistinctRows& d, bool fill) {
-  thread_local std::vector<std::size_t> entry;
-  const std::size_t k = d.slot.size();
-  const std::size_t tri = fused_buffer_size(k, 0);
-  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (entry.size() < tri) entry.resize(tri);
-  for (std::size_t i = 0, e = 0; fill && i < k; ++i)
-    for (std::size_t j = i; j < k; ++j, ++e)
-      entry[e] = packed_upper_index(std::min(d.slot[i], d.slot[j]),
-                                    std::max(d.slot[i], d.slot[j]), d.width);
-  return {entry.data(), tri};
-}
-
 /// Dense Gram: every (chunk, tile pair) is an independent work item of
 /// one OpenMP region — each packed entry of each chunk belongs to exactly
 /// one item, so the visiting order does not affect any output value.
-/// With repeated members the walk covers the w padded distinct rows, each
-/// chunk's distinct triangle packed at the start of its own block, and
-/// the block is then expanded in place.  That is safe walking the entries
-/// downwards: entry (i, j) reads distinct entry (u, v) with u ≤ i and
-/// v ≤ j (slot[i] ≤ i, as slots number rows by first occurrence) and
-/// w < k, so its source index is at most its own — a position not yet
-/// overwritten.  A second work-shared loop of the same region expands the
-/// blocks, one chunk per item.
 void dense_gram(const BatchView& y, std::span<const std::size_t> bounds,
                 std::span<double> out, const simd::KernelTable& kt) {
   const std::size_t k = y.size();
   const std::size_t n = bounds.size() - 1;
   const std::size_t tri = fused_buffer_size(k, 0);
-  const DistinctRows d = distinct_rows(y);
-  const bool expand = d.width < k;
-  const std::size_t w = expand ? d.width : k;  // rows the walker sees
   const std::span<const double* const> rows =
-      chunk_rows(expand ? d.rows : y.row_pointers(), bounds, k);
-  const std::span<const std::size_t> entry = entry_map(d, expand);
+      chunk_rows(y.row_pointers(), bounds);
   std::fill(out.begin(), out.end(), 0.0);
-  const std::size_t tiles = (w + kGramTile - 1) / kGramTile;
+  const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
   const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
   const std::size_t items = n * tile_pairs;
   const bool parallel =
-      w * (w + 1) * (bounds[n] - bounds[0]) / 2 >= kParallelFlopThreshold;
+      k * (k + 1) * (bounds[n] - bounds[0]) / 2 >= kParallelFlopThreshold;
 #ifdef _OPENMP
-#pragma omp parallel if (parallel)
+#pragma omp parallel for schedule(dynamic) if (parallel)
 #endif
-  {
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(items); ++t) {
-      const std::size_t c = static_cast<std::size_t>(t) / tile_pairs;
-      std::size_t ti = 0;
-      std::size_t tj = 0;
-      tile_pair(static_cast<std::size_t>(t) % tile_pairs, tiles, ti, tj);
-      const std::size_t ib = ti * kGramTile;
-      const std::size_t jb = tj * kGramTile;
-      kt.gram_tile(rows.data() + c * w, bounds[c + 1] - bounds[c], w,
-                   out.data() + c * tri, ib, std::min(ib + kGramTile, w), jb,
-                   std::min(jb + kGramTile, w));
-    }
-    if (expand) {
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n); ++c) {
-        double* block = out.data() + static_cast<std::size_t>(c) * tri;
-        for (std::size_t e = tri; e-- > 0;) block[e] = block[entry[e]];
-      }
-    }
+  for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(items); ++t) {
+    const std::size_t c = static_cast<std::size_t>(t) / tile_pairs;
+    std::size_t ti = 0;
+    std::size_t tj = 0;
+    tile_pair(static_cast<std::size_t>(t) % tile_pairs, tiles, ti, tj);
+    const std::size_t ib = ti * kGramTile;
+    const std::size_t jb = tj * kGramTile;
+    kt.gram_tile(rows.data() + c * k, bounds[c + 1] - bounds[c], k,
+                 out.data() + c * tri, ib, std::min(ib + kGramTile, k), jb,
+                 std::min(jb + kGramTile, k));
   }
   (void)parallel;
 }

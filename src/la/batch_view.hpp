@@ -147,11 +147,7 @@ void gather_packed_upper(std::span<const double> table, std::size_t width,
 
 /// Packed upper-triangular Gram of every chunk: out must have
 /// n·k(k+1)/2 entries (n·fused_buffer_size(size(), 0)).  For sparse views
-/// this is sampled_gram_entries staged chunk-major into a +0.0 fill.  A
-/// dense view that repeats a member (equal row pointers) has each
-/// distinct pair computed once and copied: bitwise the same batch with
-/// every repeat in its own buffer when k % 4 == 0, within a few ulps
-/// otherwise (see batch_view.cpp).
+/// this is sampled_gram_entries staged chunk-major into a +0.0 fill.
 void sampled_gram_range(const BatchView& y,
                         std::span<const std::size_t> bounds,
                         std::span<double> out);

@@ -220,17 +220,6 @@ CsrMatrix CsrMatrix::col_slice(std::size_t col_begin,
                    std::move(indices), std::move(values));
 }
 
-SparseVector CsrMatrix::gather_row(std::size_t i) const {
-  SA_CHECK(i < rows_, "gather_row: row out of range");
-  SparseVector v;
-  v.dim = cols_;
-  const auto idx = row_indices(i);
-  const auto val = row_values(i);
-  v.indices.assign(idx.begin(), idx.end());
-  v.values.assign(val.begin(), val.end());
-  return v;
-}
-
 CsrMatrix CsrMatrix::transposed() const { return transposed(0, rows_); }
 
 CsrMatrix CsrMatrix::transposed(std::size_t row_begin,

@@ -2,7 +2,7 @@
 //
 // CSR is the on-disk and in-memory format for all datasets (matching the
 // paper, which stores LIBSVM data in 3-array CSR).  Solvers slice it by
-// rows (1D-row partitioning for Lasso) and gather rows from it (SVM).
+// rows (1D-row partitioning for Lasso) and by columns (SVM).
 #pragma once
 
 #include <cstddef>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "la/dense.hpp"
-#include "la/sparse_vector.hpp"
 
 namespace sa::la {
 
@@ -84,9 +83,6 @@ class CsrMatrix {
   /// Returns the contiguous column block [col_begin, col_end) as a new
   /// matrix with the same row dimension (1D-column partitioning).
   CsrMatrix col_slice(std::size_t col_begin, std::size_t col_end) const;
-
-  /// Returns row i as a standalone sparse vector of length cols().
-  SparseVector gather_row(std::size_t i) const;
 
   /// Returns the explicit transpose (i.e. the CSC view materialised as CSR).
   CsrMatrix transposed() const;

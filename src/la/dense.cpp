@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "la/vector_ops.hpp"
 
 namespace sa::la {
 
@@ -39,32 +38,6 @@ double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
   for (std::size_t i = 0; i < data_.size(); ++i)
     worst = std::max(worst, std::abs(data_[i] - other.data_[i]));
   return worst;
-}
-
-void gemv(double alpha, const DenseMatrix& a, std::span<const double> x,
-          double beta, std::span<double> y) {
-  SA_CHECK(x.size() == a.cols() && y.size() == a.rows(),
-           "gemv: dimension mismatch");
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    y[i] = beta * y[i] + alpha * dot(a.row(i), x);
-  }
-}
-
-DenseMatrix gram_upper(const DenseMatrix& a) {
-  const std::size_t n = a.cols();
-  DenseMatrix g(n, n);
-  // Upper triangle via streaming rank-1 accumulation, then mirror.
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    std::span<const double> ak = a.row(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double aki = ak[i];
-      if (aki == 0.0) continue;
-      for (std::size_t j = i; j < n; ++j) g(i, j) += aki * ak[j];
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) g(j, i) = g(i, j);
-  return g;
 }
 
 }  // namespace sa::la

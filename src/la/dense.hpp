@@ -1,4 +1,4 @@
-// Row-major dense matrix and BLAS-2/3 style kernels.
+// Row-major dense matrix.
 //
 // DenseMatrix is the workhorse for the small Gram matrices at the heart of
 // the synchronization-avoiding methods (µ×µ and sµ×sµ), for dense datasets
@@ -65,14 +65,5 @@ class DenseMatrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// y := alpha * A * x + beta * y          (A: m×n, x: n, y: m)
-void gemv(double alpha, const DenseMatrix& a, std::span<const double> x,
-          double beta, std::span<double> y);
-
-/// Returns the upper-triangular Gram matrix G = A' * A symmetrised into a
-/// full matrix.  Only the upper triangle is computed (n(n+1)/2 dot
-/// products); the lower triangle is mirrored.
-DenseMatrix gram_upper(const DenseMatrix& a);
 
 }  // namespace sa::la

@@ -92,8 +92,8 @@ double sum(const double* x, std::size_t n) {
   return acc;
 }
 
-// Sequential gather order: dot(SparseVector, span), batch_dots sparse
-// rows, and the fused kernel's dot sections all used this plain loop.
+// Sequential gather order: the sparse dot sections run this plain loop
+// once per chunk segment (gather_dot_segments below).
 double gather_dot(const double* vals, const std::size_t* idx,
                   std::size_t n, const double* x) {
   double acc = 0.0;

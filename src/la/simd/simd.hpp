@@ -169,7 +169,8 @@ struct KernelTable {
   double (*sum)(const double* x, std::size_t n);
 
   /// Σ vals[q]·x[idx[q]] — the sparse gather dot in the *sequential*
-  /// legacy order (sparse-dense dots, sampled_dots_range sparse rows).
+  /// legacy order.  The sparse dot sections run it per chunk segment
+  /// through gather_dot_segments, whose per-ISA oracle it is.
   double (*gather_dot)(const double* vals, const std::size_t* idx,
                        std::size_t n, const double* x);
   /// Same contraction in the *two-accumulator* legacy order (sparse

@@ -89,24 +89,6 @@ std::size_t best_s_bcd(const BcdParams& base,
   return best;
 }
 
-std::size_t best_s_svm(const SvmParams& base,
-                       const std::vector<std::size_t>& candidates,
-                       const dist::MachineParams& machine) {
-  SA_CHECK(!candidates.empty(), "best_s_svm: no candidates");
-  std::size_t best = candidates.front();
-  double best_time = std::numeric_limits<double>::infinity();
-  for (std::size_t s : candidates) {
-    SvmParams p = base;
-    p.s = s;
-    const double t = price_costs(sa_svm_costs(p), machine).total_seconds();
-    if (t < best_time) {
-      best_time = t;
-      best = s;
-    }
-  }
-  return best;
-}
-
 std::vector<ScalingPoint> bcd_strong_scaling(
     const BcdParams& base, const std::vector<int>& processor_counts,
     const std::vector<std::size_t>& s_candidates,

@@ -58,9 +58,4 @@ std::size_t best_s_bcd(const BcdParams& base,
                        const std::vector<std::size_t>& candidates,
                        const dist::MachineParams& machine);
 
-/// Returns the s among `candidates` minimizing modelled SA-SVM time.
-std::size_t best_s_svm(const SvmParams& base,
-                       const std::vector<std::size_t>& candidates,
-                       const dist::MachineParams& machine);
-
 }  // namespace sa::perf

@@ -109,11 +109,9 @@ TEST(SvmDualityGap, NonNegativeForFeasiblePairs) {
   const la::CsrMatrix a = identity2();
   const std::vector<double> b{1.0, -1.0};
   const std::vector<double> alpha{0.25, 0.5};
-  std::vector<double> x(2, 0.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const la::SparseVector row = a.gather_row(i);
-    la::axpy(b[i] * alpha[i], row, x);
-  }
+  const std::vector<double> weights{b[0] * alpha[0], b[1] * alpha[1]};
+  std::vector<double> x(2);
+  a.spmv_transpose(weights, x);
   EXPECT_GE(svm_duality_gap(a, b, alpha, x, 1.0, SvmLoss::kL1), -1e-12);
   EXPECT_GE(svm_duality_gap(a, b, alpha, x, 1.0, SvmLoss::kL2), -1e-12);
 }

@@ -76,11 +76,11 @@ TEST(Svm, PrimalEqualsWeightedSupportVectorSum) {
   // Invariant of the dual method: x = Σ b_i α_i A_iᵀ at every point.
   const data::Dataset d = separable_problem();
   const SolveResult r = solve(d, base_spec());
-  std::vector<double> x(d.num_features(), 0.0);
-  for (std::size_t i = 0; i < d.num_points(); ++i) {
-    if (r.alpha[i] == 0.0) continue;
-    la::axpy(d.b[i] * r.alpha[i], d.a.gather_row(i), x);
-  }
+  std::vector<double> weights(d.num_points());
+  for (std::size_t i = 0; i < d.num_points(); ++i)
+    weights[i] = d.b[i] * r.alpha[i];
+  std::vector<double> x(d.num_features());
+  d.a.spmv_transpose(weights, x);
   EXPECT_LT(la::max_rel_diff(x, r.x), 1e-9);
 }
 

@@ -1,13 +1,11 @@
-// Unit tests for DenseMatrix, gemv and gram_upper.
+// Unit tests for DenseMatrix.
 #include "la/dense.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "la/vector_ops.hpp"
 
 namespace sa::la {
 namespace {
@@ -18,15 +16,6 @@ DenseMatrix make_counting(std::size_t rows, std::size_t cols) {
   for (std::size_t i = 0; i < rows; ++i)
     for (std::size_t j = 0; j < cols; ++j) a(i, j) = v++;
   return a;
-}
-
-/// A'·A by the textbook triple loop: the oracle for gram_upper.
-DenseMatrix naive_at_a(const DenseMatrix& a) {
-  DenseMatrix g(a.cols(), a.cols());
-  for (std::size_t i = 0; i < a.cols(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      for (std::size_t r = 0; r < a.rows(); ++r) g(i, j) += a(r, i) * a(r, j);
-  return g;
 }
 
 TEST(DenseMatrix, ConstructsZeroInitialised) {
@@ -63,64 +52,6 @@ TEST(DenseMatrix, MaxAbsDiffDetectsSingleEntryChange) {
   b(1, 1) += 0.5;
   EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 0.5);
 }
-
-TEST(Gemv, MatchesManualProduct) {
-  const DenseMatrix a = make_counting(2, 3);  // [1 2 3; 4 5 6]
-  const std::vector<double> x{1.0, 0.0, -1.0};
-  std::vector<double> y{100.0, 200.0};
-  gemv(1.0, a, x, 0.0, y);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-}
-
-TEST(Gemv, AppliesAlphaAndBeta) {
-  const DenseMatrix a(2, 2, {1.0, 0.0, 0.0, 1.0});
-  const std::vector<double> x{1.0, 2.0};
-  std::vector<double> y{10.0, 10.0};
-  gemv(3.0, a, x, 0.5, y);
-  EXPECT_DOUBLE_EQ(y[0], 8.0);   // 0.5·10 + 3·1
-  EXPECT_DOUBLE_EQ(y[1], 11.0);  // 0.5·10 + 3·2
-}
-
-TEST(GramUpper, EqualsAtTimesA) {
-  const DenseMatrix a = make_counting(5, 3);
-  const DenseMatrix g = gram_upper(a);
-  const DenseMatrix ref = naive_at_a(a);
-  EXPECT_LT(g.max_abs_diff(ref), 1e-12);
-}
-
-TEST(GramUpper, IsSymmetric) {
-  const DenseMatrix a = make_counting(4, 4);
-  const DenseMatrix g = gram_upper(a);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      EXPECT_DOUBLE_EQ(g(i, j), g(j, i));
-}
-
-/// Parameterized shape sweep: gram_upper consistency over rectangular
-/// shapes, both tall and wide.
-class DenseShapeSweep
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(DenseShapeSweep, GramMatchesNaiveReference) {
-  const auto [m, n] = GetParam();
-  DenseMatrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      a(i, j) = std::sin(static_cast<double>(i * n + j));
-  const DenseMatrix g = gram_upper(a);
-  const DenseMatrix ref = naive_at_a(a);
-  EXPECT_LT(g.max_abs_diff(ref), 1e-10);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, DenseShapeSweep,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
-                      std::pair<std::size_t, std::size_t>{1, 8},
-                      std::pair<std::size_t, std::size_t>{8, 1},
-                      std::pair<std::size_t, std::size_t>{16, 5},
-                      std::pair<std::size_t, std::size_t>{5, 16},
-                      std::pair<std::size_t, std::size_t>{32, 32}));
 
 }  // namespace
 }  // namespace sa::la

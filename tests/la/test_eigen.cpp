@@ -18,13 +18,18 @@ namespace {
 /// In-place entry point on a copy, so callers keep their matrix.
 double largest_of(DenseMatrix a) { return largest_eigenvalue_psd(a); }
 
-/// PSD G = BᵀB with B (n + 2)×n of smooth, deterministic entries.
+/// PSD G = BᵀB with B (n + 2)×n of smooth, deterministic entries, by the
+/// textbook triple loop.
 DenseMatrix sine_gram(std::size_t n) {
   DenseMatrix b(n + 2, n);
   for (std::size_t i = 0; i < b.rows(); ++i)
     for (std::size_t j = 0; j < n; ++j)
       b(i, j) = std::sin(static_cast<double>(i * n + j + 1));
-  return gram_upper(b);
+  DenseMatrix g(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t r = 0; r < b.rows(); ++r) g(i, j) += b(r, i) * b(r, j);
+  return g;
 }
 
 /// Two nearly equal leading eigenvalues, 5 ± 1e-8 (a power iteration

@@ -14,7 +14,6 @@
 #include "la/batch_view.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
-#include "la/sparse_vector.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
 
@@ -32,12 +31,17 @@ DenseMatrix random_dense(std::size_t rows, std::size_t cols,
   return a;
 }
 
-std::vector<SparseVector> random_sparse(std::size_t count, std::size_t dim,
+/// One sparse member: strictly increasing indices and their values.
+struct SparseMember {
+  std::vector<std::size_t> indices;
+  std::vector<double> values;
+};
+
+std::vector<SparseMember> random_sparse(std::size_t count, std::size_t dim,
                                         double density, std::uint64_t seed) {
   data::SplitMix64 rng(seed);
-  std::vector<SparseVector> vs(count);
-  for (SparseVector& v : vs) {
-    v.dim = dim;
+  std::vector<SparseMember> vs(count);
+  for (SparseMember& v : vs) {
     for (std::size_t i = 0; i < dim; ++i) {
       if (rng.next_double() < density) {
         v.indices.push_back(i);
@@ -57,9 +61,9 @@ class Batch {
       ptrs_.push_back(dense_.row(i).data());
     view_ = BatchView::dense(ptrs_, dense_.cols());
   }
-  Batch(std::vector<SparseVector> members, std::size_t dim)
+  Batch(std::vector<SparseMember> members, std::size_t dim)
       : sparse_(std::move(members)) {
-    for (const SparseVector& v : sparse_) {
+    for (const SparseMember& v : sparse_) {
       idx_.emplace_back(v.indices);
       val_.emplace_back(v.values);
     }
@@ -79,7 +83,7 @@ class Batch {
       return {r.begin(), r.end()};
     }
     std::vector<double> v(dim(), 0.0);
-    for (std::size_t p = 0; p < sparse_[i].nnz(); ++p)
+    for (std::size_t p = 0; p < sparse_[i].indices.size(); ++p)
       v[sparse_[i].indices[p]] = sparse_[i].values[p];
     return v;
   }
@@ -87,7 +91,7 @@ class Batch {
  private:
   DenseMatrix dense_;
   std::vector<const double*> ptrs_;
-  std::vector<SparseVector> sparse_;
+  std::vector<SparseMember> sparse_;
   std::vector<std::span<const std::size_t>> idx_;
   std::vector<std::span<const double>> val_;
   BatchView view_;
@@ -165,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SparseGramSweep,
 TEST(SparseGram, EmptyBatchAndEmptyMembers) {
   EXPECT_EQ(gram(Batch({}, 64)).rows(), 0u);
   // Members with zero nonzeros must produce exact zero rows/columns.
-  std::vector<SparseVector> vs = random_sparse(4, 90, 0.2, 5);
+  std::vector<SparseMember> vs = random_sparse(4, 90, 0.2, 5);
   vs[1].indices.clear();
   vs[1].values.clear();
   const Batch b(vs, 90);
@@ -178,13 +182,9 @@ TEST(SparseGram, EmptyBatchAndEmptyMembers) {
 }
 
 TEST(SparseGram, DenseAndSparseStorageAgree) {
-  const std::vector<SparseVector> vs = random_sparse(24, 130, 0.3, 21);
+  const Batch sp(random_sparse(24, 130, 0.3, 21), 130);
   DenseMatrix rows(24, 130);
-  for (std::size_t i = 0; i < 24; ++i) {
-    const std::vector<double> d = to_dense(vs[i]);
-    la::copy(d, rows.row(i));
-  }
-  const Batch sp(vs, 130);
+  for (std::size_t i = 0; i < 24; ++i) la::copy(sp.member(i), rows.row(i));
   const Batch dn(std::move(rows));
   EXPECT_LT(gram(sp).max_abs_diff(gram(dn)), kTol * 130);
 }
@@ -208,7 +208,7 @@ TEST(Dots, MatchesMemberwiseDots) {
 }
 
 TEST(Dots, SparseMatchesGatherReference) {
-  const std::vector<SparseVector> vs = random_sparse(40, 256, 0.1, 31);
+  const std::vector<SparseMember> vs = random_sparse(40, 256, 0.1, 31);
   const Batch sp(vs, 256);
   data::SplitMix64 rng(13);
   std::vector<double> x(256);
@@ -216,7 +216,7 @@ TEST(Dots, SparseMatchesGatherReference) {
   const std::vector<double> got = dots(sp, x);
   for (std::size_t i = 0; i < 40; ++i) {
     double want = 0.0;
-    for (std::size_t p = 0; p < vs[i].nnz(); ++p)
+    for (std::size_t p = 0; p < vs[i].indices.size(); ++p)
       want += vs[i].values[p] * x[vs[i].indices[p]];
     EXPECT_NEAR(got[i], want, kTol * 256);
   }
@@ -288,10 +288,10 @@ TEST(UnrolledOps, MatchStrictLoops) {
 
 TEST(GramFlops, SparseFormulaMatchesAccumulatorModel) {
   // flops = Σ_j 2·(j+1)·nnz_j: every pair (i ≤ j, j) gathers through v_j.
-  std::vector<SparseVector> vs;
-  vs.push_back({8, {0, 2, 4}, {1, 1, 1}});        // nnz 3
-  vs.push_back({8, {1}, {1}});                    // nnz 1
-  vs.push_back({8, {0, 1, 2, 3, 4}, {1, 1, 1, 1, 1}});  // nnz 5
+  std::vector<SparseMember> vs;
+  vs.push_back({{0, 2, 4}, {1, 1, 1}});        // nnz 3
+  vs.push_back({{1}, {1}});                    // nnz 1
+  vs.push_back({{0, 1, 2, 3, 4}, {1, 1, 1, 1, 1}});  // nnz 5
   const Batch b(std::move(vs), 8);
   EXPECT_EQ(b.view().gram_flops(), 2u * (1 * 3 + 2 * 1 + 3 * 5));
 }

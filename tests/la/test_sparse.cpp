@@ -1,4 +1,4 @@
-// Unit tests for SparseVector and CsrMatrix (including its transposes).
+// Unit tests for CsrMatrix (including its transposes).
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "la/csr.hpp"
-#include "la/sparse_vector.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::la {
@@ -20,62 +19,6 @@ CsrMatrix make_example() {
   // [ 3 4 0 ]
   return CsrMatrix::from_triplets(
       3, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {2, 0, 3.0}, {2, 1, 4.0}});
-}
-
-// ---------------------------------------------------------------- vectors
-
-TEST(SparseVector, ValidateAcceptsSortedUnique) {
-  SparseVector v{5, {0, 2, 4}, {1.0, 2.0, 3.0}};
-  EXPECT_NO_THROW(v.validate());
-}
-
-TEST(SparseVector, ValidateRejectsUnsorted) {
-  SparseVector v{5, {2, 0}, {1.0, 2.0}};
-  EXPECT_THROW(v.validate(), PreconditionError);
-}
-
-TEST(SparseVector, ValidateRejectsOutOfRange) {
-  SparseVector v{3, {3}, {1.0}};
-  EXPECT_THROW(v.validate(), PreconditionError);
-}
-
-TEST(SparseVector, SparseSparseDotMergesCorrectly) {
-  SparseVector a{6, {0, 2, 5}, {1.0, 2.0, 3.0}};
-  SparseVector b{6, {1, 2, 5}, {10.0, 20.0, 30.0}};
-  EXPECT_DOUBLE_EQ(dot(a, b), 2.0 * 20.0 + 3.0 * 30.0);
-}
-
-TEST(SparseVector, DisjointSupportsDotToZero) {
-  SparseVector a{4, {0, 1}, {1.0, 1.0}};
-  SparseVector b{4, {2, 3}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ(dot(a, b), 0.0);
-}
-
-TEST(SparseVector, SparseDenseDotGathersEntries) {
-  SparseVector a{4, {1, 3}, {2.0, -1.0}};
-  const std::vector<double> x{5.0, 6.0, 7.0, 8.0};
-  EXPECT_DOUBLE_EQ(dot(a, x), 2.0 * 6.0 - 8.0);
-}
-
-TEST(SparseVector, AxpyScattersScaledEntries) {
-  SparseVector a{3, {0, 2}, {1.0, 4.0}};
-  std::vector<double> y{10.0, 10.0, 10.0};
-  axpy(0.5, a, y);
-  EXPECT_DOUBLE_EQ(y[0], 10.5);
-  EXPECT_DOUBLE_EQ(y[1], 10.0);
-  EXPECT_DOUBLE_EQ(y[2], 12.0);
-}
-
-TEST(SparseVector, DenseRoundTripPreservesValues) {
-  const std::vector<double> x{0.0, 1.5, 0.0, -2.0};
-  const SparseVector v = from_dense(x);
-  EXPECT_EQ(v.nnz(), 2u);
-  EXPECT_EQ(to_dense(v), x);
-}
-
-TEST(SparseVector, FromDenseHonoursDropTolerance) {
-  const std::vector<double> x{1e-8, 1.0};
-  EXPECT_EQ(from_dense(x, 1e-6).nnz(), 1u);
 }
 
 // ---------------------------------------------------------------- CSR
@@ -164,13 +107,6 @@ TEST(CsrMatrix, ColSliceShiftsIndices) {
   EXPECT_DOUBLE_EQ(s.to_dense()(2, 0), 4.0);  // old (2,1)
 }
 
-TEST(CsrMatrix, GatherRowReturnsStandaloneVector) {
-  const SparseVector r = make_example().gather_row(2);
-  EXPECT_EQ(r.dim, 3u);
-  EXPECT_EQ(r.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(dot(r, std::vector<double>{1.0, 1.0, 1.0}), 7.0);
-}
-
 TEST(CsrMatrix, RowNormsSquared) {
   const std::vector<double> norms = make_example().row_norms_squared();
   EXPECT_DOUBLE_EQ(norms[0], 5.0);
@@ -197,12 +133,12 @@ TEST(CsrMatrix, EmptyRowsAtTailHaveValidIndptr) {
 
 TEST(Transposed, RowIsTheDenseColumn) {
   const CsrMatrix at = make_example().transposed();
-  const SparseVector c0 = at.gather_row(0);
-  EXPECT_EQ(c0.dim, 3u);
-  EXPECT_EQ(c0.nnz(), 2u);
-  const std::vector<double> dense = to_dense(c0);
-  EXPECT_DOUBLE_EQ(dense[0], 1.0);
-  EXPECT_DOUBLE_EQ(dense[2], 3.0);
+  EXPECT_EQ(at.cols(), 3u);
+  ASSERT_EQ(at.row_nnz(0), 2u);
+  EXPECT_EQ(at.row_indices(0)[0], 0u);
+  EXPECT_EQ(at.row_indices(0)[1], 2u);
+  EXPECT_DOUBLE_EQ(at.row_values(0)[0], 1.0);
+  EXPECT_DOUBLE_EQ(at.row_values(0)[1], 3.0);
 }
 
 TEST(Transposed, ShapeMirrorsOriginal) {
@@ -285,7 +221,8 @@ TEST_P(CsrSweep, SpmvMatchesDenseReference) {
   for (std::size_t j = 0; j < n; ++j) x[j] = std::cos(static_cast<double>(j));
   std::vector<double> y1(m), y2(m);
   a.spmv(x, y1);
-  gemv(1.0, d, x, 0.0, y2);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) y2[i] += d(i, j) * x[j];
   for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
 }
 
